@@ -25,8 +25,16 @@ from .core import (
 )
 from .edf import edf_eval, l1_distance, l2_distance, sup_distance, wedf_eval
 from .assembly import QpProblem, assemble_b_empirical, assemble_b_exact, assemble_h, assemble_qp
-from .solver import KktReport, NonPositiveDefiniteError, QpSolution, solve_qp, verify_kkt
+from .solver import (
+    KktReport,
+    NonPositiveDefiniteError,
+    QpSolution,
+    WeightCollapseError,
+    solve_qp,
+    verify_kkt,
+)
 from .binning import (
+    AllWeightsFlooredError,
     BinnedSolution,
     KMeansPartition,
     NaiveSolution,
@@ -75,6 +83,7 @@ from .io import load_pairs, load_samples, save_samples
 from .experiments import (
     ConvergenceResult,
     ConvergenceSpec,
+    UntrustworthyBaselineError,
     compare_methods,
     derive_image_region,
     run_convergence,

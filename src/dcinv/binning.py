@@ -49,6 +49,10 @@ class UnreachableCellError(RuntimeError):
         )
 
 
+class AllWeightsFlooredError(ValueError):
+    """Every cell weight is at or below the weight floor, so no cell is kept."""
+
+
 @dataclass(frozen=True)
 class RegularGridPartition:
     """Half-open hyper-rectangles tiling a box; representatives are centers.
@@ -281,7 +285,8 @@ def distribute_cell_weights(w, assignments, p, weight_floor=DEFAULT_WEIGHT_FLOOR
 
     Weights at or below ``weight_floor`` are zeroed and the rest renormalized
     to mean one first, so the returned u sums to one exactly (samples in
-    floored cells get u_i = 0). In strict mode a kept cell with no samples
+    floored cells get u_i = 0); if no weight is above the floor,
+    AllWeightsFlooredError is raised. In strict mode a kept cell with no samples
     raises UnreachableCellError; otherwise its mass is dropped and reported.
 
     Returns (u, w_floored, counts, dropped_mass).
@@ -293,7 +298,9 @@ def distribute_cell_weights(w, assignments, p, weight_floor=DEFAULT_WEIGHT_FLOOR
     w_floored = np.where(w > weight_floor, w, 0.0)
     total = w_floored.sum()
     if total <= 0:
-        raise ValueError("all cell weights are at or below the floor")
+        raise AllWeightsFlooredError(
+            f"all cell weights are at or below the floor {weight_floor:g}"
+        )
     w_floored = w_floored * (p / total)
     counts = np.bincount(assignments, minlength=p)
     kept = w_floored > 0
@@ -440,6 +447,10 @@ def solve_binning(
     counts = np.bincount(assignments, minlength=p)
     batches = 0
     if not precomputed:
+        # The loop may run hundreds of batches, so it keeps per-batch arrays
+        # and adds each batch's counts; stacking everything and recounting
+        # after every batch would cost O(batches x total samples).
+        chunks = [(initial_pts, predicted_pts, assignments)]
         while np.any(counts < n_min):
             if batches >= max_batches:
                 deficient = np.nonzero(counts < n_min)[0]
@@ -447,11 +458,12 @@ def solve_binning(
             new_initial = _draw(initial_sampler, n_batch, rng)
             new_pred = _eval_qoi(qoi, new_initial)
             new_assign = part.classify_many(new_pred)
-            initial_pts = np.vstack([initial_pts, new_initial])
-            predicted_pts = np.vstack([predicted_pts, new_pred])
-            assignments = np.concatenate([assignments, new_assign])
-            counts = np.bincount(assignments, minlength=p)
+            chunks.append((new_initial, new_pred, new_assign))
+            counts += np.bincount(new_assign, minlength=p)
             batches += 1
+        if batches:
+            initial_pts, predicted_pts, assignments = (np.concatenate(c) for c in zip(*chunks))
+        del chunks  # the batch copies would otherwise stay alive through the distribution
 
     u, w_floored, counts, dropped = distribute_cell_weights(
         w, assignments, p, weight_floor=weight_floor, strict=True

@@ -13,9 +13,11 @@ fully resolved config, all seeds, solver residuals, and wall-clock timing;
 with the same config and seed all result files are byte-identical across
 runs (wall-clock lives only in meta.json's "timing" block).
 
-Exit codes: 0 success; 2 config error; 3 solver failure or
-non-convergence; 4 unreachable cell; 5 diagnostic outside [0.8, 1.2]
-(diagnose, or an untrustworthy convergence-study baseline).
+Exit codes: 0 success; 2 config error; 3 solver failure (matrix not
+positive definite, all weights collapsed to zero, all cell weights at or
+below the floor) or non-convergence; 4 unreachable cell; 5 diagnostic
+outside [0.8, 1.2] (diagnose, or an untrustworthy convergence-study
+baseline). Each failure writes a one-line reason to stderr.
 """
 
 import argparse
@@ -27,13 +29,20 @@ import time
 import numpy as np
 
 from . import __version__
-from .binning import UnreachableCellError, make_regular_grid, solve_binning, solve_naive
+from .binning import (
+    AllWeightsFlooredError,
+    UnreachableCellError,
+    make_regular_grid,
+    solve_binning,
+    solve_naive,
+)
 from .config import ConfigError, build_convergence_spec, build_solve_config, load_config
 from .core import Normalization, SampleSet, WeightedEdf, WeightVector, fit_box
 from .density import solve_density
 from .edf import wedf_eval_many
-from .experiments import _jsonify, run_convergence
+from .experiments import UntrustworthyBaselineError, _jsonify, run_convergence
 from .models import UniformBoxSampler
+from .solver import NonPositiveDefiniteError, WeightCollapseError
 from .targets import is_exact
 
 EXIT_OK = 0
@@ -43,6 +52,9 @@ EXIT_UNREACHABLE = 4
 EXIT_DIAGNOSTIC = 5
 
 METHODS = ("naive", "binning-grid", "binning-kmeans", "density")
+# Failures of the weight computation itself; all exit with EXIT_NONCONVERGED.
+SOLVER_FAILURES = (NonPositiveDefiniteError, WeightCollapseError, AllWeightsFlooredError)
+CSV_BLOCK_ROWS = 8192
 
 
 def _log(msg):
@@ -64,6 +76,27 @@ def _write_json(path, payload):
         f.write(json.dumps(_jsonify(payload), sort_keys=True, indent=1) + "\n")
 
 
+def _write_csv(path, header, columns, index=False):
+    """Write ``header`` and then one row per entry of the 1-D ``columns``.
+
+    Format: an optional leading integer row index (``%d``), then every
+    column as ``%.17g`` (enough digits for a bit-exact round trip), comma
+    separated, LF line endings. Rows are formatted CSV_BLOCK_ROWS at a time,
+    which keeps the Python floats and strings of one block in memory, not
+    those of the whole file.
+    """
+    n = len(columns[0])
+    fmt = ",".join((["%d"] if index else []) + ["%.17g"] * len(columns)) + "\n"
+    with open(path, "w", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, n, CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, n)
+            block = [c[start:stop].tolist() for c in columns]
+            if index:
+                block.insert(0, range(start, stop))
+            f.writelines(map(fmt.__mod__, zip(*block)))
+
+
 def _write_weights_csv(path, initial, predicted, weights):
     d_in = initial.shape[1]
     d_out = predicted.shape[1]
@@ -73,16 +106,8 @@ def _write_weights_csv(path, initial, predicted, weights):
         + [f"q{k + 1}" for k in range(d_out)]
         + ["weight"]
     )
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
-        for i in range(initial.shape[0]):
-            row = (
-                [str(i)]
-                + [f"{v:.17g}" for v in initial[i]]
-                + [f"{v:.17g}" for v in predicted[i]]
-                + [f"{weights[i]:.17g}"]
-            )
-            f.write(",".join(row) + "\n")
+    columns = [initial[:, k] for k in range(d_in)] + [predicted[:, k] for k in range(d_out)]
+    _write_csv(path, header, columns + [np.asarray(weights)], index=True)
 
 
 def _write_pushforward_csv(path, pushforward, target_cdf, box, grid):
@@ -92,15 +117,11 @@ def _write_pushforward_csv(path, pushforward, target_cdf, box, grid):
     f_method = wedf_eval_many(pushforward, pts)
     f_target = target_cdf(pts) if target_cdf is not None else None
     header = [f"q{k + 1}" for k in range(box.dim)] + ["f_method"]
+    columns = [pts[:, k] for k in range(box.dim)] + [f_method]
     if f_target is not None:
         header.append("f_target")
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
-        for i in range(pts.shape[0]):
-            row = [f"{v:.17g}" for v in pts[i]] + [f"{f_method[i]:.17g}"]
-            if f_target is not None:
-                row.append(f"{f_target[i]:.17g}")
-            f.write(",".join(row) + "\n")
+        columns.append(f_target)
+    _write_csv(path, header, columns)
 
 
 def _target_cdf_callable(resolved):
@@ -249,15 +270,13 @@ def _eval(model, pts):
 
 
 def _cmd_solve(args):
-    from .solver import NonPositiveDefiniteError
-
     cfg = build_solve_config(load_config(args.config), base_dir=os.path.dirname(args.config) or ".")
     try:
         return _run_solve(args.method, cfg, args.out, args.threads)
     except UnreachableCellError as exc:
         _log(f"unreachable cell: {exc}")
         return EXIT_UNREACHABLE
-    except NonPositiveDefiniteError as exc:
+    except SOLVER_FAILURES as exc:
         _log(f"solver failure: {exc}")
         return EXIT_NONCONVERGED
 
@@ -283,9 +302,12 @@ def _cmd_convergence(args):
     t_start = time.perf_counter()
     try:
         result = run_convergence(spec, progress=_log, threads=args.threads)
-    except RuntimeError as exc:
+    except UntrustworthyBaselineError as exc:
         _log(f"aborted: {exc}")
         return EXIT_DIAGNOSTIC
+    except SOLVER_FAILURES as exc:
+        _log(f"solver failure: {exc}")
+        return EXIT_NONCONVERGED
     paths = result.save(args.out)
     _write_json(
         os.path.join(args.out, "meta.json"),

@@ -38,6 +38,11 @@ from .targets import EmpiricalTarget, as_target, is_exact
 DIAGNOSTIC_GUARD = (0.8, 1.2)
 
 
+class UntrustworthyBaselineError(RuntimeError):
+    """A baseline trial's predictability diagnostic left DIAGNOSTIC_GUARD, so
+    the reference probabilities of the study cannot be trusted."""
+
+
 def _as_box(region):
     if isinstance(region, BoxScaler):
         return region
@@ -246,7 +251,7 @@ def _run_tasks(fn, payloads, threads):
 def run_convergence(spec, progress=None, threads=1):
     """Run the full convergence study.
 
-    Raises RuntimeError when a baseline trial's diagnostic leaves
+    Raises UntrustworthyBaselineError when a baseline trial's diagnostic leaves
     [0.8, 1.2], reporting the value. ``threads`` distributes trials over
     processes; the reduction order is fixed by trial index either way.
     """
@@ -275,7 +280,7 @@ def run_convergence(spec, progress=None, threads=1):
     diagnostics, p_update_trials = [], []
     for t, (diag, p_a) in enumerate(_run_tasks(_baseline_trial, baseline_payloads, threads)):
         if not DIAGNOSTIC_GUARD[0] <= diag <= DIAGNOSTIC_GUARD[1]:
-            raise RuntimeError(
+            raise UntrustworthyBaselineError(
                 f"baseline diagnostic {diag:.4f} outside {list(DIAGNOSTIC_GUARD)}; "
                 "reference probabilities are not trustworthy"
             )

@@ -82,7 +82,20 @@ class HeatRod:
     dim_out = 1
 
     def qoi(self, lam):
-        """Evaluate the sensor temperature for each (ell, kappa) row of ``lam``."""
+        """Evaluate the sensor temperature for each (ell, kappa) row of ``lam``.
+
+        Zero-tail cut: once ``decay`` underflows to exactly 0.0 in every
+        column, the remaining terms are all +-0.0, so the series stops at
+        the last row of ``decay`` with a nonzero entry and ``sin`` is never
+        evaluated past it. The cut is exact. The sum over k adds its terms
+        in k order, and adding a signed zero (or the NaN of a ``sin`` that
+        overflowed, which only occurs where every ``decay`` of the column
+        is 0.0) can change a partial sum only when that sum is itself +-0.0;
+        if any cut sum is zero, the full series is summed instead. With
+        ``standard_physics=True`` and ``t_star = 0.3`` every row from
+        k ~ 48 underflows; the printed series at the default ``t_star``
+        never does.
+        """
         pts = as_points(lam)
         if pts.shape[1] != 2:
             raise ValueError(f"rod parameters are 2-D (ell, kappa), got dim {pts.shape[1]}")
@@ -102,9 +115,16 @@ class HeatRod:
         else:
             decay = np.exp(-kappa[None, :] * k * np.pi * self.t_star / ell[None, :] ** 2)
             prefactor = 2.0 * ell**2 / np.pi
-        signs = (-1.0) ** (k + 1) / k
-        series = np.sum(signs * decay * np.sin(k * np.pi * self.x_star / ell[None, :]), axis=0)
+        nonzero_rows = np.flatnonzero(decay.any(axis=1))
+        rows = nonzero_rows[-1] + 1 if nonzero_rows.size else self.truncation
+        series = self._series(k[:rows], decay[:rows], ell)
+        if rows < self.truncation and not series.all():
+            series = self._series(k, decay, ell)
         return prefactor * series
+
+    def _series(self, k, decay, ell):
+        signs = (-1.0) ** (k + 1) / k
+        return np.sum(signs * decay * np.sin(k * np.pi * self.x_star / ell[None, :]), axis=0)
 
     def __call__(self, lam):
         return self.qoi(lam)

@@ -41,6 +41,11 @@ class NonPositiveDefiniteError(np.linalg.LinAlgError):
         )
 
 
+class WeightCollapseError(RuntimeError):
+    """Every weight of the final iterate is zero after clipping negatives, so
+    the weights cannot be normalized."""
+
+
 def _cholesky_or_pivot(mat):
     try:
         return np.linalg.cholesky(mat)
@@ -221,7 +226,7 @@ def _cleanup(w, ell, tol):
         w = np.maximum(w, 0.0)
     total = w.sum()
     if total <= 0.0:
-        raise RuntimeError("all weights collapsed to zero during cleanup")
+        raise WeightCollapseError("all weights collapsed to zero during cleanup")
     return w * (ell / total)
 
 
@@ -251,6 +256,8 @@ def solve_qp(problem, tol=DEFAULT_TOL, max_iter=None, w0=None):
     NonPositiveDefiniteError
         If a Cholesky factorization of (a principal block of) ``h`` fails,
         reporting the offending pivot index.
+    WeightCollapseError
+        If no weight stays positive once negatives are clipped.
     """
     h, b = problem.h, problem.b
     ell = problem.size

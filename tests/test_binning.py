@@ -319,3 +319,22 @@ def test_solve_binning_data_box_override():
     )
     assert np.array_equal(sol.box.lower, box.lower)
     assert abs(sol.sample_weights.weights.sum() - 1.0) < 1e-12
+
+
+def test_solve_binning_multi_batch_counts_and_alignment():
+    model = HeatRod()
+    sampler = UniformBoxSampler(model.box)
+    sol = solve_binning(
+        model, sampler, heat_rod_observed(), ("grid", 30), n_target=600, seed=4, n_batch=200
+    )
+    assert sol.n_batches > 1
+    assert sol.n == 600 + 200 * sol.n_batches
+    np.testing.assert_array_equal(sol.counts, np.bincount(sol.assignments, minlength=sol.p))
+    assert not np.any(sol.counts < sol.n_min)
+    # the batches are joined in draw order, row-aligned across the three arrays
+    rng = np.random.default_rng(4)
+    draws = [sampler.sample(600, rng).points]
+    draws += [sampler.sample(200, rng).points for _ in range(sol.n_batches)]
+    np.testing.assert_array_equal(sol.initial.points, np.vstack(draws))
+    np.testing.assert_array_equal(sol.predicted.points[:, 0], model.qoi(sol.initial.points))
+    np.testing.assert_array_equal(sol.assignments, sol.partition.classify_many(sol.predicted.points))

@@ -4,7 +4,10 @@ import os
 import numpy as np
 import pytest
 
+from dcinv import cli, solver
 from dcinv.cli import main
+from dcinv.core import BoxScaler, SampleSet, WeightedEdf
+from dcinv.edf import wedf_eval_many
 from dcinv.io import save_samples
 from dcinv.models import HEAT_ROD_OBSERVED_MU, HEAT_ROD_OBSERVED_SIGMA, HEAT_ROD_VIOLATION_MU
 
@@ -224,3 +227,135 @@ def test_convergence_untrustworthy_baseline_exit_5(tmp_path, capsys):
     )
     assert main(["convergence", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 5
     assert "diagnostic" in capsys.readouterr().err
+
+
+def test_solve_all_weights_floored_exit_3(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", method={"p": 20, "weight_floor": 1e9})
+    code = main(["solve", "--method", "binning-grid", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["solver failure: all cell weights are at or below the floor 1e+09"]
+
+
+def collapse_weights(monkeypatch):
+    # the collapse cannot be provoked by a valid QP, so the cleanup is fed a zero iterate
+    cleanup = solver._cleanup
+    monkeypatch.setattr(solver, "_cleanup", lambda w, ell, tol: cleanup(np.zeros_like(w), ell, tol))
+
+
+def test_solve_weight_collapse_exit_3(tmp_path, monkeypatch, capsys):
+    collapse_weights(monkeypatch)
+    cfg = write_config(tmp_path / "cfg.json")
+    code = main(["solve", "--method", "naive", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["solver failure: all weights collapsed to zero during cleanup"]
+
+
+def test_convergence_floored_weights_exit_3(tmp_path, capsys):
+    # a solver failure inside the study is exit 3, not the baseline's exit 5
+    spec = write_spec(tmp_path / "spec.json", weight_floor=1e9)
+    assert main(["convergence", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 3
+    assert "solver failure: all cell weights are at or below the floor" in capsys.readouterr().err
+
+
+def test_convergence_weight_collapse_exit_3(tmp_path, monkeypatch, capsys):
+    collapse_weights(monkeypatch)
+    spec = write_spec(tmp_path / "spec.json")
+    code = main(["convergence", "--spec", str(spec), "--out", str(tmp_path / "o"), "--threads", "1"])
+    assert code == 3
+    assert "solver failure: all weights collapsed to zero during cleanup" in capsys.readouterr().err
+
+
+def reference_write_weights_csv(path, initial, predicted, weights):
+    """Row-at-a-time writer the block writer must match byte for byte."""
+    d_in = initial.shape[1]
+    d_out = predicted.shape[1]
+    header = (
+        ["index"]
+        + [f"x{k + 1}" for k in range(d_in)]
+        + [f"q{k + 1}" for k in range(d_out)]
+        + ["weight"]
+    )
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for i in range(initial.shape[0]):
+            row = (
+                [str(i)]
+                + [f"{v:.17g}" for v in initial[i]]
+                + [f"{v:.17g}" for v in predicted[i]]
+                + [f"{weights[i]:.17g}"]
+            )
+            f.write(",".join(row) + "\n")
+
+
+def reference_write_pushforward_csv(path, pushforward, target_cdf, box, grid):
+    axes = [np.linspace(box.lower[k], box.upper[k], grid) for k in range(box.dim)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    f_method = wedf_eval_many(pushforward, pts)
+    f_target = target_cdf(pts) if target_cdf is not None else None
+    header = [f"q{k + 1}" for k in range(box.dim)] + ["f_method"]
+    if f_target is not None:
+        header.append("f_target")
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for i in range(pts.shape[0]):
+            row = [f"{v:.17g}" for v in pts[i]] + [f"{f_method[i]:.17g}"]
+            if f_target is not None:
+                row.append(f"{f_target[i]:.17g}")
+            f.write(",".join(row) + "\n")
+
+
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e22, -1e22, 1.0, -3.0, 2.0**53, 1e16,
+    0.1, 1 / 3, np.nextafter(1.0, 2.0), 1.7976931348623157e308, np.inf, -np.inf, np.nan,
+]
+
+
+def _edge_columns(n, dim, rng):
+    """Values spanning the float range with the edge cases mixed in."""
+    vals = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-320, 300, size=(n, dim))
+    flat = vals.ravel()
+    m = min(flat.size, 3 * len(EDGE_VALUES))
+    flat[:m] = np.resize(EDGE_VALUES, m)
+    rng.shuffle(flat)
+    return flat.reshape(n, dim)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 23, 100])
+@pytest.mark.parametrize("d_in", [1, 2])
+def test_weights_csv_matches_row_writer(tmp_path, monkeypatch, n, d_in):
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)  # n = 23 and 100 span several blocks
+    rng = np.random.default_rng(1000 * n + d_in)
+    initial = _edge_columns(n, d_in, rng)
+    predicted = _edge_columns(n, 1, rng)
+    weights = _edge_columns(n, 1, rng)[:, 0]
+    cli._write_weights_csv(tmp_path / "new.csv", initial, predicted, weights)
+    reference_write_weights_csv(tmp_path / "ref.csv", initial, predicted, weights)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_weights_csv_default_block_size(tmp_path):
+    n = cli.CSV_BLOCK_ROWS * 2 + 5
+    rng = np.random.default_rng(3)
+    initial = rng.uniform(size=(n, 2))
+    predicted = rng.uniform(size=(n, 1))
+    weights = np.full(n, 1.0 / n)
+    cli._write_weights_csv(tmp_path / "new.csv", initial, predicted, weights)
+    reference_write_weights_csv(tmp_path / "ref.csv", initial, predicted, weights)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("with_target", [True, False])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_pushforward_csv_matches_row_writer(tmp_path, monkeypatch, with_target, dim):
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 5)
+    rng = np.random.default_rng(dim)
+    samples = SampleSet(rng.uniform(size=(40, dim)))
+    pushforward = WeightedEdf.plain(samples)
+    target_cdf = (lambda pts: np.prod(np.clip(pts, 0.0, 1.0), axis=1)) if with_target else None
+    box = BoxScaler([-0.1] * dim, [1.1] * dim)
+    cli._write_pushforward_csv(tmp_path / "new.csv", pushforward, target_cdf, box, 9)
+    reference_write_pushforward_csv(tmp_path / "ref.csv", pushforward, target_cdf, box, 9)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

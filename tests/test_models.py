@@ -243,3 +243,86 @@ def test_exact_cdf_target_wrapper():
     assert target.cdf(np.array([[0.3]]))[0] == pytest.approx(0.3)
     with pytest.raises(AttributeError):
         target.integral_of_cdf(np.array([0.5]))
+
+
+def reference_qoi(model, lam):
+    """The series summed over all ``truncation`` rows, without the zero-tail cut."""
+    pts = np.atleast_2d(np.asarray(lam, dtype=float))
+    ell = pts[:, 0]
+    kappa = pts[:, 1]
+    k = np.arange(1, model.truncation + 1)[:, None]
+    if model.standard_physics:
+        decay = np.exp(-kappa[None, :] * (k * np.pi / ell[None, :]) ** 2 * model.t_star)
+        prefactor = 2.0 * ell / np.pi
+    else:
+        decay = np.exp(-kappa[None, :] * k * np.pi * model.t_star / ell[None, :] ** 2)
+        prefactor = 2.0 * ell**2 / np.pi
+    signs = (-1.0) ** (k + 1) / k
+    series = np.sum(signs * decay * np.sin(k * np.pi * model.x_star / ell[None, :]), axis=0)
+    return prefactor * series
+
+
+def assert_bit_equal(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        HeatRod(),
+        HeatRod(standard_physics=True),
+        mixture_benchmark_model(),
+        HeatRod(truncation=1),
+        HeatRod(truncation=1, standard_physics=True, t_star=0.3),
+        HeatRod(standard_physics=True, t_star=3.0),
+    ],
+)
+def test_heat_qoi_bit_equal_to_full_series(model):
+    rng = np.random.default_rng(41)
+    box = model.box
+    lam = rng.uniform(box.lower, box.upper, size=(5000, 2))
+    lam = np.vstack([lam, [box.lower, box.upper]])
+    assert_bit_equal(model.qoi(lam), reference_qoi(model, lam))
+    assert_bit_equal(model.qoi(lam[:0]), reference_qoi(model, lam[:0]))
+
+
+def test_heat_qoi_zero_tail_cut_applies_on_mixture_model():
+    # the case the cut exists for: the tail of decay is exactly zero
+    model = mixture_benchmark_model()
+    lam = np.array([[1.9, 0.5], [2.1, 1.5]])
+    k = np.arange(1, model.truncation + 1)[:, None]
+    decay = np.exp(-lam[None, :, 1] * (k * np.pi / lam[None, :, 0]) ** 2 * model.t_star)
+    assert decay[0].all() and not decay[60:].any()
+    assert_bit_equal(model.qoi(lam), reference_qoi(model, lam))
+
+
+def test_heat_qoi_all_rows_underflow():
+    # every decay underflows from k = 1: the result is a signed zero
+    model = HeatRod(standard_physics=True, t_star=1e6)
+    lam = np.array([[1.9, 0.5], [2.0, 1.0], [2.1, 1.5]])
+    vals = model.qoi(lam)
+    assert not vals.any()
+    assert_bit_equal(vals, reference_qoi(model, lam))
+
+
+def test_heat_qoi_outside_lambda_warns_and_matches():
+    model = mixture_benchmark_model()
+    lam = np.array([[2.0, 1000.0], [2.0, 1.0], [2.0, -0.01]])
+    with pytest.warns(UserWarning, match="outside Lambda"):
+        vals = model.qoi(lam)
+    assert_bit_equal(vals, reference_qoi(model, lam))
+
+
+def test_heat_qoi_zero_sum_past_cut_takes_full_series():
+    # rod length so small that sin overflows to NaN only past the cut; the
+    # cut sum of that column is a signed zero, so the full series decides
+    model = mixture_benchmark_model()
+    lam = np.array([[1.2e-306, 1.0], [2.0, 1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.warns(UserWarning, match="outside Lambda"):
+            vals = model.qoi(lam)
+        expected = reference_qoi(model, lam)
+    assert np.isnan(vals[0]) and np.isfinite(vals[1])
+    assert_bit_equal(vals, expected)
