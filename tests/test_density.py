@@ -210,3 +210,131 @@ def test_rejection_pushforward_improves_on_unweighted():
     err_accepted = sup_distance(WeightedEdf.plain(accepted_pf), obs_edf, box, 2048)
     err_plain = sup_distance(WeightedEdf.plain(predicted), obs_edf, box, 2048)
     assert err_accepted < err_plain
+
+
+def reference_pdf_exact(model, pts):
+    """Exact KDE evaluation in 1600-row blocks with a triangular solve at every
+    d and a plain np.exp: the implementation the blocked in-place one replaced."""
+    from scipy.linalg import solve_triangular
+
+    x = model.points.points
+    chol = np.linalg.cholesky(model.bandwidth_matrix)
+    log_norm = model.dim * 0.5 * np.log(2.0 * np.pi) + np.sum(np.log(np.diag(chol)))
+    out = np.empty(pts.shape[0])
+    chunk = max(1, 16_000_000 // max(x.shape[0] * model.dim, 1))
+    for start in range(0, pts.shape[0], chunk):
+        block = pts[start : start + chunk]
+        diff = block[:, None, :] - x[None, :, :]
+        white = solve_triangular(
+            chol, diff.reshape(-1, model.dim).T, lower=True, check_finite=False
+        )
+        quad = np.sum(white**2, axis=0).reshape(block.shape[0], x.shape[0])
+        quad *= -0.5
+        np.exp(quad, out=quad)
+        out[start : start + block.shape[0]] = quad.sum(axis=1)
+    return out / (model.n * np.exp(log_norm))
+
+
+def assert_bit_equal(a, b):
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def block_rows(model):
+    from dcinv.density import _EVAL_BLOCK_ELEMS
+
+    return max(1, _EVAL_BLOCK_ELEMS // (model.n * model.dim))
+
+
+def test_pdf_exact_bit_equal_to_reference_1d():
+    rng = np.random.default_rng(43)
+    model = kde_fit(rng.normal(0.5, 0.1, size=(1000, 1)), rule="scott")
+    rows = block_rows(model)
+    assert 1 < rows < 1000
+    for m in (0, 1, 3 * rows, 3 * rows + 1):
+        q = rng.uniform(0.1, 0.9, size=(m, 1))
+        assert_bit_equal(model.pdf(q), reference_pdf_exact(model, q))
+
+
+def test_pdf_exact_bit_equal_where_kernels_underflow():
+    # a narrow kernel: most terms of every sum underflow to exactly 0
+    rng = np.random.default_rng(47)
+    model = kde_fit(rng.uniform(0.585, 0.6, size=(3000, 1)), rule=7e-4)
+    q = rng.uniform(0.33, 0.99, size=(500, 1))
+    vals = model.pdf(q)
+    assert (vals == 0).any() and (vals > 0).any()
+    assert_bit_equal(vals, reference_pdf_exact(model, q))
+
+
+def test_pdf_exact_subnormal_kernels_mixed_with_normal_ones():
+    # with unit bandwidth a sample 38 away gives quad = -722, a subnormal
+    # kernel; 1000 away underflows, 0 away is an ordinary kernel
+    model = kde_fit(np.array([[0.0], [38.0], [-38.5], [1000.0]]), rule=1.0)
+    q = np.concatenate([np.linspace(-50.0, 90.0, 281), [0.0, 38.0, 1000.0]])[:, None]
+    quad = -0.5 * (q - model.points.points[:, 0]) ** 2
+    assert ((quad > -745.0) & (quad < -708.0)).any()
+    vals = model.pdf(q)
+    assert ((vals > 0) & (vals < 2.2250738585072014e-308)).any()
+    assert_bit_equal(vals, reference_pdf_exact(model, q))
+
+
+def test_pdf_exact_far_queries_give_zero_and_violations():
+    rng = np.random.default_rng(53)
+    obs = kde_fit(rng.normal(0.0, 0.01, size=(200, 1)))
+    pred = kde_fit(rng.normal(0.0, 0.01, size=(300, 1)))
+    q = np.array([[5.0], [-7.0], [1e6]])
+    vals = pred.pdf(q)
+    assert not vals.any() and not np.signbit(vals).any()
+    assert_bit_equal(vals, reference_pdf_exact(pred, q))
+    ratios, violations = density_ratio_many(obs, pred, q)
+    assert violations.all() and np.isinf(ratios).all()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_pdf_exact_bit_equal_to_reference_full_bandwidth(d):
+    rng = np.random.default_rng(59 + d)
+    mix = rng.normal(size=(d, d))
+    model = kde_fit(rng.normal(size=(1001, d)) @ mix, rule="scott")
+    assert np.count_nonzero(model.bandwidth_matrix) == d * d
+    rows = block_rows(model)
+    for m in (0, 1, 2 * rows, 2 * rows + 1):
+        q = rng.normal(size=(m, d)) @ mix
+        assert_bit_equal(model.pdf(q), reference_pdf_exact(model, q))
+
+
+def test_pdf_exact_bit_equal_at_sample_count_extremes():
+    rng = np.random.default_rng(61)
+    two = kde_fit(np.array([[0.2], [0.7]]), rule="silverman")
+    q = rng.uniform(-1.0, 2.0, size=(70_000, 1))
+    assert_bit_equal(two.pdf(q), reference_pdf_exact(two, q))
+    big = kde_fit(rng.normal(size=((1 << 17) + 3, 1)), rule="scott")
+    assert block_rows(big) == 1
+    q = rng.normal(size=(3, 1))
+    assert_bit_equal(big.pdf(q), reference_pdf_exact(big, q))
+
+
+@pytest.mark.parametrize("method", ["exact", "binned"])
+def test_pdf_zero_queries(method):
+    rng = np.random.default_rng(67)
+    obs = kde_fit(rng.normal(size=(100, 1)))
+    pred = kde_fit(rng.normal(size=(100, 1)))
+    empty = np.empty((0, 1))
+    vals = pred.pdf(empty, method=method)
+    assert vals.shape == (0,) and vals.dtype == float
+    ratios, violations = density_ratio_many(obs, pred, empty, method=method)
+    assert ratios.shape == violations.shape == (0,)
+
+
+def test_pdf_exact_scratch_memory_is_bounded():
+    import tracemalloc
+
+    rng = np.random.default_rng(71)
+    model = kde_fit(rng.normal(size=(20_000, 1)))
+    q = rng.normal(size=(4000, 1))
+    tracemalloc.start()
+    try:
+        model.pdf(q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000

@@ -326,3 +326,16 @@ def test_heat_qoi_zero_sum_past_cut_takes_full_series():
         expected = reference_qoi(model, lam)
     assert np.isnan(vals[0]) and np.isfinite(vals[1])
     assert_bit_equal(vals, expected)
+
+
+def test_heat_qoi_decay_through_subnormal_range_matches_full_series():
+    # on the mixture model, decay crosses from normal values through the
+    # subnormal range (exponent in (-745.13, -708)) to exact zeros
+    model = mixture_benchmark_model()
+    ell, kappa = np.meshgrid(np.linspace(1.9, 2.1, 41), np.linspace(0.5, 1.5, 51))
+    lam = np.column_stack([ell.ravel(), kappa.ravel()])
+    k = np.arange(1, model.truncation + 1)[:, None]
+    decay = np.exp(-lam[None, :, 1] * (k * np.pi / lam[None, :, 0]) ** 2 * model.t_star)
+    assert ((decay > 0) & (decay < np.finfo(float).tiny)).any()
+    assert (decay == 0).any() and (decay >= np.finfo(float).tiny).any()
+    assert_bit_equal(model.qoi(lam), reference_qoi(model, lam))
