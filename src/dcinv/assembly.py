@@ -26,6 +26,13 @@ JITTER = 1e-10
 DEFAULT_QUAD_POINTS = 64
 
 _B_CHUNK = 2_000_000  # elements per (l x m-chunk) block in empirical assembly
+# Elements of the reusable block that empirical assembly fills within one
+# m-chunk (256 KiB). Small on purpose: the factors are written and summed
+# while the block is still in cache, instead of streaming full (l x chunk)
+# temporaries through memory once per operation.
+_B_BLOCK = 1 << 15
+_SAFE_DOUBLING = 2.0**1022  # |x| <= this keeps x + x finite
+_SYM_TILE = 256  # side of the square tiles of the QpProblem symmetry check
 
 
 @dataclass(frozen=True)
@@ -34,6 +41,12 @@ class QpProblem:
 
     The feasible set is {w >= 0, (1/l) sum w_i = 1}; the objective is
     (1/2) w^T h w - b^T w.
+
+    ``h`` must be finite and symmetric within 1e-12; it is stored as
+    0.5 * (h + h.T). When ``h`` is a float64 array that is already symmetric
+    bit for bit with no entry above 2^1022 in magnitude, that expression
+    equals ``h`` exactly and a read-only view of it is stored instead of a
+    copy, so the caller must not modify the array afterwards.
     """
 
     h: np.ndarray
@@ -46,11 +59,19 @@ class QpProblem:
             raise ValueError(f"h must be square, got shape {h.shape}")
         if b.shape != (h.shape[0],):
             raise ValueError(f"b has shape {b.shape}, expected ({h.shape[0]},)")
-        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(b))):
+        if h.size == 0:
+            raise ValueError("h must not be empty")
+        if not np.all(np.isfinite(b)):
             raise ValueError("h and b must be finite")
-        if np.max(np.abs(h - h.T)) > COORD_TOL:
+        exact, max_asym = _symmetry(h)
+        if max_asym > COORD_TOL:
             raise ValueError("h must be symmetric within 1e-12")
-        h = 0.5 * (h + h.T)
+        if exact:
+            # 0.5 * (h + h.T) is h bit for bit here, so skip the full-size
+            # temporaries and keep a read-only view.
+            h = h.view()
+        else:
+            h = 0.5 * (h + h.T)
         h.flags.writeable = False
         b = b.copy()
         b.flags.writeable = False
@@ -67,6 +88,35 @@ class QpProblem:
 
     def gradient(self, w):
         return self.h @ np.asarray(w, dtype=float) - self.b
+
+
+def _symmetry(h):
+    """(exactly symmetric, max |h - h.T|) of a finite square matrix.
+
+    "Exactly" means bit for bit (signed zeros included) and with every entry
+    at most 2^1022 in magnitude, so that h + h.T cannot overflow. Raises if h
+    holds a non-finite entry. Tiles above the diagonal are compared with their
+    mirror tiles, so no full-size temporary is made; |x - y| = |y - x| in
+    floating point, so the maximum is the number the full-size expression
+    gives, and a bit-equal pair of tiles contributes exactly 0 to it.
+    """
+    lo, hi = h.min(), h.max()  # NaN propagates through both
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("h and b must be finite")
+    ell = h.shape[0]
+    bits_equal = True
+    max_asym = 0.0
+    for i0 in range(0, ell, _SYM_TILE):
+        for j0 in range(i0, ell, _SYM_TILE):
+            tile = h[i0 : i0 + _SYM_TILE, j0 : j0 + _SYM_TILE]
+            mirror = h[j0 : j0 + _SYM_TILE, i0 : i0 + _SYM_TILE].T
+            if bits_equal and np.array_equal(tile.view(np.int64), mirror.view(np.int64)):
+                continue
+            bits_equal = False
+            diff = tile - mirror
+            max_asym = max(max_asym, float(np.abs(diff, out=diff).max()))
+    exact = bits_equal and -_SAFE_DOUBLING <= lo and hi <= _SAFE_DOUBLING
+    return exact, max_asym
 
 
 def _check_unit_box(pts, what="samples"):
@@ -132,6 +182,17 @@ def assemble_b_empirical(samples, target_samples):
     exact integral of the target EDF over [q^i, 1]: target samples above the
     unit box contribute nothing and samples below it contribute their full
     column, which the clipped factor reproduces exactly.
+
+    Each factor is computed in the min form min(1 - q_k^i, max(1 - y_k^j, 0))
+    from two vectors made once per call. This is bit for bit the clipped form:
+    x -> fl(1 - x) is monotone non-increasing, so fl(1 - max(q, y)) =
+    min(fl(1 - q), fl(1 - y)); and since 1 - q >= 0 (q is clipped to [0, 1]),
+    max(min(a, g), 0) = min(a, max(g, 0)). Under round-to-nearest 1 - x is
+    never -0.0, so no signed zero differs either. The target is taken in
+    chunks of max(1, _B_CHUNK // l) samples; within a chunk the rows are
+    filled _B_BLOCK elements at a time into one reusable buffer and summed
+    whole, so every row's chunk segment is summed by the same pairwise sum,
+    in the same order, as a full (l x chunk) array would be.
     """
     q = _check_unit_box(as_points(samples))
     y = as_points(target_samples)
@@ -144,17 +205,27 @@ def assemble_b_empirical(samples, target_samples):
         )
     ell, d = q.shape
     m = y.shape[0]
+    a = 1.0 - q
+    hy = np.ascontiguousarray(np.maximum(1.0 - y, 0.0).T)  # (d, m)
     b = np.zeros(ell)
+    part = np.empty(ell)
     chunk = max(1, _B_CHUNK // max(ell, 1))
+    rows = max(1, _B_BLOCK // chunk)
+    buf = np.empty(rows * min(chunk, m))
+    tmp = np.empty_like(buf)
     for start in range(0, m, chunk):
-        yc = y[start : start + chunk]
-        f = 1.0 - np.maximum(q[:, None, 0], yc[None, :, 0])
-        np.clip(f, 0.0, None, out=f)
-        for k in range(1, d):
-            fk = 1.0 - np.maximum(q[:, None, k], yc[None, :, k])
-            np.clip(fk, 0.0, None, out=fk)
-            f *= fk
-        b += f.sum(axis=1)
+        hc = hy[:, start : start + chunk]
+        width = hc.shape[1]
+        for i0 in range(0, ell, rows):
+            i1 = min(i0 + rows, ell)
+            f = buf[: (i1 - i0) * width].reshape(i1 - i0, width)
+            np.minimum(a[i0:i1, 0, None], hc[None, 0], out=f)
+            for k in range(1, d):
+                fk = tmp[: f.size].reshape(f.shape)
+                np.minimum(a[i0:i1, k, None], hc[None, k], out=fk)
+                f *= fk
+            f.sum(axis=1, out=part[i0:i1])
+        b += part
     return b / (ell * m)
 
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .assembly import assemble_qp
 from .core import BoxScaler, Normalization, SampleSet, WeightedEdf, WeightVector, as_points, fit_box
+from .models import eval_qoi
 from .solver import solve_qp
 from .targets import as_target
 
@@ -409,7 +410,7 @@ def solve_binning(
     if precomputed:
         initial = initial_samples if isinstance(initial_samples, SampleSet) else SampleSet(initial_samples)
         if predicted_samples is None:
-            predicted_pts = _eval_qoi(qoi, initial.points)
+            predicted_pts = eval_qoi(qoi, initial.points)
         else:
             predicted_pts = as_points(predicted_samples)
         if predicted_pts.shape[0] != initial.n:
@@ -421,7 +422,7 @@ def solve_binning(
         if n_target is None or n_target < 1:
             raise ValueError(f"n_target must be positive, got {n_target}")
         initial_pts = _draw(initial_sampler, n_target, rng)
-        predicted_pts = _eval_qoi(qoi, initial_pts)
+        predicted_pts = eval_qoi(qoi, initial_pts)
     if n_batch is None:
         n_batch = max(int(n_target), 1)
 
@@ -456,7 +457,7 @@ def solve_binning(
                 deficient = np.nonzero(counts < n_min)[0]
                 raise UnreachableCellError(deficient, w[deficient])
             new_initial = _draw(initial_sampler, n_batch, rng)
-            new_pred = _eval_qoi(qoi, new_initial)
+            new_pred = eval_qoi(qoi, new_initial)
             new_assign = part.classify_many(new_pred)
             chunks.append((new_initial, new_pred, new_assign))
             counts += np.bincount(new_assign, minlength=p)
@@ -522,7 +523,7 @@ def solve_naive(
     """
     initial = initial_samples if isinstance(initial_samples, SampleSet) else SampleSet(initial_samples)
     if predicted_samples is None:
-        predicted_pts = _eval_qoi(qoi, initial.points)
+        predicted_pts = eval_qoi(qoi, initial.points)
     else:
         predicted_pts = as_points(predicted_samples)
     if predicted_pts.shape[0] != initial.n:
@@ -550,14 +551,3 @@ def _draw(sampler, n, rng):
     else:
         out = sampler(n, rng)
     return as_points(out)
-
-
-def _eval_qoi(qoi, pts):
-    out = np.asarray(qoi(pts), dtype=float)
-    if out.ndim == 1:
-        out = out[:, None]
-    if out.shape[0] != pts.shape[0]:
-        raise ValueError(
-            f"model returned {out.shape[0]} values for {pts.shape[0]} samples"
-        )
-    return out

@@ -17,7 +17,15 @@ Exit codes: 0 success; 2 config error; 3 solver failure (matrix not
 positive definite, all weights collapsed to zero, all cell weights at or
 below the floor) or non-convergence; 4 unreachable cell; 5 diagnostic
 outside [0.8, 1.2] (diagnose, or an untrustworthy convergence-study
-baseline). Each failure writes a one-line reason to stderr.
+baseline). Each failure writes a one-line reason to stderr. When ``solve``
+or ``convergence`` exits nonzero, and on a config error in any subcommand,
+stdout also gets one JSON line
+
+    {"error": {"exit_code": N, "kind": "<exception class>", "message": "..."}}
+
+where ``kind`` is ``NotConverged`` for a solve that ran out of iterations
+(its results are still written). ``diagnose`` exiting 5 prints its usual
+diagnostic record instead.
 """
 
 import argparse
@@ -41,7 +49,7 @@ from .core import Normalization, SampleSet, WeightedEdf, WeightVector, fit_box
 from .density import solve_density
 from .edf import wedf_eval_many
 from .experiments import UntrustworthyBaselineError, _jsonify, run_convergence
-from .models import UniformBoxSampler
+from .models import UniformBoxSampler, eval_qoi
 from .solver import NonPositiveDefiniteError, WeightCollapseError
 from .targets import is_exact
 
@@ -59,6 +67,18 @@ CSV_BLOCK_ROWS = 8192
 
 def _log(msg):
     print(msg, file=sys.stderr)
+
+
+def _error_record(exit_code, kind, message):
+    """Print the one-line JSON error record on stdout; returns ``exit_code``."""
+    print(json.dumps({"error": {"exit_code": exit_code, "kind": kind, "message": message}}))
+    return exit_code
+
+
+def _fail(exit_code, label, exc):
+    """Report ``exc`` as a one-line ``label: reason`` on stderr plus the error record."""
+    _log(f"{label}: {exc}")
+    return _error_record(exit_code, type(exc).__name__, str(exc))
 
 
 def _default_threads():
@@ -132,6 +152,17 @@ def _target_cdf_callable(resolved):
     return lambda pts: wedf_eval_many(WeightedEdf.plain(observed), pts)
 
 
+def _initial_samples(cfg):
+    """(initial, predicted) sample sets: drawn under the config seed and run
+    through the model for a live model, as loaded otherwise."""
+    model = cfg.model
+    if not model.live:
+        return model.initial, model.predicted
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 10)))
+    initial = UniformBoxSampler(model.model.box).sample(cfg.n_initial, rng)
+    return initial, SampleSet(eval_qoi(model.model, initial.points))
+
+
 def _run_solve(method, cfg, out_dir, threads):
     t_start = time.perf_counter()
     os.makedirs(out_dir, exist_ok=True)
@@ -143,13 +174,7 @@ def _run_solve(method, cfg, out_dir, threads):
         "threads": threads,
     }
     model = cfg.model
-    if model.live:
-        sampler = UniformBoxSampler(model.model.box)
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 10)))
-        initial = sampler.sample(cfg.n_initial, rng)
-        predicted = SampleSet(_eval(model.model, initial.points))
-    else:
-        initial, predicted = model.initial, model.predicted
+    initial, predicted = _initial_samples(cfg)
     meta["n_initial"] = initial.n
 
     solver_meta = {}
@@ -245,8 +270,9 @@ def _run_solve(method, cfg, out_dir, threads):
     if diagnostic_value is not None:
         _log(f"diagnostic: {diagnostic_value:.6f}")
     if not converged:
-        _log("solver did not converge; results flagged in meta.json")
-        return EXIT_NONCONVERGED
+        reason = "solver did not converge; results flagged in meta.json"
+        _log(reason)
+        return _error_record(EXIT_NONCONVERGED, "NotConverged", reason)
     return EXIT_OK
 
 
@@ -262,35 +288,19 @@ def _solver_meta(qp_solution):
     }
 
 
-def _eval(model, pts):
-    vals = np.asarray(model(pts), dtype=float)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    return vals
-
-
 def _cmd_solve(args):
     cfg = build_solve_config(load_config(args.config), base_dir=os.path.dirname(args.config) or ".")
     try:
         return _run_solve(args.method, cfg, args.out, args.threads)
     except UnreachableCellError as exc:
-        _log(f"unreachable cell: {exc}")
-        return EXIT_UNREACHABLE
+        return _fail(EXIT_UNREACHABLE, "unreachable cell", exc)
     except SOLVER_FAILURES as exc:
-        _log(f"solver failure: {exc}")
-        return EXIT_NONCONVERGED
+        return _fail(EXIT_NONCONVERGED, "solver failure", exc)
 
 
 def _cmd_diagnose(args):
     cfg = build_solve_config(load_config(args.config), base_dir=os.path.dirname(args.config) or ".")
-    model = cfg.model
-    if model.live:
-        sampler = UniformBoxSampler(model.model.box)
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 10)))
-        initial = sampler.sample(cfg.n_initial, rng)
-        predicted = SampleSet(_eval(model.model, initial.points))
-    else:
-        initial, predicted = model.initial, model.predicted
+    initial, predicted = _initial_samples(cfg)
     observed = cfg.target.observed_or_fail
     sol = solve_density(initial, predicted, observed, rule=cfg.kde_rule)
     print(json.dumps({"diagnostic": sol.diagnostic, "violations": sol.n_violations}))
@@ -303,11 +313,9 @@ def _cmd_convergence(args):
     try:
         result = run_convergence(spec, progress=_log, threads=args.threads)
     except UntrustworthyBaselineError as exc:
-        _log(f"aborted: {exc}")
-        return EXIT_DIAGNOSTIC
+        return _fail(EXIT_DIAGNOSTIC, "aborted", exc)
     except SOLVER_FAILURES as exc:
-        _log(f"solver failure: {exc}")
-        return EXIT_NONCONVERGED
+        return _fail(EXIT_NONCONVERGED, "solver failure", exc)
     paths = result.save(args.out)
     _write_json(
         os.path.join(args.out, "meta.json"),
@@ -355,8 +363,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except ConfigError as exc:
-        _log(f"config error at {exc.pointer}: {exc}")
-        return EXIT_CONFIG
+        return _fail(EXIT_CONFIG, f"config error at {exc.pointer}", exc)
 
 
 if __name__ == "__main__":

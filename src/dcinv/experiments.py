@@ -31,7 +31,7 @@ from .binning import (
 from .core import BoxScaler, Normalization, SampleSet, WeightedEdf, WeightVector, fit_box
 from .density import solve_density, update_probability
 from .edf import edf_eval_many, l2_distance, sup_distance
-from .models import HeatRod, UniformBoxSampler, heat_rod_observed
+from .models import HeatRod, UniformBoxSampler, eval_qoi, heat_rod_observed
 from .solver import solve_qp
 from .targets import EmpiricalTarget, as_target, is_exact
 
@@ -103,15 +103,8 @@ def derive_image_region(model, region_a, per_dim=81):
     axes = [np.linspace(box.lower[k], box.upper[k], per_dim) for k in range(box.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=1)
-    vals = _eval_model(model, grid)
+    vals = eval_qoi(model, grid)
     return tuple((float(vals[:, k].min()), float(vals[:, k].max())) for k in range(vals.shape[1]))
-
-
-def _eval_model(model, pts):
-    vals = np.asarray(model(pts), dtype=float)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    return vals
 
 
 def _jsonify(value):
@@ -198,10 +191,16 @@ def _baseline_trial(args):
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
     sampler = UniformBoxSampler(model.box)
     initial = sampler.sample(baseline_n, rng)
-    predicted = SampleSet(_eval_model(model, initial.points))
+    predicted = SampleSet(eval_qoi(model, initial.points))
     sol = solve_density(initial, predicted, SampleSet(observed_pts), method="binned")
     p_a = update_probability(_as_box(region_a), initial.points, sol.r_values).self_normalized
     return float(sol.diagnostic), float(p_a)
+
+
+def _fit_cells(part, box, qp_target):
+    """Solve the fitting QP on a partition's representative points."""
+    problem = assemble_qp(np.clip(box.scale(part.reps.points), 0.0, 1.0), qp_target, box=box)
+    return solve_qp(problem).w
 
 
 def _study_trial(args):
@@ -213,8 +212,13 @@ def _study_trial(args):
     rng = np.random.default_rng(np.random.SeedSequence((seed, 2, t)))
     sampler = UniformBoxSampler(model.box)
     initial_full = sampler.sample(n_grid[-1], rng).points
-    predicted_full = _eval_model(model, initial_full)
+    predicted_full = eval_qoi(model, initial_full)
     box = fit_box(predicted_full, padding=padding)
+    if partition_kind == "grid":
+        # A grid, and so its QP and weights, depends only on the trial's box
+        # and on p, not on n: fit each p once and reuse it for every n.
+        grids = [make_regular_grid(box, p) for p in p_grid]
+        grid_fits = [(part, _fit_cells(part, box, qp_target)) for part in grids]
     out = np.empty((3, len(n_grid), len(p_grid)))
     for i, n in enumerate(n_grid):
         lam = initial_full[:n]
@@ -223,13 +227,10 @@ def _study_trial(args):
         in_b = box_b.contains(q)
         for j, p in enumerate(p_grid):
             if partition_kind == "grid":
-                part = make_regular_grid(box, p)
+                part, w = grid_fits[j]
             else:
                 part = make_kmeans(q, p, seed=(seed * 1_000_003 + 7 * t) % 2**31)
-            problem = assemble_qp(
-                np.clip(box.scale(part.reps.points), 0.0, 1.0), qp_target, box=box
-            )
-            w = solve_qp(problem).w
+                w = _fit_cells(part, box, qp_target)
             assignments = part.classify_many(q)
             u, w_floored, _counts, _dropped = distribute_cell_weights(
                 w, assignments, part.p, weight_floor=weight_floor, strict=False
@@ -377,7 +378,7 @@ def compare_methods(
     target = as_target(target)
 
     initial = sampler.sample(n, np.random.default_rng(np.random.SeedSequence((seed, 10))))
-    predicted = SampleSet(_eval_model(model, initial.points))
+    predicted = SampleSet(eval_qoi(model, initial.points))
     if is_exact(target):
         observed = target.sample(m, np.random.default_rng(np.random.SeedSequence((seed, 11))))
     else:

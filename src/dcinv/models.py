@@ -190,6 +190,21 @@ def mixture_benchmark_partition():
     return make_regular_grid(BoxScaler([lo], [hi]), MIXTURE_BENCHMARK_CELLS)
 
 
+def eval_qoi(qoi, pts):
+    """Evaluate a QoI map on an (n, d_in) array as an (n, d_out) float array.
+
+    Raises if the map returns a different number of rows than it was given.
+    """
+    out = np.asarray(qoi(pts), dtype=float)
+    if out.ndim == 1:
+        out = out[:, None]
+    if out.shape[0] != pts.shape[0]:
+        raise ValueError(
+            f"model returned {out.shape[0]} values for {pts.shape[0]} samples"
+        )
+    return out
+
+
 class UniformBoxSampler:
     """Draw uniform samples from an axis-aligned box, one row per draw."""
 

@@ -90,7 +90,11 @@ class _FreeBlockFactor:
     def __init__(self, h, free):
         self.h = h
         self.free = list(free)
-        self.L = _cholesky_or_pivot(h[np.ix_(self.free, self.free)])
+        if self.free == list(range(h.shape[0])):
+            block = h  # every variable free, in order: no full-size gather
+        else:
+            block = h[np.ix_(self.free, self.free)]
+        self.L = _cholesky_or_pivot(block)
 
     def append(self, j):
         col = self.h[self.free, j]

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from dcinv import assembly
 from dcinv.assembly import (
     QpProblem,
     assemble_b_empirical,
@@ -213,3 +216,160 @@ def test_assemble_qp_with_box_scaled_target():
     samples_scaled = np.array([[0.25], [0.75]])
     prob = assemble_qp(samples_scaled, target, box=box)
     assert np.allclose(prob.b, [0.234375, 0.109375], atol=1e-14)
+
+
+def reference_b_empirical(samples, target_samples):
+    """The clipped-form assembly that assemble_b_empirical must match bit for bit."""
+    q = np.clip(np.asarray(samples, dtype=float), 0.0, 1.0)
+    y = np.asarray(target_samples, dtype=float)
+    ell, d = q.shape
+    b = np.zeros(ell)
+    chunk = max(1, assembly._B_CHUNK // max(ell, 1))
+    for start in range(0, y.shape[0], chunk):
+        yc = y[start : start + chunk]
+        f = 1.0 - np.maximum(q[:, None, 0], yc[None, :, 0])
+        np.clip(f, 0.0, None, out=f)
+        for k in range(1, d):
+            fk = 1.0 - np.maximum(q[:, None, k], yc[None, :, k])
+            np.clip(fk, 0.0, None, out=fk)
+            f *= fk
+        b += f.sum(axis=1)
+    return b / (ell * y.shape[0])
+
+
+def assert_bits_equal(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def b_case(rng, ell, m, d):
+    q = rng.uniform(size=(ell, d))
+    q[rng.random(size=q.shape) < 0.1] = 0.0
+    q[rng.random(size=q.shape) < 0.1] = 1.0
+    y = rng.normal(0.5, 0.6, size=(m, d))  # many below 0 and above 1
+    y[rng.random(size=y.shape) < 0.05] = 0.0
+    y[rng.random(size=y.shape) < 0.05] = 1.0
+    return q, y
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("ell, m", [(1, 1), (1, 5000), (7, 1), (20, 250_001), (160, 30_000)])
+def test_b_empirical_bit_equal_to_clipped_form(d, ell, m):
+    q, y = b_case(np.random.default_rng(ell * 31 + m + d), ell, m, d)
+    assert_bits_equal(assemble_b_empirical(q, y), reference_b_empirical(q, y))
+
+
+@pytest.mark.parametrize("extra_rows", [0, 1])
+def test_b_empirical_bit_equal_at_block_row_boundaries(extra_rows):
+    # m is not a multiple of the chunk, and l is a multiple of the block
+    # rows (plus one), so the last block of rows and of samples are short
+    ell = 24 * 63 + extra_rows
+    chunk = assembly._B_CHUNK // ell
+    assert assembly._B_BLOCK // chunk == 24  # rows per block
+    q, y = b_case(np.random.default_rng(extra_rows), ell, 2 * chunk + 17, 1)
+    assert_bits_equal(assemble_b_empirical(q, y), reference_b_empirical(q, y))
+
+
+def test_b_empirical_bit_equal_with_chunk_of_one():
+    # l > _B_CHUNK: the chunk is one target sample
+    rng = np.random.default_rng(3)
+    ell = assembly._B_CHUNK + 3
+    q = rng.uniform(size=(ell, 1))
+    y = np.array([[0.3], [-0.2], [1.4]])
+    assert_bits_equal(assemble_b_empirical(q, y), reference_b_empirical(q, y))
+
+
+def test_b_empirical_exact_endpoints():
+    q = np.array([[0.0], [1.0], [0.5], [0.0]])
+    y = np.array([[0.0], [1.0], [-0.0], [-1.0], [2.0], [0.5]])
+    b = assemble_b_empirical(q, y)
+    assert_bits_equal(b, reference_b_empirical(q, y))
+    assert b[1] == 0.0 and not np.signbit(b[1])
+
+
+def test_b_empirical_memory_is_bounded():
+    rng = np.random.default_rng(5)
+    q = rng.uniform(size=(2000, 1))
+    y = rng.uniform(size=(20_000, 1))
+    tracemalloc.start()
+    try:
+        assemble_b_empirical(q, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the clipped form builds (2000 x 1000) temporaries of 16 MB each
+    assert peak < 2_000_000
+
+
+def symmetrized(h):
+    return 0.5 * (h + h.T)
+
+
+def test_qp_problem_exactly_symmetric_h_is_kept():
+    rng = np.random.default_rng(6)
+    h = assemble_h(rng.uniform(size=(50, 2)))
+    prob = QpProblem(h, np.zeros(50))
+    assert_bits_equal(prob.h, symmetrized(h))
+    assert not prob.h.flags.writeable
+    assert h.flags.writeable  # the caller's array is left as it was
+
+
+def test_qp_problem_exactly_symmetric_h_needs_no_full_size_temporary():
+    h = assemble_h(np.random.default_rng(8).uniform(size=(1500, 1)))  # 18 MB
+    tracemalloc.start()
+    try:
+        QpProblem(h, np.zeros(1500))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+def test_qp_problem_near_symmetric_h_is_symmetrized():
+    rng = np.random.default_rng(7)
+    h = assemble_h(rng.uniform(size=(600, 1)))
+    h[3, 550] += 1e-13  # in a tile above the diagonal
+    h[580, 290] -= 1e-13  # in a tile below it
+    prob = QpProblem(h, np.zeros(600))
+    assert_bits_equal(prob.h, symmetrized(h))
+    assert np.array_equal(prob.h, prob.h.T)
+
+
+def test_qp_problem_signed_zero_asymmetry_is_symmetrized():
+    h = assemble_h(np.random.default_rng(9).uniform(size=(600, 1)))
+    h[300, 301] = 0.0
+    h[301, 300] = -0.0  # equal values, different bits
+    prob = QpProblem(h, np.zeros(600))
+    assert_bits_equal(prob.h, symmetrized(h))
+    assert not np.signbit(prob.h[301, 300])
+
+
+def test_qp_problem_rejects_asymmetry_beyond_tolerance_in_any_tile():
+    h = np.eye(600)
+    h[599, 2] = 2e-12
+    with pytest.raises(ValueError, match="symmetric"):
+        QpProblem(h, np.zeros(600))
+    h[0, 1] = 1e-13  # a first tile within tolerance must not hide a later one
+    with pytest.raises(ValueError, match="symmetric"):
+        QpProblem(h, np.zeros(600))
+    h[599, 2] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        QpProblem(h, np.zeros(600))
+    h[599, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        QpProblem(h, np.zeros(600))
+    with pytest.raises(ValueError, match="finite"):
+        QpProblem(np.eye(2), np.array([0.0, np.nan]))
+    with pytest.raises(ValueError):
+        QpProblem(np.zeros((0, 0)), np.zeros(0))
+
+
+def test_qp_problem_huge_entries_are_symmetrized():
+    h = np.array([[2.0**1023, 1.0], [1.0, 3.0]])
+    with np.errstate(over="ignore"):
+        expected = symmetrized(h)
+        prob = QpProblem(h, np.zeros(2))
+    assert_bits_equal(prob.h, expected)
+    assert np.isinf(prob.h[0, 0])
+    h = np.array([[-(2.0**1022), 1.0], [1.0, 2.0**1022]])
+    assert_bits_equal(QpProblem(h, np.zeros(2)).h, symmetrized(h))

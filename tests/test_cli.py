@@ -359,3 +359,81 @@ def test_pushforward_csv_matches_row_writer(tmp_path, monkeypatch, with_target, 
     cli._write_pushforward_csv(tmp_path / "new.csv", pushforward, target_cdf, box, 9)
     reference_write_pushforward_csv(tmp_path / "ref.csv", pushforward, target_cdf, box, 9)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def error_record(capsys):
+    """The one JSON line a failing command prints on stdout."""
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert set(record) == {"error"} and set(record["error"]) == {"exit_code", "kind", "message"}
+    return record["error"]
+
+
+def test_error_record_exit_2(tmp_path, capsys):
+    path = write_config(tmp_path / "bad.json", target={"kind": "normal", "mu": 1.0, "sigma": -1.0})
+    assert main(["solve", "--method", "naive", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    record = error_record(capsys)
+    assert record["exit_code"] == 2 and record["kind"] == "ConfigError"
+    assert record["message"] == "/target: sigma must be positive, got -1.0"
+    spec = write_spec(tmp_path / "spec.json", n_grid=[400, 400])
+    assert main(["convergence", "--spec", str(spec), "--out", str(tmp_path / "o2")]) == 2
+    assert error_record(capsys)["exit_code"] == 2
+    (tmp_path / "empty.csv").write_text("q1\n")
+    cfg = write_config(tmp_path / "cfg.json", target={"kind": "samples", "csv": "empty.csv"})
+    assert main(["diagnose", "--config", str(cfg)]) == 2
+    assert error_record(capsys)["kind"] == "ConfigError"
+
+
+def test_error_record_exit_3(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path / "cfg.json", method={"p": 20, "weight_floor": 1e9})
+    assert main(["solve", "--method", "binning-grid", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert error_record(capsys) == {
+        "exit_code": 3,
+        "kind": "AllWeightsFlooredError",
+        "message": "all cell weights are at or below the floor 1e+09",
+    }
+    spec = write_spec(tmp_path / "spec.json", weight_floor=1e9)
+    assert main(["convergence", "--spec", str(spec), "--out", str(tmp_path / "o2")]) == 3
+    assert error_record(capsys)["kind"] == "AllWeightsFlooredError"
+    # an exhausted iteration budget writes its results and still reports
+    from dcinv import binning
+
+    monkeypatch.setattr(
+        binning, "solve_qp", lambda problem, tol: solver.solve_qp(problem, tol=tol, max_iter=1)
+    )
+    cfg = write_config(tmp_path / "cfg2.json")
+    assert main(["solve", "--method", "naive", "--config", str(cfg), "--out", str(tmp_path / "o3")]) == 3
+    assert error_record(capsys)["kind"] == "NotConverged"
+    assert (tmp_path / "o3" / "weights.csv").exists()
+
+
+def test_error_record_exit_4(tmp_path, capsys):
+    lam = np.linspace(0.0, 1.0, 300)[:, None]
+    q = np.where(lam[:, 0] < 0.4, lam[:, 0], lam[:, 0] + 0.5)[:, None]
+    save_samples(tmp_path / "lam.csv", lam)
+    save_samples(tmp_path / "q.csv", q, prefix="q")
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        model={"kind": "pairs", "param_csv": "lam.csv", "data_csv": "q.csv"},
+        target={"kind": "uniform", "low": 0.0, "high": 1.5, "m": None},
+        method={"p": 40, "min_fill": "none"},
+    )
+    assert main(["solve", "--method", "binning-grid", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    record = error_record(capsys)
+    assert record["exit_code"] == 4 and record["kind"] == "UnreachableCellError"
+    assert "no predicted samples reach" in record["message"]
+
+
+def test_error_record_exit_5(tmp_path, capsys):
+    spec = write_spec(tmp_path / "spec.json", target={"kind": "normal", "mu": 50.0, "sigma": 0.01, "m": None})
+    assert main(["convergence", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 5
+    record = error_record(capsys)
+    assert record["exit_code"] == 5 and record["kind"] == "UntrustworthyBaselineError"
+    assert "diagnostic" in record["message"]
+
+
+def test_success_prints_no_error_record(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json")
+    assert main(["solve", "--method", "naive", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().out == ""

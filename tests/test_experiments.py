@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from dcinv.core import BoxScaler
+from dcinv import experiments
+from dcinv.assembly import assemble_qp
+from dcinv.binning import distribute_cell_weights, make_kmeans, make_regular_grid
+from dcinv.core import BoxScaler, SampleSet, fit_box
 from dcinv.experiments import (
     ConvergenceSpec,
     compare_methods,
@@ -11,7 +14,9 @@ from dcinv.experiments import (
     run_convergence,
     write_comparison,
 )
-from dcinv.models import HeatRod, heat_rod_observed
+from dcinv.models import HeatRod, UniformBoxSampler, eval_qoi, heat_rod_observed
+from dcinv.solver import solve_qp
+from dcinv.targets import EmpiricalTarget
 
 
 def tiny_spec(**overrides):
@@ -181,3 +186,52 @@ def test_compare_methods_subset_and_writer(tmp_path):
     assert header[0] == "method"
     payload = json.load(open(paths[1]))
     assert payload[0]["method"] == "unweighted"
+
+
+def reference_study_trial(args):
+    """Per-(n, p) trial loop that assembles and solves every QP afresh; the
+    trial must match it bit for bit."""
+    (model, observed_pts, n_grid, p_grid, partition_kind, region_a, region_b,
+     weight_floor, padding, seed, t) = args
+    qp_target = EmpiricalTarget(SampleSet(observed_pts))
+    box_a = BoxScaler(*np.asarray(region_a).T)
+    box_b = BoxScaler(*np.asarray(region_b).T)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 2, t)))
+    initial_full = UniformBoxSampler(model.box).sample(n_grid[-1], rng).points
+    predicted_full = eval_qoi(model, initial_full)
+    box = fit_box(predicted_full, padding=padding)
+    out = np.empty((3, len(n_grid), len(p_grid)))
+    for i, n in enumerate(n_grid):
+        lam, q = initial_full[:n], predicted_full[:n]
+        for j, p in enumerate(p_grid):
+            if partition_kind == "grid":
+                part = make_regular_grid(box, p)
+            else:
+                part = make_kmeans(q, p, seed=(seed * 1_000_003 + 7 * t) % 2**31)
+            problem = assemble_qp(np.clip(box.scale(part.reps.points), 0.0, 1.0), qp_target, box=box)
+            w = solve_qp(problem).w
+            u, w_floored, _, _ = distribute_cell_weights(
+                w, part.classify_many(q), part.p, weight_floor=weight_floor, strict=False
+            )
+            out[0, i, j] = np.sum(w_floored[box_b.contains(part.reps.points)]) / part.p
+            out[1, i, j] = np.sum(u[box_b.contains(q)])
+            out[2, i, j] = np.sum(u[box_a.contains(lam)])
+    return out
+
+
+@pytest.mark.parametrize("kind", ["grid", "kmeans"])
+def test_study_trial_matches_per_cell_reference(kind, monkeypatch):
+    model = HeatRod()
+    observed = heat_rod_observed().sample(4000, np.random.default_rng(12)).points
+    n_grid, p_grid = (150, 400, 900), (4, 9)
+    region_b = derive_image_region(model, ((2.01, 2.02), (0.95, 1.0)))
+    calls = []
+    monkeypatch.setattr(experiments, "solve_qp", lambda problem: calls.append(1) or solve_qp(problem))
+    for t in range(2):
+        args = (model, observed, n_grid, p_grid, kind, ((2.01, 2.02), (0.95, 1.0)), region_b,
+                1e-6, 1e-3, 9, t)
+        calls.clear()
+        out = experiments._study_trial(args)
+        assert len(calls) == (len(p_grid) if kind == "grid" else len(n_grid) * len(p_grid))
+        expected = reference_study_trial(args)
+        assert np.array_equal(out.view(np.int64), expected.view(np.int64))

@@ -294,3 +294,24 @@ def test_affine_scaling_invariance():
         w1 = solve_qp(prob1).w
         w2 = solve_qp(prob2).w
         assert np.max(np.abs(w1 - w2)) < 1e-6
+
+
+@pytest.mark.parametrize("free", [range(40), [0, 2, 1] + list(range(3, 40)), range(1, 40)])
+def test_initial_factor_bit_equal_to_gathered_block(free):
+    # with every variable free in order the factor reads h itself, without
+    # the gathered copy; the factor must not change by one bit
+    from dcinv.solver import _FreeBlockFactor
+
+    h = QpProblem(assemble_h(np.random.default_rng(7).uniform(0.0, 0.95, (40, 1))), np.zeros(40)).h
+    factor = _FreeBlockFactor(h, free)
+    fresh = np.linalg.cholesky(h[np.ix_(list(free), list(free))])
+    assert np.array_equal(factor.L.view(np.int64), fresh.view(np.int64))
+
+
+def test_initial_factor_reports_pivot_without_gather():
+    from dcinv.solver import _FreeBlockFactor
+
+    h = assemble_h(np.array([[0.1], [0.4], [0.4], [0.7]]))  # duplicate rows 1 and 2
+    with pytest.raises(NonPositiveDefiniteError) as info:
+        _FreeBlockFactor(h, range(4))
+    assert info.value.pivot == 2
