@@ -21,7 +21,6 @@ from .core import (
     WeightedEdf,
     WeightVector,
     fit_box,
-    scale_to_unit,
 )
 from .edf import edf_eval, l1_distance, l2_distance, sup_distance, wedf_eval
 from .assembly import QpProblem, assemble_b_empirical, assemble_b_exact, assemble_h, assemble_qp
@@ -60,17 +59,11 @@ from .density import (
 from .models import (
     HeatRod,
     UniformBoxSampler,
-    heat_qoi,
     heat_rod_observed,
     heat_rod_violation_observed,
     mixture_benchmark_model,
     mixture_benchmark_partition,
     mixture_benchmark_target,
-    mixture_cdf,
-    mixture_sampler,
-    normal_cdf,
-    normal_sampler,
-    uniform_sampler,
 )
 from .targets import (
     EmpiricalTarget,

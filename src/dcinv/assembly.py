@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from . import targets as _targets
-from .core import as_points
+from .core import BoxScaler, as_points
 
 COORD_TOL = 1e-12
 JITTER = 1e-10
@@ -164,13 +164,20 @@ def assemble_h(samples):
     construction. Raises if any coordinate is outside [0, 1] beyond 1e-12.
     """
     pts = _check_unit_box(as_points(samples))
-    ell = pts.shape[0]
+    ell, d = pts.shape
     if ell == 0:
         raise ValueError("cannot assemble an empty problem")
-    h = np.ones((ell, ell))
-    for k in range(pts.shape[1]):
+    # 1.0 * x == x, so starting from the first factor is bit for bit the
+    # product started from ones; at most two (l x l) arrays are alive.
+    col = pts[:, 0]
+    h = np.maximum(col[:, None], col[None, :])
+    np.subtract(1.0, h, out=h)
+    tmp = np.empty_like(h) if d > 1 else None
+    for k in range(1, d):
         col = pts[:, k]
-        h *= 1.0 - np.maximum(col[:, None], col[None, :])
+        np.maximum(col[:, None], col[None, :], out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        h *= tmp
     h /= ell * ell
     return h
 
@@ -308,33 +315,21 @@ def scaled_cdf(target, box):
 def assemble_qp(scaled_samples, target, box=None, quad_points_per_dim=DEFAULT_QUAD_POINTS):
     """Build the full QpProblem for unit-box samples against a target.
 
-    Duplicated samples are jittered once so the matrix and vector stay
-    consistent. Empirical targets use the closed-form assembly (target
-    samples are scaled through ``box`` first when one is given); exact
-    targets are adapted to scaled coordinates via ``box``.
+    ``box`` maps the target's data space onto the unit box; None means the
+    unit box ``BoxScaler(zeros(d), ones(d))``. Duplicated samples are
+    jittered once so the matrix and vector stay consistent. Empirical target
+    samples are scaled through ``box``; exact targets go through
+    :func:`scaled_cdf`.
     """
     pts = dedupe_jitter(_check_unit_box(as_points(scaled_samples)))
     target = _targets.as_target(target)
-    target_dim = getattr(target, "dim", None)
-    if target_dim is not None and target_dim != pts.shape[1]:
-        raise ValueError(
-            f"target has dim {target_dim}, samples have dim {pts.shape[1]}"
-        )
+    if target.dim != pts.shape[1]:
+        raise ValueError(f"target has dim {target.dim}, samples have dim {pts.shape[1]}")
+    if box is None:
+        box = BoxScaler(np.zeros(pts.shape[1]), np.ones(pts.shape[1]))
     if isinstance(target, _targets.EmpiricalTarget):
-        y = target.samples.points
-        if box is not None:
-            y = box.scale(y)
-        b = assemble_b_empirical(pts, y)
+        b = assemble_b_empirical(pts, box.scale(target.samples.points))
     else:
-        if box is None:
-            cdf, integral = (lambda p: np.asarray(target.cdf(p))), getattr(
-                target, "integral_of_cdf", None
-            )
-            if pts.shape[1] == 1 and integral is not None:
-                b = assemble_b_exact(pts, cdf, quad_points_per_dim, integral_of_cdf=integral)
-            else:
-                b = assemble_b_exact(pts, cdf, quad_points_per_dim)
-        else:
-            cdf, integral = scaled_cdf(target, box)
-            b = assemble_b_exact(pts, cdf, quad_points_per_dim, integral_of_cdf=integral)
+        cdf, integral = scaled_cdf(target, box)
+        b = assemble_b_exact(pts, cdf, quad_points_per_dim, integral_of_cdf=integral)
     return QpProblem(assemble_h(pts), b)

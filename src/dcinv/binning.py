@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import assemble_qp
-from .core import BoxScaler, Normalization, SampleSet, WeightedEdf, WeightVector, as_points, fit_box
+from .core import BoxScaler, Normalization, SampleSet, WeightedEdf, WeightVector, as_box, as_points, fit_box
 from .models import eval_qoi
 from .solver import solve_qp
 from .targets import as_target
@@ -143,10 +143,8 @@ class KMeansPartition:
 
 
 def make_regular_grid(box, cells_per_dim):
-    """Regular grid partition of ``box`` with the given cells per dimension."""
-    if not isinstance(box, BoxScaler):
-        bounds = np.asarray(box, dtype=float)
-        box = BoxScaler(np.atleast_2d(bounds)[:, 0], np.atleast_2d(bounds)[:, 1])
+    """Regular grid partition of ``box`` (read by ``core.as_box``)."""
+    box = as_box(box)
     if np.isscalar(cells_per_dim):
         cells_per_dim = (int(cells_per_dim),) * box.dim
     return RegularGridPartition(box, tuple(cells_per_dim))
@@ -215,6 +213,17 @@ def _sq_dist(pts, centroids):
             (block[:, None, :] - centroids[None, :, :]) ** 2
         ).sum(axis=2)
     return out
+
+
+def fit_weights(points, target, box, solver_tol=1e-8, quad_points_per_dim=64):
+    """Scale data-space ``points`` into the unit box of ``box``, clip them to
+    it, and solve their fitting QP against ``target``. Returns the QpSolution,
+    whose mean-one weights align with ``points``."""
+    problem = assemble_qp(
+        np.clip(box.scale(points), 0.0, 1.0), target, box=box,
+        quad_points_per_dim=quad_points_per_dim,
+    )
+    return solve_qp(problem, tol=solver_tol)
 
 
 def classify(partition, q):
@@ -431,12 +440,7 @@ def solve_binning(
     part = _resolve_partition(partition, predicted_pts, box, seed)
     p = part.p
 
-    reps_scaled = box.scale(part.reps.points)
-    problem = assemble_qp(
-        np.clip(reps_scaled, 0.0, 1.0), target, box=box,
-        quad_points_per_dim=quad_points_per_dim,
-    )
-    qp_sol = solve_qp(problem, tol=solver_tol)
+    qp_sol = fit_weights(part.reps.points, target, box, solver_tol, quad_points_per_dim)
     w = qp_sol.w
 
     if callable(min_fill):
@@ -530,12 +534,7 @@ def solve_naive(
         raise ValueError("initial and predicted sample counts differ")
     target = as_target(target)
     box = data_box if data_box is not None else fit_box(predicted_pts, padding=padding)
-    scaled = box.scale(predicted_pts)
-    problem = assemble_qp(
-        np.clip(scaled, 0.0, 1.0), target, box=box,
-        quad_points_per_dim=quad_points_per_dim,
-    )
-    qp_sol = solve_qp(problem, tol=solver_tol)
+    qp_sol = fit_weights(predicted_pts, target, box, solver_tol, quad_points_per_dim)
     return NaiveSolution(
         weights=qp_sol.weights,
         initial=initial,

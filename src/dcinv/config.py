@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BoxScaler, SampleSet
+from .core import SampleSet, as_box
 from .io import load_pairs, load_samples
 from .models import HeatRod, UniformBoxSampler
 from .targets import EmpiricalTarget, MixtureOfUniforms, NormalTarget, UniformTarget
@@ -221,8 +221,7 @@ def build_solve_config(cfg, base_dir="."):
         if raw is None:
             return None
         try:
-            bounds = np.atleast_2d(np.asarray(raw, dtype=float))
-            return BoxScaler(bounds[:, 0], bounds[:, 1])
+            return as_box(raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"/method/{key}", str(exc)) from None
 

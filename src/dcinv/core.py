@@ -60,20 +60,12 @@ class SampleSet:
     """
 
     points: np.ndarray
-    labels: tuple | None = None
 
     def __post_init__(self):
         pts = _as_points(self.points)
         pts = pts.copy()
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            if len(labels) != pts.shape[0]:
-                raise ValueError(
-                    f"{len(labels)} labels for {pts.shape[0]} points"
-                )
-            object.__setattr__(self, "labels", labels)
 
     @property
     def n(self):
@@ -95,8 +87,7 @@ class SampleSet:
         """First n samples, preserving order (used for appended-sample studies)."""
         if not 0 <= n <= self.n:
             raise ValueError(f"prefix length {n} out of range for {self.n} samples")
-        labels = self.labels[:n] if self.labels is not None else None
-        return SampleSet(self.points[:n], labels)
+        return SampleSet(self.points[:n])
 
 
 @dataclass(frozen=True)
@@ -244,6 +235,18 @@ class BoxScaler:
             raise ValueError(f"points have dim {pts.shape[1]}, box has dim {self.dim}")
 
 
+def as_box(box):
+    """Return ``box`` as a BoxScaler. A BoxScaler passes through; anything
+    else is read as rows of (lower, upper) bounds, one row per dimension, such
+    as ``[[1.9, 2.1], [0.5, 1.5]]``, or as one ``(lower, upper)`` pair for d = 1."""
+    if isinstance(box, BoxScaler):
+        return box
+    bounds = np.atleast_2d(np.asarray(box, dtype=float))
+    if bounds.ndim != 2 or bounds.shape[1] != 2:
+        raise ValueError(f"a box is rows of (lower, upper) bounds, got shape {bounds.shape}")
+    return BoxScaler(bounds[:, 0], bounds[:, 1])
+
+
 def fit_box(samples, padding=0.0):
     """Fit a bounding box to a sample set.
 
@@ -287,12 +290,6 @@ def fit_box(samples, padding=0.0):
         lo = lo - pad
         hi = hi + pad
     return BoxScaler(lo, hi)
-
-
-def scale_to_unit(samples, box):
-    """Scale a sample set into the unit hypercube of ``box``."""
-    labels = samples.labels if isinstance(samples, SampleSet) else None
-    return SampleSet(box.scale(samples), labels)
 
 
 def exp_or_zero(x, out=None):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoxScaler, SampleSet, as_points, exp_or_zero
+from .core import SampleSet, as_box, as_points, exp_or_zero
 
 DENSITY_FLOOR = 1e-300
 COV_EPS = 1e-12
@@ -241,10 +241,7 @@ def rejection_sample(initial_samples, r_values, seed):
         raise ValueError("all ratios are zero; nothing can be accepted")
     rng = np.random.default_rng(seed)
     accept = rng.uniform(size=samples.n) < r / m
-    labels = None
-    if samples.labels is not None:
-        labels = tuple(lab for lab, a in zip(samples.labels, accept) if a)
-    return SampleSet(samples.points[accept], labels)
+    return SampleSet(samples.points[accept])
 
 
 @dataclass(frozen=True)
@@ -260,11 +257,9 @@ def update_probability(region, initial_samples, r_values):
 
     raw = (1/n) sum r_i I(lambda_i in region); the self-normalized variant
     divides by the mean ratio instead of n, making it invariant to KDE mass
-    leaking outside the sampling box.
+    leaking outside the sampling box. ``region`` goes through ``core.as_box``.
     """
-    if not isinstance(region, BoxScaler):
-        bounds = np.asarray(region, dtype=float)
-        region = BoxScaler(bounds[:, 0], bounds[:, 1])
+    region = as_box(region)
     pts = as_points(initial_samples)
     r = np.asarray(r_values, dtype=float)
     if r.shape != (pts.shape[0],):

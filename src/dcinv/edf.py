@@ -10,7 +10,7 @@ quadrature at a documented resolution is enough for reporting and tests.
 
 import numpy as np
 
-from .core import BoxScaler, Normalization, SampleSet, WeightedEdf, as_points
+from .core import Normalization, SampleSet, WeightedEdf, as_box, as_points
 
 DEFAULT_GRID_1D = 512
 DEFAULT_GRID_2D = 128
@@ -110,10 +110,10 @@ def l2_distance(f, g, box, grid_per_dim=None):
     """Midpoint-rule approximation of the L2 norm of (f - g) over ``box``.
 
     Reports the norm itself (not its square). Default grid: 512 cells per
-    dimension for d=1, 128 for d>=2.
+    dimension for d=1, 128 for d>=2. ``box`` goes through ``core.as_box``,
+    so a ``(lower, upper)`` pair of bound vectors names a box only for d = 1.
     """
-    if not isinstance(box, BoxScaler):
-        box = BoxScaler(*box)
+    box = as_box(box)
     if grid_per_dim is None:
         grid_per_dim = default_grid(box.dim)
     centers = _grid_centers(box, grid_per_dim)
@@ -123,9 +123,9 @@ def l2_distance(f, g, box, grid_per_dim=None):
 
 
 def l1_distance(f, g, box, grid_per_dim=None):
-    """Midpoint-rule approximation of the L1 norm of (f - g) over ``box``."""
-    if not isinstance(box, BoxScaler):
-        box = BoxScaler(*box)
+    """Midpoint-rule approximation of the L1 norm of (f - g) over ``box``
+    (read as in :func:`l2_distance`)."""
+    box = as_box(box)
     if grid_per_dim is None:
         grid_per_dim = default_grid(box.dim)
     centers = _grid_centers(box, grid_per_dim)
@@ -139,10 +139,10 @@ def sup_distance(f, g, box, grid_per_dim=None, extra_points=None):
 
     For step functions the supremum is attained arbitrarily close to jump
     locations; pass those locations (e.g. the sample points) via
-    ``extra_points`` to capture both sides of each jump exactly.
+    ``extra_points`` to capture both sides of each jump exactly. ``box`` is
+    read as in :func:`l2_distance`.
     """
-    if not isinstance(box, BoxScaler):
-        box = BoxScaler(*box)
+    box = as_box(box)
     if grid_per_dim is None:
         grid_per_dim = default_grid(box.dim)
     pts = _grid_centers(box, grid_per_dim)

@@ -19,20 +19,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .assembly import assemble_qp
 from .binning import (
     PIPELINE_PADDING,
     distribute_cell_weights,
+    fit_weights,
     make_kmeans,
     make_regular_grid,
     solve_binning,
     solve_naive,
 )
-from .core import BoxScaler, Normalization, SampleSet, WeightedEdf, WeightVector, fit_box
+from .core import Normalization, SampleSet, WeightedEdf, WeightVector, as_box, fit_box
 from .density import solve_density, update_probability
 from .edf import edf_eval_many, l2_distance, sup_distance
 from .models import HeatRod, UniformBoxSampler, eval_qoi, heat_rod_observed
-from .solver import solve_qp
 from .targets import EmpiricalTarget, as_target, is_exact
 
 DIAGNOSTIC_GUARD = (0.8, 1.2)
@@ -41,13 +40,6 @@ DIAGNOSTIC_GUARD = (0.8, 1.2)
 class UntrustworthyBaselineError(RuntimeError):
     """A baseline trial's predictability diagnostic left DIAGNOSTIC_GUARD, so
     the reference probabilities of the study cannot be trusted."""
-
-
-def _as_box(region):
-    if isinstance(region, BoxScaler):
-        return region
-    bounds = np.atleast_2d(np.asarray(region, dtype=float))
-    return BoxScaler(bounds[:, 0], bounds[:, 1])
 
 
 @dataclass(frozen=True)
@@ -99,7 +91,7 @@ class ConvergenceSpec:
 
 def derive_image_region(model, region_a, per_dim=81):
     """Interval hull of the model image of an axis-aligned parameter box."""
-    box = _as_box(region_a)
+    box = as_box(region_a)
     axes = [np.linspace(box.lower[k], box.upper[k], per_dim) for k in range(box.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=1)
@@ -193,22 +185,16 @@ def _baseline_trial(args):
     initial = sampler.sample(baseline_n, rng)
     predicted = SampleSet(eval_qoi(model, initial.points))
     sol = solve_density(initial, predicted, SampleSet(observed_pts), method="binned")
-    p_a = update_probability(_as_box(region_a), initial.points, sol.r_values).self_normalized
+    p_a = update_probability(region_a, initial.points, sol.r_values).self_normalized
     return float(sol.diagnostic), float(p_a)
-
-
-def _fit_cells(part, box, qp_target):
-    """Solve the fitting QP on a partition's representative points."""
-    problem = assemble_qp(np.clip(box.scale(part.reps.points), 0.0, 1.0), qp_target, box=box)
-    return solve_qp(problem).w
 
 
 def _study_trial(args):
     (model, observed_pts, n_grid, p_grid, partition_kind, region_a, region_b,
      weight_floor, padding, seed, t) = args
     qp_target = EmpiricalTarget(SampleSet(observed_pts))
-    box_a = _as_box(region_a)
-    box_b = _as_box(region_b)
+    box_a = as_box(region_a)
+    box_b = as_box(region_b)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 2, t)))
     sampler = UniformBoxSampler(model.box)
     initial_full = sampler.sample(n_grid[-1], rng).points
@@ -218,7 +204,7 @@ def _study_trial(args):
         # A grid, and so its QP and weights, depends only on the trial's box
         # and on p, not on n: fit each p once and reuse it for every n.
         grids = [make_regular_grid(box, p) for p in p_grid]
-        grid_fits = [(part, _fit_cells(part, box, qp_target)) for part in grids]
+        grid_fits = [(part, fit_weights(part.reps.points, qp_target, box).w) for part in grids]
     out = np.empty((3, len(n_grid), len(p_grid)))
     for i, n in enumerate(n_grid):
         lam = initial_full[:n]
@@ -230,7 +216,7 @@ def _study_trial(args):
                 part, w = grid_fits[j]
             else:
                 part = make_kmeans(q, p, seed=(seed * 1_000_003 + 7 * t) % 2**31)
-                w = _fit_cells(part, box, qp_target)
+                w = fit_weights(part.reps.points, qp_target, box).w
             assignments = part.classify_many(q)
             u, w_floored, _counts, _dropped = distribute_cell_weights(
                 w, assignments, part.p, weight_floor=weight_floor, strict=False
@@ -259,7 +245,7 @@ def run_convergence(spec, progress=None, threads=1):
     model = spec.model
     target = as_target(spec.target)
     region_b = spec.region_b or derive_image_region(model, spec.region_a)
-    box_b = _as_box(region_b)
+    box_b = as_box(region_b)
 
     if is_exact(target):
         obs_rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 0)))

@@ -22,9 +22,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
-from .core import BoxScaler, SampleSet, as_points, exp_or_zero
+from .core import BoxScaler, SampleSet, as_box, as_points, exp_or_zero
 from .targets import MixtureOfUniforms, NormalTarget
 
 DEFAULT_LAMBDA_BOX = ((1.9, 2.1), (0.5, 1.5))
@@ -39,13 +38,6 @@ HEAT_ROD_OBSERVED_SIGMA = 0.035
 # Shifting the observed mean to the upper edge of the predicted range puts
 # half of the observed mass outside the predicted support.
 HEAT_ROD_VIOLATION_MU = 2.529
-
-
-def _as_box(box):
-    if isinstance(box, BoxScaler):
-        return box
-    bounds = np.asarray(box, dtype=float)
-    return BoxScaler(bounds[:, 0], bounds[:, 1])
 
 
 @dataclass(frozen=True)
@@ -73,13 +65,7 @@ class HeatRod:
 
     @property
     def box(self):
-        return _as_box(self.lambda_box)
-
-    @property
-    def dim_in(self):
-        return 2
-
-    dim_out = 1
+        return as_box(self.lambda_box)
 
     def qoi(self, lam):
         """Evaluate the sensor temperature for each (ell, kappa) row of ``lam``.
@@ -129,13 +115,6 @@ class HeatRod:
 
     def __call__(self, lam):
         return self.qoi(lam)
-
-
-def heat_qoi(lam, model=None, **kwargs):
-    """Functional form of :meth:`HeatRod.qoi`; kwargs build the model."""
-    if model is None:
-        model = HeatRod(**kwargs)
-    return model.qoi(lam)
 
 
 def heat_rod_observed():
@@ -209,37 +188,9 @@ class UniformBoxSampler:
     """Draw uniform samples from an axis-aligned box, one row per draw."""
 
     def __init__(self, box):
-        self.box = _as_box(box)
+        self.box = as_box(box)
 
     def sample(self, n, rng):
         pts = rng.uniform(self.box.lower, self.box.upper, size=(n, self.box.dim))
         return SampleSet(pts)
 
-
-def uniform_sampler(box, n, seed):
-    """n uniform samples from ``box``, reproducible under ``seed``."""
-    return UniformBoxSampler(box).sample(n, np.random.default_rng(seed))
-
-
-def normal_sampler(mu, sigma, n, seed):
-    """n samples of N(mu, sigma^2), reproducible under ``seed``."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    return NormalTarget(mu, sigma).sample(n, np.random.default_rng(seed))
-
-
-def mixture_sampler(mix, n, seed):
-    """n samples of a MixtureOfUniforms, reproducible under ``seed``."""
-    return mix.sample(n, np.random.default_rng(seed))
-
-
-def normal_cdf(mu, sigma, q):
-    """Exact normal CDF via the error function."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    return ndtr((np.asarray(q, dtype=float) - mu) / sigma)
-
-
-def mixture_cdf(mix, q):
-    """CDF of a MixtureOfUniforms at ``q``."""
-    return mix.cdf(q)

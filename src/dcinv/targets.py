@@ -150,7 +150,8 @@ class ExactCdfTarget:
 
     ``cdf_fn`` maps an (m, d) array to m values in [0, 1]. For d = 1 an
     optional ``integral_fn`` provides the running integral of the CDF; when
-    absent the QP assembly falls back to quadrature.
+    it is None, reading ``integral_of_cdf`` raises AttributeError and the QP
+    assembly falls back to quadrature.
     """
 
     cdf_fn: object
@@ -163,10 +164,12 @@ class ExactCdfTarget:
             return np.asarray(self.cdf_fn(q.reshape(-1, 1) if q.ndim < 2 else q))
         return np.asarray(self.cdf_fn(q))
 
-    def integral_of_cdf(self, x):
+    @property
+    def integral_of_cdf(self):
+        """Running integral of the CDF, as a callable over 1-D arrays."""
         if self.integral_fn is None:
             raise AttributeError("no closed-form integral for this target")
-        return np.asarray(self.integral_fn(np.asarray(x, dtype=float)))
+        return lambda x: np.asarray(self.integral_fn(np.asarray(x, dtype=float)))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dcinv.assembly import (
     dedupe_jitter,
 )
 from dcinv.core import BoxScaler
-from dcinv.targets import EmpiricalTarget, NormalTarget, UniformTarget
+from dcinv.targets import EmpiricalTarget, ExactCdfTarget, NormalTarget, UniformTarget
 
 
 def midpoint_h_oracle(q, n_per_dim):
@@ -216,6 +216,57 @@ def test_assemble_qp_with_box_scaled_target():
     samples_scaled = np.array([[0.25], [0.75]])
     prob = assemble_qp(samples_scaled, target, box=box)
     assert np.allclose(prob.b, [0.234375, 0.109375], atol=1e-14)
+
+
+@pytest.mark.parametrize("box", [None, BoxScaler([0.2], [0.9])])
+def test_assemble_qp_exact_cdf_without_integral_uses_quadrature(box):
+    # The CDF is linear over the box, so 64-point Gauss-Legendre quadrature
+    # reproduces the closed form up to rounding.
+    q = np.random.default_rng(8).uniform(size=(25, 1))
+    uniform = UniformTarget(0.0, 1.0)
+    closed = assemble_qp(q, uniform, box=box)
+    quadrature = assemble_qp(q, ExactCdfTarget(lambda x: np.clip(x[:, 0], 0.0, 1.0)), box=box)
+    assert np.allclose(quadrature.b, closed.b, rtol=1e-12, atol=0.0)
+    with_integral = ExactCdfTarget(
+        lambda x: np.clip(x[:, 0], 0.0, 1.0), integral_fn=uniform.integral_of_cdf
+    )
+    assert_bits_equal(assemble_qp(q, with_integral, box=box).b, closed.b)
+
+
+def reference_h(samples):
+    """The product-from-ones assembly that assemble_h must match bit for bit."""
+    q = np.clip(np.asarray(samples, dtype=float), 0.0, 1.0)
+    ell = q.shape[0]
+    h = np.ones((ell, ell))
+    for k in range(q.shape[1]):
+        col = q[:, k]
+        h *= 1.0 - np.maximum(col[:, None], col[None, :])
+    h /= ell * ell
+    return h
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("ell", [1, 2, 97])
+def test_h_bit_equal_to_product_from_ones(d, ell):
+    rng = np.random.default_rng(10 * ell + d)
+    q = rng.uniform(size=(ell, d))
+    q[rng.random(size=q.shape) < 0.15] = 0.0
+    q[rng.random(size=q.shape) < 0.15] = 1.0
+    assert_bits_equal(assemble_h(q), reference_h(q))
+
+
+@pytest.mark.parametrize("d, arrays", [(1, 1), (2, 2), (3, 2)])
+def test_h_memory_is_bounded(d, arrays):
+    q = np.random.default_rng(7).uniform(size=(1000, d))
+    tracemalloc.start()
+    try:
+        h = assemble_h(q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one (l x l) array at d = 1 and two at d >= 2; the product-from-ones
+    # form holds three
+    assert peak < (arrays + 0.5) * h.nbytes
 
 
 def reference_b_empirical(samples, target_samples):

@@ -385,6 +385,14 @@ def test_error_record_exit_2(tmp_path, capsys):
     assert error_record(capsys)["kind"] == "ConfigError"
 
 
+@pytest.mark.parametrize("key, bounds", [("data_box", [[0.5]]), ("partition_box", [[[0.5, 0.6]]])])
+def test_malformed_box_option_is_a_config_error(tmp_path, capsys, key, bounds):
+    cfg = write_config(tmp_path / "cfg.json", method={"p": 20, key: bounds})
+    assert main(["solve", "--method", "binning-grid", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    record = error_record(capsys)
+    assert record["kind"] == "ConfigError" and record["message"].startswith(f"/method/{key}: ")
+
+
 def test_error_record_exit_3(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path / "cfg.json", method={"p": 20, "weight_floor": 1e9})
     assert main(["solve", "--method", "binning-grid", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3

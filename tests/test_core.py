@@ -7,9 +7,9 @@ from dcinv.core import (
     SampleSet,
     WeightedEdf,
     WeightVector,
+    as_box,
     exp_or_zero,
     fit_box,
-    scale_to_unit,
 )
 
 
@@ -73,8 +73,14 @@ def test_scale_unscale_roundtrip_random():
 def test_scale_to_unit_maps_inside():
     samples = SampleSet(np.array([[1.95, 0.7], [2.05, 1.3]]))
     box = fit_box(samples, padding=0.05)
-    scaled = scale_to_unit(samples, box)
-    assert np.all(scaled.points >= 0.0) and np.all(scaled.points <= 1.0)
+    scaled = box.scale(samples)
+    assert np.all(scaled >= 0.0) and np.all(scaled <= 1.0)
+
+
+def test_as_box_rejects_anything_but_rows_of_bounds():
+    for bad in ([[0.5]], [[[0.0, 1.0]]], [0.0, 1.0, 2.0]):
+        with pytest.raises(ValueError, match="rows of"):
+            as_box(bad)
 
 
 def test_degenerate_box_rejected():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dcinv import experiments
+from dcinv import binning, experiments
 from dcinv.assembly import assemble_qp
 from dcinv.binning import distribute_cell_weights, make_kmeans, make_regular_grid
 from dcinv.core import BoxScaler, SampleSet, fit_box
@@ -226,7 +226,9 @@ def test_study_trial_matches_per_cell_reference(kind, monkeypatch):
     n_grid, p_grid = (150, 400, 900), (4, 9)
     region_b = derive_image_region(model, ((2.01, 2.02), (0.95, 1.0)))
     calls = []
-    monkeypatch.setattr(experiments, "solve_qp", lambda problem: calls.append(1) or solve_qp(problem))
+    monkeypatch.setattr(
+        binning, "solve_qp", lambda problem, **kw: calls.append(1) or solve_qp(problem, **kw)
+    )
     for t in range(2):
         args = (model, observed, n_grid, p_grid, kind, ((2.01, 2.02), (0.95, 1.0)), region_b,
                 1e-6, 1e-3, 9, t)

@@ -7,18 +7,13 @@ from dcinv.core import BoxScaler
 from dcinv.io import load_pairs, load_samples, save_samples
 from dcinv.models import (
     HeatRod,
-    heat_qoi,
+    UniformBoxSampler,
     heat_rod_observed,
     heat_rod_violation_observed,
     mixture_benchmark_model,
     mixture_benchmark_target,
-    mixture_cdf,
-    mixture_sampler,
-    normal_cdf,
-    normal_sampler,
-    uniform_sampler,
 )
-from dcinv.targets import MixtureOfUniforms
+from dcinv.targets import MixtureOfUniforms, NormalTarget
 
 
 def series_oracle(ell, kappa, x, t, terms, standard=False):
@@ -116,25 +111,25 @@ def test_mixture_benchmark_model_covers_target_support():
 
 
 def test_normal_cdf_values():
-    assert normal_cdf(0.0, 1.0, 0.0) == pytest.approx(0.5)
-    assert normal_cdf(2.0, 0.5, 2.5) == pytest.approx(0.8413447460685429, abs=1e-12)
+    assert NormalTarget(0.0, 1.0).cdf(0.0) == pytest.approx(0.5)
+    assert NormalTarget(2.0, 0.5).cdf(2.5) == pytest.approx(0.8413447460685429, abs=1e-12)
     with pytest.raises(ValueError):
-        normal_cdf(0.0, -1.0, 0.0)
+        NormalTarget(0.0, -1.0)
 
 
 def test_mixture_cdf_benchmark_values():
     mix = mixture_benchmark_target()
-    assert mixture_cdf(mix, 0.59) == pytest.approx(0.5)
-    assert mixture_cdf(mix, 0.595) == pytest.approx(0.6)
-    assert mixture_cdf(mix, 0.6) == pytest.approx(1.0)
-    assert mixture_cdf(mix, 0.5849) == 0.0
-    assert mixture_cdf(mix, 0.7) == 1.0
+    assert mix.cdf(0.59) == pytest.approx(0.5)
+    assert mix.cdf(0.595) == pytest.approx(0.6)
+    assert mix.cdf(0.6) == pytest.approx(1.0)
+    assert mix.cdf(0.5849) == 0.0
+    assert mix.cdf(0.7) == 1.0
 
 
 def test_mixture_cdf_piecewise_linear_monotone():
     mix = mixture_benchmark_target()
     q = np.linspace(0.57, 0.61, 2001)
-    vals = mixture_cdf(mix, q)
+    vals = mix.cdf(q)
     assert np.all(np.diff(vals) >= 0)
     # continuity: no jumps beyond the local slope times the grid step
     max_slope = max(w / (b - a) for w, a, b in mix.components)
@@ -152,15 +147,16 @@ def test_mixture_validation():
 def test_samplers_pass_ks_sanity(which):
     n = 100_000
     if which == "uniform":
-        samples = uniform_sampler(BoxScaler([0.0], [2.0]), n, seed=5)
+        samples = UniformBoxSampler(BoxScaler([0.0], [2.0])).sample(n, np.random.default_rng(5))
         cdf = lambda q: np.clip(q / 2.0, 0.0, 1.0)
     elif which == "normal":
-        samples = normal_sampler(1.0, 0.5, n, seed=6)
-        cdf = lambda q: normal_cdf(1.0, 0.5, q)
+        normal = NormalTarget(1.0, 0.5)
+        samples = normal.sample(n, np.random.default_rng(6))
+        cdf = normal.cdf
     else:
         mix = mixture_benchmark_target()
-        samples = mixture_sampler(mix, n, seed=7)
-        cdf = lambda q: mixture_cdf(mix, q)
+        samples = mix.sample(n, np.random.default_rng(7))
+        cdf = mix.cdf
     x = np.sort(samples.points[:, 0])
     ranks = np.arange(1, n + 1) / n
     sup = np.max(np.abs(cdf(x) - ranks))
@@ -168,14 +164,15 @@ def test_samplers_pass_ks_sanity(which):
 
 
 def test_samplers_reproducible_under_seed():
-    a = uniform_sampler(BoxScaler([0.0, 0.0], [1.0, 2.0]), 100, seed=9)
-    b = uniform_sampler(BoxScaler([0.0, 0.0], [1.0, 2.0]), 100, seed=9)
+    sampler = UniformBoxSampler(BoxScaler([0.0, 0.0], [1.0, 2.0]))
+    a = sampler.sample(100, np.random.default_rng(9))
+    b = sampler.sample(100, np.random.default_rng(9))
     assert np.array_equal(a.points, b.points)
 
 
 def test_heat_qoi_functional_form():
     lam = np.array([[2.0, 1.0]])
-    assert heat_qoi(lam)[0] == HeatRod().qoi(lam)[0]
+    assert HeatRod()(lam)[0] == HeatRod().qoi(lam)[0]
 
 
 def test_save_load_roundtrip_bit_exact(tmp_path):

@@ -1,0 +1,112 @@
+"""Property tests of the box coercion, the QP assembly and fit, and the
+distribution of cell weights onto samples."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from dcinv.assembly import assemble_qp
+from dcinv.binning import distribute_cell_weights, fit_weights
+from dcinv.core import BoxScaler, as_box, fit_box
+from dcinv.targets import EmpiricalTarget, ExactCdfTarget, MixtureOfUniforms, NormalTarget
+
+finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+widths = st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False)
+
+
+def assert_bits_equal(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+    arrays(float, d, elements=finite), arrays(float, d, elements=widths))))
+def test_as_box_forms_agree(bounds):
+    lower, width = bounds
+    box = BoxScaler(lower, lower + width)
+    assert as_box(box) is box
+    rows = np.column_stack([box.lower, box.upper])
+    for form in (rows, rows.tolist()):
+        got = as_box(form)
+        assert_bits_equal(got.lower, box.lower)
+        assert_bits_equal(got.upper, box.upper)
+    for k, (lo, hi) in enumerate(rows.tolist()):
+        pair = as_box((lo, hi))
+        assert pair.lower.tolist() == [box.lower[k]] and pair.upper.tolist() == [box.upper[k]]
+
+
+unit = st.floats(0.0, 1.0, allow_nan=False)
+
+
+def _target(kind, d, rng):
+    """An empirical target of any dim, or an exact one: normal or mixture at
+    d = 1, a product of uniform CDFs at d = 2."""
+    if kind == "empirical":
+        return EmpiricalTarget(rng.uniform(-0.2, 1.2, size=(int(rng.integers(1, 40)), d)))
+    if d == 2:
+        return ExactCdfTarget(lambda q: np.clip(q[:, 0], 0, 1) * np.clip(q[:, 1], 0, 1), dim=2)
+    if kind == "normal":
+        return NormalTarget(float(rng.uniform(0.2, 0.8)), float(rng.uniform(0.05, 0.5)))
+    return MixtureOfUniforms(((0.3, 0.1, 0.4), (0.7, 0.5, 0.9)))
+
+
+@pytest.mark.filterwarnings("ignore:.*duplicated sample")
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 2).flatmap(lambda d: arrays(float, st.tuples(st.integers(1, 12), st.just(d)),
+                                               elements=unit)),
+    st.sampled_from(["empirical", "normal", "mixture"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_assemble_qp_without_box_is_the_unit_box(pts, kind, seed):
+    target = _target(kind, pts.shape[1], np.random.default_rng(seed))
+    d = pts.shape[1]
+    plain = assemble_qp(pts, target)
+    unit_box = assemble_qp(pts, target, box=BoxScaler(np.zeros(d), np.ones(d)))
+    assert_bits_equal(plain.h, unit_box.h)
+    assert_bits_equal(plain.b, unit_box.b)
+
+
+@pytest.mark.filterwarnings("ignore:.*duplicated sample")
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(2, 60),
+    st.integers(1, 2),
+    st.sampled_from(["empirical", "normal", "mixture"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_fit_weights_are_mean_one(ell, d, kind, seed):
+    rng = np.random.default_rng(seed)
+    points = rng.normal(3.0, 2.0, size=(ell, d))
+    box = fit_box(points, padding=1e-3)
+    target = _target(kind, d, rng)
+    sol = fit_weights(points, target, box)
+    assert sol.w.shape == (ell,) and np.all(sol.w >= 0)
+    assert abs(sol.w.mean() - 1.0) <= 1e-8
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 30).flatmap(lambda p: st.tuples(
+        arrays(float, p, elements=st.floats(0.0, 10.0, allow_nan=False)),
+        st.lists(st.integers(0, p - 1), max_size=60),
+        st.permutations(range(p)),
+    )),
+)
+def test_distributed_weights_sum_to_one_and_are_constant_per_cell(case):
+    w, extra, every_cell = case
+    p = w.size
+    w = w.copy()
+    w[int(np.argmax(w))] = max(w.max(), 1.0)  # at least one cell above the floor
+    assignments = np.array(list(every_cell) + extra, dtype=np.int64)
+    u, w_floored, counts, dropped = distribute_cell_weights(w, assignments, p)
+    assert dropped == 0.0
+    assert abs(u.sum() - 1.0) <= 1e-12
+    assert np.array_equal(counts, np.bincount(assignments, minlength=p))
+    for k in range(p):
+        cell = u[assignments == k]
+        assert np.all(cell == cell[0])
+        assert cell.sum() == pytest.approx(w_floored[k] / p, rel=1e-12, abs=1e-300)
