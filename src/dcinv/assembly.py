@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from . import targets as _targets
-from .core import BoxScaler, as_points
+from .core import BoxScaler, as_points, grid_points
 
 COORD_TOL = 1e-12
 JITTER = 1e-10
@@ -128,13 +128,14 @@ def _check_unit_box(pts, what="samples"):
     return np.clip(pts, 0.0, 1.0)
 
 
-def dedupe_jitter(points, rng_seed=0):
+def dedupe_jitter(points):
     """Perturb duplicated rows by ~1e-10 toward the box interior.
 
     Duplicate samples make the fitting matrix singular; the jitter restores
     strict positive-definiteness while moving each point by at most 1e-10
-    per coordinate. First occurrences are left untouched. A warning reports
-    how many rows were perturbed.
+    per coordinate. First occurrences are left untouched. The steps are
+    drawn from a generator seeded with 0, so equal inputs give equal
+    outputs. A warning reports how many rows were perturbed.
     """
     pts = as_points(points)
     order = np.lexsort(pts.T[::-1])
@@ -148,7 +149,7 @@ def dedupe_jitter(points, rng_seed=0):
         "the fitting matrix positive definite",
         stacklevel=2,
     )
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(0)
     out = pts.copy()
     for i in dup_rows:
         step = rng.uniform(0.5 * JITTER, JITTER, size=pts.shape[1])
@@ -276,9 +277,7 @@ def assemble_b_exact(samples, cdf, quad_points_per_dim=DEFAULT_QUAD_POINTS, inte
         b = width * (vals @ weights)
         return b / ell
     for i in range(ell):
-        axes = [pts[i, k] + (1.0 - pts[i, k]) * nodes for k in range(d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        grid = np.stack([m.ravel() for m in mesh], axis=1)
+        grid = grid_points([pts[i, k] + (1.0 - pts[i, k]) * nodes for k in range(d)])
         vals = np.asarray(cdf(grid)).reshape([quad_points_per_dim] * d)
         wprod = np.ones([1] * d)
         for k in range(d):

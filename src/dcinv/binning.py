@@ -19,13 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import assemble_qp
-from .core import BoxScaler, Normalization, SampleSet, WeightedEdf, WeightVector, as_box, as_points, fit_box
+from .core import (BoxScaler, Normalization, SampleSet, WeightedEdf, WeightVector, as_box,
+                   as_points, fit_box, grid_points)
 from .models import eval_qoi
 from .solver import solve_qp
 from .targets import as_target
 
 DEFAULT_WEIGHT_FLOOR = 1e-6
 DEFAULT_MAX_BATCHES = 1000
+KMEANS_MAX_ITER = 100
 PIPELINE_PADDING = 1e-3  # keeps the extreme sample off the unit-box corner
 
 
@@ -84,12 +86,10 @@ class RegularGridPartition:
 
     @property
     def reps(self):
-        axes = [
+        return SampleSet(grid_points([
             self.box.lower[k] + (np.arange(c) + 0.5) * self.box.width[k] / c
             for k, c in enumerate(self.cells_per_dim)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return SampleSet(np.stack([m.ravel() for m in mesh], axis=1))
+        ]))
 
     def classify_many(self, points):
         pts = as_points(points)
@@ -165,11 +165,12 @@ def _kmeans_pp_init(pts, p, rng):
     return centroids
 
 
-def make_kmeans(samples, p, seed, max_iter=100):
+def make_kmeans(samples, p, seed):
     """Cluster samples with Lloyd's algorithm from a k-means++ start.
 
-    Reproducible under ``seed``. An empty cluster is re-seeded at the point
-    farthest from its assigned centroid. Requires at least p distinct points.
+    Reproducible under ``seed``; runs at most KMEANS_MAX_ITER iterations. An
+    empty cluster is re-seeded at the point farthest from its assigned
+    centroid. Requires at least p distinct points.
     """
     pts = as_points(samples)
     n_distinct = np.unique(pts, axis=0).shape[0]
@@ -182,7 +183,7 @@ def make_kmeans(samples, p, seed, max_iter=100):
     assignments = None
     history = []
     n_iter = 0
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, KMEANS_MAX_ITER + 1):
         d2 = _sq_dist(pts, centroids)
         new_assign = np.argmin(d2, axis=1)
         closest = d2[np.arange(pts.shape[0]), new_assign]
@@ -215,15 +216,22 @@ def _sq_dist(pts, centroids):
     return out
 
 
-def fit_weights(points, target, box, solver_tol=1e-8, quad_points_per_dim=64):
+def fit_weights(points, target, box, solver_tol=1e-8):
     """Scale data-space ``points`` into the unit box of ``box``, clip them to
     it, and solve their fitting QP against ``target``. Returns the QpSolution,
     whose mean-one weights align with ``points``."""
-    problem = assemble_qp(
-        np.clip(box.scale(points), 0.0, 1.0), target, box=box,
-        quad_points_per_dim=quad_points_per_dim,
-    )
+    problem = assemble_qp(np.clip(box.scale(points), 0.0, 1.0), target, box=box)
     return solve_qp(problem, tol=solver_tol)
+
+
+def _sample_pair(qoi, initial, predicted):
+    """Aligned (initial SampleSet, (n, d_out) predicted array); ``predicted``
+    None runs ``qoi`` on the initial points."""
+    initial = initial if isinstance(initial, SampleSet) else SampleSet(initial)
+    predicted_pts = eval_qoi(qoi, initial.points) if predicted is None else as_points(predicted)
+    if predicted_pts.shape[0] != initial.n:
+        raise ValueError("initial and predicted sample counts differ")
+    return initial, predicted_pts
 
 
 def classify(partition, q):
@@ -250,7 +258,6 @@ class BinnedSolution:
     box: BoxScaler
     qp_solution: object
     n_batches: int
-    dropped_mass: float
 
     @property
     def p(self):
@@ -269,25 +276,13 @@ class BinnedSolution:
         return WeightedEdf(self.predicted, self.sample_weights)
 
 
-def pushforward_binned(solution, partition=None):
+def pushforward_binned(solution):
     """Push-forward of the binned solution through the cell classifier.
 
     The w-weighted EDF over the representative points; identical by
     construction to aggregating the sample weights u over cells.
     """
-    if partition is None:
-        partition = solution.partition
-    if partition is not solution.partition and not _same_partition(partition, solution.partition):
-        raise ValueError("partition does not match the one used by the solution")
-    return WeightedEdf(partition.reps, solution.cell_weights)
-
-
-def _same_partition(a, b):
-    return (
-        a.kind == b.kind
-        and a.p == b.p
-        and np.array_equal(a.reps.points, b.reps.points)
-    )
+    return WeightedEdf(solution.partition.reps, solution.cell_weights)
 
 
 def distribute_cell_weights(w, assignments, p, weight_floor=DEFAULT_WEIGHT_FLOOR, strict=True):
@@ -372,7 +367,6 @@ def solve_binning(
     padding=PIPELINE_PADDING,
     data_box=None,
     solver_tol=1e-8,
-    quad_points_per_dim=64,
     initial_samples=None,
     predicted_samples=None,
 ):
@@ -383,8 +377,9 @@ def solve_binning(
     qoi : callable
         Maps an (n, d_in) parameter array to (n,) or (n, d_out) data values.
         Ignored when precomputed samples are supplied.
-    initial_sampler : object with .sample(n, rng) or callable (n, rng) -> points
-        Draws initial parameter samples. Ignored for precomputed samples.
+    initial_sampler : object with a ``.sample(n, rng)`` method
+        Draws initial parameter samples (a SampleSet or an (n, d_in) array),
+        such as ``models.UniformBoxSampler``. Ignored for precomputed samples.
     target : target distribution (exact or empirical)
     partition : Partition, ("grid", cells_per_dim), or ("kmeans", p)
         Grid partitions cover the fitted data box by default.
@@ -417,20 +412,14 @@ def solve_binning(
     rng = np.random.default_rng(seed)
     precomputed = initial_samples is not None
     if precomputed:
-        initial = initial_samples if isinstance(initial_samples, SampleSet) else SampleSet(initial_samples)
-        if predicted_samples is None:
-            predicted_pts = eval_qoi(qoi, initial.points)
-        else:
-            predicted_pts = as_points(predicted_samples)
-        if predicted_pts.shape[0] != initial.n:
-            raise ValueError("initial and predicted sample counts differ")
-        initial_pts = initial.points.copy()
+        initial, predicted_pts = _sample_pair(qoi, initial_samples, predicted_samples)
+        initial_pts = initial.points
         if n_target is None:
             n_target = initial.n
     else:
         if n_target is None or n_target < 1:
             raise ValueError(f"n_target must be positive, got {n_target}")
-        initial_pts = _draw(initial_sampler, n_target, rng)
+        initial_pts = as_points(initial_sampler.sample(n_target, rng))
         predicted_pts = eval_qoi(qoi, initial_pts)
     if n_batch is None:
         n_batch = max(int(n_target), 1)
@@ -440,7 +429,7 @@ def solve_binning(
     part = _resolve_partition(partition, predicted_pts, box, seed)
     p = part.p
 
-    qp_sol = fit_weights(part.reps.points, target, box, solver_tol, quad_points_per_dim)
+    qp_sol = fit_weights(part.reps.points, target, box, solver_tol)
     w = qp_sol.w
 
     if callable(min_fill):
@@ -460,7 +449,7 @@ def solve_binning(
             if batches >= max_batches:
                 deficient = np.nonzero(counts < n_min)[0]
                 raise UnreachableCellError(deficient, w[deficient])
-            new_initial = _draw(initial_sampler, n_batch, rng)
+            new_initial = as_points(initial_sampler.sample(n_batch, rng))
             new_pred = eval_qoi(qoi, new_initial)
             new_assign = part.classify_many(new_pred)
             chunks.append((new_initial, new_pred, new_assign))
@@ -470,7 +459,7 @@ def solve_binning(
             initial_pts, predicted_pts, assignments = (np.concatenate(c) for c in zip(*chunks))
         del chunks  # the batch copies would otherwise stay alive through the distribution
 
-    u, w_floored, counts, dropped = distribute_cell_weights(
+    u, w_floored, counts, _dropped = distribute_cell_weights(
         w, assignments, p, weight_floor=weight_floor, strict=True
     )
     return BinnedSolution(
@@ -485,7 +474,6 @@ def solve_binning(
         box=box,
         qp_solution=qp_sol,
         n_batches=batches,
-        dropped_mass=dropped,
     )
 
 
@@ -515,7 +503,6 @@ def solve_naive(
     padding=PIPELINE_PADDING,
     data_box=None,
     solver_tol=1e-8,
-    quad_points_per_dim=64,
     predicted_samples=None,
 ):
     """Fit weights on the predicted samples and apply them to the parameters.
@@ -525,16 +512,10 @@ def solve_naive(
     more than the binning method's. ``data_box`` (a known compact support)
     overrides the box fitted to the samples.
     """
-    initial = initial_samples if isinstance(initial_samples, SampleSet) else SampleSet(initial_samples)
-    if predicted_samples is None:
-        predicted_pts = eval_qoi(qoi, initial.points)
-    else:
-        predicted_pts = as_points(predicted_samples)
-    if predicted_pts.shape[0] != initial.n:
-        raise ValueError("initial and predicted sample counts differ")
+    initial, predicted_pts = _sample_pair(qoi, initial_samples, predicted_samples)
     target = as_target(target)
     box = data_box if data_box is not None else fit_box(predicted_pts, padding=padding)
-    qp_sol = fit_weights(predicted_pts, target, box, solver_tol, quad_points_per_dim)
+    qp_sol = fit_weights(predicted_pts, target, box, solver_tol)
     return NaiveSolution(
         weights=qp_sol.weights,
         initial=initial,
@@ -542,11 +523,3 @@ def solve_naive(
         box=box,
         qp_solution=qp_sol,
     )
-
-
-def _draw(sampler, n, rng):
-    if hasattr(sampler, "sample"):
-        out = sampler.sample(n, rng)
-    else:
-        out = sampler(n, rng)
-    return as_points(out)

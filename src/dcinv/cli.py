@@ -45,13 +45,12 @@ from .binning import (
     solve_naive,
 )
 from .config import ConfigError, build_convergence_spec, build_solve_config, load_config
-from .core import Normalization, SampleSet, WeightedEdf, WeightVector, fit_box
+from .core import SampleSet, fit_box, grid_points
 from .density import solve_density
-from .edf import wedf_eval_many
+from .edf import as_cdf_callable, wedf_eval_many
 from .experiments import UntrustworthyBaselineError, _jsonify, run_convergence
 from .models import UniformBoxSampler, eval_qoi
 from .solver import NonPositiveDefiniteError, WeightCollapseError
-from .targets import is_exact
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -131,9 +130,7 @@ def _write_weights_csv(path, initial, predicted, weights):
 
 
 def _write_pushforward_csv(path, pushforward, target_cdf, box, grid):
-    axes = [np.linspace(box.lower[k], box.upper[k], grid) for k in range(box.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts = grid_points([np.linspace(box.lower[k], box.upper[k], grid) for k in range(box.dim)])
     f_method = wedf_eval_many(pushforward, pts)
     f_target = target_cdf(pts) if target_cdf is not None else None
     header = [f"q{k + 1}" for k in range(box.dim)] + ["f_method"]
@@ -142,14 +139,6 @@ def _write_pushforward_csv(path, pushforward, target_cdf, box, grid):
         header.append("f_target")
         columns.append(f_target)
     _write_csv(path, header, columns)
-
-
-def _target_cdf_callable(resolved):
-    target = resolved.target
-    if is_exact(target):
-        return lambda pts: np.asarray(target.cdf(pts[:, 0] if pts.shape[1] == 1 else pts))
-    observed = resolved.observed
-    return lambda pts: wedf_eval_many(WeightedEdf.plain(observed), pts)
 
 
 def _initial_samples(cfg):
@@ -174,12 +163,12 @@ def _run_solve(method, cfg, out_dir, threads):
         "threads": threads,
     }
     model = cfg.model
-    initial, predicted = _initial_samples(cfg)
-    meta["n_initial"] = initial.n
+    meta["n_initial"] = cfg.n_initial if model.live else model.initial.n
 
     solver_meta = {}
     diagnostic_value = None
     if method == "naive":
+        initial, predicted = _initial_samples(cfg)
         sol = solve_naive(
             model.model if model.live else None,
             initial,
@@ -197,19 +186,28 @@ def _run_solve(method, cfg, out_dir, threads):
         meta["weight_normalization"] = "mean_one"
     elif method in ("binning-grid", "binning-kmeans"):
         if method == "binning-grid":
+            cells = cfg.cells_per_dim or cfg.p
+            dim = cfg.target.target.dim
+            if cfg.cells_per_dim and len(cells) != dim:
+                raise ConfigError(
+                    "/method/cells_per_dim", f"{len(cells)} cell counts for {dim}-D data"
+                )
             if cfg.partition_box is not None:
-                cells = cfg.cells_per_dim or cfg.p
                 partition = make_regular_grid(cfg.partition_box, cells)
             else:
-                partition = ("grid", cfg.cells_per_dim or cfg.p)
+                partition = ("grid", cells)
         else:
+            if cfg.p > meta["n_initial"]:
+                raise ConfigError(
+                    "/method/p", f"{cfg.p} k-means cells for {meta['n_initial']} samples"
+                )
             partition = ("kmeans", cfg.p)
         sol = solve_binning(
             model.model if model.live else None,
             UniformBoxSampler(model.model.box) if model.live else None,
             cfg.target.target,
             partition,
-            n_target=cfg.n_initial if model.live else initial.n,
+            n_target=meta["n_initial"],
             seed=cfg.seed,
             n_batch=cfg.n_batch,
             min_fill=cfg.min_fill if model.live else "none",
@@ -217,8 +215,8 @@ def _run_solve(method, cfg, out_dir, threads):
             padding=cfg.padding,
             data_box=cfg.data_box,
             solver_tol=cfg.solver_tol,
-            initial_samples=None if model.live else initial,
-            predicted_samples=None if model.live else predicted.points,
+            initial_samples=None if model.live else model.initial,
+            predicted_samples=None if model.live else model.predicted.points,
         )
         initial, predicted = sol.initial, sol.predicted
         weights = sol.sample_weights.weights
@@ -238,9 +236,10 @@ def _run_solve(method, cfg, out_dir, threads):
         )
     elif method == "density":
         observed = cfg.target.observed_or_fail
+        initial, predicted = _initial_samples(cfg)
         sol = solve_density(initial, predicted, observed, rule=cfg.kde_rule)
-        weights = sol.update_weights()
-        pushforward = WeightedEdf(predicted, WeightVector(weights, Normalization.SUM_ONE))
+        pushforward = sol.pushforward()
+        weights = pushforward.weights.weights
         box = fit_box(predicted.points, padding=cfg.padding)
         diagnostic_value = sol.diagnostic
         converged = True
@@ -261,7 +260,7 @@ def _run_solve(method, cfg, out_dir, threads):
     _write_pushforward_csv(
         os.path.join(out_dir, "pushforward.csv"),
         pushforward,
-        _target_cdf_callable(cfg.target),
+        as_cdf_callable(cfg.target.target),
         box,
         cfg.pushforward_grid,
     )

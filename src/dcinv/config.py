@@ -21,11 +21,20 @@ Config schema (solve / diagnose):
                | {"kind": "samples", "csv": "observed.csv"},
       "method": {"p": 40, "partition_box": [[0.575, 0.61]],  # optional focus box
                   "data_box": [[0.3, 1.0]],                  # known support override
+                  "cells_per_dim": null,                     # grid cells per data dim
                   "n_batch": null, "min_fill": "proportional",
                   "weight_floor": 1e-6, "padding": 1e-3, "kde_rule": "scott"},
-      "solver": {"tol": 1e-8, "max_iter": null},
+      "solver": {"tol": 1e-8},
       "output": {"pushforward_grid": 512}
     }
+
+Validated ranges: ``initial.n``, ``method.p``, ``method.n_batch`` and
+``output.pushforward_grid`` are integers >= 1; ``method.cells_per_dim`` is a
+nonempty list of integers >= 1, one per data dimension; ``method.padding``
+is a finite number >= 0; ``solver.tol`` is a finite number > 0;
+``method.kde_rule`` is "scott", "silverman" or a finite number > 0 (a fixed
+bandwidth). k-means needs ``method.p`` at most the number of initial
+samples. Unknown keys are ignored.
 
 The convergence spec file carries the ConvergenceSpec fields (n_grid, p_grid,
 trials, seed, region_a, optional region_b, partition_kind, model, target,
@@ -33,6 +42,7 @@ m_observed, baseline_n, baseline_trials).
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -76,6 +86,25 @@ def _get(cfg, key, pointer, kind=None, default=_REQUIRED, choices=None):
     if choices is not None and value not in choices:
         raise ConfigError(f"{pointer}/{key}", f"expected one of {sorted(choices)}, got {value!r}")
     return value
+
+
+def _number(cfg, key, pointer, kind, default, low, strict=False):
+    """``_get`` a finite number >= ``low`` (> ``low`` when ``strict``); null
+    passes only where it is the default."""
+    value = _get(cfg, key, pointer, kind, default=default)
+    if value is None and default is None:
+        return None
+    if value is None or not (math.isfinite(value) and (value > low if strict else value >= low)):
+        rule = f"> {low}" if strict else f">= {low}"
+        raise ConfigError(f"{pointer}/{key}", f"expected a finite number {rule}, got {value!r}")
+    return value
+
+
+def _is_positive_number(value):
+    return (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and math.isfinite(value) and value > 0
+    )
 
 
 def load_config(path):
@@ -195,7 +224,6 @@ class SolveConfig:
     padding: float
     kde_rule: object
     solver_tol: float
-    solver_max_iter: object
     pushforward_grid: int
     raw: dict = field(default_factory=dict)
 
@@ -228,11 +256,20 @@ def build_solve_config(cfg, base_dir="."):
     partition_box = _box_option("partition_box")
     data_box = _box_option("data_box")
     cells_per_dim = _get(method, "cells_per_dim", "/method", list, default=None)
+    if cells_per_dim is not None and not (cells_per_dim and all(
+        isinstance(c, int) and _is_positive_number(c) for c in cells_per_dim
+    )):
+        raise ConfigError(
+            "/method/cells_per_dim", f"expected positive integers, got {cells_per_dim!r}"
+        )
     solver = _get(cfg, "solver", "", dict, default={})
     output = _get(cfg, "output", "", dict, default={})
     kde_rule = _get(method, "kde_rule", "/method", default="scott")
-    if isinstance(kde_rule, str) and kde_rule not in ("scott", "silverman"):
-        raise ConfigError("/method/kde_rule", f"unknown rule {kde_rule!r}")
+    if kde_rule not in ("scott", "silverman") and not _is_positive_number(kde_rule):
+        raise ConfigError(
+            "/method/kde_rule",
+            f"expected 'scott', 'silverman' or a positive bandwidth, got {kde_rule!r}",
+        )
     min_fill = _get(
         method, "min_fill", "/method", str, default="proportional",
         choices={"proportional", "at_least_one", "none"},
@@ -246,14 +283,13 @@ def build_solve_config(cfg, base_dir="."):
         partition_box=partition_box,
         data_box=data_box,
         cells_per_dim=cells_per_dim,
-        n_batch=_get(method, "n_batch", "/method", int, default=None),
+        n_batch=_number(method, "n_batch", "/method", int, None, 1),
         min_fill=min_fill,
         weight_floor=_get(method, "weight_floor", "/method", float, default=1e-6),
-        padding=_get(method, "padding", "/method", float, default=1e-3),
+        padding=_number(method, "padding", "/method", float, 1e-3, 0.0),
         kde_rule=kde_rule,
-        solver_tol=_get(solver, "tol", "/solver", float, default=1e-8),
-        solver_max_iter=_get(solver, "max_iter", "/solver", int, default=None),
-        pushforward_grid=_get(output, "pushforward_grid", "/output", int, default=512),
+        solver_tol=_number(solver, "tol", "/solver", float, 1e-8, 0.0, strict=True),
+        pushforward_grid=_number(output, "pushforward_grid", "/output", int, 512, 1),
         raw=cfg,
     )
 

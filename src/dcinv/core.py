@@ -247,6 +247,12 @@ def as_box(box):
     return BoxScaler(bounds[:, 0], bounds[:, 1])
 
 
+def grid_points(axes):
+    """The (prod len(a), d) tensor grid of the 1-D ``axes``, last axis fastest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
 def fit_box(samples, padding=0.0):
     """Fit a bounding box to a sample set.
 

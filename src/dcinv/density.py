@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SampleSet, as_box, as_points, exp_or_zero
+from .core import (Normalization, SampleSet, WeightedEdf, WeightVector, as_box, as_points,
+                   exp_or_zero)
 
 DENSITY_FLOOR = 1e-300
 COV_EPS = 1e-12
@@ -192,7 +193,7 @@ def density_ratio(observed_kde, predicted_kde, q):
     return float(ratios[0])
 
 
-def density_ratio_many(observed_kde, predicted_kde, q, method="exact", grid=4096):
+def density_ratio_many(observed_kde, predicted_kde, q, method="exact"):
     """Vectorized density ratio.
 
     Returns
@@ -203,8 +204,8 @@ def density_ratio_many(observed_kde, predicted_kde, q, method="exact", grid=4096
         True where the predicted density fell below the floor.
     """
     pts = as_points(q)
-    num = observed_kde.pdf(pts, method=method, grid=grid)
-    den = predicted_kde.pdf(pts, method=method, grid=grid)
+    num = observed_kde.pdf(pts, method=method)
+    den = predicted_kde.pdf(pts, method=method)
     violations = den < DENSITY_FLOOR
     ratios = np.full(pts.shape[0], np.inf)
     np.divide(num, den, out=ratios, where=~violations)
@@ -294,9 +295,13 @@ class DensitySolution:
             raise ValueError("all density ratios are zero")
         return self.r_values / total
 
+    def pushforward(self):
+        """The update weights on the predicted values (the data-space fit)."""
+        return WeightedEdf(
+            self.predicted, WeightVector(self.update_weights(), Normalization.SUM_ONE))
 
-def solve_density(initial_samples, predicted_samples, observed_samples, rule="scott",
-                  method="exact", grid=4096):
+
+def solve_density(initial_samples, predicted_samples, observed_samples, rule="scott", method="exact"):
     """Run the density-based inversion.
 
     Fits Gaussian KDEs to the observed and predicted samples, evaluates the
@@ -313,7 +318,7 @@ def solve_density(initial_samples, predicted_samples, observed_samples, rule="sc
     observed_kde = kde_fit(observed_samples, rule)
     predicted_kde = kde_fit(predicted, rule)
     ratios, violations = density_ratio_many(
-        observed_kde, predicted_kde, predicted.points, method=method, grid=grid
+        observed_kde, predicted_kde, predicted.points, method=method
     )
     finite = np.isfinite(ratios)
     diag = diagnostic(ratios[finite]) if np.any(finite) else np.inf

@@ -10,7 +10,7 @@ quadrature at a documented resolution is enough for reporting and tests.
 
 import numpy as np
 
-from .core import Normalization, SampleSet, WeightedEdf, as_box, as_points
+from .core import Normalization, SampleSet, WeightedEdf, as_box, as_points, grid_points
 
 DEFAULT_GRID_1D = 512
 DEFAULT_GRID_2D = 128
@@ -80,30 +80,41 @@ def as_cdf_callable(f):
     """Normalize a distribution function to a callable over (m, d) arrays.
 
     Accepts a WeightedEdf, a SampleSet/array (interpreted as its plain EDF),
-    or any callable already mapping an (m, d) array to m values.
+    a target (anything with a ``cdf`` method; a 1-D target gets the first
+    column, and an EmpiricalTarget gives its plain EDF bit for bit), or any
+    callable already mapping an (m, d) array to m values.
     """
     if isinstance(f, WeightedEdf):
         return f.eval_many
     if isinstance(f, SampleSet) or isinstance(f, np.ndarray):
         return WeightedEdf.plain(f).eval_many
+    if hasattr(f, "cdf"):
+        return lambda pts: np.asarray(f.cdf(pts[:, 0] if pts.shape[1] == 1 else pts))
     if callable(f):
         return f
     raise TypeError(f"cannot interpret {type(f).__name__} as a distribution function")
 
 
-def _grid_centers(box, grid_per_dim):
+def _grid_diff(f, g, box, grid_per_dim, extra_points=None):
+    """(f - g at the cell midpoints of a regular grid on ``box``, the volume
+    of one cell). ``grid_per_dim`` None means DEFAULT_GRID_1D cells per
+    dimension for d = 1 and DEFAULT_GRID_2D for d >= 2. ``extra_points`` and
+    points just below them are evaluated after the midpoints."""
+    box = as_box(box)
+    if grid_per_dim is None:
+        grid_per_dim = DEFAULT_GRID_1D if box.dim == 1 else DEFAULT_GRID_2D
     if grid_per_dim < 2:
         raise ValueError(f"grid_per_dim must be >= 2, got {grid_per_dim}")
-    axes = [
+    pts = grid_points([
         box.lower[k] + (np.arange(grid_per_dim) + 0.5) * box.width[k] / grid_per_dim
         for k in range(box.dim)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
-def default_grid(dim):
-    return DEFAULT_GRID_1D if dim == 1 else DEFAULT_GRID_2D
+    ])
+    cell_vol = box.volume / len(pts)
+    if extra_points is not None:
+        extra = as_points(extra_points)
+        eps = np.maximum(np.abs(extra), 1.0) * 1e-12
+        pts = np.vstack([pts, extra, extra - eps])
+    return as_cdf_callable(f)(pts) - as_cdf_callable(g)(pts), cell_vol
 
 
 def l2_distance(f, g, box, grid_per_dim=None):
@@ -113,24 +124,14 @@ def l2_distance(f, g, box, grid_per_dim=None):
     dimension for d=1, 128 for d>=2. ``box`` goes through ``core.as_box``,
     so a ``(lower, upper)`` pair of bound vectors names a box only for d = 1.
     """
-    box = as_box(box)
-    if grid_per_dim is None:
-        grid_per_dim = default_grid(box.dim)
-    centers = _grid_centers(box, grid_per_dim)
-    diff = as_cdf_callable(f)(centers) - as_cdf_callable(g)(centers)
-    cell_vol = box.volume / len(centers)
+    diff, cell_vol = _grid_diff(f, g, box, grid_per_dim)
     return float(np.sqrt(np.sum(diff**2) * cell_vol))
 
 
 def l1_distance(f, g, box, grid_per_dim=None):
     """Midpoint-rule approximation of the L1 norm of (f - g) over ``box``
     (read as in :func:`l2_distance`)."""
-    box = as_box(box)
-    if grid_per_dim is None:
-        grid_per_dim = default_grid(box.dim)
-    centers = _grid_centers(box, grid_per_dim)
-    diff = as_cdf_callable(f)(centers) - as_cdf_callable(g)(centers)
-    cell_vol = box.volume / len(centers)
+    diff, cell_vol = _grid_diff(f, g, box, grid_per_dim)
     return float(np.sum(np.abs(diff)) * cell_vol)
 
 
@@ -142,13 +143,5 @@ def sup_distance(f, g, box, grid_per_dim=None, extra_points=None):
     ``extra_points`` to capture both sides of each jump exactly. ``box`` is
     read as in :func:`l2_distance`.
     """
-    box = as_box(box)
-    if grid_per_dim is None:
-        grid_per_dim = default_grid(box.dim)
-    pts = _grid_centers(box, grid_per_dim)
-    if extra_points is not None:
-        extra = as_points(extra_points)
-        eps = np.maximum(np.abs(extra), 1.0) * 1e-12
-        pts = np.vstack([pts, extra, extra - eps])
-    diff = as_cdf_callable(f)(pts) - as_cdf_callable(g)(pts)
+    diff, _ = _grid_diff(f, g, box, grid_per_dim, extra_points)
     return float(np.max(np.abs(diff)))

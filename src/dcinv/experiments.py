@@ -25,16 +25,18 @@ from .binning import (
     fit_weights,
     make_kmeans,
     make_regular_grid,
+    pushforward_binned,
     solve_binning,
     solve_naive,
 )
-from .core import Normalization, SampleSet, WeightedEdf, WeightVector, as_box, fit_box
+from .core import SampleSet, WeightedEdf, as_box, fit_box, grid_points
 from .density import solve_density, update_probability
-from .edf import edf_eval_many, l2_distance, sup_distance
+from .edf import l2_distance, sup_distance
 from .models import HeatRod, UniformBoxSampler, eval_qoi, heat_rod_observed
 from .targets import EmpiricalTarget, as_target, is_exact
 
 DIAGNOSTIC_GUARD = (0.8, 1.2)
+COMPARISON_GRID = 2048  # grid cells per dimension of compare_methods' distances
 
 
 class UntrustworthyBaselineError(RuntimeError):
@@ -92,9 +94,7 @@ class ConvergenceSpec:
 def derive_image_region(model, region_a, per_dim=81):
     """Interval hull of the model image of an axis-aligned parameter box."""
     box = as_box(region_a)
-    axes = [np.linspace(box.lower[k], box.upper[k], per_dim) for k in range(box.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.stack([m.ravel() for m in mesh], axis=1)
+    grid = grid_points([np.linspace(box.lower[k], box.upper[k], per_dim) for k in range(box.dim)])
     vals = eval_qoi(model, grid)
     return tuple((float(vals[:, k].min()), float(vals[:, k].max())) for k in range(vals.shape[1]))
 
@@ -336,21 +336,7 @@ def run_convergence(spec, progress=None, threads=1):
 METHOD_NAMES = ("unweighted", "naive", "binning-grid", "binning-kmeans", "density")
 
 
-def compare_methods(
-    model,
-    target,
-    n,
-    m,
-    p,
-    seed,
-    methods=METHOD_NAMES,
-    initial_sampler=None,
-    partition=None,
-    kde_rule="scott",
-    grid_per_dim=2048,
-    padding=PIPELINE_PADDING,
-    min_fill="none",
-):
+def compare_methods(model, target, n, m, p, seed, methods=METHOD_NAMES):
     """Push-forward accuracy table for the requested methods.
 
     Draws n initial samples and m observed samples under ``seed``, runs each
@@ -358,28 +344,26 @@ def compare_methods(
     method's data-space push-forward to the target CDF, the variance of its
     mean-one-scale weights, and, for the density row, the diagnostic.
     Binning rows carry the sample-level push-forward distances plus the
-    representative-point variants (l2_reps, sup_reps).
+    representative-point variants (l2_reps, sup_reps). The choices are fixed:
+    uniform initial samples on ``model.box``, p grid or k-means cells with no
+    minimum fill, ``PIPELINE_PADDING``, the default KDE rule, and
+    ``COMPARISON_GRID`` distance cells per dimension.
     """
-    sampler = initial_sampler or UniformBoxSampler(model.box)
     target = as_target(target)
-
-    initial = sampler.sample(n, np.random.default_rng(np.random.SeedSequence((seed, 10))))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 10)))
+    initial = UniformBoxSampler(model.box).sample(n, rng)
     predicted = SampleSet(eval_qoi(model, initial.points))
     if is_exact(target):
         observed = target.sample(m, np.random.default_rng(np.random.SeedSequence((seed, 11))))
     else:
         observed = target.samples
 
-    box = fit_box(predicted.points, padding=padding)
-    if is_exact(target):
-        target_cdf = lambda pts: np.asarray(target.cdf(pts[:, 0] if box.dim == 1 else pts))
-    else:
-        target_cdf = lambda pts: edf_eval_many(observed, pts)
+    box = fit_box(predicted.points, padding=PIPELINE_PADDING)
 
     def distances(pushforward, extra):
         return (
-            l2_distance(pushforward, target_cdf, box, grid_per_dim),
-            sup_distance(pushforward, target_cdf, box, grid_per_dim, extra_points=extra),
+            l2_distance(pushforward, target, box, COMPARISON_GRID),
+            sup_distance(pushforward, target, box, COMPARISON_GRID, extra_points=extra),
         )
 
     rows = []
@@ -390,33 +374,27 @@ def compare_methods(
             row["l2"], row["sup"] = distances(pf, predicted.points)
             row["weight_variance"] = 0.0
         elif name == "naive":
-            sol = solve_naive(
-                model, initial, target, padding=padding, predicted_samples=predicted.points
-            )
+            sol = solve_naive(model, initial, target, predicted_samples=predicted.points)
             row["l2"], row["sup"] = distances(sol.pushforward(), predicted.points)
             row["weight_variance"] = float(np.var(sol.weights.weights))
             row["solver_residual"] = sol.qp_solution.kkt.stationarity_residual
         elif name in ("binning-grid", "binning-kmeans"):
-            part = partition
-            if part is None:
-                part = ("grid", p) if name == "binning-grid" else ("kmeans", p)
             sol = solve_binning(
-                model, None, target, part, n_target=n, seed=seed,
-                padding=padding, min_fill=min_fill,
+                model, None, target, ("grid" if name == "binning-grid" else "kmeans", p),
+                n_target=n, seed=seed, min_fill="none",
                 initial_samples=initial, predicted_samples=predicted.points,
             )
             row["l2"], row["sup"] = distances(sol.pushforward_samples(), sol.predicted.points)
-            reps_pf = WeightedEdf(sol.partition.reps, sol.cell_weights)
-            row["l2_reps"], row["sup_reps"] = distances(reps_pf, sol.partition.reps.points)
+            reps_pf = pushforward_binned(sol)
+            row["l2_reps"], row["sup_reps"] = distances(reps_pf, reps_pf.samples.points)
             row["weight_variance"] = float(np.var(sol.n * sol.sample_weights.weights))
             row["p"] = int(sol.p)
             row["solver_residual"] = sol.qp_solution.kkt.stationarity_residual
         elif name == "density":
-            sol = solve_density(initial, predicted, SampleSet(observed.points), rule=kde_rule)
-            weights = sol.update_weights()
-            pf = WeightedEdf(predicted, WeightVector(weights, Normalization.SUM_ONE))
+            sol = solve_density(initial, predicted, SampleSet(observed.points))
+            pf = sol.pushforward()
             row["l2"], row["sup"] = distances(pf, predicted.points)
-            row["weight_variance"] = float(np.var(n * weights))
+            row["weight_variance"] = float(np.var(n * pf.weights.weights))
             row["diagnostic"] = float(sol.diagnostic)
             row["violations"] = sol.n_violations
         else:

@@ -338,3 +338,17 @@ def test_solve_binning_multi_batch_counts_and_alignment():
     np.testing.assert_array_equal(sol.initial.points, np.vstack(draws))
     np.testing.assert_array_equal(sol.predicted.points[:, 0], model.qoi(sol.initial.points))
     np.testing.assert_array_equal(sol.assignments, sol.partition.classify_many(sol.predicted.points))
+
+
+@pytest.mark.parametrize("method", ["naive", "binning"])
+def test_misaligned_sample_pairs_are_rejected(method):
+    lam = np.linspace(0.0, 1.0, 10)[:, None]
+    target = UniformTarget(0.0, 1.0)
+    with pytest.raises(ValueError, match="sample counts differ"):
+        if method == "naive":
+            solve_naive(None, lam, target, predicted_samples=lam[:7])
+        else:
+            solve_binning(
+                None, None, target, ("grid", 3), initial_samples=lam, predicted_samples=lam[:7]
+            )
+

@@ -445,3 +445,54 @@ def test_success_prints_no_error_record(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json")
     assert main(["solve", "--method", "naive", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     assert capsys.readouterr().out == ""
+
+
+BAD_OPTIONS = [
+    # (method, config overrides, pointer of the offending key)
+    ("binning-grid", {"method": {"p": 20, "cells_per_dim": [0]}}, "/method/cells_per_dim"),
+    ("binning-grid", {"method": {"p": 20, "cells_per_dim": ["a"]}}, "/method/cells_per_dim"),
+    ("binning-grid", {"method": {"p": 20, "cells_per_dim": [3, 3]}}, "/method/cells_per_dim"),
+    ("binning-grid", {"method": {"p": 20, "n_batch": -5}}, "/method/n_batch"),
+    ("binning-grid", {"method": {"p": 20, "n_batch": 0}}, "/method/n_batch"),
+    ("naive", {"method": {"padding": -1}}, "/method/padding"),
+    ("naive", {"output": {"pushforward_grid": -3}}, "/output/pushforward_grid"),
+    ("naive", {"output": {"pushforward_grid": 0}}, "/output/pushforward_grid"),
+    ("density", {"method": {"kde_rule": -0.5}}, "/method/kde_rule"),
+    ("density", {"method": {"kde_rule": True}}, "/method/kde_rule"),
+    ("binning-kmeans", {"initial": {"kind": "uniform", "n": 200}, "method": {"p": 500}},
+     "/method/p"),
+    ("naive", {"solver": {"tol": -1}}, "/solver/tol"),
+]
+
+
+@pytest.mark.parametrize("method, overrides, pointer", BAD_OPTIONS)
+def test_out_of_range_option_is_a_config_error(tmp_path, capsys, method, overrides, pointer):
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    assert main(["solve", "--method", method, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    record = error_record(capsys)
+    assert record["exit_code"] == 2 and record["kind"] == "ConfigError"
+    assert record["message"].startswith(f"{pointer}: ")
+
+
+def test_ignored_max_iter_key_still_loads(tmp_path):
+    plain = write_config(tmp_path / "plain.json")
+    with_key = write_config(tmp_path / "with_key.json", solver={"tol": 1e-8, "max_iter": 1})
+    for cfg, out in ((plain, "a"), (with_key, "b")):
+        assert main(["solve", "--method", "naive", "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
+    for name in ("weights.csv", "pushforward.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_live_binning_solve_evaluates_only_the_samples_it_keeps(tmp_path, monkeypatch):
+    from dcinv.models import HeatRod
+
+    rows = []
+    qoi = HeatRod.qoi
+    monkeypatch.setattr(HeatRod, "qoi", lambda self, lam: rows.append(len(lam)) or qoi(self, lam))
+    cfg = write_config(tmp_path / "cfg.json", method={"p": 20, "n_batch": 100})
+    out = tmp_path / "o"
+    assert main(["solve", "--method", "binning-grid", "--config", str(cfg), "--out", str(out)]) == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["n_batches"] > 0  # the fill loop ran
+    assert sum(rows) == meta["n_total"]
+    assert meta["n_initial"] == 400

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dcinv.core import BoxScaler, SampleSet
+from dcinv.core import BoxScaler, Normalization, SampleSet, WeightedEdf, WeightVector
 from dcinv.density import (
     KdeModel,
     density_ratio,
@@ -338,3 +338,19 @@ def test_pdf_exact_scratch_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 8_000_000
+
+
+def test_density_pushforward_bit_equal_to_the_front_end_copy():
+    rng = np.random.default_rng(12)
+    initial = SampleSet(rng.uniform(size=(400, 2)))
+    predicted = SampleSet(initial.points[:, :1] + 0.3 * initial.points[:, 1:] ** 2)
+    observed = SampleSet(rng.normal(0.6, 0.1, size=(300, 1)))
+    sol = solve_density(initial, predicted, observed)
+    got = sol.pushforward()
+    # the construction the CLI and compare_methods each made by hand
+    ref = WeightedEdf(predicted, WeightVector(sol.update_weights(), Normalization.SUM_ONE))
+    assert got.weights.normalization is Normalization.SUM_ONE
+    assert np.array_equal(got.samples.points.view(np.int64), ref.samples.points.view(np.int64))
+    assert np.array_equal(got.weights.weights.view(np.int64), ref.weights.weights.view(np.int64))
+    q = rng.uniform(0.0, 1.4, size=(200, 1))
+    assert np.array_equal(got.eval_many(q).view(np.int64), ref.eval_many(q).view(np.int64))

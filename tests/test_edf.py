@@ -3,12 +3,22 @@ import pytest
 
 from dcinv.core import BoxScaler, Normalization, SampleSet, WeightedEdf, WeightVector
 from dcinv.edf import (
+    as_cdf_callable,
     edf_eval,
+    edf_eval_many,
     l1_distance,
     l2_distance,
     sup_distance,
     wedf_eval,
     wedf_eval_many,
+)
+from dcinv.targets import (
+    EmpiricalTarget,
+    ExactCdfTarget,
+    MixtureOfUniforms,
+    NormalTarget,
+    UniformTarget,
+    is_exact,
 )
 
 
@@ -130,3 +140,46 @@ def test_eval_many_2d_matches_scalar():
     many = wedf_eval_many(wedf, queries)
     singles = np.array([wedf_eval(wedf, q) for q in queries])
     assert np.allclose(many, singles, atol=1e-14)
+
+
+def reference_target_cdfs(target):
+    """The per-front-end target CDF callables that ``as_cdf_callable`` replaced:
+    the CLI's (exact CDF, or the plain weighted EDF of the observed samples)
+    and ``compare_methods``' (exact CDF, or ``edf_eval_many``)."""
+    if is_exact(target):
+        cli = lambda pts: np.asarray(target.cdf(pts[:, 0] if pts.shape[1] == 1 else pts))
+        return [cli]
+    observed = target.samples
+    return [
+        lambda pts: wedf_eval_many(WeightedEdf.plain(observed), pts),
+        lambda pts: edf_eval_many(observed, pts),
+    ]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+_REF_RNG = np.random.default_rng(41)
+PINNED_TARGETS = {
+    "normal": NormalTarget(0.5, 0.2),
+    "uniform": UniformTarget(0.1, 0.7),
+    "mixture": MixtureOfUniforms(((0.3, 0.0, 0.2), (0.7, 0.4, 0.9))),
+    "exact_2d": ExactCdfTarget(
+        lambda q: np.clip(q[:, 0], 0, 1) * np.clip(q[:, 1], 0, 1) ** 2, dim=2
+    ),
+    "empirical_1d": EmpiricalTarget(_REF_RNG.uniform(size=(97, 1))),
+    "empirical_2d": EmpiricalTarget(_REF_RNG.uniform(size=(61, 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TARGETS))
+def test_as_cdf_callable_of_a_target_is_bit_equal_to_the_front_end_copies(name):
+    target = PINNED_TARGETS[name]
+    rng = np.random.default_rng(7)
+    pts = rng.uniform(-0.2, 1.2, size=(300, target.dim))
+    if not is_exact(target):
+        pts[:40] = target.samples.points[:40]  # queries exactly at the jumps
+    got = as_cdf_callable(target)(pts)
+    for reference in reference_target_cdfs(target):
+        assert np.array_equal(_bits(got), _bits(reference(pts)))

@@ -9,7 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 from dcinv.assembly import assemble_qp
 from dcinv.binning import distribute_cell_weights, fit_weights
-from dcinv.core import BoxScaler, as_box, fit_box
+from dcinv.core import BoxScaler, WeightedEdf, as_box, fit_box
+from dcinv.edf import as_cdf_callable
 from dcinv.targets import EmpiricalTarget, ExactCdfTarget, MixtureOfUniforms, NormalTarget
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -110,3 +111,14 @@ def test_distributed_weights_sum_to_one_and_are_constant_per_cell(case):
         cell = u[assignments == k]
         assert np.all(cell == cell[0])
         assert cell.sum() == pytest.approx(w_floored[k] / p, rel=1e-12, abs=1e-300)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    arrays(float, st.tuples(st.integers(1, 30), st.just(d)), elements=finite),
+    arrays(float, st.tuples(st.integers(1, 30), st.just(d)), elements=finite))))
+def test_empirical_target_cdf_is_its_plain_edf(data):
+    samples, queries = data
+    queries = np.vstack([queries, samples])  # hit every jump exactly too
+    got = as_cdf_callable(EmpiricalTarget(samples))(queries)
+    assert_bits_equal(got, WeightedEdf.plain(samples).eval_many(queries))
