@@ -15,11 +15,8 @@ import time
 import numpy as np
 
 from dcinv import (
-    Normalization,
     SampleSet,
     UniformBoxSampler,
-    WeightVector,
-    WeightedEdf,
     mixture_benchmark_model,
     mixture_benchmark_partition,
     mixture_benchmark_target,
@@ -46,7 +43,7 @@ t0 = time.perf_counter()
 sol = solve_binning(model, sampler, target, mixture_benchmark_partition(),
                     n_target=n, seed=seed)
 err_binning = sup_distance(
-    sol.pushforward_samples(), cdf, sol.box, grid_per_dim=8192,
+    sol.pushforward(), cdf, sol.box, grid_per_dim=8192,
     extra_points=np.vstack([sol.predicted.points, kinks]),
 )
 print(f"binning: sup error {err_binning:.4f}  "
@@ -61,7 +58,7 @@ initial = sampler.sample(n, rng)
 predicted = SampleSet(model.qoi(initial.points)[:, None])
 observed = target.sample(m, rng)
 dsol = solve_density(initial, predicted, observed)
-pf = WeightedEdf(predicted, WeightVector(dsol.update_weights(), Normalization.SUM_ONE))
+pf = dsol.pushforward()
 err_density = sup_distance(
     pf, cdf, sol.box, grid_per_dim=8192,
     extra_points=np.vstack([predicted.points, kinks]),

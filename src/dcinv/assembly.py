@@ -311,14 +311,14 @@ def scaled_cdf(target, box):
     return cdf, integral
 
 
-def assemble_qp(scaled_samples, target, box=None, quad_points_per_dim=DEFAULT_QUAD_POINTS):
+def assemble_qp(scaled_samples, target, box=None):
     """Build the full QpProblem for unit-box samples against a target.
 
     ``box`` maps the target's data space onto the unit box; None means the
     unit box ``BoxScaler(zeros(d), ones(d))``. Duplicated samples are
     jittered once so the matrix and vector stay consistent. Empirical target
     samples are scaled through ``box``; exact targets go through
-    :func:`scaled_cdf`.
+    :func:`scaled_cdf` and DEFAULT_QUAD_POINTS nodes per dimension.
     """
     pts = dedupe_jitter(_check_unit_box(as_points(scaled_samples)))
     target = _targets.as_target(target)
@@ -330,5 +330,5 @@ def assemble_qp(scaled_samples, target, box=None, quad_points_per_dim=DEFAULT_QU
         b = assemble_b_empirical(pts, box.scale(target.samples.points))
     else:
         cdf, integral = scaled_cdf(target, box)
-        b = assemble_b_exact(pts, cdf, quad_points_per_dim, integral_of_cdf=integral)
+        b = assemble_b_exact(pts, cdf, integral_of_cdf=integral)
     return QpProblem(assemble_h(pts), b)

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import assemble_qp
-from .core import (BoxScaler, Normalization, SampleSet, WeightedEdf, WeightVector, as_box,
-                   as_points, fit_box, grid_points)
-from .models import eval_qoi
+from .core import (BoxScaler, Normalization, SampleSet, WeightedEdf, WeightedPairs, WeightVector,
+                   as_box, as_points, fit_box, grid_points)
+from .models import _sample_pair, draw_pairs
 from .solver import solve_qp
 from .targets import as_target
 
@@ -54,6 +54,10 @@ class UnreachableCellError(RuntimeError):
 
 class AllWeightsFlooredError(ValueError):
     """Every cell weight is at or below the weight floor, so no cell is kept."""
+
+
+class EmptyDataBoxError(ValueError):
+    """The given data box contains none of the predicted samples."""
 
 
 @dataclass(frozen=True)
@@ -224,14 +228,15 @@ def fit_weights(points, target, box, solver_tol=1e-8):
     return solve_qp(problem, tol=solver_tol)
 
 
-def _sample_pair(qoi, initial, predicted):
-    """Aligned (initial SampleSet, (n, d_out) predicted array); ``predicted``
-    None runs ``qoi`` on the initial points."""
-    initial = initial if isinstance(initial, SampleSet) else SampleSet(initial)
-    predicted_pts = eval_qoi(qoi, initial.points) if predicted is None else as_points(predicted)
-    if predicted_pts.shape[0] != initial.n:
-        raise ValueError("initial and predicted sample counts differ")
-    return initial, predicted_pts
+def _data_box(predicted, data_box, padding):
+    """``data_box``, a known support of the ``predicted`` points, or if None the
+    box fitted to them; EmptyDataBoxError if ``data_box`` contains none of them."""
+    if data_box is None:
+        return fit_box(predicted, padding=padding)
+    if not data_box.contains(predicted).any():
+        bounds = np.column_stack([data_box.lower, data_box.upper]).tolist()
+        raise EmptyDataBoxError(f"data box {bounds} contains none of the {len(predicted)} samples")
+    return data_box
 
 
 def classify(partition, q):
@@ -240,16 +245,16 @@ def classify(partition, q):
 
 
 @dataclass(frozen=True)
-class BinnedSolution:
+class BinnedSolution(WeightedPairs):
     """Output of the binning method.
 
-    cell_weights w are mean-one over the p cells; sample_weights u are
-    sum-one over the n parameter samples, constant within each cell.
+    cell_weights w are mean-one over the p cells; weights u are sum-one over
+    the n parameter samples, constant within each cell.
     """
 
     partition: object
     cell_weights: WeightVector
-    sample_weights: WeightVector
+    weights: WeightVector
     assignments: np.ndarray
     counts: np.ndarray
     n_min: np.ndarray
@@ -266,14 +271,6 @@ class BinnedSolution:
     @property
     def n(self):
         return self.initial.n
-
-    def initial_wedf(self):
-        """The solution: the u-weighted EDF on the parameter samples."""
-        return WeightedEdf(self.initial, self.sample_weights)
-
-    def pushforward_samples(self):
-        """u-weighted EDF over the predicted sample values."""
-        return WeightedEdf(self.predicted, self.sample_weights)
 
 
 def pushforward_binned(solution):
@@ -419,13 +416,12 @@ def solve_binning(
     else:
         if n_target is None or n_target < 1:
             raise ValueError(f"n_target must be positive, got {n_target}")
-        initial_pts = as_points(initial_sampler.sample(n_target, rng))
-        predicted_pts = eval_qoi(qoi, initial_pts)
+        initial_pts, predicted_pts = draw_pairs(initial_sampler, qoi, n_target, rng)
     if n_batch is None:
         n_batch = max(int(n_target), 1)
 
     target = as_target(target)
-    box = data_box if data_box is not None else fit_box(predicted_pts, padding=padding)
+    box = _data_box(predicted_pts, data_box, padding)
     part = _resolve_partition(partition, predicted_pts, box, seed)
     p = part.p
 
@@ -449,8 +445,7 @@ def solve_binning(
             if batches >= max_batches:
                 deficient = np.nonzero(counts < n_min)[0]
                 raise UnreachableCellError(deficient, w[deficient])
-            new_initial = as_points(initial_sampler.sample(n_batch, rng))
-            new_pred = eval_qoi(qoi, new_initial)
+            new_initial, new_pred = draw_pairs(initial_sampler, qoi, n_batch, rng)
             new_assign = part.classify_many(new_pred)
             chunks.append((new_initial, new_pred, new_assign))
             counts += np.bincount(new_assign, minlength=p)
@@ -465,7 +460,7 @@ def solve_binning(
     return BinnedSolution(
         partition=part,
         cell_weights=WeightVector(w_floored, Normalization.MEAN_ONE),
-        sample_weights=WeightVector(u, Normalization.SUM_ONE),
+        weights=WeightVector(u, Normalization.SUM_ONE),
         assignments=assignments,
         counts=counts,
         n_min=n_min,
@@ -478,7 +473,7 @@ def solve_binning(
 
 
 @dataclass(frozen=True)
-class NaiveSolution:
+class NaiveSolution(WeightedPairs):
     """Output of the naive method: QP weights applied directly to the
     parameter samples."""
 
@@ -487,13 +482,6 @@ class NaiveSolution:
     predicted: SampleSet
     box: BoxScaler
     qp_solution: object
-
-    def initial_wedf(self):
-        return WeightedEdf(self.initial, self.weights)
-
-    def pushforward(self):
-        """The same weights on the predicted values (the data-space fit)."""
-        return WeightedEdf(self.predicted, self.weights)
 
 
 def solve_naive(
@@ -514,7 +502,7 @@ def solve_naive(
     """
     initial, predicted_pts = _sample_pair(qoi, initial_samples, predicted_samples)
     target = as_target(target)
-    box = data_box if data_box is not None else fit_box(predicted_pts, padding=padding)
+    box = _data_box(predicted_pts, data_box, padding)
     qp_sol = fit_weights(predicted_pts, target, box, solver_tol)
     return NaiveSolution(
         weights=qp_sol.weights,

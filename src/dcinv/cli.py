@@ -39,17 +39,18 @@ import numpy as np
 from . import __version__
 from .binning import (
     AllWeightsFlooredError,
+    EmptyDataBoxError,
     UnreachableCellError,
     make_regular_grid,
     solve_binning,
     solve_naive,
 )
 from .config import ConfigError, build_convergence_spec, build_solve_config, load_config
-from .core import SampleSet, fit_box, grid_points
+from .core import fit_box, grid_points
 from .density import solve_density
 from .edf import as_cdf_callable, wedf_eval_many
 from .experiments import UntrustworthyBaselineError, _jsonify, run_convergence
-from .models import UniformBoxSampler, eval_qoi
+from .models import UniformBoxSampler, draw_pairs
 from .solver import NonPositiveDefiniteError, WeightCollapseError
 
 EXIT_OK = 0
@@ -142,14 +143,20 @@ def _write_pushforward_csv(path, pushforward, target_cdf, box, grid):
 
 
 def _initial_samples(cfg):
-    """(initial, predicted) sample sets: drawn under the config seed and run
-    through the model for a live model, as loaded otherwise."""
+    """(initial, predicted) samples: drawn under the config seed and run
+    through the model for a live model (arrays), as loaded otherwise."""
     model = cfg.model
     if not model.live:
         return model.initial, model.predicted
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 10)))
-    initial = UniformBoxSampler(model.model.box).sample(cfg.n_initial, rng)
-    return initial, SampleSet(eval_qoi(model.model, initial.points))
+    return draw_pairs(UniformBoxSampler(model.model.box), model.model, cfg.n_initial, rng)
+
+
+def _solve_density(cfg):
+    """The density method on the config's initial and observed samples."""
+    observed = cfg.target.observed_or_fail
+    initial, predicted = _initial_samples(cfg)
+    return solve_density(initial, predicted, observed, rule=cfg.kde_rule)
 
 
 def _run_solve(method, cfg, out_dir, threads):
@@ -165,8 +172,6 @@ def _run_solve(method, cfg, out_dir, threads):
     model = cfg.model
     meta["n_initial"] = cfg.n_initial if model.live else model.initial.n
 
-    solver_meta = {}
-    diagnostic_value = None
     if method == "naive":
         initial, predicted = _initial_samples(cfg)
         sol = solve_naive(
@@ -176,14 +181,8 @@ def _run_solve(method, cfg, out_dir, threads):
             padding=cfg.padding,
             data_box=cfg.data_box,
             solver_tol=cfg.solver_tol,
-            predicted_samples=predicted.points,
+            predicted_samples=predicted,
         )
-        weights = sol.weights.weights
-        pushforward = sol.pushforward()
-        box = sol.box
-        solver_meta = _solver_meta(sol.qp_solution)
-        converged = sol.qp_solution.converged
-        meta["weight_normalization"] = "mean_one"
     elif method in ("binning-grid", "binning-kmeans"):
         if method == "binning-grid":
             cells = cfg.cells_per_dim or cfg.p
@@ -218,57 +217,34 @@ def _run_solve(method, cfg, out_dir, threads):
             initial_samples=None if model.live else model.initial,
             predicted_samples=None if model.live else model.predicted.points,
         )
-        initial, predicted = sol.initial, sol.predicted
-        weights = sol.sample_weights.weights
-        pushforward = sol.pushforward_samples()
-        box = sol.box
-        solver_meta = _solver_meta(sol.qp_solution)
-        converged = sol.qp_solution.converged
-        meta.update(
-            {
-                "weight_normalization": "sum_one",
-                "p": sol.p,
-                "partition_kind": sol.partition.kind,
-                "n_batches": sol.n_batches,
-                "n_total": sol.n,
-                "cell_counts_min": int(sol.counts.min()),
-            }
-        )
+        meta.update(p=sol.p, partition_kind=sol.partition.kind, n_batches=sol.n_batches,
+                    n_total=sol.n, cell_counts_min=int(sol.counts.min()))
     elif method == "density":
-        observed = cfg.target.observed_or_fail
-        initial, predicted = _initial_samples(cfg)
-        sol = solve_density(initial, predicted, observed, rule=cfg.kde_rule)
-        pushforward = sol.pushforward()
-        weights = pushforward.weights.weights
-        box = fit_box(predicted.points, padding=cfg.padding)
-        diagnostic_value = sol.diagnostic
-        converged = True
-        meta.update(
-            {
-                "weight_normalization": "sum_one",
-                "diagnostic": sol.diagnostic,
-                "violations": sol.n_violations,
-                "kde_rule": str(cfg.kde_rule),
-                "m_observed": observed.n,
-            }
-        )
+        sol = _solve_density(cfg)
+        _log(f"diagnostic: {sol.diagnostic:.6f}")
+        meta.update(diagnostic=sol.diagnostic, violations=sol.n_violations,
+                    kde_rule=str(cfg.kde_rule), m_observed=sol.observed_kde.n)
     else:
         raise ConfigError("/method", f"unknown method {method!r}")
 
-    meta["solver"] = solver_meta
-    _write_weights_csv(os.path.join(out_dir, "weights.csv"), initial.points, predicted.points, weights)
+    weights, qp = sol.weights, sol.qp_solution
+    meta["weight_normalization"] = weights.normalization.value
+    meta["solver"] = _solver_meta(qp) if qp is not None else {}
+    _write_weights_csv(
+        os.path.join(out_dir, "weights.csv"), sol.initial.points, sol.predicted.points,
+        weights.weights,
+    )
+    box = sol.box if sol.box is not None else fit_box(sol.predicted.points, padding=cfg.padding)
     _write_pushforward_csv(
         os.path.join(out_dir, "pushforward.csv"),
-        pushforward,
+        sol.pushforward(),
         as_cdf_callable(cfg.target.target),
         box,
         cfg.pushforward_grid,
     )
     meta["timing"] = {"wall_clock_s": time.perf_counter() - t_start}
     _write_json(os.path.join(out_dir, "meta.json"), meta)
-    if diagnostic_value is not None:
-        _log(f"diagnostic: {diagnostic_value:.6f}")
-    if not converged:
+    if qp is not None and not qp.converged:
         reason = "solver did not converge; results flagged in meta.json"
         _log(reason)
         return _error_record(EXIT_NONCONVERGED, "NotConverged", reason)
@@ -291,6 +267,8 @@ def _cmd_solve(args):
     cfg = build_solve_config(load_config(args.config), base_dir=os.path.dirname(args.config) or ".")
     try:
         return _run_solve(args.method, cfg, args.out, args.threads)
+    except EmptyDataBoxError as exc:
+        raise ConfigError("/method/data_box", str(exc)) from None
     except UnreachableCellError as exc:
         return _fail(EXIT_UNREACHABLE, "unreachable cell", exc)
     except SOLVER_FAILURES as exc:
@@ -299,9 +277,7 @@ def _cmd_solve(args):
 
 def _cmd_diagnose(args):
     cfg = build_solve_config(load_config(args.config), base_dir=os.path.dirname(args.config) or ".")
-    initial, predicted = _initial_samples(cfg)
-    observed = cfg.target.observed_or_fail
-    sol = solve_density(initial, predicted, observed, rule=cfg.kde_rule)
+    sol = _solve_density(cfg)
     print(json.dumps({"diagnostic": sol.diagnostic, "violations": sol.n_violations}))
     return EXIT_OK if 0.8 <= sol.diagnostic <= 1.2 else EXIT_DIAGNOSTIC
 

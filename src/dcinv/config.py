@@ -33,8 +33,11 @@ Validated ranges: ``initial.n``, ``method.p``, ``method.n_batch`` and
 nonempty list of integers >= 1, one per data dimension; ``method.padding``
 is a finite number >= 0; ``solver.tol`` is a finite number > 0;
 ``method.kde_rule`` is "scott", "silverman" or a finite number > 0 (a fixed
-bandwidth). k-means needs ``method.p`` at most the number of initial
-samples. Unknown keys are ignored.
+bandwidth); ``method.partition_box`` and ``method.data_box`` have the
+data's (the target's) dimension. k-means needs ``method.p`` at most the
+number of initial samples, ``method.data_box`` must contain a predicted
+sample, and the density method needs at least 2 observed samples. Unknown
+keys are ignored.
 
 The convergence spec file carries the ConvergenceSpec fields (n_grid, p_grid,
 trials, seed, region_a, optional region_b, partition_kind, model, target,
@@ -170,6 +173,8 @@ class ResolvedTarget:
                 "/target/m",
                 "this method needs observed samples; set target.m (or use kind=samples)",
             )
+        if self.observed.n < 2:
+            raise ConfigError("/target/m", f"needs at least 2 observed samples, got {self.observed.n}")
         return self.observed
 
 
@@ -249,9 +254,12 @@ def build_solve_config(cfg, base_dir="."):
         if raw is None:
             return None
         try:
-            return as_box(raw)
+            box = as_box(raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"/method/{key}", str(exc)) from None
+        if box.dim != target.target.dim:
+            raise ConfigError(f"/method/{key}", f"a {box.dim}-D box for {target.target.dim}-D data")
+        return box
 
     partition_box = _box_option("partition_box")
     data_box = _box_option("data_box")

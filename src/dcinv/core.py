@@ -175,6 +175,21 @@ class WeightedEdf:
         return cls(samples, WeightVector(np.ones(samples.n)))
 
 
+class WeightedPairs:
+    """The result shape of the naive, binning and density methods: aligned
+    ``initial`` and ``predicted`` SampleSets, one ``weights`` WeightVector on
+    them (its ``normalization`` says mean-one or sum-one), the data ``box``
+    and the ``qp_solution`` of the fit, both None where no QP is fitted."""
+
+    def initial_wedf(self):
+        """The solution: the weighted EDF on the parameter samples."""
+        return WeightedEdf(self.initial, self.weights)
+
+    def pushforward(self):
+        """The same weights on the predicted values (the data-space fit)."""
+        return WeightedEdf(self.predicted, self.weights)
+
+
 @dataclass(frozen=True)
 class BoxScaler:
     """Component-wise affine map between a bounding box and the unit hypercube."""

@@ -11,11 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Normalization, SampleSet, WeightedEdf, WeightVector, as_box, as_points,
+from .core import (Normalization, SampleSet, WeightedPairs, WeightVector, as_box, as_points,
                    exp_or_zero)
+from .models import _sample_pair
 
 DENSITY_FLOOR = 1e-300
 COV_EPS = 1e-12
+BINNED_GRID = 4096  # grid cells of the binned 1-D evaluation
 
 # Query-by-sample elements per block of exact evaluation (about 13 query rows
 # at n = 10 000). Kept small so that the block (1 MiB at d = 1) stays in cache
@@ -58,7 +60,7 @@ class KdeModel:
     def n(self):
         return self.points.n
 
-    def pdf(self, q, method="exact", grid=4096):
+    def pdf(self, q, method="exact"):
         """Density values at query points.
 
         method="exact" sums all n kernels directly: O(n m) time for m
@@ -70,8 +72,8 @@ class KdeModel:
 
         method="binned" (d = 1 only) convolves a histogram of the samples
         with the kernel on a regular grid and interpolates: O(n + grid log
-        grid + m) time. With the default 4096-point grid its relative error
-        is ~(grid spacing / bandwidth)^2 / 24, far below Monte-Carlo noise.
+        grid + m) time. With BINNED_GRID = 4096 cells its relative error is
+        ~(grid spacing / bandwidth)^2 / 24, far below Monte-Carlo noise.
         """
         pts = as_points(q)
         if pts.shape[1] != self.dim:
@@ -79,7 +81,7 @@ class KdeModel:
         if method == "binned":
             if self.dim != 1:
                 raise ValueError("binned evaluation is 1-D only")
-            return self._pdf_binned_1d(pts[:, 0], grid)
+            return self._pdf_binned_1d(pts[:, 0])
         if method != "exact":
             raise ValueError(f"unknown evaluation method {method!r}")
         return self._pdf_exact(pts)
@@ -119,7 +121,7 @@ class KdeModel:
             block.sum(axis=1, out=out[start:stop])
         return out / (self.n * np.exp(log_norm))
 
-    def _pdf_binned_1d(self, q, grid):
+    def _pdf_binned_1d(self, q):
         if q.size == 0:
             return np.empty(0)
         x = self.points.points[:, 0]
@@ -127,8 +129,8 @@ class KdeModel:
         pad = 8.0 * h
         lo = min(x.min(), q.min()) - pad
         hi = max(x.max(), q.max()) + pad
-        delta = (hi - lo) / grid
-        edges = np.linspace(lo, hi, grid + 1)
+        delta = (hi - lo) / BINNED_GRID
+        edges = np.linspace(lo, hi, BINNED_GRID + 1)
         counts, _ = np.histogram(x, bins=edges)
         centers = 0.5 * (edges[:-1] + edges[1:])
         half = int(np.ceil(pad / delta))
@@ -273,7 +275,7 @@ def update_probability(region, initial_samples, r_values):
 
 
 @dataclass(frozen=True)
-class DensitySolution:
+class DensitySolution(WeightedPairs):
     """Full output of the density-based inversion on a sample set."""
 
     initial: SampleSet
@@ -284,21 +286,20 @@ class DensitySolution:
     observed_kde: KdeModel
     predicted_kde: KdeModel
 
+    box = None  # no data box and no QP: the ratios need neither
+    qp_solution = None
+
     @property
     def n_violations(self):
         return int(np.sum(self.violations))
 
-    def update_weights(self):
-        """Self-normalized weights on the initial samples (sum to one)."""
+    @property
+    def weights(self):
+        """Self-normalized ratios on the initial samples (sum to one)."""
         total = float(np.sum(self.r_values))
         if total <= 0:
             raise ValueError("all density ratios are zero")
-        return self.r_values / total
-
-    def pushforward(self):
-        """The update weights on the predicted values (the data-space fit)."""
-        return WeightedEdf(
-            self.predicted, WeightVector(self.update_weights(), Normalization.SUM_ONE))
+        return WeightVector(self.r_values / total, Normalization.SUM_ONE)
 
 
 def solve_density(initial_samples, predicted_samples, observed_samples, rule="scott", method="exact"):
@@ -309,12 +310,8 @@ def solve_density(initial_samples, predicted_samples, observed_samples, rule="sc
     Infinite ratios (predicted density underflow) are excluded from the
     diagnostic mean but counted as violations.
     """
-    initial = initial_samples if isinstance(initial_samples, SampleSet) else SampleSet(initial_samples)
-    predicted = predicted_samples if isinstance(predicted_samples, SampleSet) else SampleSet(predicted_samples)
-    if initial.n != predicted.n:
-        raise ValueError(
-            f"{initial.n} initial samples but {predicted.n} predicted values"
-        )
+    initial, predicted_pts = _sample_pair(None, initial_samples, predicted_samples)
+    predicted = SampleSet(predicted_pts)
     observed_kde = kde_fit(observed_samples, rule)
     predicted_kde = kde_fit(predicted, rule)
     ratios, violations = density_ratio_many(

@@ -29,14 +29,15 @@ from .binning import (
     solve_binning,
     solve_naive,
 )
-from .core import SampleSet, WeightedEdf, as_box, fit_box, grid_points
+from .core import Normalization, SampleSet, WeightedEdf, as_box, fit_box, grid_points
 from .density import solve_density, update_probability
 from .edf import l2_distance, sup_distance
-from .models import HeatRod, UniformBoxSampler, eval_qoi, heat_rod_observed
+from .models import HeatRod, UniformBoxSampler, draw_pairs, eval_qoi, heat_rod_observed
 from .targets import EmpiricalTarget, as_target, is_exact
 
 DIAGNOSTIC_GUARD = (0.8, 1.2)
 COMPARISON_GRID = 2048  # grid cells per dimension of compare_methods' distances
+IMAGE_REGION_GRID = 81  # grid points per dimension of derive_image_region
 
 
 class UntrustworthyBaselineError(RuntimeError):
@@ -91,11 +92,11 @@ class ConvergenceSpec:
             )
 
 
-def derive_image_region(model, region_a, per_dim=81):
+def derive_image_region(model, region_a):
     """Interval hull of the model image of an axis-aligned parameter box."""
     box = as_box(region_a)
-    grid = grid_points([np.linspace(box.lower[k], box.upper[k], per_dim) for k in range(box.dim)])
-    vals = eval_qoi(model, grid)
+    axes = [np.linspace(lo, hi, IMAGE_REGION_GRID) for lo, hi in zip(box.lower, box.upper)]
+    vals = eval_qoi(model, grid_points(axes))
     return tuple((float(vals[:, k].min()), float(vals[:, k].max())) for k in range(vals.shape[1]))
 
 
@@ -181,11 +182,9 @@ def _spec_dict(spec):
 def _baseline_trial(args):
     model, observed_pts, baseline_n, region_a, seed_key = args
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-    sampler = UniformBoxSampler(model.box)
-    initial = sampler.sample(baseline_n, rng)
-    predicted = SampleSet(eval_qoi(model, initial.points))
+    initial, predicted = draw_pairs(UniformBoxSampler(model.box), model, baseline_n, rng)
     sol = solve_density(initial, predicted, SampleSet(observed_pts), method="binned")
-    p_a = update_probability(region_a, initial.points, sol.r_values).self_normalized
+    p_a = update_probability(region_a, initial, sol.r_values).self_normalized
     return float(sol.diagnostic), float(p_a)
 
 
@@ -196,9 +195,7 @@ def _study_trial(args):
     box_a = as_box(region_a)
     box_b = as_box(region_b)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 2, t)))
-    sampler = UniformBoxSampler(model.box)
-    initial_full = sampler.sample(n_grid[-1], rng).points
-    predicted_full = eval_qoi(model, initial_full)
+    initial_full, predicted_full = draw_pairs(UniformBoxSampler(model.box), model, n_grid[-1], rng)
     box = fit_box(predicted_full, padding=padding)
     if partition_kind == "grid":
         # A grid, and so its QP and weights, depends only on the trial's box
@@ -334,6 +331,9 @@ def run_convergence(spec, progress=None, threads=1):
 
 
 METHOD_NAMES = ("unweighted", "naive", "binning-grid", "binning-kmeans", "density")
+# the key order of a compare_methods row, which write_comparison's CSV columns follow
+ROW_KEYS = ("method", "n", "m", "seed", "l2", "sup", "l2_reps", "sup_reps", "weight_variance", "p",
+            "solver_residual", "diagnostic", "violations")
 
 
 def compare_methods(model, target, n, m, p, seed, methods=METHOD_NAMES):
@@ -351,55 +351,49 @@ def compare_methods(model, target, n, m, p, seed, methods=METHOD_NAMES):
     """
     target = as_target(target)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 10)))
-    initial = UniformBoxSampler(model.box).sample(n, rng)
-    predicted = SampleSet(eval_qoi(model, initial.points))
+    initial, predicted = draw_pairs(UniformBoxSampler(model.box), model, n, rng)
     if is_exact(target):
         observed = target.sample(m, np.random.default_rng(np.random.SeedSequence((seed, 11))))
     else:
         observed = target.samples
 
-    box = fit_box(predicted.points, padding=PIPELINE_PADDING)
+    box = fit_box(predicted, padding=PIPELINE_PADDING)
 
-    def distances(pushforward, extra):
+    def distances(pushforward):
         return (
             l2_distance(pushforward, target, box, COMPARISON_GRID),
-            sup_distance(pushforward, target, box, COMPARISON_GRID, extra_points=extra),
+            sup_distance(pushforward, target, box, COMPARISON_GRID,
+                         extra_points=pushforward.samples.points),
         )
 
     rows = []
     for name in methods:
         row = {"method": name, "n": int(n), "m": int(m), "seed": int(seed)}
-        if name == "unweighted":
-            pf = WeightedEdf.plain(predicted)
-            row["l2"], row["sup"] = distances(pf, predicted.points)
-            row["weight_variance"] = 0.0
-        elif name == "naive":
-            sol = solve_naive(model, initial, target, predicted_samples=predicted.points)
-            row["l2"], row["sup"] = distances(sol.pushforward(), predicted.points)
-            row["weight_variance"] = float(np.var(sol.weights.weights))
-            row["solver_residual"] = sol.qp_solution.kkt.stationarity_residual
+        sol = None
+        if name == "naive":
+            sol = solve_naive(model, initial, target, predicted_samples=predicted)
         elif name in ("binning-grid", "binning-kmeans"):
             sol = solve_binning(
                 model, None, target, ("grid" if name == "binning-grid" else "kmeans", p),
                 n_target=n, seed=seed, min_fill="none",
-                initial_samples=initial, predicted_samples=predicted.points,
+                initial_samples=initial, predicted_samples=predicted,
             )
-            row["l2"], row["sup"] = distances(sol.pushforward_samples(), sol.predicted.points)
-            reps_pf = pushforward_binned(sol)
-            row["l2_reps"], row["sup_reps"] = distances(reps_pf, reps_pf.samples.points)
-            row["weight_variance"] = float(np.var(sol.n * sol.sample_weights.weights))
+            row["l2_reps"], row["sup_reps"] = distances(pushforward_binned(sol))
             row["p"] = int(sol.p)
-            row["solver_residual"] = sol.qp_solution.kkt.stationarity_residual
         elif name == "density":
-            sol = solve_density(initial, predicted, SampleSet(observed.points))
-            pf = sol.pushforward()
-            row["l2"], row["sup"] = distances(pf, predicted.points)
-            row["weight_variance"] = float(np.var(n * pf.weights.weights))
+            sol = solve_density(initial, predicted, observed)
             row["diagnostic"] = float(sol.diagnostic)
             row["violations"] = sol.n_violations
-        else:
+        elif name != "unweighted":
             raise ValueError(f"unknown method {name!r}")
-        rows.append(_jsonify(row))
+        pf = WeightedEdf.plain(predicted) if sol is None else sol.pushforward()
+        row["l2"], row["sup"] = distances(pf)
+        w = pf.weights
+        mean_one = w.weights if w.normalization is Normalization.MEAN_ONE else w.n * w.weights
+        row["weight_variance"] = float(np.var(mean_one))
+        if sol is not None and sol.qp_solution is not None:
+            row["solver_residual"] = sol.qp_solution.kkt.stationarity_residual
+        rows.append(_jsonify({k: row[k] for k in ROW_KEYS if k in row}))
     return rows
 
 

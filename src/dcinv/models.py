@@ -184,6 +184,23 @@ def eval_qoi(qoi, pts):
     return out
 
 
+def draw_pairs(sampler, qoi, n, rng):
+    """Draw ``n`` samples with ``sampler.sample(n, rng)`` and run them through
+    ``qoi``: the aligned (n, d_in) initial and (n, d_out) predicted arrays."""
+    initial = as_points(sampler.sample(n, rng))
+    return initial, eval_qoi(qoi, initial)
+
+
+def _sample_pair(qoi, initial, predicted):
+    """Aligned (initial SampleSet, (n, d_out) predicted array); ``predicted``
+    None runs ``qoi`` on the initial points."""
+    initial = initial if isinstance(initial, SampleSet) else SampleSet(initial)
+    predicted_pts = eval_qoi(qoi, initial.points) if predicted is None else as_points(predicted)
+    if predicted_pts.shape[0] != initial.n:
+        raise ValueError("initial and predicted sample counts differ")
+    return initial, predicted_pts
+
+
 class UniformBoxSampler:
     """Draw uniform samples from an axis-aligned box, one row per draw."""
 

@@ -157,7 +157,6 @@ class QpSolution:
     kkt: KktReport
     objective: float
     method: str
-    objective_history: tuple
 
     @property
     def weights(self):
@@ -210,17 +209,13 @@ def _projected_gradient(problem, w0, tol, max_iter):
     lam_max = float(np.linalg.eigvalsh(h)[-1])
     step = 1.0 / max(lam_max, 1e-300)
     w = _project_scaled_simplex(np.asarray(w0, dtype=float), float(ell))
-    history = [problem.objective(w)]
     for it in range(max_iter):
         g = h @ w - b
-        w_new = _project_scaled_simplex(w - step * g, float(ell))
-        w = w_new
+        w = _project_scaled_simplex(w - step * g, float(ell))
         if it % 16 == 0 or it == max_iter - 1:
-            history.append(problem.objective(w))
-            report = verify_kkt(problem, w, tol)
-            if report.passed:
-                return w, True, it + 1, history
-    return w, False, max_iter, history
+            if verify_kkt(problem, w, tol).passed:
+                return w, True, it + 1
+    return w, False, max_iter
 
 
 def _cleanup(w, ell, tol):
@@ -274,7 +269,6 @@ def solve_qp(problem, tol=DEFAULT_TOL, max_iter=None, w0=None):
 
     active = w <= 0.0
     factor = _FreeBlockFactor(h, np.nonzero(~active)[0])
-    history = []
     seen_sets = {}
     nu = 0.0
     optimal = False
@@ -286,13 +280,12 @@ def solve_qp(problem, tol=DEFAULT_TOL, max_iter=None, w0=None):
         key = frozenset(free)
         seen_sets[key] = seen_sets.get(key, 0) + 1
         if seen_sets[key] > 2:
-            w_pg, ok, its, hist_pg = _projected_gradient(problem, w, tol, max_iter * 8)
+            w_pg, ok, its = _projected_gradient(problem, w, tol, max_iter * 8)
             w_clean = _cleanup(w_pg, ell, tol)
             report = verify_kkt(problem, w_clean, tol)
             return QpSolution(
                 w_clean, ok and report.passed, iteration + its, report,
                 problem.objective(w_clean), "projected-gradient",
-                tuple(history + hist_pg),
             )
 
         bf = b[free]
@@ -302,7 +295,6 @@ def solve_qp(problem, tol=DEFAULT_TOL, max_iter=None, w0=None):
         w_target = a - (nu / ell) * c
         wf = w[free]
         p = w_target - wf
-        history.append(problem.objective(w))
 
         step_scale = max(1.0, float(np.max(np.abs(wf))))
         if np.max(np.abs(p)) <= 1e-14 * step_scale:
@@ -342,8 +334,6 @@ def solve_qp(problem, tol=DEFAULT_TOL, max_iter=None, w0=None):
     if not report.passed:
         report = verify_kkt(problem, w_clean, tol)
     converged = optimal and report.passed
-    history.append(problem.objective(w_clean))
     return QpSolution(
-        w_clean, converged, iteration, report,
-        problem.objective(w_clean), "active-set", tuple(history),
+        w_clean, converged, iteration, report, problem.objective(w_clean), "active-set"
     )

@@ -236,7 +236,7 @@ def test_criterion_3_identity_case_all_ones():
 
 
 def _check_binning_structure(sol):
-    u = sol.sample_weights.weights
+    u = sol.weights.weights
     w = sol.cell_weights.weights
     assert abs(u.sum() - 1.0) <= 1e-8
     agg_dev = 0.0
@@ -321,7 +321,7 @@ def test_criterion_6_mixture_superiority():
     )
     cdf = lambda pts: target.cdf(pts[:, 0])
     err_binning = sup_distance(
-        sol.pushforward_samples(), cdf, sol.box, grid_per_dim=8192,
+        sol.pushforward(), cdf, sol.box, grid_per_dim=8192,
         extra_points=np.vstack([sol.predicted.points, kinks]),
     )
 
@@ -330,9 +330,7 @@ def test_criterion_6_mixture_superiority():
     predicted = SampleSet(model.qoi(initial.points)[:, None])
     observed = target.sample(m, np.random.default_rng(np.random.SeedSequence((seed, 11))))
     dsol = solve_density(initial, predicted, observed)
-    pf_density = WeightedEdf(
-        predicted, WeightVector(dsol.update_weights(), Normalization.SUM_ONE)
-    )
+    pf_density = dsol.pushforward()
     err_density = sup_distance(
         pf_density, cdf, sol.box, grid_per_dim=8192,
         extra_points=np.vstack([predicted.points, kinks]),
@@ -394,13 +392,13 @@ def test_criterion_8_naive_vs_binning():
         initial_samples=initial, min_fill="none",
     )
     var_naive = float(np.var(naive.weights.weights))
-    var_binned = float(np.var(n * binned.sample_weights.weights))
+    var_binned = float(np.var(n * binned.weights.weights))
     assert var_naive > var_binned, f"{var_naive} vs {var_binned}"
 
     box = naive.box
     cdf = lambda pts: target.cdf(pts[:, 0])
     l2_naive = l2_distance(naive.pushforward(), cdf, box, 2048)
-    l2_binned = l2_distance(binned.pushforward_samples(), cdf, box, 2048)
+    l2_binned = l2_distance(binned.pushforward(), cdf, box, 2048)
     assert l2_naive <= l2_binned + 1e-3, f"{l2_naive} vs {l2_binned}"
     report(8, f"weight variance {var_naive:.3f} > {var_binned:.3f}; "
               f"L2 {l2_naive:.5f} <= {l2_binned:.5f} + 1e-3")

@@ -12,6 +12,7 @@ from dcinv.binning import (
     solve_naive,
 )
 from dcinv.core import BoxScaler, SampleSet
+from dcinv.density import solve_density
 from dcinv.edf import sup_distance, wedf_eval_many
 from dcinv.models import HeatRod, UniformBoxSampler, heat_rod_observed
 from dcinv.targets import EmpiricalTarget, UniformTarget
@@ -125,7 +126,7 @@ def test_solve_binning_structure_and_pushforward_identity():
         n_target=4000,
         seed=12,
     )
-    u = sol.sample_weights.weights
+    u = sol.weights.weights
     w = sol.cell_weights.weights
     # sum-one, equal weights within cells, exact aggregation identity
     assert abs(u.sum() - 1.0) < 1e-12
@@ -203,7 +204,7 @@ def test_solve_binning_kmeans_partition():
         n_target=2000, seed=21,
     )
     assert sol.partition.kind == "kmeans"
-    assert abs(sol.sample_weights.weights.sum() - 1.0) < 1e-12
+    assert abs(sol.weights.weights.sum() - 1.0) < 1e-12
 
 
 def test_solve_binning_precomputed_pairs():
@@ -229,7 +230,7 @@ def test_solve_binning_heat_rod_improves_pushforward():
     )
     cdf = lambda pts: target.cdf(pts[:, 0])
     err_binned = sup_distance(
-        sol.pushforward_samples(), cdf, sol.box, grid_per_dim=2048,
+        sol.pushforward(), cdf, sol.box, grid_per_dim=2048,
         extra_points=sol.predicted.points,
     )
     from dcinv.core import WeightedEdf
@@ -269,7 +270,7 @@ def test_naive_variance_exceeds_binning_on_heat_rod():
         initial_samples=initial, min_fill="none",
     )
     var_naive = np.var(naive.weights.weights)
-    var_binned = np.var(n * binned.sample_weights.weights)
+    var_binned = np.var(n * binned.weights.weights)
     assert var_naive > var_binned
 
 
@@ -318,7 +319,7 @@ def test_solve_binning_data_box_override():
         initial_samples=lam, predicted_samples=lam, data_box=box,
     )
     assert np.array_equal(sol.box.lower, box.lower)
-    assert abs(sol.sample_weights.weights.sum() - 1.0) < 1e-12
+    assert abs(sol.weights.weights.sum() - 1.0) < 1e-12
 
 
 def test_solve_binning_multi_batch_counts_and_alignment():
@@ -340,13 +341,15 @@ def test_solve_binning_multi_batch_counts_and_alignment():
     np.testing.assert_array_equal(sol.assignments, sol.partition.classify_many(sol.predicted.points))
 
 
-@pytest.mark.parametrize("method", ["naive", "binning"])
+@pytest.mark.parametrize("method", ["naive", "binning", "density"])
 def test_misaligned_sample_pairs_are_rejected(method):
     lam = np.linspace(0.0, 1.0, 10)[:, None]
     target = UniformTarget(0.0, 1.0)
     with pytest.raises(ValueError, match="sample counts differ"):
         if method == "naive":
             solve_naive(None, lam, target, predicted_samples=lam[:7])
+        elif method == "density":
+            solve_density(lam, lam[:7], lam)
         else:
             solve_binning(
                 None, None, target, ("grid", 3), initial_samples=lam, predicted_samples=lam[:7]

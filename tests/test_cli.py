@@ -6,7 +6,7 @@ import pytest
 
 from dcinv import cli, solver
 from dcinv.cli import main
-from dcinv.core import BoxScaler, SampleSet, WeightedEdf
+from dcinv.core import BoxScaler, SampleSet, WeightedEdf, fit_box
 from dcinv.edf import wedf_eval_many
 from dcinv.io import save_samples
 from dcinv.models import HEAT_ROD_OBSERVED_MU, HEAT_ROD_OBSERVED_SIGMA, HEAT_ROD_VIOLATION_MU
@@ -55,6 +55,26 @@ def test_solve_smoke_all_methods(tmp_path, method):
     assert header == "index,x1,x2,q1,weight"
     pf_header = files["pushforward.csv"].decode().splitlines()[0]
     assert pf_header == "q1,f_method,f_target"
+    assert meta["weight_normalization"] == ("mean_one" if method == "naive" else "sum_one")
+    assert bool(meta["solver"]) == (method != "density")
+
+
+@pytest.mark.parametrize("method", ["naive", "binning-grid", "density"])
+def test_pushforward_grid_spans_the_data_box(tmp_path, method):
+    cfg = write_config(tmp_path / "cfg.json", method={"p": 20, "min_fill": "none", "data_box": [[2.2, 2.6]]})
+    out = tmp_path / "o"
+    assert main(["solve", "--method", method, "--config", str(cfg), "--out", str(out)]) == 0
+    files = read_files(out)
+
+    def first_column(name, col):
+        return np.array([float(r.split(",")[col]) for r in files[name].decode().splitlines()[1:]])
+
+    q = first_column("pushforward.csv", 0)
+    if method == "density":  # no QP and no data box: the padded box of the predicted values
+        box = fit_box(first_column("weights.csv", 3), padding=1e-3)
+        assert (q[0], q[-1]) == (box.lower[0], box.upper[0])
+    else:
+        assert (q[0], q[-1]) == (2.2, 2.6)
 
 
 def test_solve_density_identity_diagnostic(tmp_path):
@@ -385,12 +405,37 @@ def test_error_record_exit_2(tmp_path, capsys):
     assert error_record(capsys)["kind"] == "ConfigError"
 
 
-@pytest.mark.parametrize("key, bounds", [("data_box", [[0.5]]), ("partition_box", [[[0.5, 0.6]]])])
+@pytest.mark.parametrize("key, bounds", [
+    ("data_box", [[0.5]]),
+    ("partition_box", [[[0.5, 0.6]]]),
+    ("partition_box", [[0.0, 1.0], [0.0, 1.0]]),  # a 2-D box for the rod's 1-D data
+    ("data_box", [[0.0, 1.0], [0.0, 1.0]]),
+])
 def test_malformed_box_option_is_a_config_error(tmp_path, capsys, key, bounds):
     cfg = write_config(tmp_path / "cfg.json", method={"p": 20, key: bounds})
-    assert main(["solve", "--method", "binning-grid", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    for method in ("naive", "binning-grid"):
+        assert main(["solve", "--method", method, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        record = error_record(capsys)
+        assert record["kind"] == "ConfigError" and record["message"].startswith(f"/method/{key}: ")
+
+
+@pytest.mark.parametrize("method", ["naive", "binning-grid"])
+def test_data_box_without_predicted_samples_is_a_config_error(tmp_path, capsys, method):
+    # the rod's predicted values lie in about [2.26, 2.53]
+    cfg = write_config(tmp_path / "cfg.json", method={"p": 20, "data_box": [[5.0, 6.0]]})
+    assert main(["solve", "--method", method, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     record = error_record(capsys)
-    assert record["kind"] == "ConfigError" and record["message"].startswith(f"/method/{key}: ")
+    assert record["kind"] == "ConfigError"
+    assert record["message"].startswith("/method/data_box: data box [[5.0, 6.0]] contains none")
+
+
+def test_single_observed_sample_is_a_config_error(tmp_path, capsys):
+    target = {"kind": "normal", "mu": HEAT_ROD_OBSERVED_MU, "sigma": HEAT_ROD_OBSERVED_SIGMA, "m": 1}
+    cfg = write_config(tmp_path / "cfg.json", target=target)
+    for argv in (["solve", "--method", "density", "--out", str(tmp_path / "o")], ["diagnose"]):
+        assert main(argv + ["--config", str(cfg)]) == 2
+        record = error_record(capsys)
+        assert record["kind"] == "ConfigError" and record["message"].startswith("/target/m: ")
 
 
 def test_error_record_exit_3(tmp_path, monkeypatch, capsys):

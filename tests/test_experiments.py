@@ -5,8 +5,10 @@ import pytest
 
 from dcinv import binning, experiments
 from dcinv.assembly import assemble_qp
-from dcinv.binning import distribute_cell_weights, make_kmeans, make_regular_grid
+from dcinv.binning import (distribute_cell_weights, make_kmeans, make_regular_grid, solve_binning,
+                           solve_naive)
 from dcinv.core import BoxScaler, SampleSet, fit_box
+from dcinv.density import solve_density
 from dcinv.experiments import (
     ConvergenceSpec,
     compare_methods,
@@ -172,6 +174,34 @@ def test_compare_methods_identity_case():
         assert by_name["naive"]["l2"] <= by_name[name]["l2"] + 1e-3
     assert by_name["density"]["diagnostic"] == pytest.approx(1.0, abs=0.15)
     assert by_name["naive"]["weight_variance"] > by_name["binning-grid"]["weight_variance"]
+
+
+def test_compare_methods_rows_match_each_method_run_alone():
+    # the shared metric block against the expressions each method's row used
+    model, target = HeatRod(), heat_rod_observed()
+    n, m, p, seed = 200, 1000, 10, 3
+    rows = compare_methods(model, target, n, m, p, seed, methods=("density", "binning-grid", "naive"))
+    by_name = {r["method"]: r for r in rows}
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 10)))
+    initial = UniformBoxSampler(model.box).sample(n, rng)
+    predicted = eval_qoi(model, initial.points)
+    observed = target.sample(m, np.random.default_rng(np.random.SeedSequence((seed, 11))))
+    naive = solve_naive(model, initial, target, predicted_samples=predicted)
+    binned = solve_binning(model, None, target, ("grid", p), seed=seed, min_fill="none",
+                           initial_samples=initial, predicted_samples=predicted)
+    density = solve_density(initial, predicted, observed)
+    assert by_name["naive"]["weight_variance"] == float(np.var(naive.weights.weights))
+    assert by_name["binning-grid"]["weight_variance"] == float(np.var(n * binned.weights.weights))
+    assert by_name["density"]["weight_variance"] == float(np.var(n * density.weights.weights))
+    assert by_name["naive"]["solver_residual"] == naive.qp_solution.kkt.stationarity_residual
+    assert by_name["binning-grid"]["solver_residual"] == binned.qp_solution.kkt.stationarity_residual
+    assert "solver_residual" not in by_name["density"]
+    assert [list(r) for r in rows] == [
+        ["method", "n", "m", "seed", "l2", "sup", "weight_variance", "diagnostic", "violations"],
+        ["method", "n", "m", "seed", "l2", "sup", "l2_reps", "sup_reps", "weight_variance", "p",
+         "solver_residual"],
+        ["method", "n", "m", "seed", "l2", "sup", "weight_variance", "solver_residual"],
+    ]
 
 
 def test_compare_methods_subset_and_writer(tmp_path):

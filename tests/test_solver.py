@@ -182,12 +182,16 @@ def test_l2_improvement_over_unweighted():
         assert d_solved <= d_plain + 1e-6
 
 
-def test_objective_monotone_along_iterations():
+def test_objective_does_not_increase_with_iteration_budget():
     rng = np.random.default_rng(51)
     problem = random_problem(rng, 30, 1)
-    sol = solve_qp(problem)
-    hist = np.array(sol.objective_history)
-    assert np.all(np.diff(hist) <= 1e-12)
+    full = solve_qp(problem)
+    assert full.iterations > 2
+    objectives = np.array(
+        [solve_qp(problem, max_iter=k).objective for k in range(1, full.iterations + 1)]
+    )
+    assert objectives[-1] == full.objective
+    assert np.all(np.diff(objectives) <= 1e-12)
 
 
 def test_non_positive_definite_reports_pivot():
@@ -226,13 +230,18 @@ def test_projected_gradient_fallback_agrees():
     reference = solve_qp(problem)
     # gradient-space residuals map to weight error through the conditioning,
     # so the fallback needs a much tighter tolerance for tight agreement
-    w_pg, ok, _its, history = _projected_gradient(
+    w_pg, ok, its = _projected_gradient(
         problem, np.ones(problem.size), tol=1e-11, max_iter=2_000_000
     )
     assert ok
     assert np.max(np.abs(w_pg - reference.w)) < 1e-5
-    hist = np.array(history)
-    assert np.all(np.diff(hist) <= 1e-12)  # monotone descent
+    # monotone descent: the objective after k steps does not increase with k
+    budgets = [2**e for e in range(int(np.log2(its)) + 1)] + [its]
+    objectives = np.array([
+        problem.objective(_projected_gradient(problem, np.ones(problem.size), 1e-11, k)[0])
+        for k in budgets
+    ])
+    assert np.all(np.diff(objectives) <= 1e-12)
 
 
 def test_vertex_start_recovers_optimum():

@@ -1,11 +1,15 @@
-"""SHA-256 digests of every result file of the benchmark workloads' commands.
+"""SHA-256 digests of every result file of the benchmark workloads' commands
+and of a few small commands that cover the rest of the ``solve`` front end.
 
     python3 tools/output_digests.py --src DIR --out FILE
 
-Runs 20 CLI commands in this process against the ``dcinv`` package under
-``DIR/src``: the five ``perfbench/workloads.py`` workloads, at smoke and at
-full size, at input seeds 31000 and 47000, built with
-``workloads.command``. For each command it hashes ``weights.csv``,
+Runs 36 CLI commands in this process against the ``dcinv`` package under
+``DIR/src``, each at input seeds 31000 and 47000: the five
+``perfbench/workloads.py`` workloads at smoke and at full size, built with
+``workloads.command``, and the eight ``EXTRA`` commands defined here
+(binning-kmeans; a ``pairs`` model read from CSV files, with 1-D data
+under naive, binning-grid and density and with 2-D data under naive and
+binning-grid; a ``method.data_box`` override under naive and binning-grid). For each command it hashes ``weights.csv``,
 ``pushforward.csv``, ``result.json``, every ``surface_*.csv`` and
 ``meta.json`` without its ``timing`` block (the only part that holds wall
 time), and writes ``{command: {file: sha256}}`` to FILE as sorted JSON.
@@ -30,6 +34,8 @@ import os
 import shutil
 import sys
 import tempfile
+
+import numpy as np
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 INPUT_SEEDS = (31000, 47000)
@@ -56,6 +62,62 @@ def file_digests(out_dir):
     return out
 
 
+ROD = {"kind": "heat_rod"}
+ROD_TARGET = {"kind": "normal", "mu": 2.39, "sigma": 0.035, "m": 2000}
+PAIRS = {"kind": "pairs", "param_csv": "pairs_x.csv", "data_csv": "pairs_q.csv"}
+PAIRS_2D = {"kind": "pairs", "param_csv": "pairs_x.csv", "data_csv": "pairs_q2.csv"}
+PAIRS_TARGET = {"kind": "normal", "mu": 0.6, "sigma": 0.15, "m": 1000}
+PAIRS_2D_TARGET = {"kind": "samples", "csv": "observed_q2.csv"}
+# name -> (method, config without its seed)
+EXTRA = {
+    "rod_kmeans": ("binning-kmeans", {
+        "model": ROD, "initial": {"kind": "uniform", "n": 1000}, "target": ROD_TARGET,
+        "method": {"p": 30}}),
+    "rod_naive_data_box": ("naive", {
+        "model": ROD, "initial": {"kind": "uniform", "n": 300}, "target": ROD_TARGET,
+        "method": {"data_box": [[2.2, 2.6]]}}),
+    "rod_grid_data_box": ("binning-grid", {
+        "model": ROD, "initial": {"kind": "uniform", "n": 1000}, "target": ROD_TARGET,
+        "method": {"p": 30, "data_box": [[2.2, 2.6]]}}),
+    "pairs_naive": ("naive", {"model": PAIRS, "target": PAIRS_TARGET}),
+    "pairs_grid": ("binning-grid", {"model": PAIRS, "target": PAIRS_TARGET, "method": {"p": 20}}),
+    "pairs_density": ("density", {"model": PAIRS, "target": PAIRS_TARGET}),
+    "pairs_2d_naive": ("naive", {"model": PAIRS_2D, "target": PAIRS_2D_TARGET}),
+    "pairs_2d_grid": ("binning-grid", {
+        "model": PAIRS_2D, "target": PAIRS_2D_TARGET, "method": {"cells_per_dim": [5, 4]}}),
+}
+
+
+def _write_samples(path, prefix, pts):
+    with open(path, "w") as f:
+        f.write(",".join(f"{prefix}{k + 1}" for k in range(pts.shape[1])) + "\n")
+        f.writelines(",".join(f"{v:.17g}" for v in row) + "\n" for row in pts)
+
+
+def _extra_commands(seed, work_dir):
+    """Write the pair and observed CSV files and the configs of the EXTRA
+    commands for one input seed; yields (tag, argv, output dir)."""
+    data_dir = os.path.join(work_dir, f"extra-{seed}")
+    os.makedirs(data_dir)
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.0, 1.0, size=(300, 2))
+    q = lam[:, :1] + 0.5 * lam[:, 1:] ** 2
+    # componentwise monotone maps: every grid cell of the 2-D data is reachable
+    q2 = np.column_stack([np.exp(lam[:, 0]), lam[:, 1] + 0.5 * lam[:, 1] ** 2])
+    _write_samples(os.path.join(data_dir, "pairs_x.csv"), "x", lam)
+    _write_samples(os.path.join(data_dir, "pairs_q.csv"), "q", q)
+    _write_samples(os.path.join(data_dir, "pairs_q2.csv"), "q", q2)
+    _write_samples(os.path.join(data_dir, "observed_q2.csv"), "q",
+                   q2[rng.choice(300, size=200)] + rng.normal(0.0, 0.02, size=(200, 2)))
+    for name, (method, config) in EXTRA.items():
+        tag = f"{name}-{seed}"
+        config_path = os.path.join(data_dir, f"{name}.json")
+        with open(config_path, "w") as f:
+            json.dump(dict(config, seed=seed), f)
+        out_dir = os.path.join(work_dir, f"{tag}.out")
+        yield tag, ["solve", "--method", method, "--config", config_path, "--out", out_dir], out_dir
+
+
 def _import_package(src):
     """Import ``dcinv`` from ``src``; fails if another copy is already loaded."""
     sys.path.insert(0, src)
@@ -74,19 +136,24 @@ def run_all(src):
 
     digests = {}
     work_dir = tempfile.mkdtemp(prefix="dcinv-digests-")
+
+    def run(tag, argv, out_dir):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        if code != 0:
+            raise SystemExit(f"{tag}: exit code {code}")
+        digests[tag] = file_digests(out_dir)
+        print(f"{tag}: {len(digests[tag])} files", file=sys.stderr)
+
     try:
         for name in workloads.NAMES:
             for smoke in (True, False):
                 for seed in INPUT_SEEDS:
                     tag = f"{name}-{'smoke' if smoke else 'full'}-{seed}"
-                    argv, out_dir = workloads.command(name, seed, smoke, work_dir, tag)
-                    with contextlib.redirect_stdout(io.StringIO()), \
-                            contextlib.redirect_stderr(io.StringIO()):
-                        code = cli.main(argv)
-                    if code != 0:
-                        raise SystemExit(f"{tag}: exit code {code}")
-                    digests[tag] = file_digests(out_dir)
-                    print(f"{tag}: {len(digests[tag])} files", file=sys.stderr)
+                    run(tag, *workloads.command(name, seed, smoke, work_dir, tag))
+        for seed in INPUT_SEEDS:
+            for tag, argv, out_dir in _extra_commands(seed, work_dir):
+                run(tag, argv, out_dir)
     finally:
         shutil.rmtree(work_dir, ignore_errors=True)
     return digests
