@@ -11,12 +11,13 @@ error around 4e-2.
 """
 
 import time
+from functools import partial
 
 import numpy as np
 
 from dcinv import (
-    SampleSet,
     UniformBoxSampler,
+    draw_pairs,
     mixture_benchmark_model,
     mixture_benchmark_partition,
     mixture_benchmark_target,
@@ -40,8 +41,9 @@ cdf = lambda pts: target.cdf(pts[:, 0])
 # --- binning method (with batch refill of thin cells) ------------------------
 
 t0 = time.perf_counter()
-sol = solve_binning(model, sampler, target, mixture_benchmark_partition(),
-                    n_target=n, seed=seed)
+# draw(k) returns k more (parameter, data) pairs; the fill loop calls it
+draw = partial(draw_pairs, sampler, model, rng=np.random.default_rng(seed))
+sol = solve_binning(*draw(n), target, mixture_benchmark_partition(), draw=draw)
 err_binning = sup_distance(
     sol.pushforward(), cdf, sol.box, grid_per_dim=8192,
     extra_points=np.vstack([sol.predicted.points, kinks]),
@@ -54,14 +56,13 @@ print(f"binning: sup error {err_binning:.4f}  "
 
 t0 = time.perf_counter()
 rng = np.random.default_rng(seed)
-initial = sampler.sample(n, rng)
-predicted = SampleSet(model.qoi(initial.points)[:, None])
+initial, predicted = draw_pairs(sampler, model, n, rng)
 observed = target.sample(m, rng)
 dsol = solve_density(initial, predicted, observed)
 pf = dsol.pushforward()
 err_density = sup_distance(
     pf, cdf, sol.box, grid_per_dim=8192,
-    extra_points=np.vstack([predicted.points, kinks]),
+    extra_points=np.vstack([predicted, kinks]),
 )
 print(f"density: sup error {err_density:.4f}  "
       f"(diagnostic {dsol.diagnostic:.3f}, {time.perf_counter() - t0:.0f}s)")

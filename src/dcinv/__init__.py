@@ -59,6 +59,7 @@ from .density import (
 from .models import (
     HeatRod,
     UniformBoxSampler,
+    draw_pairs,
     heat_rod_observed,
     heat_rod_violation_observed,
     mixture_benchmark_model,

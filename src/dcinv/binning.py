@@ -21,7 +21,7 @@ import numpy as np
 from .assembly import assemble_qp
 from .core import (BoxScaler, Normalization, SampleSet, WeightedEdf, WeightedPairs, WeightVector,
                    as_box, as_points, fit_box, grid_points)
-from .models import _sample_pair, draw_pairs
+from .models import _sample_pair
 from .solver import solve_qp
 from .targets import as_target
 
@@ -56,8 +56,8 @@ class AllWeightsFlooredError(ValueError):
     """Every cell weight is at or below the weight floor, so no cell is kept."""
 
 
-class EmptyDataBoxError(ValueError):
-    """The given data box contains none of the predicted samples."""
+class DataBoxError(ValueError):
+    """The given data box misses some of the predicted samples."""
 
 
 @dataclass(frozen=True)
@@ -230,12 +230,14 @@ def fit_weights(points, target, box, solver_tol=1e-8):
 
 def _data_box(predicted, data_box, padding):
     """``data_box``, a known support of the ``predicted`` points, or if None the
-    box fitted to them; EmptyDataBoxError if ``data_box`` contains none of them."""
+    box fitted to them; DataBoxError if ``data_box`` misses any of them."""
     if data_box is None:
         return fit_box(predicted, padding=padding)
-    if not data_box.contains(predicted).any():
+    inside = int(data_box.contains(predicted).sum())
+    if inside < len(predicted):
         bounds = np.column_stack([data_box.lower, data_box.upper]).tolist()
-        raise EmptyDataBoxError(f"data box {bounds} contains none of the {len(predicted)} samples")
+        found = f"only {inside}" if inside else "none"
+        raise DataBoxError(f"data box {bounds} contains {found} of the {len(predicted)} samples")
     return data_box
 
 
@@ -335,7 +337,7 @@ def at_least_one_min_fill(w, p, n_target, weight_floor=DEFAULT_WEIGHT_FLOOR):
 _MIN_FILL_POLICIES = {
     "proportional": proportional_min_fill,
     "at_least_one": at_least_one_min_fill,
-    "none": lambda w, p, n_target, weight_floor=0.0: np.zeros(len(w), dtype=np.int64),
+    "none": lambda w, p, n_target, weight_floor: np.zeros(len(w), dtype=np.int64),
 }
 
 
@@ -351,50 +353,44 @@ def _resolve_partition(partition, predicted, box, seed):
 
 
 def solve_binning(
-    qoi,
-    initial_sampler,
+    initial,
+    predicted,
     target,
     partition,
-    n_target=None,
+    draw=None,
     seed=0,
     n_batch=None,
     min_fill="proportional",
     weight_floor=DEFAULT_WEIGHT_FLOOR,
-    max_batches=DEFAULT_MAX_BATCHES,
     padding=PIPELINE_PADDING,
     data_box=None,
     solver_tol=1e-8,
-    initial_samples=None,
-    predicted_samples=None,
 ):
-    """Run the full binning method.
+    """Run the full binning method on n aligned (parameter, data) sample pairs.
 
     Parameters
     ----------
-    qoi : callable
-        Maps an (n, d_in) parameter array to (n,) or (n, d_out) data values.
-        Ignored when precomputed samples are supplied.
-    initial_sampler : object with a ``.sample(n, rng)`` method
-        Draws initial parameter samples (a SampleSet or an (n, d_in) array),
-        such as ``models.UniformBoxSampler``. Ignored for precomputed samples.
+    initial, predicted : SampleSet or array
+        Aligned (n, d_in) parameter and (n, d_out) data samples.
     target : target distribution (exact or empirical)
     partition : Partition, ("grid", cells_per_dim), or ("kmeans", p)
-        Grid partitions cover the fitted data box by default.
-    n_target : int
-        Sample budget that sizes the per-cell minimum counts.
+        Grid partitions cover the data box.
+    draw : callable, optional
+        ``draw(k)`` returns k more aligned (initial, predicted) arrays, for
+        example ``functools.partial(models.draw_pairs, sampler, qoi, rng=rng)``.
+        It feeds the fill loop; without it there is no fill loop and
+        ``n_min`` is all zeros.
     seed : int
-        Drives sampling and k-means; recorded in the result.
+        Seeds k-means.
     n_batch : int, optional
-        Batch size of the fill loop; defaults to n_target.
-    min_fill : "proportional", "at_least_one", "none", or callable
-        Policy mapping cell weights to minimum counts. "none" skips the fill
-        loop (the weight distribution is still strict about reachable cells).
+        Batch size of the fill loop; defaults to n.
+    min_fill : "proportional", "at_least_one" or "none"
+        Policy mapping cell weights to minimum counts, sized by n. "none"
+        skips the fill loop (the weight distribution is still strict about
+        reachable cells).
     data_box : BoxScaler, optional
         Known compact support of the predicted distribution; overrides the
-        box fitted to the samples.
-    initial_samples, predicted_samples : optional
-        Precomputed aligned (parameter, data) samples; replaces the live
-        model and disables the fill loop.
+        box fitted to the samples and must contain all of them.
 
     Returns
     -------
@@ -403,22 +399,15 @@ def solve_binning(
     Raises
     ------
     UnreachableCellError
-        When a positive-weight cell cannot be filled within ``max_batches``
-        (or has no samples at all in precomputed mode).
+        When a positive-weight cell is not filled within DEFAULT_MAX_BATCHES
+        batches (or has no samples at all without ``draw``).
+    DataBoxError
+        When ``data_box`` misses some of the predicted samples.
     """
-    rng = np.random.default_rng(seed)
-    precomputed = initial_samples is not None
-    if precomputed:
-        initial, predicted_pts = _sample_pair(qoi, initial_samples, predicted_samples)
-        initial_pts = initial.points
-        if n_target is None:
-            n_target = initial.n
-    else:
-        if n_target is None or n_target < 1:
-            raise ValueError(f"n_target must be positive, got {n_target}")
-        initial_pts, predicted_pts = draw_pairs(initial_sampler, qoi, n_target, rng)
+    initial, predicted_pts = _sample_pair(initial, predicted)
+    initial_pts = initial.points
     if n_batch is None:
-        n_batch = max(int(n_target), 1)
+        n_batch = initial.n
 
     target = as_target(target)
     box = _data_box(predicted_pts, data_box, padding)
@@ -427,32 +416,28 @@ def solve_binning(
 
     qp_sol = fit_weights(part.reps.points, target, box, solver_tol)
     w = qp_sol.w
-
-    if callable(min_fill):
-        n_min = np.asarray(min_fill(w, p, n_target), dtype=np.int64)
-    else:
-        n_min = _MIN_FILL_POLICIES[min_fill](w, p, n_target, weight_floor)
+    policy = _MIN_FILL_POLICIES["none" if draw is None else min_fill]
+    n_min = policy(w, p, initial.n, weight_floor)
 
     assignments = part.classify_many(predicted_pts)
     counts = np.bincount(assignments, minlength=p)
+    # The loop may run hundreds of batches, so it keeps per-batch arrays and
+    # adds each batch's counts; stacking everything and recounting after
+    # every batch would cost O(batches x total samples).
+    chunks = [(initial_pts, predicted_pts, assignments)]
     batches = 0
-    if not precomputed:
-        # The loop may run hundreds of batches, so it keeps per-batch arrays
-        # and adds each batch's counts; stacking everything and recounting
-        # after every batch would cost O(batches x total samples).
-        chunks = [(initial_pts, predicted_pts, assignments)]
-        while np.any(counts < n_min):
-            if batches >= max_batches:
-                deficient = np.nonzero(counts < n_min)[0]
-                raise UnreachableCellError(deficient, w[deficient])
-            new_initial, new_pred = draw_pairs(initial_sampler, qoi, n_batch, rng)
-            new_assign = part.classify_many(new_pred)
-            chunks.append((new_initial, new_pred, new_assign))
-            counts += np.bincount(new_assign, minlength=p)
-            batches += 1
-        if batches:
-            initial_pts, predicted_pts, assignments = (np.concatenate(c) for c in zip(*chunks))
-        del chunks  # the batch copies would otherwise stay alive through the distribution
+    while np.any(counts < n_min):
+        if batches >= DEFAULT_MAX_BATCHES:
+            deficient = np.nonzero(counts < n_min)[0]
+            raise UnreachableCellError(deficient, w[deficient])
+        new_initial, new_pred = draw(n_batch)
+        new_assign = part.classify_many(new_pred)
+        chunks.append((new_initial, new_pred, new_assign))
+        counts += np.bincount(new_assign, minlength=p)
+        batches += 1
+    if batches:
+        initial_pts, predicted_pts, assignments = (np.concatenate(c) for c in zip(*chunks))
+    del chunks  # the batch copies would otherwise stay alive through the distribution
 
     u, w_floored, counts, _dropped = distribute_cell_weights(
         w, assignments, p, weight_floor=weight_floor, strict=True
@@ -484,23 +469,17 @@ class NaiveSolution(WeightedPairs):
     qp_solution: object
 
 
-def solve_naive(
-    qoi,
-    initial_samples,
-    target,
-    padding=PIPELINE_PADDING,
-    data_box=None,
-    solver_tol=1e-8,
-    predicted_samples=None,
-):
-    """Fit weights on the predicted samples and apply them to the parameters.
+def solve_naive(initial, predicted, target, padding=PIPELINE_PADDING, data_box=None,
+                solver_tol=1e-8):
+    """Fit weights on the aligned predicted samples and apply them to the
+    parameters.
 
     Optimal in the data space by construction, but nothing controls the
     weight variability inside pre-image sets, so the weights fluctuate much
     more than the binning method's. ``data_box`` (a known compact support)
-    overrides the box fitted to the samples.
+    overrides the box fitted to the samples and must contain all of them.
     """
-    initial, predicted_pts = _sample_pair(qoi, initial_samples, predicted_samples)
+    initial, predicted_pts = _sample_pair(initial, predicted)
     target = as_target(target)
     box = _data_box(predicted_pts, data_box, padding)
     qp_sol = fit_weights(predicted_pts, target, box, solver_tol)

@@ -33,20 +33,22 @@ import json
 import os
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .binning import (
     AllWeightsFlooredError,
-    EmptyDataBoxError,
+    DataBoxError,
     UnreachableCellError,
+    _data_box,
     make_regular_grid,
     solve_binning,
     solve_naive,
 )
 from .config import ConfigError, build_convergence_spec, build_solve_config, load_config
-from .core import fit_box, grid_points
+from .core import grid_points
 from .density import solve_density
 from .edf import as_cdf_callable, wedf_eval_many
 from .experiments import UntrustworthyBaselineError, _jsonify, run_convergence
@@ -142,26 +144,27 @@ def _write_pushforward_csv(path, pushforward, target_cdf, box, grid):
     _write_csv(path, header, columns)
 
 
-def _initial_samples(cfg):
-    """(initial, predicted) samples: drawn under the config seed and run
-    through the model for a live model (arrays), as loaded otherwise."""
+def _sample_pairs(cfg, seed):
+    """(initial, predicted, draw) samples of the config's model. A live model
+    draws ``cfg.n_initial`` samples from ``default_rng(seed)`` and ``draw(k)``
+    continues that stream; loaded pairs come as they are, with ``draw`` None."""
     model = cfg.model
     if not model.live:
-        return model.initial, model.predicted
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 10)))
-    return draw_pairs(UniformBoxSampler(model.model.box), model.model, cfg.n_initial, rng)
+        return model.initial, model.predicted, None
+    draw = partial(draw_pairs, UniformBoxSampler(model.model.box), model.model,
+                   rng=np.random.default_rng(seed))
+    return (*draw(cfg.n_initial), draw)
 
 
 def _solve_density(cfg):
     """The density method on the config's initial and observed samples."""
     observed = cfg.target.observed_or_fail
-    initial, predicted = _initial_samples(cfg)
+    initial, predicted, _ = _sample_pairs(cfg, np.random.SeedSequence((cfg.seed, 10)))
     return solve_density(initial, predicted, observed, rule=cfg.kde_rule)
 
 
 def _run_solve(method, cfg, out_dir, threads):
     t_start = time.perf_counter()
-    os.makedirs(out_dir, exist_ok=True)
     meta = {
         "version": __version__,
         "method": method,
@@ -169,20 +172,12 @@ def _run_solve(method, cfg, out_dir, threads):
         "seed": cfg.seed,
         "threads": threads,
     }
-    model = cfg.model
-    meta["n_initial"] = cfg.n_initial if model.live else model.initial.n
+    meta["n_initial"] = cfg.n_initial if cfg.model.live else cfg.model.initial.n
 
     if method == "naive":
-        initial, predicted = _initial_samples(cfg)
-        sol = solve_naive(
-            model.model if model.live else None,
-            initial,
-            cfg.target.target,
-            padding=cfg.padding,
-            data_box=cfg.data_box,
-            solver_tol=cfg.solver_tol,
-            predicted_samples=predicted,
-        )
+        initial, predicted, _ = _sample_pairs(cfg, np.random.SeedSequence((cfg.seed, 10)))
+        sol = solve_naive(initial, predicted, cfg.target.target, padding=cfg.padding,
+                          data_box=cfg.data_box, solver_tol=cfg.solver_tol)
     elif method in ("binning-grid", "binning-kmeans"):
         if method == "binning-grid":
             cells = cfg.cells_per_dim or cfg.p
@@ -201,21 +196,11 @@ def _run_solve(method, cfg, out_dir, threads):
                     "/method/p", f"{cfg.p} k-means cells for {meta['n_initial']} samples"
                 )
             partition = ("kmeans", cfg.p)
+        initial, predicted, draw = _sample_pairs(cfg, cfg.seed)
         sol = solve_binning(
-            model.model if model.live else None,
-            UniformBoxSampler(model.model.box) if model.live else None,
-            cfg.target.target,
-            partition,
-            n_target=meta["n_initial"],
-            seed=cfg.seed,
-            n_batch=cfg.n_batch,
-            min_fill=cfg.min_fill if model.live else "none",
-            weight_floor=cfg.weight_floor,
-            padding=cfg.padding,
-            data_box=cfg.data_box,
-            solver_tol=cfg.solver_tol,
-            initial_samples=None if model.live else model.initial,
-            predicted_samples=None if model.live else model.predicted.points,
+            initial, predicted, cfg.target.target, partition, draw=draw, seed=cfg.seed,
+            n_batch=cfg.n_batch, min_fill=cfg.min_fill, weight_floor=cfg.weight_floor,
+            padding=cfg.padding, data_box=cfg.data_box, solver_tol=cfg.solver_tol,
         )
         meta.update(p=sol.p, partition_kind=sol.partition.kind, n_batches=sol.n_batches,
                     n_total=sol.n, cell_counts_min=int(sol.counts.min()))
@@ -230,11 +215,14 @@ def _run_solve(method, cfg, out_dir, threads):
     weights, qp = sol.weights, sol.qp_solution
     meta["weight_normalization"] = weights.normalization.value
     meta["solver"] = _solver_meta(qp) if qp is not None else {}
+    box = sol.box
+    if box is None:  # the density method fits no QP, so the tail finds its box here
+        box = _data_box(sol.predicted.points, cfg.data_box, cfg.padding)
+    os.makedirs(out_dir, exist_ok=True)
     _write_weights_csv(
         os.path.join(out_dir, "weights.csv"), sol.initial.points, sol.predicted.points,
         weights.weights,
     )
-    box = sol.box if sol.box is not None else fit_box(sol.predicted.points, padding=cfg.padding)
     _write_pushforward_csv(
         os.path.join(out_dir, "pushforward.csv"),
         sol.pushforward(),
@@ -267,7 +255,7 @@ def _cmd_solve(args):
     cfg = build_solve_config(load_config(args.config), base_dir=os.path.dirname(args.config) or ".")
     try:
         return _run_solve(args.method, cfg, args.out, args.threads)
-    except EmptyDataBoxError as exc:
+    except DataBoxError as exc:
         raise ConfigError("/method/data_box", str(exc)) from None
     except UnreachableCellError as exc:
         return _fail(EXIT_UNREACHABLE, "unreachable cell", exc)

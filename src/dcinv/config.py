@@ -22,7 +22,7 @@ Config schema (solve / diagnose):
       "method": {"p": 40, "partition_box": [[0.575, 0.61]],  # optional focus box
                   "data_box": [[0.3, 1.0]],                  # known support override
                   "cells_per_dim": null,                     # grid cells per data dim
-                  "n_batch": null, "min_fill": "proportional",
+                  "n_batch": null, "min_fill": "proportional",  # live fill loop only
                   "weight_floor": 1e-6, "padding": 1e-3, "kde_rule": "scott"},
       "solver": {"tol": 1e-8},
       "output": {"pushforward_grid": 512}
@@ -35,9 +35,12 @@ is a finite number >= 0; ``solver.tol`` is a finite number > 0;
 ``method.kde_rule`` is "scott", "silverman" or a finite number > 0 (a fixed
 bandwidth); ``method.partition_box`` and ``method.data_box`` have the
 data's (the target's) dimension. k-means needs ``method.p`` at most the
-number of initial samples, ``method.data_box`` must contain a predicted
-sample, and the density method needs at least 2 observed samples. Unknown
-keys are ignored.
+number of initial samples, ``method.data_box`` must contain every predicted
+sample (for the density method it only bounds the push-forward grid), and
+the density method needs at least 2 observed samples. ``method.n_batch``
+and ``method.min_fill`` drive the binning fill loop, which draws from a
+live model only; loaded pairs are used as they are. Unknown keys are
+ignored.
 
 The convergence spec file carries the ConvergenceSpec fields (n_grid, p_grid,
 trials, seed, region_a, optional region_b, partition_kind, model, target,
@@ -53,7 +56,7 @@ import numpy as np
 
 from .core import SampleSet, as_box
 from .io import load_pairs, load_samples
-from .models import HeatRod, UniformBoxSampler
+from .models import HeatRod
 from .targets import EmpiricalTarget, MixtureOfUniforms, NormalTarget, UniformTarget
 
 

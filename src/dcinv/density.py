@@ -310,7 +310,7 @@ def solve_density(initial_samples, predicted_samples, observed_samples, rule="sc
     Infinite ratios (predicted density underflow) are excluded from the
     diagnostic mean but counted as violations.
     """
-    initial, predicted_pts = _sample_pair(None, initial_samples, predicted_samples)
+    initial, predicted_pts = _sample_pair(initial_samples, predicted_samples)
     predicted = SampleSet(predicted_pts)
     observed_kde = kde_fit(observed_samples, rule)
     predicted_kde = kde_fit(predicted, rule)

@@ -371,12 +371,11 @@ def compare_methods(model, target, n, m, p, seed, methods=METHOD_NAMES):
         row = {"method": name, "n": int(n), "m": int(m), "seed": int(seed)}
         sol = None
         if name == "naive":
-            sol = solve_naive(model, initial, target, predicted_samples=predicted)
+            sol = solve_naive(initial, predicted, target)
         elif name in ("binning-grid", "binning-kmeans"):
             sol = solve_binning(
-                model, None, target, ("grid" if name == "binning-grid" else "kmeans", p),
-                n_target=n, seed=seed, min_fill="none",
-                initial_samples=initial, predicted_samples=predicted,
+                initial, predicted, target, ("grid" if name == "binning-grid" else "kmeans", p),
+                seed=seed,
             )
             row["l2_reps"], row["sup_reps"] = distances(pushforward_binned(sol))
             row["p"] = int(sol.p)

@@ -191,11 +191,10 @@ def draw_pairs(sampler, qoi, n, rng):
     return initial, eval_qoi(qoi, initial)
 
 
-def _sample_pair(qoi, initial, predicted):
-    """Aligned (initial SampleSet, (n, d_out) predicted array); ``predicted``
-    None runs ``qoi`` on the initial points."""
+def _sample_pair(initial, predicted):
+    """Aligned (initial SampleSet, (n, d_out) predicted array)."""
     initial = initial if isinstance(initial, SampleSet) else SampleSet(initial)
-    predicted_pts = eval_qoi(qoi, initial.points) if predicted is None else as_points(predicted)
+    predicted_pts = as_points(predicted)
     if predicted_pts.shape[0] != initial.n:
         raise ValueError("initial and predicted sample counts differ")
     return initial, predicted_pts

@@ -12,6 +12,7 @@ import itertools
 import json
 import os
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from dcinv.density import solve_density
 from dcinv.models import (
     HeatRod,
     UniformBoxSampler,
+    draw_pairs,
     heat_rod_observed,
     heat_rod_violation_observed,
     mixture_benchmark_model,
@@ -38,6 +40,11 @@ from dcinv.targets import EmpiricalTarget, NormalTarget, UniformTarget
 
 def report(criterion, detail):
     print(f"\nACCEPTANCE {criterion}: PASS  [{detail}]")
+
+
+def live_draw(model, sampler, seed):
+    """The draw callable of a live model: one stream from ``default_rng(seed)``."""
+    return partial(draw_pairs, sampler, model, rng=np.random.default_rng(seed))
 
 
 # --- criterion 1 ------------------------------------------------------------
@@ -255,12 +262,13 @@ def test_criterion_4_binning_structure():
     model = HeatRod()
     sampler = UniformBoxSampler(model.box)
     target = heat_rod_observed()
+    draws = [live_draw(model, sampler, seed) for seed in (1, 2)]
+    draws.append(live_draw(mixture_benchmark_model(), sampler, 3))
     runs = [
-        solve_binning(model, sampler, target, ("grid", 25), n_target=1500, seed=1),
-        solve_binning(model, sampler, target, ("kmeans", 40), n_target=2000, seed=2),
+        solve_binning(*draws[0](1500), target, ("grid", 25), draw=draws[0], seed=1),
+        solve_binning(*draws[1](2000), target, ("kmeans", 40), draw=draws[1], seed=2),
         solve_binning(
-            mixture_benchmark_model(), sampler, mixture_benchmark_target(),
-            ("kmeans", 60), n_target=3000, seed=3,
+            *draws[2](3000), mixture_benchmark_target(), ("kmeans", 60), draw=draws[2], seed=3,
         ),
     ]
     worst_sum, worst_agg = 0.0, 0.0
@@ -316,9 +324,8 @@ def test_criterion_6_mixture_superiority():
     n, m, seed = 20_000, 10_000, 2026_06
     kinks = np.array([[a] for _, a, _ in target.components] + [[target.components[-1][2]]])
 
-    sol = solve_binning(
-        model, sampler, target, mixture_benchmark_partition(), n_target=n, seed=seed
-    )
+    draw = live_draw(model, sampler, seed)
+    sol = solve_binning(*draw(n), target, mixture_benchmark_partition(), draw=draw, seed=seed)
     cdf = lambda pts: target.cdf(pts[:, 0])
     err_binning = sup_distance(
         sol.pushforward(), cdf, sol.box, grid_per_dim=8192,
@@ -385,12 +392,10 @@ def test_criterion_8_naive_vs_binning():
     sampler = UniformBoxSampler(model.box)
     target = heat_rod_observed()
     n, seed = 500, 2026_08
-    initial = sampler.sample(n, np.random.default_rng(np.random.SeedSequence((seed, 0))))
-    naive = solve_naive(model, initial, target)
-    binned = solve_binning(
-        model, None, target, ("grid", 30), n_target=n, seed=seed,
-        initial_samples=initial, min_fill="none",
-    )
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+    initial, predicted = draw_pairs(sampler, model, n, rng)
+    naive = solve_naive(initial, predicted, target)
+    binned = solve_binning(initial, predicted, target, ("grid", 30), seed=seed, min_fill="none")
     var_naive = float(np.var(naive.weights.weights))
     var_binned = float(np.var(n * binned.weights.weights))
     assert var_naive > var_binned, f"{var_naive} vs {var_binned}"

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from dcinv.binning import (
 from dcinv.core import BoxScaler, SampleSet
 from dcinv.density import solve_density
 from dcinv.edf import sup_distance, wedf_eval_many
-from dcinv.models import HeatRod, UniformBoxSampler, heat_rod_observed
+from dcinv.models import HeatRod, UniformBoxSampler, draw_pairs, heat_rod_observed
 from dcinv.targets import EmpiricalTarget, UniformTarget
 
 
@@ -116,16 +118,15 @@ def unit_identity_model(pts):
     return pts[:, 0]
 
 
+def live_draw(model, sampler, seed):
+    """The draw callable of a live model: one stream from ``default_rng(seed)``."""
+    return partial(draw_pairs, sampler, model, rng=np.random.default_rng(seed))
+
+
 def test_solve_binning_structure_and_pushforward_identity():
     sampler = UniformBoxSampler(BoxScaler([0.0], [1.0]))
-    sol = solve_binning(
-        unit_identity_model,
-        sampler,
-        UniformTarget(0.0, 1.0),
-        ("grid", 8),
-        n_target=4000,
-        seed=12,
-    )
+    draw = live_draw(unit_identity_model, sampler, 12)
+    sol = solve_binning(*draw(4000), UniformTarget(0.0, 1.0), ("grid", 8), draw=draw, seed=12)
     u = sol.weights.weights
     w = sol.cell_weights.weights
     # sum-one, equal weights within cells, exact aggregation identity
@@ -149,10 +150,8 @@ def test_solve_binning_structure_and_pushforward_identity():
 
 def test_solve_binning_p_one():
     sampler = UniformBoxSampler(BoxScaler([0.0], [1.0]))
-    sol = solve_binning(
-        unit_identity_model, sampler, UniformTarget(0.0, 1.0), ("grid", 1),
-        n_target=50, seed=3,
-    )
+    draw = live_draw(unit_identity_model, sampler, 3)
+    sol = solve_binning(*draw(50), UniformTarget(0.0, 1.0), ("grid", 1), draw=draw, seed=3)
     pf = pushforward_binned(sol)
     assert pf.eval([2.0]) == pytest.approx(1.0)
     assert sol.cell_weights.weights[0] == pytest.approx(1.0)
@@ -166,29 +165,17 @@ def gap_model(pts):
 
 def test_solve_binning_unreachable_cell_aborts():
     sampler = UniformBoxSampler(BoxScaler([0.0], [1.0]))
+    draw = live_draw(gap_model, sampler, 7)
     with pytest.raises(UnreachableCellError):
-        solve_binning(
-            gap_model,
-            sampler,
-            UniformTarget(0.0, 1.5),
-            ("grid", 30),
-            n_target=600,
-            seed=7,
-            max_batches=3,
-        )
+        solve_binning(*draw(600), UniformTarget(0.0, 1.5), ("grid", 30), draw=draw, seed=7)
 
 
 def test_solve_binning_fill_loop_grows_samples():
     sampler = UniformBoxSampler(BoxScaler([0.0], [1.0]))
     # target concentrated near the upper edge forces high minimum counts there
+    draw = live_draw(unit_identity_model, sampler, 9)
     sol = solve_binning(
-        unit_identity_model,
-        sampler,
-        UniformTarget(0.9, 1.0),
-        ("grid", 10),
-        n_target=500,
-        seed=9,
-        n_batch=500,
+        *draw(500), UniformTarget(0.9, 1.0), ("grid", 10), draw=draw, seed=9, n_batch=500
     )
     assert sol.n >= 500
     deficient = sol.counts < sol.n_min
@@ -199,10 +186,8 @@ def test_solve_binning_fill_loop_grows_samples():
 
 def test_solve_binning_kmeans_partition():
     sampler = UniformBoxSampler(BoxScaler([0.0], [1.0]))
-    sol = solve_binning(
-        unit_identity_model, sampler, UniformTarget(0.0, 1.0), ("kmeans", 12),
-        n_target=2000, seed=21,
-    )
+    draw = live_draw(unit_identity_model, sampler, 21)
+    sol = solve_binning(*draw(2000), UniformTarget(0.0, 1.0), ("kmeans", 12), draw=draw, seed=21)
     assert sol.partition.kind == "kmeans"
     assert abs(sol.weights.weights.sum() - 1.0) < 1e-12
 
@@ -211,11 +196,7 @@ def test_solve_binning_precomputed_pairs():
     rng = np.random.default_rng(31)
     lam = rng.uniform(size=(800, 1))
     q = lam[:, 0] * 2.0
-    sol = solve_binning(
-        None, None, UniformTarget(0.0, 2.0), ("grid", 6),
-        n_target=800, seed=0,
-        initial_samples=lam, predicted_samples=q,
-    )
+    sol = solve_binning(lam, q, UniformTarget(0.0, 2.0), ("grid", 6), seed=0)
     assert sol.n == 800
     assert sol.n_batches == 0
 
@@ -224,10 +205,8 @@ def test_solve_binning_heat_rod_improves_pushforward():
     model = HeatRod()
     sampler = UniformBoxSampler(model.box)
     target = heat_rod_observed()
-    sol = solve_binning(
-        model, sampler, target, ("grid", 30), n_target=800, seed=17,
-        min_fill="none",
-    )
+    draw = live_draw(model, sampler, 17)
+    sol = solve_binning(*draw(800), target, ("grid", 30), draw=draw, seed=17, min_fill="none")
     cdf = lambda pts: target.cdf(pts[:, 0])
     err_binned = sup_distance(
         sol.pushforward(), cdf, sol.box, grid_per_dim=2048,
@@ -246,14 +225,13 @@ def test_naive_identity_target_all_ones():
     rng = np.random.default_rng(41)
     lam = rng.uniform(size=(60, 2))
     q = lam[:, 0] + 0.3 * lam[:, 1]
-    sol = solve_naive(None, lam, EmpiricalTarget(q[:, None]), predicted_samples=q)
+    sol = solve_naive(lam, q, EmpiricalTarget(q[:, None]))
     assert np.max(np.abs(sol.weights.weights - 1.0)) < 1e-6
 
 
 def test_naive_single_sample():
     with pytest.warns(UserWarning, match="zero-width"):
-        sol = solve_naive(None, np.array([[0.5]]), UniformTarget(0.0, 1.0),
-                          predicted_samples=np.array([[0.4]]))
+        sol = solve_naive(np.array([[0.5]]), np.array([[0.4]]), UniformTarget(0.0, 1.0))
     assert sol.weights.weights[0] == pytest.approx(1.0)
 
 
@@ -263,12 +241,9 @@ def test_naive_variance_exceeds_binning_on_heat_rod():
     target = heat_rod_observed()
     n = 400
     rng = np.random.default_rng(53)
-    initial = sampler.sample(n, rng)
-    naive = solve_naive(model, initial, target)
-    binned = solve_binning(
-        model, None, target, ("grid", 25), n_target=n, seed=0,
-        initial_samples=initial, min_fill="none",
-    )
+    initial, predicted = draw_pairs(sampler, model, n, rng)
+    naive = solve_naive(initial, predicted, target)
+    binned = solve_binning(initial, predicted, target, ("grid", 25), seed=0, min_fill="none")
     var_naive = np.var(naive.weights.weights)
     var_binned = np.var(n * binned.weights.weights)
     assert var_naive > var_binned
@@ -294,30 +269,22 @@ def test_min_fill_policies():
     assert np.array_equal(one, [0, 0, 1, 1])
 
 
-def test_solve_binning_at_least_one_and_callable_policies():
+def test_solve_binning_at_least_one_policy():
     sampler = UniformBoxSampler(BoxScaler([0.0], [1.0]))
+    draw = live_draw(unit_identity_model, sampler, 5)
     sol = solve_binning(
-        unit_identity_model, sampler, UniformTarget(0.0, 1.0), ("grid", 12),
-        n_target=300, seed=5, min_fill="at_least_one",
+        *draw(300), UniformTarget(0.0, 1.0), ("grid", 12), draw=draw, seed=5,
+        min_fill="at_least_one",
     )
     kept = sol.cell_weights.weights > 0
     assert np.all(sol.counts[kept] >= 1)
-    sol2 = solve_binning(
-        unit_identity_model, sampler, UniformTarget(0.0, 1.0), ("grid", 6),
-        n_target=200, seed=6,
-        min_fill=lambda w, p, n_target: np.full(p, 2, dtype=np.int64),
-    )
-    assert np.all(sol2.counts >= 2)
 
 
 def test_solve_binning_data_box_override():
     rng = np.random.default_rng(67)
     lam = rng.uniform(size=(500, 1))
     box = BoxScaler([-0.02], [1.02])  # known support instead of the fitted hull
-    sol = solve_binning(
-        None, None, UniformTarget(0.0, 1.0), ("grid", 8), n_target=500, seed=0,
-        initial_samples=lam, predicted_samples=lam, data_box=box,
-    )
+    sol = solve_binning(lam, lam, UniformTarget(0.0, 1.0), ("grid", 8), seed=0, data_box=box)
     assert np.array_equal(sol.box.lower, box.lower)
     assert abs(sol.weights.weights.sum() - 1.0) < 1e-12
 
@@ -325,9 +292,8 @@ def test_solve_binning_data_box_override():
 def test_solve_binning_multi_batch_counts_and_alignment():
     model = HeatRod()
     sampler = UniformBoxSampler(model.box)
-    sol = solve_binning(
-        model, sampler, heat_rod_observed(), ("grid", 30), n_target=600, seed=4, n_batch=200
-    )
+    draw = live_draw(model, sampler, 4)
+    sol = solve_binning(*draw(600), heat_rod_observed(), ("grid", 30), draw=draw, seed=4, n_batch=200)
     assert sol.n_batches > 1
     assert sol.n == 600 + 200 * sol.n_batches
     np.testing.assert_array_equal(sol.counts, np.bincount(sol.assignments, minlength=sol.p))
@@ -341,17 +307,34 @@ def test_solve_binning_multi_batch_counts_and_alignment():
     np.testing.assert_array_equal(sol.assignments, sol.partition.classify_many(sol.predicted.points))
 
 
+def test_solve_binning_draws_only_in_the_fill_loop():
+    model = HeatRod()
+    draw = live_draw(model, UniformBoxSampler(model.box), 4)
+    sizes = []
+
+    def counting_draw(k):
+        sizes.append(k)
+        return draw(k)
+
+    initial, predicted = draw(600)
+    target = heat_rod_observed()
+    sol = solve_binning(initial, predicted, target, ("grid", 10), draw=counting_draw, n_batch=200)
+    assert sol.n_batches > 1
+    assert sizes == [200] * sol.n_batches
+    without = solve_binning(initial, predicted, target, ("grid", 10), n_batch=200)
+    assert without.n_batches == 0 and without.n == 600
+    assert not without.n_min.any()
+
+
 @pytest.mark.parametrize("method", ["naive", "binning", "density"])
 def test_misaligned_sample_pairs_are_rejected(method):
     lam = np.linspace(0.0, 1.0, 10)[:, None]
     target = UniformTarget(0.0, 1.0)
     with pytest.raises(ValueError, match="sample counts differ"):
         if method == "naive":
-            solve_naive(None, lam, target, predicted_samples=lam[:7])
+            solve_naive(lam, lam[:7], target)
         elif method == "density":
             solve_density(lam, lam[:7], lam)
         else:
-            solve_binning(
-                None, None, target, ("grid", 3), initial_samples=lam, predicted_samples=lam[:7]
-            )
+            solve_binning(lam, lam[:7], target, ("grid", 3))
 

@@ -6,7 +6,7 @@ import pytest
 
 from dcinv import cli, solver
 from dcinv.cli import main
-from dcinv.core import BoxScaler, SampleSet, WeightedEdf, fit_box
+from dcinv.core import BoxScaler, SampleSet, WeightedEdf
 from dcinv.edf import wedf_eval_many
 from dcinv.io import save_samples
 from dcinv.models import HEAT_ROD_OBSERVED_MU, HEAT_ROD_OBSERVED_SIGMA, HEAT_ROD_VIOLATION_MU
@@ -70,11 +70,7 @@ def test_pushforward_grid_spans_the_data_box(tmp_path, method):
         return np.array([float(r.split(",")[col]) for r in files[name].decode().splitlines()[1:]])
 
     q = first_column("pushforward.csv", 0)
-    if method == "density":  # no QP and no data box: the padded box of the predicted values
-        box = fit_box(first_column("weights.csv", 3), padding=1e-3)
-        assert (q[0], q[-1]) == (box.lower[0], box.upper[0])
-    else:
-        assert (q[0], q[-1]) == (2.2, 2.6)
+    assert (q[0], q[-1]) == (2.2, 2.6)
 
 
 def test_solve_density_identity_diagnostic(tmp_path):
@@ -255,6 +251,7 @@ def test_solve_all_weights_floored_exit_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["solver failure: all cell weights are at or below the floor 1e+09"]
+    assert not (tmp_path / "o").exists()  # the run failed before its first write
 
 
 def collapse_weights(monkeypatch):
@@ -427,6 +424,20 @@ def test_data_box_without_predicted_samples_is_a_config_error(tmp_path, capsys, 
     record = error_record(capsys)
     assert record["kind"] == "ConfigError"
     assert record["message"].startswith("/method/data_box: data box [[5.0, 6.0]] contains none")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("method", ["naive", "binning-grid"])
+def test_data_box_missing_some_predicted_samples_is_a_config_error(tmp_path, capsys, method):
+    # [2.0, 2.3] holds only the lowest of the rod's predicted values
+    cfg = write_config(tmp_path / "cfg.json", initial={"kind": "uniform", "n": 100},
+                       method={"p": 20, "data_box": [[2.0, 2.3]]})
+    assert main(["solve", "--method", method, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    record = error_record(capsys)
+    assert record["kind"] == "ConfigError"
+    assert record["message"].startswith("/method/data_box: data box [[2.0, 2.3]] contains only ")
+    assert record["message"].endswith(" of the 100 samples")
+    assert not (tmp_path / "o").exists()
 
 
 def test_single_observed_sample_is_a_config_error(tmp_path, capsys):
@@ -446,6 +457,7 @@ def test_error_record_exit_3(tmp_path, monkeypatch, capsys):
         "kind": "AllWeightsFlooredError",
         "message": "all cell weights are at or below the floor 1e+09",
     }
+    assert not (tmp_path / "o").exists()
     spec = write_spec(tmp_path / "spec.json", weight_floor=1e9)
     assert main(["convergence", "--spec", str(spec), "--out", str(tmp_path / "o2")]) == 3
     assert error_record(capsys)["kind"] == "AllWeightsFlooredError"
@@ -517,6 +529,7 @@ def test_out_of_range_option_is_a_config_error(tmp_path, capsys, method, overrid
     record = error_record(capsys)
     assert record["exit_code"] == 2 and record["kind"] == "ConfigError"
     assert record["message"].startswith(f"{pointer}: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_ignored_max_iter_key_still_loads(tmp_path):

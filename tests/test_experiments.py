@@ -186,9 +186,8 @@ def test_compare_methods_rows_match_each_method_run_alone():
     initial = UniformBoxSampler(model.box).sample(n, rng)
     predicted = eval_qoi(model, initial.points)
     observed = target.sample(m, np.random.default_rng(np.random.SeedSequence((seed, 11))))
-    naive = solve_naive(model, initial, target, predicted_samples=predicted)
-    binned = solve_binning(model, None, target, ("grid", p), seed=seed, min_fill="none",
-                           initial_samples=initial, predicted_samples=predicted)
+    naive = solve_naive(initial, predicted, target)
+    binned = solve_binning(initial, predicted, target, ("grid", p), seed=seed, min_fill="none")
     density = solve_density(initial, predicted, observed)
     assert by_name["naive"]["weight_variance"] == float(np.var(naive.weights.weights))
     assert by_name["binning-grid"]["weight_variance"] == float(np.var(n * binned.weights.weights))

@@ -1,5 +1,5 @@
-"""Property tests of the box coercion, the QP assembly and fit, and the
-distribution of cell weights onto samples."""
+"""Property tests of the box coercion, the duplicate jitter, the QP assembly
+and fit, and the distribution of cell weights onto samples."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dcinv.assembly import assemble_qp
+from dcinv.assembly import JITTER, assemble_qp, dedupe_jitter
 from dcinv.binning import distribute_cell_weights, fit_weights
 from dcinv.core import BoxScaler, WeightedEdf, as_box, fit_box
 from dcinv.edf import as_cdf_callable
@@ -40,6 +40,26 @@ def test_as_box_forms_agree(bounds):
 
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@pytest.mark.filterwarnings("ignore:.*duplicated sample")
+@settings(deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.lists(arrays(float, d, elements=unit), min_size=1, max_size=5),
+    st.lists(st.integers(0, 4), min_size=1, max_size=30))))
+def test_dedupe_jitter_moves_only_repeats_and_only_a_little(case):
+    pool, picks = case
+    pts = np.array([pool[i % len(pool)] for i in picks])  # rows repeat often
+    out = dedupe_jitter(pts)
+    assert_bits_equal(dedupe_jitter(pts), out)
+    first = sorted({tuple(row): i for i, row in reversed(list(enumerate(pts.tolist())))}.values())
+    repeats = np.setdiff1d(np.arange(len(pts)), first)
+    assert_bits_equal(out[first], pts[first])
+    step = out[repeats] - pts[repeats]
+    toward_half = np.where(pts[repeats] > 0.5, -1.0, 1.0)  # up at 0.5 itself
+    assert np.all(step * toward_half > 0)
+    assert np.all(np.abs(step) <= JITTER * (1 + 1e-6))  # 1e-10 plus rounding
+    assert np.unique(out, axis=0).shape[0] == len(out)
 
 
 def _target(kind, d, rng):

@@ -3,16 +3,18 @@ and of a few small commands that cover the rest of the ``solve`` front end.
 
     python3 tools/output_digests.py --src DIR --out FILE
 
-Runs 36 CLI commands in this process against the ``dcinv`` package under
+Runs 40 CLI commands in this process against the ``dcinv`` package under
 ``DIR/src``, each at input seeds 31000 and 47000: the five
 ``perfbench/workloads.py`` workloads at smoke and at full size, built with
-``workloads.command``, and the eight ``EXTRA`` commands defined here
-(binning-kmeans; a ``pairs`` model read from CSV files, with 1-D data
-under naive, binning-grid and density and with 2-D data under naive and
-binning-grid; a ``method.data_box`` override under naive and binning-grid). For each command it hashes ``weights.csv``,
-``pushforward.csv``, ``result.json``, every ``surface_*.csv`` and
-``meta.json`` without its ``timing`` block (the only part that holds wall
-time), and writes ``{command: {file: sha256}}`` to FILE as sorted JSON.
+``workloads.command``, and the ten ``EXTRA`` commands defined here
+(binning-kmeans; a live binning-grid run whose fill loop draws several
+batches; a ``pairs`` model read from CSV files, with 1-D data under naive,
+binning-grid, binning-kmeans and density and with 2-D data under naive and
+binning-grid; a ``method.data_box`` override under naive and binning-grid).
+For each command it hashes ``weights.csv``, ``pushforward.csv``,
+``result.json``, every ``surface_*.csv`` and ``meta.json`` without its
+``timing`` block (the only part that holds wall time), and writes
+``{command: {file: sha256}}`` to FILE as sorted JSON.
 
 A change keeps the outputs byte-identical when the files written for two
 checkouts are equal:
@@ -73,6 +75,10 @@ EXTRA = {
     "rod_kmeans": ("binning-kmeans", {
         "model": ROD, "initial": {"kind": "uniform", "n": 1000}, "target": ROD_TARGET,
         "method": {"p": 30}}),
+    # at_least_one on 150 cells starves the tail cells: 6-8 fill batches of 100
+    "rod_grid_fill": ("binning-grid", {
+        "model": ROD, "initial": {"kind": "uniform", "n": 500}, "target": ROD_TARGET,
+        "method": {"p": 150, "n_batch": 100, "min_fill": "at_least_one"}}),
     "rod_naive_data_box": ("naive", {
         "model": ROD, "initial": {"kind": "uniform", "n": 300}, "target": ROD_TARGET,
         "method": {"data_box": [[2.2, 2.6]]}}),
@@ -81,6 +87,7 @@ EXTRA = {
         "method": {"p": 30, "data_box": [[2.2, 2.6]]}}),
     "pairs_naive": ("naive", {"model": PAIRS, "target": PAIRS_TARGET}),
     "pairs_grid": ("binning-grid", {"model": PAIRS, "target": PAIRS_TARGET, "method": {"p": 20}}),
+    "pairs_kmeans": ("binning-kmeans", {"model": PAIRS, "target": PAIRS_TARGET, "method": {"p": 20}}),
     "pairs_density": ("density", {"model": PAIRS, "target": PAIRS_TARGET}),
     "pairs_2d_naive": ("naive", {"model": PAIRS_2D, "target": PAIRS_2D_TARGET}),
     "pairs_2d_grid": ("binning-grid", {
