@@ -29,6 +29,7 @@ from .solver import (
     NonPositiveDefiniteError,
     QpSolution,
     WeightCollapseError,
+    solve_isotonic,
     solve_qp,
     verify_kkt,
 )

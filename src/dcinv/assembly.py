@@ -139,9 +139,8 @@ def dedupe_jitter(points):
     """
     pts = as_points(points)
     order = np.lexsort(pts.T[::-1])
-    dup_rows = sorted(
-        {max(a, b) for a, b in zip(order[:-1], order[1:]) if np.array_equal(pts[a], pts[b])}
-    )
+    same = np.all(pts[order[:-1]] == pts[order[1:]], axis=1)
+    dup_rows = np.unique(np.maximum(order[:-1], order[1:])[same]).tolist()
     if not dup_rows:
         return pts
     warnings.warn(

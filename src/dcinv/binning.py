@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import assemble_qp
+from .assembly import assemble_qp, dedupe_jitter
 from .core import (BoxScaler, Normalization, SampleSet, WeightedEdf, WeightedPairs, WeightVector,
                    as_box, as_points, fit_box, grid_points)
 from .models import _sample_pair
-from .solver import solve_qp
+from .solver import solve_isotonic, solve_qp
 from .targets import as_target
 
 DEFAULT_WEIGHT_FLOOR = 1e-6
@@ -58,6 +58,11 @@ class AllWeightsFlooredError(ValueError):
 
 class DataBoxError(ValueError):
     """The given data box misses some of the predicted samples."""
+
+
+class PartitionBoxError(ValueError):
+    """A grid partition's box reaches outside the data box, so its outer
+    representatives would be clipped onto the data box's edge."""
 
 
 @dataclass(frozen=True)
@@ -223,8 +228,15 @@ def _sq_dist(pts, centroids):
 def fit_weights(points, target, box, solver_tol=1e-8):
     """Scale data-space ``points`` into the unit box of ``box``, clip them to
     it, and solve their fitting QP against ``target``. Returns the QpSolution,
-    whose mean-one weights align with ``points``."""
-    problem = assemble_qp(np.clip(box.scale(points), 0.0, 1.0), target, box=box)
+    whose mean-one weights align with ``points``.
+
+    Repeated points are jittered here, once, so the QP and the 1-D solver see
+    the same points. 1-D data is solved exactly by isotonic regression
+    (method "isotonic"); higher dimensions by the dense active set."""
+    pts = dedupe_jitter(np.clip(box.scale(points), 0.0, 1.0))
+    problem = assemble_qp(pts, target, box=box)
+    if pts.shape[1] == 1:
+        return solve_isotonic(pts[:, 0], problem, tol=solver_tol)
     return solve_qp(problem, tol=solver_tol)
 
 
@@ -235,10 +247,15 @@ def _data_box(predicted, data_box, padding):
         return fit_box(predicted, padding=padding)
     inside = int(data_box.contains(predicted).sum())
     if inside < len(predicted):
-        bounds = np.column_stack([data_box.lower, data_box.upper]).tolist()
         found = f"only {inside}" if inside else "none"
-        raise DataBoxError(f"data box {bounds} contains {found} of the {len(predicted)} samples")
+        raise DataBoxError(
+            f"data box {_bounds(data_box)} contains {found} of the {len(predicted)} samples"
+        )
     return data_box
+
+
+def _bounds(box):
+    return np.column_stack([box.lower, box.upper]).tolist()
 
 
 def classify(partition, q):
@@ -374,7 +391,8 @@ def solve_binning(
         Aligned (n, d_in) parameter and (n, d_out) data samples.
     target : target distribution (exact or empirical)
     partition : Partition, ("grid", cells_per_dim), or ("kmeans", p)
-        Grid partitions cover the data box.
+        A ("grid", ...) spec covers the data box; a given grid partition's box
+        must lie inside it.
     draw : callable, optional
         ``draw(k)`` returns k more aligned (initial, predicted) arrays, for
         example ``functools.partial(models.draw_pairs, sampler, qoi, rng=rng)``.
@@ -403,6 +421,8 @@ def solve_binning(
         batches (or has no samples at all without ``draw``).
     DataBoxError
         When ``data_box`` misses some of the predicted samples.
+    PartitionBoxError
+        When a grid partition's box is not inside the data box.
     """
     initial, predicted_pts = _sample_pair(initial, predicted)
     initial_pts = initial.points
@@ -412,6 +432,10 @@ def solve_binning(
     target = as_target(target)
     box = _data_box(predicted_pts, data_box, padding)
     part = _resolve_partition(partition, predicted_pts, box, seed)
+    if part.kind == "grid" and not box.contains(np.vstack([part.box.lower, part.box.upper])).all():
+        raise PartitionBoxError(
+            f"partition box {_bounds(part.box)} is not inside the data box {_bounds(box)}"
+        )
     p = part.p
 
     qp_sol = fit_weights(part.reps.points, target, box, solver_tol)

@@ -41,6 +41,7 @@ from . import __version__
 from .binning import (
     AllWeightsFlooredError,
     DataBoxError,
+    PartitionBoxError,
     UnreachableCellError,
     _data_box,
     make_regular_grid,
@@ -240,15 +241,21 @@ def _run_solve(method, cfg, out_dir, threads):
 
 
 def _solver_meta(qp_solution):
-    return {
+    """The solver block of meta.json: every KKT residual both absolute and
+    divided by ``b_scale`` = |b|_inf (null when b is 0)."""
+    kkt = qp_solution.kkt
+    record = {
         "converged": qp_solution.converged,
         "iterations": qp_solution.iterations,
         "method": qp_solution.method,
-        "stationarity_residual": qp_solution.kkt.stationarity_residual,
-        "feasibility_residual": qp_solution.kkt.feasibility_residual,
-        "complementarity_residual": qp_solution.kkt.complementarity_residual,
+        "stationarity_residual": kkt.stationarity_residual,
+        "feasibility_residual": kkt.feasibility_residual,
+        "complementarity_residual": kkt.complementarity_residual,
+        "b_scale": kkt.b_scale,
         "objective": qp_solution.objective,
     }
+    record.update({f"{k}_residual_rel": v for k, v in kkt.relative().items()})
+    return record
 
 
 def _cmd_solve(args):
@@ -257,6 +264,8 @@ def _cmd_solve(args):
         return _run_solve(args.method, cfg, args.out, args.threads)
     except DataBoxError as exc:
         raise ConfigError("/method/data_box", str(exc)) from None
+    except PartitionBoxError as exc:
+        raise ConfigError("/method/partition_box", str(exc)) from None
     except UnreachableCellError as exc:
         return _fail(EXIT_UNREACHABLE, "unreachable cell", exc)
     except SOLVER_FAILURES as exc:

@@ -440,6 +440,23 @@ def test_data_box_missing_some_predicted_samples_is_a_config_error(tmp_path, cap
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("method_options", [
+    {"partition_box": [[2.0, 2.6]]},  # wider than the box fitted to the samples
+    {"partition_box": [[2.2, 2.7]], "data_box": [[2.2, 2.6]]},
+])
+def test_partition_box_outside_the_data_box_is_a_config_error(tmp_path, capsys, method_options):
+    cfg = write_config(tmp_path / "cfg.json", method={"p": 20, **method_options})
+    out = tmp_path / "o"
+    assert main(["solve", "--method", "binning-grid", "--config", str(cfg), "--out", str(out)]) == 2
+    record = error_record(capsys)
+    assert record["kind"] == "ConfigError"
+    assert record["message"].startswith(
+        f"/method/partition_box: partition box {method_options['partition_box']} "
+        "is not inside the data box "
+    )
+    assert not out.exists()
+
+
 def test_single_observed_sample_is_a_config_error(tmp_path, capsys):
     target = {"kind": "normal", "mu": HEAT_ROD_OBSERVED_MU, "sigma": HEAT_ROD_OBSERVED_SIGMA, "m": 1}
     cfg = write_config(tmp_path / "cfg.json", target=target)
@@ -447,6 +464,33 @@ def test_single_observed_sample_is_a_config_error(tmp_path, capsys):
         assert main(argv + ["--config", str(cfg)]) == 2
         record = error_record(capsys)
         assert record["kind"] == "ConfigError" and record["message"].startswith("/target/m: ")
+
+
+def write_pairs_2d_config(tmp_path):
+    """Config of a ``pairs`` model with 2-D data and an observed-sample target."""
+    rng = np.random.default_rng(19)
+    lam = rng.uniform(size=(120, 2))
+    q = np.column_stack([np.exp(lam[:, 0]), lam[:, 1] + 0.5 * lam[:, 1] ** 2])
+    save_samples(tmp_path / "lam2.csv", lam)
+    save_samples(tmp_path / "q2.csv", q, prefix="q")
+    save_samples(tmp_path / "obs2.csv", q[:80] + rng.normal(0.0, 0.02, size=(80, 2)), prefix="q")
+    return write_config(
+        tmp_path / "pairs2.json",
+        model={"kind": "pairs", "param_csv": "lam2.csv", "data_csv": "q2.csv"},
+        target={"kind": "samples", "csv": "obs2.csv"},
+    )
+
+
+def test_meta_names_the_solver_by_data_dimension(tmp_path):
+    cases = [(write_config(tmp_path / "cfg.json"), "isotonic"),
+             (write_pairs_2d_config(tmp_path), "active-set")]
+    for i, (cfg, expected) in enumerate(cases):
+        out = tmp_path / f"o{i}"
+        assert main(["solve", "--method", "naive", "--config", str(cfg), "--out", str(out)]) == 0
+        record = json.loads((out / "meta.json").read_text())["solver"]
+        assert record["method"] == expected and record["converged"] is True
+        for name in ("stationarity", "feasibility", "complementarity"):
+            assert record[f"{name}_residual_rel"] == record[f"{name}_residual"] / record["b_scale"]
 
 
 def test_error_record_exit_3(tmp_path, monkeypatch, capsys):
@@ -461,13 +505,14 @@ def test_error_record_exit_3(tmp_path, monkeypatch, capsys):
     spec = write_spec(tmp_path / "spec.json", weight_floor=1e9)
     assert main(["convergence", "--spec", str(spec), "--out", str(tmp_path / "o2")]) == 3
     assert error_record(capsys)["kind"] == "AllWeightsFlooredError"
-    # an exhausted iteration budget writes its results and still reports
+    # an exhausted iteration budget writes its results and still reports; only
+    # data of two or more dimensions goes through the iterative solver
     from dcinv import binning
 
     monkeypatch.setattr(
         binning, "solve_qp", lambda problem, tol: solver.solve_qp(problem, tol=tol, max_iter=1)
     )
-    cfg = write_config(tmp_path / "cfg2.json")
+    cfg = write_pairs_2d_config(tmp_path)
     assert main(["solve", "--method", "naive", "--config", str(cfg), "--out", str(tmp_path / "o3")]) == 3
     assert error_record(capsys)["kind"] == "NotConverged"
     assert (tmp_path / "o3" / "weights.csv").exists()

@@ -1,5 +1,6 @@
 """Property tests of the box coercion, the duplicate jitter, the QP assembly
-and fit, and the distribution of cell weights onto samples."""
+and fit, the 1-D isotonic solver against the dense active set, and the
+distribution of cell weights onto samples."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dcinv.assembly import JITTER, assemble_qp, dedupe_jitter
 from dcinv.binning import distribute_cell_weights, fit_weights
 from dcinv.core import BoxScaler, WeightedEdf, as_box, fit_box
 from dcinv.edf import as_cdf_callable
+from dcinv.solver import solve_isotonic, solve_qp
 from dcinv.targets import EmpiricalTarget, ExactCdfTarget, MixtureOfUniforms, NormalTarget
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -107,6 +109,47 @@ def test_fit_weights_are_mean_one(ell, d, kind, seed):
     sol = fit_weights(points, target, box)
     assert sol.w.shape == (ell,) and np.all(sol.w >= 0)
     assert abs(sol.w.mean() - 1.0) <= 1e-8
+
+
+# Oracle tolerances of the isotonic solver against the dense active set: the
+# objective may exceed the dense one by at most OBJECTIVE_SLACK * l * |b|_inf
+# (the rounding of evaluating it), and the weights of each distinct sample
+# must agree within WEIGHT_TOL (the dense solve's own conditioning error is
+# about 3e-9 at l = 120).
+OBJECTIVE_SLACK = 1e-12
+WEIGHT_TOL = 1e-6
+
+
+@pytest.mark.filterwarnings("ignore:.*duplicated sample")
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 120),
+    st.sampled_from(["empirical", "normal", "mixture", "quadrature"]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_isotonic_solver_matches_the_dense_active_set(ell, kind, repeats, seed):
+    rng = np.random.default_rng(seed)
+    pool = rng.uniform(0.0, 0.99, size=max(1, ell // 2) if repeats else ell)
+    pool[0] = 0.0  # a sample exactly on the lower edge
+    raw = (rng.choice(pool, size=ell) if repeats else pool)[:, None]
+    pts = dedupe_jitter(raw)
+    if kind == "quadrature":  # an exact CDF without a running integral
+        target = ExactCdfTarget(lambda q: np.clip(q[:, 0], 0.0, 1.0) ** 2)
+    else:  # empirical targets reach outside the unit box
+        target = _target(kind, 1, rng)
+    problem = assemble_qp(pts, target)
+    iso = solve_isotonic(pts[:, 0], problem)
+    dense = solve_qp(problem)
+    assert iso.converged and iso.kkt.passed and dense.kkt.passed
+    assert iso.objective <= dense.objective + OBJECTIVE_SLACK * ell * iso.kkt.b_scale
+    # the split of weight between jittered repeats barely moves the objective,
+    # so weights are compared per distinct sample
+    _, distinct = np.unique(raw[:, 0], return_inverse=True)
+    gap = np.bincount(distinct, iso.w) - np.bincount(distinct, dense.w)
+    assert np.max(np.abs(gap)) <= WEIGHT_TOL
+    if not repeats:
+        assert np.max(np.abs(iso.w - dense.w)) <= WEIGHT_TOL
 
 
 @settings(deadline=None)

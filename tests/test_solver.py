@@ -6,7 +6,7 @@ import pytest
 from dcinv.assembly import QpProblem, assemble_b_empirical, assemble_h, assemble_qp
 from dcinv.core import BoxScaler, SampleSet, WeightedEdf
 from dcinv.edf import l2_distance
-from dcinv.solver import NonPositiveDefiniteError, solve_qp, verify_kkt
+from dcinv.solver import NonPositiveDefiniteError, solve_isotonic, solve_qp, verify_kkt
 from dcinv.targets import EmpiricalTarget, NormalTarget, UniformTarget
 
 
@@ -79,7 +79,8 @@ def grid_oracle(problem, resolution=1e-3):
     return search(lo, hi, max(steps, 2))
 
 
-def random_problem(rng, ell, d):
+def random_instance(rng, ell, d):
+    """Unit-box samples and their QP against a random target."""
     pts = rng.uniform(0.0, 0.98, size=(ell, d))
     kind = rng.integers(0, 3)
     if kind == 0 and d == 1:
@@ -88,7 +89,19 @@ def random_problem(rng, ell, d):
         target = NormalTarget(rng.uniform(0.2, 0.8), rng.uniform(0.05, 0.4))
     else:
         target = EmpiricalTarget(rng.uniform(size=(int(rng.integers(3, 40)), d)))
-    return assemble_qp(pts, target)
+    return pts, assemble_qp(pts, target)
+
+
+def random_problem(rng, ell, d):
+    return random_instance(rng, ell, d)[1]
+
+
+# Both solvers of the fitting QP, called on (samples, problem). The isotonic
+# solver takes 1-D samples only.
+SOLVERS = {
+    "active-set": lambda pts, problem: solve_qp(problem),
+    "isotonic": lambda pts, problem: solve_isotonic(pts[:, 0], problem),
+}
 
 
 def test_identity_target_gives_all_ones():
@@ -100,34 +113,40 @@ def test_identity_target_gives_all_ones():
     assert np.max(np.abs(sol.w - 1.0)) < 1e-8
 
 
-def test_uniform_target_two_samples_hand_optimum():
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_uniform_target_two_samples_hand_optimum(solver):
     # For predicted {0.25, 0.75} and target F(q) = q the interior optimum is
     # all ones (stationarity reduces to 0.25 w_1 = 0.25 on the constraint line).
-    problem = assemble_qp(np.array([[0.25], [0.75]]), UniformTarget(0.0, 1.0))
-    sol = solve_qp(problem)
+    pts = np.array([[0.25], [0.75]])
+    problem = assemble_qp(pts, UniformTarget(0.0, 1.0))
+    sol = SOLVERS[solver](pts, problem)
     oracle = enumeration_oracle(problem)
     assert np.allclose(sol.w, oracle, atol=1e-6)
     assert np.allclose(sol.w, [1.0, 1.0], atol=1e-8)
 
 
-def test_matches_enumeration_oracle_small():
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_matches_enumeration_oracle_small(solver):
     rng = np.random.default_rng(42)
     for _ in range(30):
         ell = int(rng.integers(2, 4))
         d = int(rng.integers(1, 3))
-        problem = random_problem(rng, ell, d)
-        sol = solve_qp(problem)
+        pts, problem = random_instance(rng, ell, d)
+        if solver == "isotonic" and d > 1:
+            continue
+        sol = SOLVERS[solver](pts, problem)
         oracle = enumeration_oracle(problem)
         assert oracle is not None
         assert np.max(np.abs(sol.w - oracle)) < 1e-6
         assert sol.kkt.passed
 
 
-def test_matches_grid_oracle_l3():
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_matches_grid_oracle_l3(solver):
     rng = np.random.default_rng(7)
     for _ in range(5):
-        problem = random_problem(rng, 3, 1)
-        sol = solve_qp(problem)
+        pts, problem = random_instance(rng, 3, 1)
+        sol = SOLVERS[solver](pts, problem)
         oracle = grid_oracle(problem)
         assert np.max(np.abs(sol.w - oracle)) < 2e-3
 
@@ -324,3 +343,92 @@ def test_initial_factor_reports_pivot_without_gather():
     with pytest.raises(NonPositiveDefiniteError) as info:
         _FreeBlockFactor(h, range(4))
     assert info.value.pivot == 2
+
+
+def test_isotonic_single_sample_takes_all_weight():
+    pts = np.array([[0.3]])
+    sol = solve_isotonic(pts[:, 0], assemble_qp(pts, NormalTarget(0.5, 0.1)))
+    assert sol.w.tolist() == [1.0]
+    assert sol.converged and sol.method == "isotonic" and sol.iterations == 0
+
+
+def test_isotonic_zero_gap_reports_the_dense_pivot():
+    # samples 1 and 3 coincide; the dense factorization fails at row 3 too
+    pts = np.array([[0.6], [0.2], [0.9], [0.2]])
+    problem = QpProblem(assemble_h(pts), assemble_b_empirical(pts, pts))
+    with pytest.raises(NonPositiveDefiniteError) as iso:
+        solve_isotonic(pts[:, 0], problem)
+    with pytest.raises(NonPositiveDefiniteError) as dense:
+        solve_qp(problem)
+    assert iso.value.pivot == dense.value.pivot == 3
+
+
+def test_isotonic_counts_pool_merges():
+    # gap means m_k = l (b_k - b_(k+1)) / gap_k = (0.1, 0.05, 0.15): the
+    # first two decrease, so they must pool into one block
+    pts = np.array([[0.1], [0.2], [0.3], [0.4]])
+    problem = QpProblem(assemble_h(pts), np.array([0.03, 0.02, 0.015, 0.0]) / 4)
+    sol = solve_isotonic(pts[:, 0], problem)
+    assert sol.iterations == 1
+    assert sol.kkt.passed
+    reference = solve_qp(problem)
+    assert np.max(np.abs(sol.w - reference.w)) < 1e-8
+
+
+def test_certificate_passes_at_the_isotonic_point_and_fails_beyond_its_tolerance():
+    """Moving weight eps between two support samples shifts the gradient by
+    eps H (e_i - e_j); the certificate must pass while that shift is well
+    below ``tol`` and fail once it is well above it."""
+    rng = np.random.default_rng(61)
+    pts = rng.uniform(0.0, 0.99, size=(50, 1))
+    problem = assemble_qp(pts, NormalTarget(0.5, 0.1))
+    tol = 1e-8
+    sol = solve_isotonic(pts[:, 0], problem, tol=tol)
+    assert sol.converged and sol.kkt.passed
+    assert sol.kkt.b_scale == np.abs(problem.b).max()
+    rel = sol.kkt.relative()
+    assert set(rel) == {"stationarity", "feasibility", "complementarity"}
+    assert max(rel.values()) <= 1e-10  # far inside the absolute tolerance, at any l
+    # converged is the certificate's verdict: below the rounding level it fails
+    strict = solve_isotonic(pts[:, 0], problem, tol=1e-30)
+    assert not strict.kkt.passed and not strict.converged
+    support = np.nonzero(sol.w > 0.5)[0]
+    i, j = support[np.argmin(pts[support, 0])], support[np.argmax(pts[support, 0])]
+    direction = np.zeros(problem.size)
+    direction[i], direction[j] = 1.0, -1.0
+    shift = problem.h @ direction
+    spread = np.max(np.abs(shift[support] - shift[support].mean()))
+    for factor, passes in ((0.01, True), (100.0, False)):
+        eps = factor * tol / spread
+        assert eps < sol.w[j]  # the perturbed point stays feasible
+        assert verify_kkt(problem, sol.w + eps * direction, tol).passed is passes
+
+
+@pytest.mark.filterwarnings("ignore:.*duplicated sample")
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_fit_weights_jitters_repeats_before_assembly(d):
+    # fit_weights jitters repeats before assemble_qp, whose own jitter then
+    # finds none: the QP is bit for bit the one of jittering inside it, and
+    # the 1-D solver sees the same points as the QP
+    from dcinv.assembly import dedupe_jitter
+    from dcinv.binning import fit_weights
+
+    rng = np.random.default_rng(d)
+    points = rng.normal(3.0, 1.0, size=(30, d))
+    points[10:15] = points[:5]  # five repeated rows
+    box = BoxScaler(points.min(axis=0) - 0.01, points.max(axis=0) + 0.01)
+    target = EmpiricalTarget(rng.normal(3.0, 1.0, size=(40, d)))
+    clipped = np.clip(box.scale(points), 0.0, 1.0)
+    inside = assemble_qp(clipped, target, box=box)
+    jittered = dedupe_jitter(clipped)
+    before = assemble_qp(jittered, target, box=box)
+    assert np.array_equal(before.h.view(np.int64), inside.h.view(np.int64))
+    assert np.array_equal(before.b.view(np.int64), inside.b.view(np.int64))
+    sol = fit_weights(points, target, box)
+    assert sol.converged
+    if d == 1:
+        expected = solve_isotonic(jittered[:, 0], inside)
+    else:
+        expected = solve_qp(inside)
+    assert sol.method == expected.method == ("isotonic" if d == 1 else "active-set")
+    assert np.array_equal(sol.w.view(np.int64), expected.w.view(np.int64))
