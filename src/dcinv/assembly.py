@@ -132,28 +132,35 @@ def dedupe_jitter(points):
     """Perturb duplicated rows by ~1e-10 toward the box interior.
 
     Duplicate samples make the fitting matrix singular; the jitter restores
-    strict positive-definiteness while moving each point by at most 1e-10
-    per coordinate. First occurrences are left untouched. The steps are
-    drawn from a generator seeded with 0, so equal inputs give equal
-    outputs. A warning reports how many rows were perturbed.
+    strict positive-definiteness while moving each point by a step in
+    (JITTER / 2, JITTER] per coordinate. First occurrences are left
+    untouched. The r-th of n repeats of one row steps inside the middle half
+    of the r-th of n equal slices of that band, so repeats stay at least
+    JITTER / (4 n) apart and come out distinct wherever that exceeds two
+    units in the last place. The offsets within the slices are drawn from a
+    generator seeded with 0, so equal inputs give equal outputs. A warning
+    reports how many rows were perturbed.
     """
     pts = as_points(points)
-    order = np.lexsort(pts.T[::-1])
+    order = np.lexsort(pts.T[::-1])  # stable: each run of equal rows is in index order
     same = np.all(pts[order[:-1]] == pts[order[1:]], axis=1)
-    dup_rows = np.unique(np.maximum(order[:-1], order[1:])[same]).tolist()
-    if not dup_rows:
+    if not np.any(same):
         return pts
+    new_run = np.append(True, ~same)
+    run = np.cumsum(new_run) - 1
+    rank = np.arange(len(pts)) - np.flatnonzero(new_run)[run]  # 0 at first occurrences
+    repeats = np.bincount(run)[run] - 1
+    dup = rank > 0
+    rows, rank, repeats = order[dup], rank[dup], repeats[dup]
     warnings.warn(
-        f"{len(dup_rows)} duplicated sample row(s) jittered by {JITTER} to keep "
+        f"{rows.size} duplicated sample row(s) jittered by {JITTER} to keep "
         "the fitting matrix positive definite",
         stacklevel=2,
     )
-    rng = np.random.default_rng(0)
+    offset = np.random.default_rng(0).uniform(0.25, 0.75, size=(rows.size, pts.shape[1]))
+    step = 0.5 * JITTER * (1.0 + (rank[:, None] - 1 + offset) / repeats[:, None])
     out = pts.copy()
-    for i in dup_rows:
-        step = rng.uniform(0.5 * JITTER, JITTER, size=pts.shape[1])
-        direction = np.where(out[i] > 0.5, -1.0, 1.0)
-        out[i] = out[i] + direction * step
+    out[rows] += np.where(out[rows] > 0.5, -1.0, 1.0) * step
     return out
 
 

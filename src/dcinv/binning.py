@@ -232,7 +232,8 @@ def fit_weights(points, target, box, solver_tol=1e-8):
 
     Repeated points are jittered here, once, so the QP and the 1-D solver see
     the same points. 1-D data is solved exactly by isotonic regression
-    (method "isotonic"); higher dimensions by the dense active set."""
+    (method "isotonic"); higher dimensions by block principal pivoting
+    (method "active-set")."""
     pts = dedupe_jitter(np.clip(box.scale(points), 0.0, 1.0))
     problem = assemble_qp(pts, target, box=box)
     if pts.shape[1] == 1:

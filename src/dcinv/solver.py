@@ -4,13 +4,10 @@ The objective is the distributional misfit (1/2) w^T H w - b^T w (see the
 assembly module; its minimizer is the L2-optimal weighting). On 1-D samples
 the QP is a bounded weighted isotonic regression, which
 :func:`solve_isotonic` solves exactly by pool-adjacent-violators. In any
-dimension, :func:`solve_qp` runs a primal active-set iteration warm-started
-from the all-ones vector, which is always feasible. Each working-set change
-updates a Cholesky factor of the free block incrementally (append one
-column, or rank-1-update away one row/column), so a solve costs O(free^2)
-per iteration instead of a fresh O(free^3) factorization. A
-projected-gradient fallback handles the (never observed in practice) case
-of active-set cycling.
+dimension, :func:`solve_qp` solves it by block principal pivoting: each
+round factors the free block of H once and moves every variable whose sign
+condition fails across the bound at once, so a solve takes a handful of
+dense factorizations (at most ~15 rounds observed up to l = 3000).
 
 KKT conditions certified at the returned point, with equality multiplier nu
 and bound multipliers mu >= 0:
@@ -27,11 +24,16 @@ the same certificate.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve
 
 from .core import Normalization, WeightVector
 
 DEFAULT_TOL = 1e-8
+# Block principal pivoting: rounds without progress before Murty's
+# one-variable rule, and the round cap (random instances up to l = 3000
+# took at most 15 rounds).
+_BACKUP_ROUNDS = 3
+_MAX_ROUNDS = 1000
 
 
 class NonPositiveDefiniteError(np.linalg.LinAlgError):
@@ -68,71 +70,6 @@ def _cholesky_or_pivot(mat):
         except np.linalg.LinAlgError:
             hi = mid
     raise NonPositiveDefiniteError(lo - 1)
-
-
-def _chol_rank1_update(L, x):
-    """In-place lower-Cholesky update: L L^T + x x^T (x is consumed)."""
-    n = x.size
-    for k in range(n):
-        lkk = L[k, k]
-        r = np.hypot(lkk, x[k])
-        c = r / lkk
-        s = x[k] / lkk
-        L[k, k] = r
-        if k + 1 < n:
-            col = L[k + 1 :, k]
-            col += s * x[k + 1 :]
-            col /= c
-            x[k + 1 :] = c * x[k + 1 :] - s * col
-    return L
-
-
-class _FreeBlockFactor:
-    """Cholesky factor of H[free][:, free], maintained under set changes.
-
-    ``free`` is an ordered list of variable indices; freed variables are
-    appended at the end, fixed variables are removed in place.
-    """
-
-    def __init__(self, h, free):
-        self.h = h
-        self.free = list(free)
-        if self.free == list(range(h.shape[0])):
-            block = h  # every variable free, in order: no full-size gather
-        else:
-            block = h[np.ix_(self.free, self.free)]
-        self.L = _cholesky_or_pivot(block)
-
-    def append(self, j):
-        col = self.h[self.free, j]
-        x = solve_triangular(self.L, col, lower=True, check_finite=False)
-        d = self.h[j, j] - x @ x
-        if d <= 0.0:
-            raise NonPositiveDefiniteError(j)
-        n = self.L.shape[0]
-        newL = np.zeros((n + 1, n + 1))
-        newL[:n, :n] = self.L
-        newL[n, :n] = x
-        newL[n, n] = np.sqrt(d)
-        self.L = newL
-        self.free.append(j)
-
-    def remove(self, pos):
-        L = self.L
-        n = L.shape[0]
-        tail = L[pos + 1 :, pos + 1 :].copy()
-        spike = L[pos + 1 :, pos].copy()
-        _chol_rank1_update(tail, spike)
-        newL = np.zeros((n - 1, n - 1))
-        newL[:pos, :pos] = L[:pos, :pos]
-        newL[pos:, :pos] = L[pos + 1 :, :pos]
-        newL[pos:, pos:] = tail
-        self.L = newL
-        del self.free[pos]
-
-    def solve(self, rhs):
-        y = solve_triangular(self.L, rhs, lower=True, check_finite=False)
-        return solve_triangular(self.L.T, y, lower=False, check_finite=False)
 
 
 @dataclass(frozen=True)
@@ -210,32 +147,6 @@ def verify_kkt(problem, w, tol=DEFAULT_TOL, nu=None):
     return KktReport(stationarity, feasibility, complementarity, tol, float(nu), b_scale)
 
 
-def _project_scaled_simplex(v, total):
-    """Euclidean projection onto {w >= 0, sum w = total}."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - total
-    ks = np.arange(1, v.size + 1)
-    cond = u - css / ks > 0
-    rho = ks[cond][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
-
-
-def _projected_gradient(problem, w0, tol, max_iter):
-    h, b = problem.h, problem.b
-    ell = problem.size
-    lam_max = float(np.linalg.eigvalsh(h)[-1])
-    step = 1.0 / max(lam_max, 1e-300)
-    w = _project_scaled_simplex(np.asarray(w0, dtype=float), float(ell))
-    for it in range(max_iter):
-        g = h @ w - b
-        w = _project_scaled_simplex(w - step * g, float(ell))
-        if it % 16 == 0 or it == max_iter - 1:
-            if verify_kkt(problem, w, tol).passed:
-                return w, True, it + 1
-    return w, False, max_iter
-
-
 def _cleanup(w, ell, tol):
     w = np.asarray(w, dtype=float).copy()
     w[(w < 0.0) & (w >= -tol)] = 0.0
@@ -247,113 +158,64 @@ def _cleanup(w, ell, tol):
     return w * (ell / total)
 
 
-def solve_qp(problem, tol=DEFAULT_TOL, max_iter=None, w0=None):
-    """Solve the simplex-constrained fitting QP.
+def solve_qp(problem, tol=DEFAULT_TOL):
+    """Solve the simplex-constrained fitting QP by block principal pivoting.
 
-    Parameters
-    ----------
-    problem : QpProblem
-        Must have symmetric positive-definite ``h``.
-    tol : float
-        KKT residual tolerance; also the clipping band for tiny negative
-        weights in the returned vector.
-    max_iter : int, optional
-        Working-set change budget; default 50 * l.
-    w0 : array-like, optional
-        Feasible starting point; defaults to all ones.
+    Every variable starts free. Each round factors the free block H_FF once,
+    solves x1 = H_FF^-1 b_F and x2 = H_FF^-1 1, sets w_F = x1 - c x2 with
+    c = (sum x1 - l) / sum x2 (so sum w = l) and w = 0 elsewhere, and reads
+    the bound multipliers mu = H w - b + c. Every free variable with
+    w < -1e-12 and every fixed one with mu < -1e-12 max(|b|_inf, |c|)
+    changes sides at once (Judice & Pires 1994; Kim & Park 2011); the
+    margins keep rounding-level signs from cycling. After _BACKUP_ROUNDS
+    rounds in a row without fewer such variables, only the largest index
+    changes sides (Murty's rule), which terminates.
 
-    Returns
-    -------
-    QpSolution
-        ``converged`` is False when the iteration budget was exhausted; the
-        best iterate is still returned, with its achieved residuals.
+    Returns a QpSolution with method "active-set"; ``iterations`` counts
+    rounds, and ``converged`` is the verdict of :func:`verify_kkt` at
+    ``tol`` (which is also the clipping band for tiny negative weights), or
+    False after _MAX_ROUNDS rounds.
 
     Raises
     ------
     NonPositiveDefiniteError
-        If a Cholesky factorization of (a principal block of) ``h`` fails,
-        reporting the offending pivot index.
+        If the Cholesky factorization of ``h`` fails, reporting the first
+        bad pivot.
     WeightCollapseError
         If no weight stays positive once negatives are clipped.
     """
     h, b = problem.h, problem.b
     ell = problem.size
-    if max_iter is None:
-        max_iter = 50 * ell
-    if w0 is None:
-        w = np.ones(ell)
-    else:
-        w = _project_scaled_simplex(np.asarray(w0, dtype=float), float(ell))
-
-    active = w <= 0.0
-    factor = _FreeBlockFactor(h, np.nonzero(~active)[0])
-    seen_sets = {}
-    nu = 0.0
+    b_scale = float(np.max(np.abs(b)))
+    free = np.ones(ell, dtype=bool)
+    w = np.zeros(ell)
+    fewest, backup = ell + 1, _BACKUP_ROUNDS
     optimal = False
-
-    iteration = 0
-    while iteration < max_iter:
-        iteration += 1
-        free = factor.free
-        key = frozenset(free)
-        seen_sets[key] = seen_sets.get(key, 0) + 1
-        if seen_sets[key] > 2:
-            w_pg, ok, its = _projected_gradient(problem, w, tol, max_iter * 8)
-            w_clean = _cleanup(w_pg, ell, tol)
-            report = verify_kkt(problem, w_clean, tol)
-            return QpSolution(
-                w_clean, ok and report.passed, iteration + its, report,
-                problem.objective(w_clean), "projected-gradient",
-            )
-
-        bf = b[free]
-        a = factor.solve(bf)
-        c = factor.solve(np.ones(len(free)))
-        nu = ell * (float(np.sum(a)) - ell) / float(np.sum(c))
-        w_target = a - (nu / ell) * c
-        wf = w[free]
-        p = w_target - wf
-
-        step_scale = max(1.0, float(np.max(np.abs(wf))))
-        if np.max(np.abs(p)) <= 1e-14 * step_scale:
-            # stationary on the current working set: check bound multipliers
-            if np.all(~active):
-                optimal = True
-                break
-            g = h @ w - b
-            mu = g[active] + nu / ell
-            worst = np.argmin(mu)
-            if mu[worst] >= -tol:
-                optimal = True
-                break
-            j = np.nonzero(active)[0][worst]
-            factor.append(j)
-            active[j] = False
-            continue
-
-        blocking = p < 0.0
-        if np.any(blocking):
-            ratios = np.where(blocking, wf / np.where(blocking, -p, 1.0), np.inf)
-            alpha = float(np.min(ratios))
+    rounds = 0
+    while not optimal and rounds < _MAX_ROUNDS:
+        rounds += 1
+        idx = np.flatnonzero(free)
+        block = h if idx.size == ell else h[np.ix_(idx, idx)]
+        rhs = np.column_stack([b[idx], np.ones(idx.size)])
+        x = cho_solve((_cholesky_or_pivot(block), True), rhs, check_finite=False)
+        c = (x[:, 0].sum() - ell) / x[:, 1].sum()
+        w[:] = 0.0
+        w[idx] = x[:, 0] - c * x[:, 1]
+        mu = h @ w - b + c
+        mu_floor = -1e-12 * max(b_scale, abs(c))  # |c| keeps a scale when b = 0
+        infeasible = np.flatnonzero(np.where(free, w < -1e-12, mu < mu_floor))
+        optimal = infeasible.size == 0
+        if infeasible.size < fewest:
+            fewest, backup = infeasible.size, _BACKUP_ROUNDS
+        elif backup > 0:
+            backup -= 1
         else:
-            alpha = np.inf
-        if alpha >= 1.0:
-            w[free] = w_target
-        else:
-            w[free] = wf + alpha * p
-            hit = int(np.argmin(ratios))
-            j = free[hit]
-            w[j] = 0.0
-            active[j] = True
-            factor.remove(hit)
-
-    w_clean = _cleanup(w, ell, tol)
-    report = verify_kkt(problem, w_clean, tol, nu=nu)
-    if not report.passed:
-        report = verify_kkt(problem, w_clean, tol)
-    converged = optimal and report.passed
+            infeasible = infeasible[-1:]
+        free[infeasible] = ~free[infeasible]
+    w = _cleanup(w, ell, tol)
+    report = verify_kkt(problem, w, tol)
     return QpSolution(
-        w_clean, converged, iteration, report, problem.objective(w_clean), "active-set"
+        w, optimal and report.passed, rounds, report, problem.objective(w), "active-set"
     )
 
 

@@ -202,6 +202,18 @@ def test_dedupe_jitter_perturbs_duplicates():
     np.linalg.cholesky(assemble_h(out))
 
 
+@pytest.mark.parametrize("value, copies", [(0.9, 2000), (3e-4, 40_000)])
+def test_dedupe_jitter_leaves_no_exact_duplicates(value, copies):
+    # independent steps in a 5e-11 band collide by the birthday bound; the
+    # steps of one row's repeats must be distinct by construction
+    with pytest.warns(UserWarning, match="jitter"):
+        out = dedupe_jitter(np.full((copies, 1), value))
+    assert np.unique(out).size == copies
+    assert out[0, 0] == value
+    step = np.abs(out[1:, 0] - value)
+    assert step.min() > 0.5e-10 and step.max() <= 1e-10
+
+
 def test_qp_problem_validation():
     with pytest.raises(ValueError):
         QpProblem(np.array([[1.0, 0.5], [0.2, 1.0]]), np.zeros(2))

@@ -505,13 +505,11 @@ def test_error_record_exit_3(tmp_path, monkeypatch, capsys):
     spec = write_spec(tmp_path / "spec.json", weight_floor=1e9)
     assert main(["convergence", "--spec", str(spec), "--out", str(tmp_path / "o2")]) == 3
     assert error_record(capsys)["kind"] == "AllWeightsFlooredError"
-    # an exhausted iteration budget writes its results and still reports; only
-    # data of two or more dimensions goes through the iterative solver
+    # a failed certificate writes its results and still reports; only data of
+    # two or more dimensions goes through solve_qp
     from dcinv import binning
 
-    monkeypatch.setattr(
-        binning, "solve_qp", lambda problem, tol: solver.solve_qp(problem, tol=tol, max_iter=1)
-    )
+    monkeypatch.setattr(binning, "solve_qp", lambda problem, tol: solver.solve_qp(problem, tol=1e-30))
     cfg = write_pairs_2d_config(tmp_path)
     assert main(["solve", "--method", "naive", "--config", str(cfg), "--out", str(tmp_path / "o3")]) == 3
     assert error_record(capsys)["kind"] == "NotConverged"

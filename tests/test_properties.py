@@ -1,5 +1,6 @@
 """Property tests of the box coercion, the duplicate jitter, the QP assembly
-and fit, the 1-D isotonic solver against the dense active set, and the
+and fit (mean-one weights, invariance under affine maps of the data box), the
+1-D isotonic solver against the dense block-pivoting solver, and the
 distribution of cell weights onto samples."""
 
 import numpy as np
@@ -109,6 +110,38 @@ def test_fit_weights_are_mean_one(ell, d, kind, seed):
     sol = fit_weights(points, target, box)
     assert sol.w.shape == (ell,) and np.all(sol.w >= 0)
     assert abs(sol.w.mean() - 1.0) <= 1e-8
+
+
+@pytest.mark.filterwarnings("ignore:.*duplicated sample")
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(2, 60),
+    st.integers(1, 2),
+    st.sampled_from(["empirical", "normal"]),
+    st.integers(0, 2**32 - 1),
+    arrays(float, 2, elements=st.floats(1e-2, 1e2)),
+    arrays(float, 2, elements=st.floats(-1e2, 1e2)),
+)
+def test_fit_weights_are_invariant_under_affine_maps_of_the_data_box(
+    ell, d, kind, seed, scale, offset
+):
+    # mapping the points, the target and the box by x -> a x + s leaves the
+    # unit-box problem, and so the weights, unchanged up to rounding
+    rng = np.random.default_rng(seed)
+    a, s = scale[:d], scale[:d] * offset[:d]
+    points = rng.normal(3.0, 2.0, size=(ell, d))
+    box = fit_box(points, padding=1e-3)
+    mapped_box = BoxScaler(box.lower * a + s, box.upper * a + s)
+    if kind == "normal" and d == 1:
+        mu, sigma = float(rng.uniform(1.0, 5.0)), float(rng.uniform(0.2, 3.0))
+        target, mapped = NormalTarget(mu, sigma), NormalTarget(a[0] * mu + s[0], a[0] * sigma)
+    else:
+        y = rng.normal(3.0, 2.0, size=(int(rng.integers(1, 40)), d))
+        target, mapped = EmpiricalTarget(y), EmpiricalTarget(y * a + s)
+    sol = fit_weights(points, target, box)
+    moved = fit_weights(points * a + s, mapped, mapped_box)
+    assert sol.converged and moved.converged and sol.method == moved.method
+    assert np.max(np.abs(sol.w - moved.w)) <= 1e-6
 
 
 # Oracle tolerances of the isotonic solver against the dense active set: the

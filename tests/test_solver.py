@@ -151,6 +151,48 @@ def test_matches_grid_oracle_l3(solver):
         assert np.max(np.abs(sol.w - oracle)) < 2e-3
 
 
+@pytest.mark.filterwarnings("ignore:.*duplicated sample")
+def test_matches_enumeration_oracle_objective_d3():
+    # half the instances repeat a row, which the jitter turns into a near
+    # duplicate: H then has cond ~1e10, so the weights of any two solvers
+    # differ by ~1e-6 while their objectives agree to rounding
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        ell = int(rng.integers(2, 9))
+        pts = rng.uniform(0.0, 0.98, size=(ell, 3))
+        if rng.random() < 0.5:
+            pts[rng.integers(ell)] = pts[rng.integers(ell)]
+        problem = assemble_qp(pts, EmpiricalTarget(rng.uniform(size=(int(rng.integers(3, 40)), 3))))
+        sol = solve_qp(problem)
+        assert sol.converged
+        assert abs(sol.objective - problem.objective(enumeration_oracle(problem))) <= 1e-15
+
+
+def test_stationarity_is_scale_aware_at_l_400():
+    # an absolute multiplier test (mu >= -1e-8) stops early here, with
+    # relative stationarity 4.8e-7 and weights 1.4e-2 off the optimum
+    rng = np.random.default_rng(400002)
+    pts = rng.uniform(size=(400, 2))
+    y = rng.beta(2, 5, size=(2000, 2))
+    sol = solve_qp(assemble_qp(pts, EmpiricalTarget(y)))
+    assert sol.converged
+    assert max(sol.kkt.relative().values()) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:.*duplicated sample")
+@pytest.mark.parametrize("d", [1, 2])
+def test_target_outside_the_box_converges(d):
+    # every target sample lies above the box, so b = 0 and a multiplier
+    # margin relative to |b|_inf alone is 0: on these jittered repeats
+    # (cond(H) ~ 1e13) rounding-level signs then pivot until the round cap
+    rng = np.random.default_rng(0)
+    pool = rng.uniform(size=(25, d))
+    problem = assemble_qp(pool[rng.integers(0, 25, size=80)], EmpiricalTarget(np.full((1, d), 1.5)))
+    assert not problem.b.any()
+    sol = solve_qp(problem)
+    assert sol.converged and sol.iterations < 20
+
+
 def test_verify_kkt_pass_and_fail():
     problem = assemble_qp(np.array([[0.25], [0.75]]), UniformTarget(0.0, 1.0))
     sol = solve_qp(problem)
@@ -165,16 +207,6 @@ def test_verify_kkt_all_ones_identity():
     pts = rng.uniform(0.0, 0.9, size=(10, 2))
     problem = QpProblem(assemble_h(pts), assemble_b_empirical(pts, pts))
     assert verify_kkt(problem, np.ones(10), 1e-6).passed
-
-
-def test_uniqueness_across_initializations():
-    rng = np.random.default_rng(15)
-    for _ in range(10):
-        problem = random_problem(rng, int(rng.integers(3, 8)), 1)
-        sol1 = solve_qp(problem, tol=1e-9)
-        w0 = rng.uniform(size=problem.size)
-        sol2 = solve_qp(problem, tol=1e-9, w0=w0)
-        assert np.max(np.abs(sol1.w - sol2.w)) < 1e-8
 
 
 def test_solution_dominates_all_ones():
@@ -201,18 +233,6 @@ def test_l2_improvement_over_unweighted():
         assert d_solved <= d_plain + 1e-6
 
 
-def test_objective_does_not_increase_with_iteration_budget():
-    rng = np.random.default_rng(51)
-    problem = random_problem(rng, 30, 1)
-    full = solve_qp(problem)
-    assert full.iterations > 2
-    objectives = np.array(
-        [solve_qp(problem, max_iter=k).objective for k in range(1, full.iterations + 1)]
-    )
-    assert objectives[-1] == full.objective
-    assert np.all(np.diff(objectives) <= 1e-12)
-
-
 def test_non_positive_definite_reports_pivot():
     h = np.array([[1.0, 1.0], [1.0, 1.0]])  # singular
     problem = QpProblem(h, np.zeros(2))
@@ -221,13 +241,16 @@ def test_non_positive_definite_reports_pivot():
     assert err.value.pivot == 1
 
 
-def test_iteration_cap_flags_nonconvergence():
+def test_iteration_cap_flags_nonconvergence(monkeypatch):
+    from dcinv import solver
+
     rng = np.random.default_rng(77)
     problem = random_problem(rng, 40, 1)
-    sol = solve_qp(problem, max_iter=1)
     full = solve_qp(problem)
-    if full.iterations > 1:
-        assert not sol.converged
+    assert full.converged and full.iterations > 1
+    monkeypatch.setattr(solver, "_MAX_ROUNDS", 1)
+    capped = solve_qp(problem)
+    assert capped.iterations == 1 and not capped.converged
 
 
 def test_weights_are_clean():
@@ -237,69 +260,6 @@ def test_weights_are_clean():
         sol = solve_qp(problem)
         assert sol.w.min() >= 0.0
         assert abs(sol.w.mean() - 1.0) < 1e-12
-
-
-def test_projected_gradient_fallback_agrees():
-    # the fallback is only reached through the cycle guard in production;
-    # drive it directly and compare against the active-set optimum
-    from dcinv.solver import _projected_gradient
-
-    rng = np.random.default_rng(103)
-    problem = random_problem(rng, 6, 1)
-    reference = solve_qp(problem)
-    # gradient-space residuals map to weight error through the conditioning,
-    # so the fallback needs a much tighter tolerance for tight agreement
-    w_pg, ok, its = _projected_gradient(
-        problem, np.ones(problem.size), tol=1e-11, max_iter=2_000_000
-    )
-    assert ok
-    assert np.max(np.abs(w_pg - reference.w)) < 1e-5
-    # monotone descent: the objective after k steps does not increase with k
-    budgets = [2**e for e in range(int(np.log2(its)) + 1)] + [its]
-    objectives = np.array([
-        problem.objective(_projected_gradient(problem, np.ones(problem.size), 1e-11, k)[0])
-        for k in budgets
-    ])
-    assert np.all(np.diff(objectives) <= 1e-12)
-
-
-def test_vertex_start_recovers_optimum():
-    rng = np.random.default_rng(107)
-    problem = random_problem(rng, 5, 1)
-    reference = solve_qp(problem)
-    w0 = np.zeros(5)
-    w0[2] = 5.0  # a simplex vertex: all but one variable starts active
-    sol = solve_qp(problem, w0=w0)
-    assert sol.converged
-    assert np.max(np.abs(sol.w - reference.w)) < 1e-7
-
-
-def test_incremental_factor_matches_fresh_cholesky():
-    # the active set updates a Cholesky factor of the free block in place;
-    # drive it through random append/remove sequences and compare against
-    # factorizing from scratch at every step
-    from dcinv.solver import _FreeBlockFactor
-
-    rng = np.random.default_rng(101)
-    for _ in range(10):
-        n = 30
-        pts = rng.uniform(0.0, 0.95, size=(n, 2))
-        h = assemble_h(pts)
-        free = list(range(n))
-        factor = _FreeBlockFactor(h, free)
-        for _step in range(40):
-            if len(factor.free) > 2 and (len(factor.free) == n or rng.random() < 0.6):
-                factor.remove(int(rng.integers(len(factor.free))))
-            else:
-                outside = [j for j in range(n) if j not in factor.free]
-                if not outside:
-                    continue
-                factor.append(int(rng.choice(outside)))
-            fresh = np.linalg.cholesky(h[np.ix_(factor.free, factor.free)])
-            assert np.allclose(factor.L, fresh, atol=1e-12)
-            rhs = rng.normal(size=len(factor.free))
-            direct = np.linalg.solve(h[np.ix_(factor.free, factor.free)], rhs)
-            assert np.allclose(factor.solve(rhs), direct, atol=1e-8)
 
 
 def test_affine_scaling_invariance():
@@ -324,24 +284,10 @@ def test_affine_scaling_invariance():
         assert np.max(np.abs(w1 - w2)) < 1e-6
 
 
-@pytest.mark.parametrize("free", [range(40), [0, 2, 1] + list(range(3, 40)), range(1, 40)])
-def test_initial_factor_bit_equal_to_gathered_block(free):
-    # with every variable free in order the factor reads h itself, without
-    # the gathered copy; the factor must not change by one bit
-    from dcinv.solver import _FreeBlockFactor
-
-    h = QpProblem(assemble_h(np.random.default_rng(7).uniform(0.0, 0.95, (40, 1))), np.zeros(40)).h
-    factor = _FreeBlockFactor(h, free)
-    fresh = np.linalg.cholesky(h[np.ix_(list(free), list(free))])
-    assert np.array_equal(factor.L.view(np.int64), fresh.view(np.int64))
-
-
 def test_initial_factor_reports_pivot_without_gather():
-    from dcinv.solver import _FreeBlockFactor
-
     h = assemble_h(np.array([[0.1], [0.4], [0.4], [0.7]]))  # duplicate rows 1 and 2
     with pytest.raises(NonPositiveDefiniteError) as info:
-        _FreeBlockFactor(h, range(4))
+        solve_qp(QpProblem(h, np.zeros(4)))
     assert info.value.pivot == 2
 
 
