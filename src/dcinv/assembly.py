@@ -12,6 +12,7 @@ independent of w. H and the sample-target b are exact closed forms; only
 exact-CDF targets without a closed-form running integral need quadrature.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -31,52 +32,40 @@ _B_CHUNK = 2_000_000  # elements per (l x m-chunk) block in empirical assembly
 # while the block is still in cache, instead of streaming full (l x chunk)
 # temporaries through memory once per operation.
 _B_BLOCK = 1 << 15
-_SAFE_DOUBLING = 2.0**1022  # |x| <= this keeps x + x finite
-_SYM_TILE = 256  # side of the square tiles of the QpProblem symmetry check
 
 
 @dataclass(frozen=True)
 class QpProblem:
-    """Matrix and vector of the fitting QP, plus the simplex constraints.
+    """The fitting QP of unit-box samples: minimize (1/2) w^T h w - b^T w
+    over {w >= 0, (1/l) sum w_i = 1}.
 
-    The feasible set is {w >= 0, (1/l) sum w_i = 1}; the objective is
-    (1/2) w^T h w - b^T w.
-
-    ``h`` must be finite and symmetric within 1e-12; it is stored as
-    0.5 * (h + h.T). When ``h`` is a float64 array that is already symmetric
-    bit for bit with no entry above 2^1022 in magnitude, that expression
-    equals ``h`` exactly and a read-only view of it is stored instead of a
-    copy, so the caller must not modify the array afterwards.
+    ``points`` is the non-empty (l, d) array of samples, finite and inside
+    [0, 1] within 1e-12 (then clipped to it); ``b`` is a finite vector of
+    length l. Both are stored read-only. ``h`` is :func:`assemble_h` of the
+    points, built on its first read and kept, read-only; it is symmetric by
+    construction.
     """
 
-    h: np.ndarray
+    points: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise ValueError(f"h must be square, got shape {h.shape}")
-        if b.shape != (h.shape[0],):
-            raise ValueError(f"b has shape {b.shape}, expected ({h.shape[0]},)")
-        if h.size == 0:
-            raise ValueError("h must not be empty")
+        pts = _check_unit_box(as_points(self.points))
+        b = np.array(self.b, dtype=float)
+        if b.shape != (pts.shape[0],):
+            raise ValueError(f"b has shape {b.shape}, expected ({pts.shape[0]},)")
         if not np.all(np.isfinite(b)):
-            raise ValueError("h and b must be finite")
-        exact, max_asym = _symmetry(h)
-        if max_asym > COORD_TOL:
-            raise ValueError("h must be symmetric within 1e-12")
-        if exact:
-            # 0.5 * (h + h.T) is h bit for bit here, so skip the full-size
-            # temporaries and keep a read-only view.
-            h = h.view()
-        else:
-            h = 0.5 * (h + h.T)
-        h.flags.writeable = False
-        b = b.copy()
+            raise ValueError("b must be finite")
+        pts.flags.writeable = False
         b.flags.writeable = False
-        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "points", pts)
         object.__setattr__(self, "b", b)
+
+    @functools.cached_property
+    def h(self):
+        h = assemble_h(self.points)
+        h.flags.writeable = False
+        return h
 
     @property
     def size(self):
@@ -90,41 +79,12 @@ class QpProblem:
         return self.h @ np.asarray(w, dtype=float) - self.b
 
 
-def _symmetry(h):
-    """(exactly symmetric, max |h - h.T|) of a finite square matrix.
-
-    "Exactly" means bit for bit (signed zeros included) and with every entry
-    at most 2^1022 in magnitude, so that h + h.T cannot overflow. Raises if h
-    holds a non-finite entry. Tiles above the diagonal are compared with their
-    mirror tiles, so no full-size temporary is made; |x - y| = |y - x| in
-    floating point, so the maximum is the number the full-size expression
-    gives, and a bit-equal pair of tiles contributes exactly 0 to it.
-    """
-    lo, hi = h.min(), h.max()  # NaN propagates through both
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ValueError("h and b must be finite")
-    ell = h.shape[0]
-    bits_equal = True
-    max_asym = 0.0
-    for i0 in range(0, ell, _SYM_TILE):
-        for j0 in range(i0, ell, _SYM_TILE):
-            tile = h[i0 : i0 + _SYM_TILE, j0 : j0 + _SYM_TILE]
-            mirror = h[j0 : j0 + _SYM_TILE, i0 : i0 + _SYM_TILE].T
-            if bits_equal and np.array_equal(tile.view(np.int64), mirror.view(np.int64)):
-                continue
-            bits_equal = False
-            diff = tile - mirror
-            max_asym = max(max_asym, float(np.abs(diff, out=diff).max()))
-    exact = bits_equal and -_SAFE_DOUBLING <= lo and hi <= _SAFE_DOUBLING
-    return exact, max_asym
-
-
-def _check_unit_box(pts, what="samples"):
-    if pts.size and (pts.min() < -COORD_TOL or pts.max() > 1.0 + COORD_TOL):
-        raise ValueError(
-            f"{what} must lie in the unit box; range "
-            f"[{pts.min()}, {pts.max()}]"
-        )
+def _check_unit_box(pts):
+    """Non-empty samples inside [0, 1] within 1e-12, clipped to it."""
+    if pts.size == 0:
+        raise ValueError("cannot assemble an empty problem")
+    if pts.min() < -COORD_TOL or pts.max() > 1.0 + COORD_TOL:
+        raise ValueError(f"samples must lie in the unit box; range [{pts.min()}, {pts.max()}]")
     return np.clip(pts, 0.0, 1.0)
 
 
@@ -172,8 +132,6 @@ def assemble_h(samples):
     """
     pts = _check_unit_box(as_points(samples))
     ell, d = pts.shape
-    if ell == 0:
-        raise ValueError("cannot assemble an empty problem")
     # 1.0 * x == x, so starting from the first factor is bit for bit the
     # product started from ones; at most two (l x l) arrays are alive.
     col = pts[:, 0]
@@ -261,8 +219,6 @@ def assemble_b_exact(samples, cdf, quad_points_per_dim=DEFAULT_QUAD_POINTS, inte
     """
     pts = _check_unit_box(as_points(samples))
     ell, d = pts.shape
-    if ell == 0:
-        raise ValueError("cannot assemble an empty problem")
     if d == 1 and integral_of_cdf is not None:
         upper = np.asarray(integral_of_cdf(np.ones(1)))[0]
         b = (upper - np.asarray(integral_of_cdf(pts[:, 0]))) / ell
@@ -282,14 +238,14 @@ def assemble_b_exact(samples, cdf, quad_points_per_dim=DEFAULT_QUAD_POINTS, inte
         vals = np.asarray(cdf(t.reshape(-1, 1))).reshape(ell, -1)
         b = width * (vals @ weights)
         return b / ell
+    wprod = np.ones([1] * d)
+    for k in range(d):
+        shape = [1] * d
+        shape[k] = quad_points_per_dim
+        wprod = wprod * weights.reshape(shape)
     for i in range(ell):
         grid = grid_points([pts[i, k] + (1.0 - pts[i, k]) * nodes for k in range(d)])
         vals = np.asarray(cdf(grid)).reshape([quad_points_per_dim] * d)
-        wprod = np.ones([1] * d)
-        for k in range(d):
-            shape = [1] * d
-            shape[k] = quad_points_per_dim
-            wprod = wprod * weights.reshape(shape)
         b[i] = np.prod(1.0 - pts[i]) * float(np.sum(vals * wprod))
     return b / ell
 
@@ -322,8 +278,9 @@ def assemble_qp(scaled_samples, target, box=None):
 
     ``box`` maps the target's data space onto the unit box; None means the
     unit box ``BoxScaler(zeros(d), ones(d))``. Duplicated samples are
-    jittered once so the matrix and vector stay consistent. Empirical target
-    samples are scaled through ``box``; exact targets go through
+    jittered by :func:`dedupe_jitter` and the problem holds the jittered
+    points, so its matrix and vector are built on the same points. Empirical
+    target samples are scaled through ``box``; exact targets go through
     :func:`scaled_cdf` and DEFAULT_QUAD_POINTS nodes per dimension.
     """
     pts = dedupe_jitter(_check_unit_box(as_points(scaled_samples)))
@@ -337,4 +294,4 @@ def assemble_qp(scaled_samples, target, box=None):
     else:
         cdf, integral = scaled_cdf(target, box)
         b = assemble_b_exact(pts, cdf, integral_of_cdf=integral)
-    return QpProblem(assemble_h(pts), b)
+    return QpProblem(pts, b)

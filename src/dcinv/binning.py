@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import assemble_qp, dedupe_jitter
+from .assembly import assemble_qp
 from .core import (BoxScaler, Normalization, SampleSet, WeightedEdf, WeightedPairs, WeightVector,
                    as_box, as_points, fit_box, grid_points)
 from .models import _sample_pair
@@ -230,14 +230,12 @@ def fit_weights(points, target, box, solver_tol=1e-8):
     it, and solve their fitting QP against ``target``. Returns the QpSolution,
     whose mean-one weights align with ``points``.
 
-    Repeated points are jittered here, once, so the QP and the 1-D solver see
-    the same points. 1-D data is solved exactly by isotonic regression
-    (method "isotonic"); higher dimensions by block principal pivoting
-    (method "active-set")."""
-    pts = dedupe_jitter(np.clip(box.scale(points), 0.0, 1.0))
-    problem = assemble_qp(pts, target, box=box)
-    if pts.shape[1] == 1:
-        return solve_isotonic(pts[:, 0], problem, tol=solver_tol)
+    Repeated points are jittered by :func:`assemble_qp`. 1-D data is solved
+    exactly by isotonic regression (method "isotonic"); higher dimensions by
+    block principal pivoting (method "active-set")."""
+    problem = assemble_qp(np.clip(box.scale(points), 0.0, 1.0), target, box=box)
+    if problem.points.shape[1] == 1:
+        return solve_isotonic(problem, tol=solver_tol)
     return solve_qp(problem, tol=solver_tol)
 
 

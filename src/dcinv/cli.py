@@ -164,14 +164,13 @@ def _solve_density(cfg):
     return solve_density(initial, predicted, observed, rule=cfg.kde_rule)
 
 
-def _run_solve(method, cfg, out_dir, threads):
+def _run_solve(method, cfg, out_dir):
     t_start = time.perf_counter()
     meta = {
         "version": __version__,
         "method": method,
         "config": cfg.raw,
         "seed": cfg.seed,
-        "threads": threads,
     }
     meta["n_initial"] = cfg.n_initial if cfg.model.live else cfg.model.initial.n
 
@@ -261,7 +260,7 @@ def _solver_meta(qp_solution):
 def _cmd_solve(args):
     cfg = build_solve_config(load_config(args.config), base_dir=os.path.dirname(args.config) or ".")
     try:
-        return _run_solve(args.method, cfg, args.out, args.threads)
+        return _run_solve(args.method, cfg, args.out)
     except DataBoxError as exc:
         raise ConfigError("/method/data_box", str(exc)) from None
     except PartitionBoxError as exc:
@@ -315,7 +314,6 @@ def build_parser():
     p_solve.add_argument("--method", required=True, choices=METHODS)
     p_solve.add_argument("--config", required=True)
     p_solve.add_argument("--out", required=True)
-    p_solve.add_argument("--threads", type=int, default=_default_threads())
     p_solve.set_defaults(func=_cmd_solve)
 
     p_diag = sub.add_parser("diagnose", help="predictability diagnostic for a density config")

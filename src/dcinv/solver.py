@@ -1,13 +1,15 @@
 """Strictly convex QP solve over the scaled simplex {w >= 0, (1/l) sum w = 1}.
 
-The objective is the distributional misfit (1/2) w^T H w - b^T w (see the
-assembly module; its minimizer is the L2-optimal weighting). On 1-D samples
-the QP is a bounded weighted isotonic regression, which
-:func:`solve_isotonic` solves exactly by pool-adjacent-violators. In any
-dimension, :func:`solve_qp` solves it by block principal pivoting: each
-round factors the free block of H once and moves every variable whose sign
-condition fails across the bound at once, so a solve takes a handful of
-dense factorizations (at most ~15 rounds observed up to l = 3000).
+The objective is the distributional misfit (1/2) w^T H w - b^T w of a
+:class:`~dcinv.assembly.QpProblem`, which holds its samples and b and builds
+H from the samples (see the assembly module; the minimizer is the L2-optimal
+weighting). On 1-D samples the QP is a bounded weighted isotonic regression,
+which :func:`solve_isotonic` solves exactly by pool-adjacent-violators from
+the samples and b alone. In any dimension, :func:`solve_qp` solves it by
+block principal pivoting: each round factors the free block of H once and
+moves every variable whose sign condition fails across the bound at once,
+so a solve takes a handful of dense factorizations (at most ~15 rounds
+observed up to l = 3000).
 
 KKT conditions certified at the returned point, with equality multiplier nu
 and bound multipliers mu >= 0:
@@ -219,11 +221,12 @@ def solve_qp(problem, tol=DEFAULT_TOL):
     )
 
 
-def solve_isotonic(q, problem, tol=DEFAULT_TOL):
-    """Solve the fitting QP of 1-D unit-box samples ``q`` exactly.
+def solve_isotonic(problem, tol=DEFAULT_TOL):
+    """Solve the fitting QP of 1-D samples exactly.
 
-    ``problem`` must be the QP assembled on ``q`` (any b: empirical, closed
-    form or quadrature). Sort the samples, q_(1) < ... < q_(l), and let
+    The samples are ``problem.points[:, 0]`` and b may come from any target
+    (empirical, closed form or quadrature); H is never formed except by the
+    certificate. Sort the samples, q_(1) < ... < q_(l), and let
     C_k = (1/l) sum_{j <= k} w_(j) be the weighted EDF on [q_(k), q_(k+1)).
     Summation by parts turns (1/2) w^T H w - b^T w into
 
@@ -243,6 +246,8 @@ def solve_isotonic(q, problem, tol=DEFAULT_TOL):
 
     Raises
     ------
+    ValueError
+        If the samples are not 1-D.
     NonPositiveDefiniteError
         If two samples coincide (a zero gap leaves the split of weight
         between them undefined), reporting the same pivot as the dense
@@ -250,10 +255,10 @@ def solve_isotonic(q, problem, tol=DEFAULT_TOL):
     WeightCollapseError
         If no weight stays positive once negatives are clipped.
     """
-    q = np.asarray(q, dtype=float)
+    if problem.points.shape[1] != 1:
+        raise ValueError(f"isotonic solve needs 1-D samples, got d = {problem.points.shape[1]}")
+    q = problem.points[:, 0]
     ell = problem.size
-    if q.shape != (ell,):
-        raise ValueError(f"q has shape {q.shape}, problem has size {ell}")
     order = np.argsort(q, kind="stable")
     qs = q[order]
     ties = np.nonzero(qs[1:] <= qs[:-1])[0]

@@ -231,7 +231,7 @@ def test_criterion_3_identity_case_all_ones():
     worst = 0.0
     for ell, d in ((5, 1), (50, 2), (200, 1), (200, 2)):
         pts = rng.uniform(0.0, 0.97, size=(ell, d))
-        problem = QpProblem(assemble_h(pts), assemble_b_empirical(pts, pts))
+        problem = QpProblem(pts, assemble_b_empirical(pts, pts))
         sol = solve_qp(problem)
         dev = float(np.max(np.abs(sol.w - 1.0)))
         assert dev < 1e-6, f"l={ell}, d={d}: deviation {dev}"

@@ -128,6 +128,40 @@ def test_b_exact_quadrature_matches_closed_form():
     assert np.allclose(b_closed, b_quad, atol=1e-13)
 
 
+def reference_b_exact(samples, cdf, n):
+    """The d >= 2 quadrature of assemble_b_exact with its weight tensor
+    rebuilt for every sample, which the hoisted form must match bit for bit."""
+    from dcinv.core import grid_points
+    from scipy.special import roots_legendre
+
+    pts = np.asarray(samples, dtype=float)
+    ell, d = pts.shape
+    nodes, weights = roots_legendre(n)
+    nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+    b = np.empty(ell)
+    for i in range(ell):
+        grid = grid_points([pts[i, k] + (1.0 - pts[i, k]) * nodes for k in range(d)])
+        vals = np.asarray(cdf(grid)).reshape([n] * d)
+        wprod = np.ones([1] * d)
+        for k in range(d):
+            shape = [1] * d
+            shape[k] = n
+            wprod = wprod * weights.reshape(shape)
+        b[i] = np.prod(1.0 - pts[i]) * float(np.sum(vals * wprod))
+    return b / ell
+
+
+@pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+def test_b_exact_bit_equal_to_per_sample_weight_tensor(d, n):
+    target = ExactCdfTarget(lambda x: np.prod(np.clip(x, 0.0, 1.0) ** 1.5, axis=1), dim=d)
+    q = np.random.default_rng(d).uniform(size=(30, d))
+    q[0] = 0.0
+    assert_bits_equal(
+        assemble_b_exact(q, target.cdf, quad_points_per_dim=n),
+        reference_b_exact(q, target.cdf, n),
+    )
+
+
 def test_b_exact_rejects_bad_quadrature():
     with pytest.raises(ValueError):
         assemble_b_exact(np.array([[0.5]]), lambda p: np.ones(len(p)), quad_points_per_dim=1)
@@ -215,10 +249,64 @@ def test_dedupe_jitter_leaves_no_exact_duplicates(value, copies):
 
 
 def test_qp_problem_validation():
-    with pytest.raises(ValueError):
-        QpProblem(np.array([[1.0, 0.5], [0.2, 1.0]]), np.zeros(2))
-    with pytest.raises(ValueError):
-        QpProblem(np.eye(2), np.zeros(3))
+    pts = np.array([[0.25], [0.75]])
+    with pytest.raises(ValueError, match="unit box"):
+        QpProblem(np.array([[0.5], [1.0 + 1e-9]]), np.zeros(2))
+    with pytest.raises(ValueError, match="unit box"):
+        QpProblem(np.array([[-1e-9], [0.5]]), np.zeros(2))
+    with pytest.raises(ValueError, match="empty"):
+        QpProblem(np.zeros((0, 1)), np.zeros(0))
+    with pytest.raises(ValueError, match="shape"):
+        QpProblem(pts, np.zeros(3))
+    with pytest.raises(ValueError, match="shape"):
+        QpProblem(pts, np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="finite"):
+        QpProblem(pts, np.array([0.0, np.nan]))
+    with pytest.raises(ValueError, match="finite"):
+        QpProblem(pts, np.array([np.inf, 0.0]))
+    with pytest.raises(ValueError, match="finite"):
+        QpProblem(np.array([[0.5], [np.nan]]), np.zeros(2))
+    # within 1e-12 of the box the points are clipped onto it
+    edge = QpProblem(np.array([[-1e-13], [1.0 + 1e-13]]), np.zeros(2))
+    assert edge.points.tolist() == [[0.0], [1.0]]
+
+
+def test_qp_problem_stores_read_only_copies():
+    pts = np.array([[0.25, 0.5], [0.75, 0.1]])
+    b = np.array([0.1, 0.2])
+    prob = QpProblem(pts, b)
+    assert not prob.points.flags.writeable and not prob.b.flags.writeable
+    assert pts.flags.writeable and b.flags.writeable  # the caller's arrays are left as they were
+    pts[0, 0], b[0] = 0.9, 0.9
+    assert prob.points[0, 0] == 0.25 and prob.b[0] == 0.1
+
+
+def test_qp_problem_h_is_built_once_read_only_and_bit_equal(monkeypatch):
+    rng = np.random.default_rng(6)
+    pts = rng.uniform(size=(50, 2))
+    calls = []
+    # the problem must call the module's assemble_h, which the tracer wraps
+    monkeypatch.setattr(assembly, "assemble_h", lambda q: calls.append(1) or assemble_h(q))
+    prob = QpProblem(pts, np.zeros(50))
+    assert calls == []  # nothing is assembled until h is read
+    h = prob.h
+    assert prob.h is h and calls == [1]
+    assert_bits_equal(h, assemble_h(pts))
+    assert not h.flags.writeable
+    with pytest.raises(AttributeError):
+        prob.h = np.eye(50)
+    assert prob.h is h
+
+
+def test_qp_problem_construction_allocates_no_l_by_l_array():
+    pts = np.random.default_rng(8).uniform(size=(1500, 1))  # H would take 18 MB
+    tracemalloc.start()
+    try:
+        QpProblem(pts, np.zeros(1500))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_assemble_qp_with_box_scaled_target():
@@ -362,77 +450,3 @@ def test_b_empirical_memory_is_bounded():
         tracemalloc.stop()
     # the clipped form builds (2000 x 1000) temporaries of 16 MB each
     assert peak < 2_000_000
-
-
-def symmetrized(h):
-    return 0.5 * (h + h.T)
-
-
-def test_qp_problem_exactly_symmetric_h_is_kept():
-    rng = np.random.default_rng(6)
-    h = assemble_h(rng.uniform(size=(50, 2)))
-    prob = QpProblem(h, np.zeros(50))
-    assert_bits_equal(prob.h, symmetrized(h))
-    assert not prob.h.flags.writeable
-    assert h.flags.writeable  # the caller's array is left as it was
-
-
-def test_qp_problem_exactly_symmetric_h_needs_no_full_size_temporary():
-    h = assemble_h(np.random.default_rng(8).uniform(size=(1500, 1)))  # 18 MB
-    tracemalloc.start()
-    try:
-        QpProblem(h, np.zeros(1500))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2_000_000
-
-
-def test_qp_problem_near_symmetric_h_is_symmetrized():
-    rng = np.random.default_rng(7)
-    h = assemble_h(rng.uniform(size=(600, 1)))
-    h[3, 550] += 1e-13  # in a tile above the diagonal
-    h[580, 290] -= 1e-13  # in a tile below it
-    prob = QpProblem(h, np.zeros(600))
-    assert_bits_equal(prob.h, symmetrized(h))
-    assert np.array_equal(prob.h, prob.h.T)
-
-
-def test_qp_problem_signed_zero_asymmetry_is_symmetrized():
-    h = assemble_h(np.random.default_rng(9).uniform(size=(600, 1)))
-    h[300, 301] = 0.0
-    h[301, 300] = -0.0  # equal values, different bits
-    prob = QpProblem(h, np.zeros(600))
-    assert_bits_equal(prob.h, symmetrized(h))
-    assert not np.signbit(prob.h[301, 300])
-
-
-def test_qp_problem_rejects_asymmetry_beyond_tolerance_in_any_tile():
-    h = np.eye(600)
-    h[599, 2] = 2e-12
-    with pytest.raises(ValueError, match="symmetric"):
-        QpProblem(h, np.zeros(600))
-    h[0, 1] = 1e-13  # a first tile within tolerance must not hide a later one
-    with pytest.raises(ValueError, match="symmetric"):
-        QpProblem(h, np.zeros(600))
-    h[599, 2] = np.inf
-    with pytest.raises(ValueError, match="finite"):
-        QpProblem(h, np.zeros(600))
-    h[599, 2] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        QpProblem(h, np.zeros(600))
-    with pytest.raises(ValueError, match="finite"):
-        QpProblem(np.eye(2), np.array([0.0, np.nan]))
-    with pytest.raises(ValueError):
-        QpProblem(np.zeros((0, 0)), np.zeros(0))
-
-
-def test_qp_problem_huge_entries_are_symmetrized():
-    h = np.array([[2.0**1023, 1.0], [1.0, 3.0]])
-    with np.errstate(over="ignore"):
-        expected = symmetrized(h)
-        prob = QpProblem(h, np.zeros(2))
-    assert_bits_equal(prob.h, expected)
-    assert np.isinf(prob.h[0, 0])
-    h = np.array([[-(2.0**1022), 1.0], [1.0, 2.0**1022]])
-    assert_bits_equal(QpProblem(h, np.zeros(2)).h, symmetrized(h))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dcinv import binning, experiments
-from dcinv.assembly import assemble_qp, dedupe_jitter
+from dcinv.assembly import assemble_qp
 from dcinv.binning import (distribute_cell_weights, make_kmeans, make_regular_grid, solve_binning,
                            solve_naive)
 from dcinv.core import BoxScaler, SampleSet, fit_box
@@ -237,8 +237,8 @@ def reference_study_trial(args):
                 part = make_regular_grid(box, p)
             else:
                 part = make_kmeans(q, p, seed=(seed * 1_000_003 + 7 * t) % 2**31)
-            pts = dedupe_jitter(np.clip(box.scale(part.reps.points), 0.0, 1.0))
-            w = solve_isotonic(pts[:, 0], assemble_qp(pts, qp_target, box=box)).w
+            pts = np.clip(box.scale(part.reps.points), 0.0, 1.0)
+            w = solve_isotonic(assemble_qp(pts, qp_target, box=box)).w
             u, w_floored, _, _ = distribute_cell_weights(
                 w, part.classify_many(q), part.p, weight_floor=weight_floor, strict=False
             )
@@ -257,7 +257,7 @@ def test_study_trial_matches_per_cell_reference(kind, monkeypatch):
     calls = []
     monkeypatch.setattr(
         binning, "solve_isotonic",
-        lambda q, problem, **kw: calls.append(1) or solve_isotonic(q, problem, **kw),
+        lambda problem, **kw: calls.append(1) or solve_isotonic(problem, **kw),
     )
     for t in range(2):
         args = (model, observed, n_grid, p_grid, kind, ((2.01, 2.02), (0.95, 1.0)), region_b,

@@ -172,7 +172,7 @@ def test_isotonic_solver_matches_the_dense_active_set(ell, kind, repeats, seed):
     else:  # empirical targets reach outside the unit box
         target = _target(kind, 1, rng)
     problem = assemble_qp(pts, target)
-    iso = solve_isotonic(pts[:, 0], problem)
+    iso = solve_isotonic(problem)
     dense = solve_qp(problem)
     assert iso.converged and iso.kkt.passed and dense.kkt.passed
     assert iso.objective <= dense.objective + OBJECTIVE_SLACK * ell * iso.kkt.b_scale

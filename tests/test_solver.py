@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from dcinv.assembly import QpProblem, assemble_b_empirical, assemble_h, assemble_qp
+from dcinv.assembly import QpProblem, assemble_b_empirical, assemble_qp
 from dcinv.core import BoxScaler, SampleSet, WeightedEdf
 from dcinv.edf import l2_distance
 from dcinv.solver import NonPositiveDefiniteError, solve_isotonic, solve_qp, verify_kkt
@@ -96,18 +96,14 @@ def random_problem(rng, ell, d):
     return random_instance(rng, ell, d)[1]
 
 
-# Both solvers of the fitting QP, called on (samples, problem). The isotonic
-# solver takes 1-D samples only.
-SOLVERS = {
-    "active-set": lambda pts, problem: solve_qp(problem),
-    "isotonic": lambda pts, problem: solve_isotonic(pts[:, 0], problem),
-}
+# Both solvers of the fitting QP. The isotonic solver takes 1-D samples only.
+SOLVERS = {"active-set": solve_qp, "isotonic": solve_isotonic}
 
 
 def test_identity_target_gives_all_ones():
     rng = np.random.default_rng(0)
     pts = rng.uniform(0.0, 0.95, size=(40, 1))
-    problem = QpProblem(assemble_h(pts), assemble_b_empirical(pts, pts))
+    problem = QpProblem(pts, assemble_b_empirical(pts, pts))
     sol = solve_qp(problem)
     assert sol.converged
     assert np.max(np.abs(sol.w - 1.0)) < 1e-8
@@ -119,7 +115,7 @@ def test_uniform_target_two_samples_hand_optimum(solver):
     # all ones (stationarity reduces to 0.25 w_1 = 0.25 on the constraint line).
     pts = np.array([[0.25], [0.75]])
     problem = assemble_qp(pts, UniformTarget(0.0, 1.0))
-    sol = SOLVERS[solver](pts, problem)
+    sol = SOLVERS[solver](problem)
     oracle = enumeration_oracle(problem)
     assert np.allclose(sol.w, oracle, atol=1e-6)
     assert np.allclose(sol.w, [1.0, 1.0], atol=1e-8)
@@ -134,7 +130,7 @@ def test_matches_enumeration_oracle_small(solver):
         pts, problem = random_instance(rng, ell, d)
         if solver == "isotonic" and d > 1:
             continue
-        sol = SOLVERS[solver](pts, problem)
+        sol = SOLVERS[solver](problem)
         oracle = enumeration_oracle(problem)
         assert oracle is not None
         assert np.max(np.abs(sol.w - oracle)) < 1e-6
@@ -146,7 +142,7 @@ def test_matches_grid_oracle_l3(solver):
     rng = np.random.default_rng(7)
     for _ in range(5):
         pts, problem = random_instance(rng, 3, 1)
-        sol = SOLVERS[solver](pts, problem)
+        sol = SOLVERS[solver](problem)
         oracle = grid_oracle(problem)
         assert np.max(np.abs(sol.w - oracle)) < 2e-3
 
@@ -205,7 +201,7 @@ def test_verify_kkt_pass_and_fail():
 def test_verify_kkt_all_ones_identity():
     rng = np.random.default_rng(3)
     pts = rng.uniform(0.0, 0.9, size=(10, 2))
-    problem = QpProblem(assemble_h(pts), assemble_b_empirical(pts, pts))
+    problem = QpProblem(pts, assemble_b_empirical(pts, pts))
     assert verify_kkt(problem, np.ones(10), 1e-6).passed
 
 
@@ -234,8 +230,7 @@ def test_l2_improvement_over_unweighted():
 
 
 def test_non_positive_definite_reports_pivot():
-    h = np.array([[1.0, 1.0], [1.0, 1.0]])  # singular
-    problem = QpProblem(h, np.zeros(2))
+    problem = QpProblem(np.zeros((2, 1)), np.zeros(2))  # duplicate points: H is singular
     with pytest.raises(NonPositiveDefiniteError) as err:
         solve_qp(problem)
     assert err.value.pivot == 1
@@ -251,6 +246,24 @@ def test_iteration_cap_flags_nonconvergence(monkeypatch):
     monkeypatch.setattr(solver, "_MAX_ROUNDS", 1)
     capped = solve_qp(problem)
     assert capped.iterations == 1 and not capped.converged
+
+
+def test_murty_rule_moves_one_variable_once_progress_stalls(monkeypatch):
+    # With no rounds of grace, every round that does not cut the number of
+    # sign violations moves only the largest violating index. On this
+    # instance that takes 5 rounds where exchanging every violator takes 3;
+    # both end at the enumerated optimum.
+    from dcinv import solver
+
+    rng = np.random.default_rng(447)
+    ell, d = int(rng.integers(5, 11)), int(rng.integers(1, 3))
+    pts = rng.uniform(0.0, 0.98, size=(ell, d))
+    problem = assemble_qp(pts, EmpiricalTarget(rng.uniform(size=(int(rng.integers(3, 40)), d))))
+    assert (ell, d) == (7, 2)
+    monkeypatch.setattr(solver, "_BACKUP_ROUNDS", 0)
+    sol = solve_qp(problem)
+    assert sol.converged and sol.iterations == 5
+    assert np.max(np.abs(sol.w - enumeration_oracle(problem))) < 1e-6
 
 
 def test_weights_are_clean():
@@ -285,15 +298,15 @@ def test_affine_scaling_invariance():
 
 
 def test_initial_factor_reports_pivot_without_gather():
-    h = assemble_h(np.array([[0.1], [0.4], [0.4], [0.7]]))  # duplicate rows 1 and 2
+    pts = np.array([[0.1], [0.4], [0.4], [0.7]])  # duplicate rows 1 and 2
     with pytest.raises(NonPositiveDefiniteError) as info:
-        solve_qp(QpProblem(h, np.zeros(4)))
+        solve_qp(QpProblem(pts, np.zeros(4)))
     assert info.value.pivot == 2
 
 
 def test_isotonic_single_sample_takes_all_weight():
     pts = np.array([[0.3]])
-    sol = solve_isotonic(pts[:, 0], assemble_qp(pts, NormalTarget(0.5, 0.1)))
+    sol = solve_isotonic(assemble_qp(pts, NormalTarget(0.5, 0.1)))
     assert sol.w.tolist() == [1.0]
     assert sol.converged and sol.method == "isotonic" and sol.iterations == 0
 
@@ -301,20 +314,26 @@ def test_isotonic_single_sample_takes_all_weight():
 def test_isotonic_zero_gap_reports_the_dense_pivot():
     # samples 1 and 3 coincide; the dense factorization fails at row 3 too
     pts = np.array([[0.6], [0.2], [0.9], [0.2]])
-    problem = QpProblem(assemble_h(pts), assemble_b_empirical(pts, pts))
+    problem = QpProblem(pts, assemble_b_empirical(pts, pts))
     with pytest.raises(NonPositiveDefiniteError) as iso:
-        solve_isotonic(pts[:, 0], problem)
+        solve_isotonic(problem)
     with pytest.raises(NonPositiveDefiniteError) as dense:
         solve_qp(problem)
     assert iso.value.pivot == dense.value.pivot == 3
+
+
+def test_isotonic_rejects_samples_of_two_dimensions():
+    pts = np.array([[0.1, 0.5], [0.6, 0.2]])
+    with pytest.raises(ValueError, match="1-D"):
+        solve_isotonic(QpProblem(pts, np.zeros(2)))
 
 
 def test_isotonic_counts_pool_merges():
     # gap means m_k = l (b_k - b_(k+1)) / gap_k = (0.1, 0.05, 0.15): the
     # first two decrease, so they must pool into one block
     pts = np.array([[0.1], [0.2], [0.3], [0.4]])
-    problem = QpProblem(assemble_h(pts), np.array([0.03, 0.02, 0.015, 0.0]) / 4)
-    sol = solve_isotonic(pts[:, 0], problem)
+    problem = QpProblem(pts, np.array([0.03, 0.02, 0.015, 0.0]) / 4)
+    sol = solve_isotonic(problem)
     assert sol.iterations == 1
     assert sol.kkt.passed
     reference = solve_qp(problem)
@@ -329,14 +348,14 @@ def test_certificate_passes_at_the_isotonic_point_and_fails_beyond_its_tolerance
     pts = rng.uniform(0.0, 0.99, size=(50, 1))
     problem = assemble_qp(pts, NormalTarget(0.5, 0.1))
     tol = 1e-8
-    sol = solve_isotonic(pts[:, 0], problem, tol=tol)
+    sol = solve_isotonic(problem, tol=tol)
     assert sol.converged and sol.kkt.passed
     assert sol.kkt.b_scale == np.abs(problem.b).max()
     rel = sol.kkt.relative()
     assert set(rel) == {"stationarity", "feasibility", "complementarity"}
     assert max(rel.values()) <= 1e-10  # far inside the absolute tolerance, at any l
     # converged is the certificate's verdict: below the rounding level it fails
-    strict = solve_isotonic(pts[:, 0], problem, tol=1e-30)
+    strict = solve_isotonic(problem, tol=1e-30)
     assert not strict.kkt.passed and not strict.converged
     support = np.nonzero(sol.w > 0.5)[0]
     i, j = support[np.argmin(pts[support, 0])], support[np.argmax(pts[support, 0])]
@@ -353,9 +372,9 @@ def test_certificate_passes_at_the_isotonic_point_and_fails_beyond_its_tolerance
 @pytest.mark.filterwarnings("ignore:.*duplicated sample")
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_fit_weights_jitters_repeats_before_assembly(d):
-    # fit_weights jitters repeats before assemble_qp, whose own jitter then
-    # finds none: the QP is bit for bit the one of jittering inside it, and
-    # the 1-D solver sees the same points as the QP
+    # assemble_qp jitters repeats before it assembles anything, and the
+    # problem holds the jittered points: jittering them beforehand gives bit
+    # for bit the same QP, and fit_weights returns that QP's solution
     from dcinv.assembly import dedupe_jitter
     from dcinv.binning import fit_weights
 
@@ -370,10 +389,11 @@ def test_fit_weights_jitters_repeats_before_assembly(d):
     before = assemble_qp(jittered, target, box=box)
     assert np.array_equal(before.h.view(np.int64), inside.h.view(np.int64))
     assert np.array_equal(before.b.view(np.int64), inside.b.view(np.int64))
+    assert np.array_equal(inside.points.view(np.int64), jittered.view(np.int64))
     sol = fit_weights(points, target, box)
     assert sol.converged
     if d == 1:
-        expected = solve_isotonic(jittered[:, 0], inside)
+        expected = solve_isotonic(inside)
     else:
         expected = solve_qp(inside)
     assert sol.method == expected.method == ("isotonic" if d == 1 else "active-set")

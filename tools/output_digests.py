@@ -33,7 +33,10 @@ dimensions come from block principal pivoting; against a checkout from
 before it, the weights of ``pairs_2d_*`` differ in their last bits (max
 |diff| 3.3e-11, objectives within 5e-17), and so do their push-forwards and
 the residuals, objective and ``iterations`` (pivoting rounds) of their
-``meta.json`` solver block; all else is equal.
+``meta.json`` solver block; all else is equal. ``solve`` once wrote its
+``--threads`` value (by default the host's core count) into ``meta.json``;
+against a checkout from before that flag was removed, the ``meta.json`` of
+every command but ``convergence`` differs by that key alone.
 
 The full-size commands take about a minute in total and up to about 1 GB
 of memory (rod_naive_large); they run one at a time.
