@@ -33,7 +33,7 @@ print("fitting vector b:", problem.b)  # [0.234375, 0.109375]
 solution = solve_qp(problem)
 print("optimal weights:", solution.w)  # all ones: the EDF of {0.25, 0.75}
                                        # is already the L2-best 2-step fit
-report = verify_kkt(problem, solution.w, tol=1e-8)
+report = verify_kkt(problem, solution.w)
 print("KKT optimality:", report.passed,
       f"(stationarity {report.stationarity_residual:.1e})")
 

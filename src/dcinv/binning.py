@@ -225,18 +225,19 @@ def _sq_dist(pts, centroids):
     return out
 
 
-def fit_weights(points, target, box, solver_tol=1e-8):
+def fit_weights(points, target, box):
     """Scale data-space ``points`` into the unit box of ``box``, clip them to
     it, and solve their fitting QP against ``target``. Returns the QpSolution,
     whose mean-one weights align with ``points``.
 
     Repeated points are jittered by :func:`assemble_qp`. 1-D data is solved
     exactly by isotonic regression (method "isotonic"); higher dimensions by
-    block principal pivoting (method "active-set")."""
+    block principal pivoting (method "active-set"). Either way ``converged``
+    is the relative KKT certificate of :func:`~dcinv.solver.verify_kkt`."""
     problem = assemble_qp(np.clip(box.scale(points), 0.0, 1.0), target, box=box)
     if problem.points.shape[1] == 1:
-        return solve_isotonic(problem, tol=solver_tol)
-    return solve_qp(problem, tol=solver_tol)
+        return solve_isotonic(problem)
+    return solve_qp(problem)
 
 
 def _data_box(predicted, data_box, padding):
@@ -380,7 +381,6 @@ def solve_binning(
     weight_floor=DEFAULT_WEIGHT_FLOOR,
     padding=PIPELINE_PADDING,
     data_box=None,
-    solver_tol=1e-8,
 ):
     """Run the full binning method on n aligned (parameter, data) sample pairs.
 
@@ -437,7 +437,7 @@ def solve_binning(
         )
     p = part.p
 
-    qp_sol = fit_weights(part.reps.points, target, box, solver_tol)
+    qp_sol = fit_weights(part.reps.points, target, box)
     w = qp_sol.w
     policy = _MIN_FILL_POLICIES["none" if draw is None else min_fill]
     n_min = policy(w, p, initial.n, weight_floor)
@@ -492,8 +492,7 @@ class NaiveSolution(WeightedPairs):
     qp_solution: object
 
 
-def solve_naive(initial, predicted, target, padding=PIPELINE_PADDING, data_box=None,
-                solver_tol=1e-8):
+def solve_naive(initial, predicted, target, padding=PIPELINE_PADDING, data_box=None):
     """Fit weights on the aligned predicted samples and apply them to the
     parameters.
 
@@ -505,7 +504,7 @@ def solve_naive(initial, predicted, target, padding=PIPELINE_PADDING, data_box=N
     initial, predicted_pts = _sample_pair(initial, predicted)
     target = as_target(target)
     box = _data_box(predicted_pts, data_box, padding)
-    qp_sol = fit_weights(predicted_pts, target, box, solver_tol)
+    qp_sol = fit_weights(predicted_pts, target, box)
     return NaiveSolution(
         weights=qp_sol.weights,
         initial=initial,

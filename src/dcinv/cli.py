@@ -84,16 +84,6 @@ def _fail(exit_code, label, exc):
     return _error_record(exit_code, type(exc).__name__, str(exc))
 
 
-def _default_threads():
-    env = os.environ.get("DCINV_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def _write_json(path, payload):
     with open(path, "w") as f:
         f.write(json.dumps(_jsonify(payload), sort_keys=True, indent=1) + "\n")
@@ -177,7 +167,7 @@ def _run_solve(method, cfg, out_dir):
     if method == "naive":
         initial, predicted, _ = _sample_pairs(cfg, np.random.SeedSequence((cfg.seed, 10)))
         sol = solve_naive(initial, predicted, cfg.target.target, padding=cfg.padding,
-                          data_box=cfg.data_box, solver_tol=cfg.solver_tol)
+                          data_box=cfg.data_box)
     elif method in ("binning-grid", "binning-kmeans"):
         if method == "binning-grid":
             cells = cfg.cells_per_dim or cfg.p
@@ -200,7 +190,7 @@ def _run_solve(method, cfg, out_dir):
         sol = solve_binning(
             initial, predicted, cfg.target.target, partition, draw=draw, seed=cfg.seed,
             n_batch=cfg.n_batch, min_fill=cfg.min_fill, weight_floor=cfg.weight_floor,
-            padding=cfg.padding, data_box=cfg.data_box, solver_tol=cfg.solver_tol,
+            padding=cfg.padding, data_box=cfg.data_box,
         )
         meta.update(p=sol.p, partition_kind=sol.partition.kind, n_batches=sol.n_batches,
                     n_total=sol.n, cell_counts_min=int(sol.counts.min()))
@@ -241,7 +231,7 @@ def _run_solve(method, cfg, out_dir):
 
 def _solver_meta(qp_solution):
     """The solver block of meta.json: every KKT residual both absolute and
-    divided by ``b_scale`` = |b|_inf (null when b is 0)."""
+    divided by the certificate's scale, max(|b|_inf, |nu|/l)."""
     kkt = qp_solution.kkt
     record = {
         "converged": qp_solution.converged,
@@ -323,7 +313,7 @@ def build_parser():
     p_conv = sub.add_parser("convergence", help="run the (n, p) convergence study")
     p_conv.add_argument("--spec", required=True)
     p_conv.add_argument("--out", required=True)
-    p_conv.add_argument("--threads", type=int, default=_default_threads())
+    p_conv.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p_conv.set_defaults(func=_cmd_convergence)
     return parser
 

@@ -24,23 +24,22 @@ Config schema (solve / diagnose):
                   "cells_per_dim": null,                     # grid cells per data dim
                   "n_batch": null, "min_fill": "proportional",  # live fill loop only
                   "weight_floor": 1e-6, "padding": 1e-3, "kde_rule": "scott"},
-      "solver": {"tol": 1e-8},
       "output": {"pushforward_grid": 512}
     }
 
 Validated ranges: ``initial.n``, ``method.p``, ``method.n_batch`` and
 ``output.pushforward_grid`` are integers >= 1; ``method.cells_per_dim`` is a
 nonempty list of integers >= 1, one per data dimension; ``method.padding``
-is a finite number >= 0; ``solver.tol`` is a finite number > 0;
-``method.kde_rule`` is "scott", "silverman" or a finite number > 0 (a fixed
-bandwidth); ``method.partition_box`` and ``method.data_box`` have the
-data's (the target's) dimension. k-means needs ``method.p`` at most the
+is a finite number >= 0; ``method.kde_rule`` is "scott", "silverman" or a
+finite number > 0 (a fixed bandwidth); ``method.partition_box`` and
+``method.data_box`` have the data's (the target's) dimension. k-means needs ``method.p`` at most the
 number of initial samples, ``method.data_box`` must contain every predicted
 sample (for the density method it only bounds the push-forward grid), and
 the density method needs at least 2 observed samples. ``method.n_batch``
 and ``method.min_fill`` drive the binning fill loop, which draws from a
 live model only; loaded pairs are used as they are. Unknown keys are
-ignored.
+ignored. The literals NaN, Infinity and -Infinity, which strict JSON does
+not allow, are rejected wherever they appear.
 
 The convergence spec file carries the ConvergenceSpec fields (n_grid, p_grid,
 trials, seed, region_a, optional region_b, partition_kind, model, target,
@@ -94,15 +93,14 @@ def _get(cfg, key, pointer, kind=None, default=_REQUIRED, choices=None):
     return value
 
 
-def _number(cfg, key, pointer, kind, default, low, strict=False):
-    """``_get`` a finite number >= ``low`` (> ``low`` when ``strict``); null
-    passes only where it is the default."""
+def _number(cfg, key, pointer, kind, default, low):
+    """``_get`` a finite number >= ``low``; null passes only where it is the
+    default."""
     value = _get(cfg, key, pointer, kind, default=default)
     if value is None and default is None:
         return None
-    if value is None or not (math.isfinite(value) and (value > low if strict else value >= low)):
-        rule = f"> {low}" if strict else f">= {low}"
-        raise ConfigError(f"{pointer}/{key}", f"expected a finite number {rule}, got {value!r}")
+    if value is None or not (math.isfinite(value) and value >= low):
+        raise ConfigError(f"{pointer}/{key}", f"expected a finite number >= {low}, got {value!r}")
     return value
 
 
@@ -113,10 +111,16 @@ def _is_positive_number(value):
     )
 
 
+def _reject_constant(literal):
+    raise ConfigError("/", f"{literal} is not a JSON number; use a finite value")
+
+
 def load_config(path):
+    """Parse a JSON config; the non-standard literals NaN, Infinity and
+    -Infinity, which ``json`` would accept, are a ConfigError."""
     try:
         with open(path) as f:
-            return json.load(f)
+            return json.load(f, parse_constant=_reject_constant)
     except FileNotFoundError:
         raise ConfigError("/", f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
@@ -231,7 +235,6 @@ class SolveConfig:
     weight_floor: float
     padding: float
     kde_rule: object
-    solver_tol: float
     pushforward_grid: int
     raw: dict = field(default_factory=dict)
 
@@ -273,7 +276,6 @@ def build_solve_config(cfg, base_dir="."):
         raise ConfigError(
             "/method/cells_per_dim", f"expected positive integers, got {cells_per_dim!r}"
         )
-    solver = _get(cfg, "solver", "", dict, default={})
     output = _get(cfg, "output", "", dict, default={})
     kde_rule = _get(method, "kde_rule", "/method", default="scott")
     if kde_rule not in ("scott", "silverman") and not _is_positive_number(kde_rule):
@@ -299,7 +301,6 @@ def build_solve_config(cfg, base_dir="."):
         weight_floor=_get(method, "weight_floor", "/method", float, default=1e-6),
         padding=_number(method, "padding", "/method", float, 1e-3, 0.0),
         kde_rule=kde_rule,
-        solver_tol=_number(solver, "tol", "/solver", float, 1e-8, 0.0, strict=True),
         pushforward_grid=_number(output, "pushforward_grid", "/output", int, 512, 1),
         raw=cfg,
     )

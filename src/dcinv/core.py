@@ -83,12 +83,6 @@ class SampleSet:
             return self.points.astype(dtype)
         return self.points
 
-    def prefix(self, n):
-        """First n samples, preserving order (used for appended-sample studies)."""
-        if not 0 <= n <= self.n:
-            raise ValueError(f"prefix length {n} out of range for {self.n} samples")
-        return SampleSet(self.points[:n])
-
 
 @dataclass(frozen=True)
 class WeightVector:

@@ -12,15 +12,15 @@ so a solve takes a handful of dense factorizations (at most ~15 rounds
 observed up to l = 3000).
 
 KKT conditions certified at the returned point, with equality multiplier nu
-and bound multipliers mu >= 0:
+and bound multipliers mu >= 0, relative to the gradient's scale
+s = max(|b|_inf, |nu|/l) (|b|_inf shrinks like 1/l, so an absolute bound
+would loosen as l grows):
 
-    stationarity     ||H w - b + (nu/l) 1 - mu||_inf <= tol
-    feasibility      |(1/l) sum w - 1| <= tol  and  w >= -tol (then clipped)
-    complementarity  |mu_i w_i| <= tol for all i
+    stationarity     ||H w - b + (nu/l) 1 - mu||_inf <= KKT_RTOL s
+    feasibility      |(1/l) sum w - 1| <= KKT_RTOL  and  w >= -KKT_RTOL
+    complementarity  |mu_i w_i| <= KKT_RTOL s for all i
 
-The report also carries b_scale = |b|_inf, the scale of the gradient: |b|_inf
-shrinks like 1/l, so residual / b_scale is the size-independent reading of
-the same certificate.
+Weights are mean-one, so feasibility needs no scale.
 """
 
 from dataclasses import dataclass
@@ -30,7 +30,12 @@ from scipy.linalg import cho_solve
 
 from .core import Normalization, WeightVector
 
-DEFAULT_TOL = 1e-8
+# Relative KKT pass rule: both solvers reach 3e-14 or better on the CLI's
+# fits and at most 1.7e-12 on 10 000 random block-pivoting instances, while
+# an early stop 1.4e-2 off in its weights read 4.8e-7.
+KKT_RTOL = 1e-10
+# Weights above this count as support when verify_kkt reconstructs nu.
+_SUPPORT_THRESHOLD = 1e-8
 # Block principal pivoting: rounds without progress before Murty's
 # one-variable rule, and the round cap (random instances up to l = 3000
 # took at most 15 rounds).
@@ -76,31 +81,33 @@ def _cholesky_or_pivot(mat):
 
 @dataclass(frozen=True)
 class KktReport:
-    """Optimality certificate for a candidate weight vector."""
+    """Optimality certificate for a candidate weight vector; ``scale`` is
+    max(b_scale, |nu|/l), the gradient's scale the pass rule is relative to."""
 
     stationarity_residual: float
     feasibility_residual: float
     complementarity_residual: float
-    tol: float
     nu: float
     b_scale: float
+    scale: float
 
     @property
     def passed(self):
+        bound = KKT_RTOL * self.scale
         return (
-            self.stationarity_residual <= self.tol
-            and self.feasibility_residual <= self.tol
-            and self.complementarity_residual <= self.tol
+            self.stationarity_residual <= bound
+            and self.feasibility_residual <= KKT_RTOL
+            and self.complementarity_residual <= bound
         )
 
     def relative(self):
-        """The three residuals divided by ``b_scale`` (None where it is 0)."""
+        """The three residuals divided by ``scale``."""
         residuals = {
             "stationarity": self.stationarity_residual,
             "feasibility": self.feasibility_residual,
             "complementarity": self.complementarity_residual,
         }
-        return {k: v / self.b_scale if self.b_scale > 0 else None for k, v in residuals.items()}
+        return {k: v / self.scale for k, v in residuals.items()}
 
 
 @dataclass(frozen=True)
@@ -119,48 +126,44 @@ class QpSolution:
         return WeightVector(self.w, Normalization.MEAN_ONE)
 
 
-def verify_kkt(problem, w, tol=DEFAULT_TOL, nu=None):
+def verify_kkt(problem, w):
     """Check the KKT conditions of the simplex QP at ``w``.
 
-    When ``nu`` is not supplied, the equality multiplier is reconstructed by
-    least squares over the support of ``w`` (stationarity forces
-    g_i + nu/l = 0 wherever w_i > 0). Bound multipliers are taken as
-    mu = max(0, g + nu/l), which is the residual-minimizing choice.
+    The equality multiplier is reconstructed by least squares over the
+    support of ``w`` (stationarity forces g_i + nu/l = 0 wherever w_i > 0).
+    Bound multipliers are taken as mu = max(0, g + nu/l), which is the
+    residual-minimizing choice. The report passes when each residual is
+    within KKT_RTOL of its scale (see the module docstring).
     """
     w = np.asarray(w, dtype=float)
     ell = problem.size
     if w.shape != (ell,):
         raise ValueError(f"w has shape {w.shape}, problem has size {ell}")
     g = problem.gradient(w)
-    if nu is None:
-        support = w > max(tol, 1e-14)
-        if not np.any(support):
-            support = np.ones(ell, dtype=bool)
-        nu = -ell * float(np.mean(g[support]))
+    support = w > _SUPPORT_THRESHOLD
+    if not np.any(support):
+        support = np.ones(ell, dtype=bool)
+    nu = -ell * float(np.mean(g[support]))
     shifted = g + nu / ell
     mu = np.maximum(shifted, 0.0)
-    stationarity = float(np.max(np.abs(shifted - mu))) if ell else 0.0
-    feasibility = max(
-        abs(float(np.sum(w)) / ell - 1.0),
-        float(max(0.0, -w.min())) if ell else 0.0,
-    )
-    complementarity = float(np.max(np.abs(mu * w))) if ell else 0.0
-    b_scale = float(np.max(np.abs(problem.b))) if ell else 0.0
-    return KktReport(stationarity, feasibility, complementarity, tol, float(nu), b_scale)
+    stationarity = float(np.max(np.abs(shifted - mu)))
+    feasibility = max(abs(float(np.sum(w)) / ell - 1.0), float(max(0.0, -w.min())))
+    complementarity = float(np.max(np.abs(mu * w)))
+    b_scale = float(np.max(np.abs(problem.b)))
+    # |nu|/l keeps a scale when b = 0, as in solve_qp's multiplier margin
+    scale = max(b_scale, abs(nu) / ell)
+    return KktReport(stationarity, feasibility, complementarity, nu, b_scale, scale)
 
 
-def _cleanup(w, ell, tol):
-    w = np.asarray(w, dtype=float).copy()
-    w[(w < 0.0) & (w >= -tol)] = 0.0
-    if w.min() < 0.0:
-        w = np.maximum(w, 0.0)
+def _cleanup(w, ell):
+    w = np.maximum(w, 0.0)
     total = w.sum()
     if total <= 0.0:
         raise WeightCollapseError("all weights collapsed to zero during cleanup")
     return w * (ell / total)
 
 
-def solve_qp(problem, tol=DEFAULT_TOL):
+def solve_qp(problem):
     """Solve the simplex-constrained fitting QP by block principal pivoting.
 
     Every variable starts free. Each round factors the free block H_FF once,
@@ -174,9 +177,8 @@ def solve_qp(problem, tol=DEFAULT_TOL):
     changes sides (Murty's rule), which terminates.
 
     Returns a QpSolution with method "active-set"; ``iterations`` counts
-    rounds, and ``converged`` is the verdict of :func:`verify_kkt` at
-    ``tol`` (which is also the clipping band for tiny negative weights), or
-    False after _MAX_ROUNDS rounds.
+    rounds, and ``converged`` is the verdict of :func:`verify_kkt` once
+    negative weights are clipped to zero, or False after _MAX_ROUNDS rounds.
 
     Raises
     ------
@@ -214,14 +216,14 @@ def solve_qp(problem, tol=DEFAULT_TOL):
         else:
             infeasible = infeasible[-1:]
         free[infeasible] = ~free[infeasible]
-    w = _cleanup(w, ell, tol)
-    report = verify_kkt(problem, w, tol)
+    w = _cleanup(w, ell)
+    report = verify_kkt(problem, w)
     return QpSolution(
         w, optimal and report.passed, rounds, report, problem.objective(w), "active-set"
     )
 
 
-def solve_isotonic(problem, tol=DEFAULT_TOL):
+def solve_isotonic(problem):
     """Solve the fitting QP of 1-D samples exactly.
 
     The samples are ``problem.points[:, 0]`` and b may come from any target
@@ -242,7 +244,7 @@ def solve_isotonic(problem, tol=DEFAULT_TOL):
 
     Returns a QpSolution with method "isotonic"; ``iterations`` counts pool
     merges, and ``converged`` is the verdict of :func:`verify_kkt` on the
-    dense problem at ``tol``.
+    dense problem.
 
     Raises
     ------
@@ -282,6 +284,6 @@ def solve_isotonic(problem, tol=DEFAULT_TOL):
     c = np.concatenate(([0.0], np.repeat(np.clip(means, 0.0, 1.0), sizes), [1.0]))
     w = np.empty(ell)
     w[order] = ell * np.diff(c)
-    w = _cleanup(w, ell, tol)
-    report = verify_kkt(problem, w, tol)
+    w = _cleanup(w, ell)
+    report = verify_kkt(problem, w)
     return QpSolution(w, report.passed, merges, report, problem.objective(w), "isotonic")

@@ -133,7 +133,7 @@ def test_criterion_1_qp_oracle_equivalence():
         ell = int(rng.choice([2, 3, 4]))
         d = int(rng.choice([1, 2]))
         problem = _random_instance(rng, ell, d)
-        sol = solve_qp(problem, tol=1e-8)
+        sol = solve_qp(problem)
         if ell <= 3:
             oracle = _enumeration_oracle(problem)
         else:

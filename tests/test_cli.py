@@ -257,7 +257,7 @@ def test_solve_all_weights_floored_exit_3(tmp_path, capsys):
 def collapse_weights(monkeypatch):
     # the collapse cannot be provoked by a valid QP, so the cleanup is fed a zero iterate
     cleanup = solver._cleanup
-    monkeypatch.setattr(solver, "_cleanup", lambda w, ell, tol: cleanup(np.zeros_like(w), ell, tol))
+    monkeypatch.setattr(solver, "_cleanup", lambda w, ell: cleanup(np.zeros_like(w), ell))
 
 
 def test_solve_weight_collapse_exit_3(tmp_path, monkeypatch, capsys):
@@ -506,10 +506,9 @@ def test_error_record_exit_3(tmp_path, monkeypatch, capsys):
     assert main(["convergence", "--spec", str(spec), "--out", str(tmp_path / "o2")]) == 3
     assert error_record(capsys)["kind"] == "AllWeightsFlooredError"
     # a failed certificate writes its results and still reports; only data of
-    # two or more dimensions goes through solve_qp
-    from dcinv import binning
-
-    monkeypatch.setattr(binning, "solve_qp", lambda problem, tol: solver.solve_qp(problem, tol=1e-30))
+    # two or more dimensions goes through solve_qp, whose first round leaves
+    # negative weights here
+    monkeypatch.setattr(solver, "_MAX_ROUNDS", 1)
     cfg = write_pairs_2d_config(tmp_path)
     assert main(["solve", "--method", "naive", "--config", str(cfg), "--out", str(tmp_path / "o3")]) == 3
     assert error_record(capsys)["kind"] == "NotConverged"
@@ -561,7 +560,6 @@ BAD_OPTIONS = [
     ("density", {"method": {"kde_rule": True}}, "/method/kde_rule"),
     ("binning-kmeans", {"initial": {"kind": "uniform", "n": 200}, "method": {"p": 500}},
      "/method/p"),
-    ("naive", {"solver": {"tol": -1}}, "/solver/tol"),
 ]
 
 
@@ -576,12 +574,45 @@ def test_out_of_range_option_is_a_config_error(tmp_path, capsys, method, overrid
 
 
 def test_ignored_max_iter_key_still_loads(tmp_path):
+    # solver.max_iter and solver.tol are retired keys; like any unknown key
+    # they are ignored, whatever their value
     plain = write_config(tmp_path / "plain.json")
     with_key = write_config(tmp_path / "with_key.json", solver={"tol": 1e-8, "max_iter": 1})
-    for cfg, out in ((plain, "a"), (with_key, "b")):
+    bad_tol = write_config(tmp_path / "bad_tol.json", solver={"tol": -1})
+    for cfg, out in ((plain, "a"), (with_key, "b"), (bad_tol, "c")):
         assert main(["solve", "--method", "naive", "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
     for name in ("weights.csv", "pushforward.csv"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        for out in ("b", "c"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / out / name).read_bytes()
+
+
+@pytest.mark.parametrize("overrides, literal", [
+    ({"model": {"kind": "heat_rod", "t_star": float("nan")}}, "NaN"),
+    ({"model": {"kind": "heat_rod", "t_star": float("inf")}}, "Infinity"),
+    ({"target": {"kind": "normal", "mu": float("nan"), "sigma": 0.035}}, "NaN"),
+    ({"target": {"kind": "normal", "mu": 2.39, "sigma": -float("inf")}}, "-Infinity"),
+    ({"method": {"p": 20, "weight_floor": float("nan")}}, "NaN"),
+    ({"target": {"kind": "mixture", "components": [[float("nan"), 2.3, 2.4]], "m": None}}, "NaN"),
+])
+def test_non_finite_json_literal_is_a_config_error(tmp_path, capsys, overrides, literal):
+    # json.load accepts NaN and +-Infinity, which strict JSON does not
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    assert literal in cfg.read_text()
+    out = tmp_path / "o"
+    assert main(["solve", "--method", "binning-grid", "--config", str(cfg), "--out", str(out)]) == 2
+    record = error_record(capsys)
+    assert record == {
+        "exit_code": 2,
+        "kind": "ConfigError",
+        "message": f"/: {literal} is not a JSON number; use a finite value",
+    }
+    assert not out.exists()
+
+
+def test_non_finite_json_literal_in_a_spec_is_a_config_error(tmp_path, capsys):
+    spec = write_spec(tmp_path / "spec.json", weight_floor=float("nan"))
+    assert main(["convergence", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert error_record(capsys)["message"] == "/: NaN is not a JSON number; use a finite value"
 
 
 def test_live_binning_solve_evaluates_only_the_samples_it_keeps(tmp_path, monkeypatch):

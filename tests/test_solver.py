@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+from dcinv import solver
 from dcinv.assembly import QpProblem, assemble_b_empirical, assemble_qp
 from dcinv.core import BoxScaler, SampleSet, WeightedEdf
 from dcinv.edf import l2_distance
-from dcinv.solver import NonPositiveDefiniteError, solve_isotonic, solve_qp, verify_kkt
+from dcinv.solver import KKT_RTOL, NonPositiveDefiniteError, solve_isotonic, solve_qp, verify_kkt
 from dcinv.targets import EmpiricalTarget, NormalTarget, UniformTarget
 
 
@@ -187,22 +188,23 @@ def test_target_outside_the_box_converges(d):
     assert not problem.b.any()
     sol = solve_qp(problem)
     assert sol.converged and sol.iterations < 20
+    assert all(np.isfinite(v) for v in sol.kkt.relative().values())
 
 
 def test_verify_kkt_pass_and_fail():
     problem = assemble_qp(np.array([[0.25], [0.75]]), UniformTarget(0.0, 1.0))
     sol = solve_qp(problem)
-    assert verify_kkt(problem, sol.w, 1e-6).passed
+    assert verify_kkt(problem, sol.w).passed
     perturbed = sol.w + np.array([0.1, 0.0])
     perturbed *= 2.0 / perturbed.sum()
-    assert not verify_kkt(problem, perturbed, 1e-6).passed
+    assert not verify_kkt(problem, perturbed).passed
 
 
 def test_verify_kkt_all_ones_identity():
     rng = np.random.default_rng(3)
     pts = rng.uniform(0.0, 0.9, size=(10, 2))
     problem = QpProblem(pts, assemble_b_empirical(pts, pts))
-    assert verify_kkt(problem, np.ones(10), 1e-6).passed
+    assert verify_kkt(problem, np.ones(10)).passed
 
 
 def test_solution_dominates_all_ones():
@@ -340,33 +342,56 @@ def test_isotonic_counts_pool_merges():
     assert np.max(np.abs(sol.w - reference.w)) < 1e-8
 
 
-def test_certificate_passes_at_the_isotonic_point_and_fails_beyond_its_tolerance():
-    """Moving weight eps between two support samples shifts the gradient by
-    eps H (e_i - e_j); the certificate must pass while that shift is well
-    below ``tol`` and fail once it is well above it."""
-    rng = np.random.default_rng(61)
-    pts = rng.uniform(0.0, 0.99, size=(50, 1))
-    problem = assemble_qp(pts, NormalTarget(0.5, 0.1))
-    tol = 1e-8
-    sol = solve_isotonic(problem, tol=tol)
-    assert sol.converged and sol.kkt.passed
-    assert sol.kkt.b_scale == np.abs(problem.b).max()
-    rel = sol.kkt.relative()
-    assert set(rel) == {"stationarity", "feasibility", "complementarity"}
-    assert max(rel.values()) <= 1e-10  # far inside the absolute tolerance, at any l
-    # converged is the certificate's verdict: below the rounding level it fails
-    strict = solve_isotonic(problem, tol=1e-30)
-    assert not strict.kkt.passed and not strict.converged
-    support = np.nonzero(sol.w > 0.5)[0]
-    i, j = support[np.argmin(pts[support, 0])], support[np.argmax(pts[support, 0])]
+def shift_support_weight(problem, w, rel):
+    """``w`` with weight moved between its lowest and highest support samples
+    until the gradient's spread over the support is ``rel`` times the
+    certificate's scale: moving eps shifts the gradient by eps H (e_i - e_j),
+    and the reconstructed multiplier cannot absorb that spread."""
+    pts = problem.points[:, 0]
+    support = np.nonzero(w > 0.5)[0]
+    i, j = support[np.argmin(pts[support])], support[np.argmax(pts[support])]
     direction = np.zeros(problem.size)
     direction[i], direction[j] = 1.0, -1.0
     shift = problem.h @ direction
     spread = np.max(np.abs(shift[support] - shift[support].mean()))
+    eps = rel * verify_kkt(problem, w).scale / spread
+    assert eps < w[j]  # the perturbed point stays feasible
+    return w + eps * direction
+
+
+def test_certificate_passes_at_the_isotonic_point_and_fails_beyond_its_tolerance(monkeypatch):
+    """The certificate must pass while the stationarity shift is well below
+    ``KKT_RTOL`` times its scale and fail once it is well above it."""
+    rng = np.random.default_rng(61)
+    pts = rng.uniform(0.0, 0.99, size=(50, 1))
+    problem = assemble_qp(pts, NormalTarget(0.5, 0.1))
+    sol = solve_isotonic(problem)
+    assert sol.converged and sol.kkt.passed
+    assert sol.kkt.b_scale == np.abs(problem.b).max()
+    rel = sol.kkt.relative()
+    assert set(rel) == {"stationarity", "feasibility", "complementarity"}
+    assert max(rel.values()) <= 1e-10
+    # converged is the certificate's verdict: below the rounding level it fails
+    with monkeypatch.context() as m:
+        m.setattr(solver, "KKT_RTOL", 1e-30)
+        strict = solve_isotonic(problem)
+        assert not strict.kkt.passed and not strict.converged
     for factor, passes in ((0.01, True), (100.0, False)):
-        eps = factor * tol / spread
-        assert eps < sol.w[j]  # the perturbed point stays feasible
-        assert verify_kkt(problem, sol.w + eps * direction, tol).passed is passes
+        perturbed = shift_support_weight(problem, sol.w, factor * KKT_RTOL)
+        assert verify_kkt(problem, perturbed).passed is passes
+
+
+@pytest.mark.parametrize("ell", [50, 5000])
+def test_certificate_is_scale_aware(ell):
+    # |b|_inf falls like 1/l, so an absolute bound of 1e-8 would pass a
+    # relative stationarity of 100 KKT_RTOL at l = 5000
+    rng = np.random.default_rng(ell)
+    problem = assemble_qp(rng.uniform(size=(ell, 1)), EmpiricalTarget(rng.beta(2, 5, size=(400, 1))))
+    sol = solve_isotonic(problem)
+    assert sol.converged
+    for factor, passes in ((0.01, True), (100.0, False)):
+        perturbed = shift_support_weight(problem, sol.w, factor * KKT_RTOL)
+        assert verify_kkt(problem, perturbed).passed is passes
 
 
 @pytest.mark.filterwarnings("ignore:.*duplicated sample")
