@@ -39,6 +39,11 @@ HEAT_ROD_OBSERVED_SIGMA = 0.035
 # half of the observed mass outside the predicted support.
 HEAT_ROD_VIOLATION_MU = 2.529
 
+# Samples per column block of ``HeatRod.qoi``: at the default 100 terms each
+# of its three (truncation, block) float64 scratch buffers is 400 KiB, so a
+# block's working set stays in L2.
+_QOI_BLOCK = 512
+
 
 @dataclass(frozen=True)
 class HeatRod:
@@ -70,14 +75,29 @@ class HeatRod:
     def qoi(self, lam):
         """Evaluate the sensor temperature for each (ell, kappa) row of ``lam``.
 
-        Zero-tail cut: once ``decay`` underflows to exactly 0.0 in every
-        column, the remaining terms are all +-0.0, so the series stops at
-        the last row of ``decay`` with a nonzero entry and ``sin`` is never
-        evaluated past it. The cut is exact. The sum over k adds its terms
-        in k order, and adding a signed zero (or the NaN of a ``sin`` that
-        overflowed, which only occurs where every ``decay`` of the column
-        is 0.0) can change a partial sum only when that sum is itself +-0.0;
-        if any cut sum is zero, the full series is summed instead. With
+        Rows are evaluated in column blocks of ``_QOI_BLOCK`` samples, each
+        written into one preallocated output. The ``truncation x block``
+        terms (the exponent and then ``decay``, the ``sin`` argument and
+        then ``sin``, and the products) live in three scratch buffers
+        allocated once per call, so memory is O(truncation x block) instead
+        of O(truncation x n) and no block pays for fresh pages. Every value
+        is a function of its own column alone, each ufunc runs on the same
+        operands in the same order as the whole-array expressions, and the
+        sum over k adds each column's terms in k order whatever the block
+        width, so the blocking changes no bit. The one exception is a block
+        of one column, which numpy sums pairwise, so a trailing single row
+        joins the block before it (a lone row is summed pairwise without
+        blocking too).
+
+        Zero-tail cut, per block: once ``decay`` underflows to exactly 0.0
+        in every column of the block, the remaining terms are all +-0.0, so
+        the block's series stops at its last row of ``decay`` with a
+        nonzero entry and ``sin`` is never evaluated past it. The cut is
+        exact, because its argument holds column by column. Adding a signed
+        zero (or the NaN of a ``sin`` that overflowed, which only occurs
+        where every ``decay`` of the column is 0.0) can change a partial sum
+        only when that sum is itself +-0.0; if any cut sum of a block is
+        zero, that block sums the full series instead. With
         ``standard_physics=True`` and ``t_star = 0.3`` every row from
         k ~ 48 underflows; the printed series at the default ``t_star``
         never does. ``decay`` comes from ``exp_or_zero``, which writes the
@@ -86,32 +106,57 @@ class HeatRod:
         pts = as_points(lam)
         if pts.shape[1] != 2:
             raise ValueError(f"rod parameters are 2-D (ell, kappa), got dim {pts.shape[1]}")
-        box = self.box
-        if not np.all(box.contains(pts)):
-            n_out = int(np.sum(~box.contains(pts)))
+        inside = self.box.contains(pts)
+        if not inside.all():
             warnings.warn(
-                f"{n_out} parameter sample(s) outside Lambda; evaluating anyway",
+                f"{np.count_nonzero(~inside)} parameter sample(s) outside Lambda; "
+                "evaluating anyway",
                 stacklevel=2,
             )
+        n = pts.shape[0]
+        edges = list(range(0, n, _QOI_BLOCK)) + [n]
+        if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+            # numpy sums a one-column block pairwise, not in k order
+            del edges[-2]
+        k = np.arange(1, self.truncation + 1)[:, None]
+        scratch = np.empty((3, k.size * min(n, _QOI_BLOCK + 1)))
+        out = np.empty(n)
+        for start, stop in zip(edges[:-1], edges[1:]):
+            out[start:stop] = self._qoi_block(pts[start:stop], k, scratch)
+        return out
+
+    def _qoi_block(self, pts, k, scratch):
         ell = pts[:, 0]
         kappa = pts[:, 1]
-        k = np.arange(1, self.truncation + 1)[:, None]
+        width = len(pts)
+        decay, arg, terms = (buf[: k.size * width].reshape(k.size, width) for buf in scratch)
         if self.standard_physics:
-            decay = exp_or_zero(-kappa[None, :] * (k * np.pi / ell[None, :]) ** 2 * self.t_star)
+            np.divide(k * np.pi, ell[None, :], out=arg)
+            np.square(arg, out=arg)
+            np.multiply(-kappa[None, :], arg, out=arg)
+            arg *= self.t_star
             prefactor = 2.0 * ell / np.pi
         else:
-            decay = exp_or_zero(-kappa[None, :] * k * np.pi * self.t_star / ell[None, :] ** 2)
+            np.multiply(-kappa[None, :], k, out=arg)
+            arg *= np.pi
+            arg *= self.t_star
+            arg /= ell[None, :] ** 2
             prefactor = 2.0 * ell**2 / np.pi
+        exp_or_zero(arg, out=decay)
         nonzero_rows = np.flatnonzero(decay.any(axis=1))
         rows = nonzero_rows[-1] + 1 if nonzero_rows.size else self.truncation
-        series = self._series(k[:rows], decay[:rows], ell)
+        series = self._series(k[:rows], decay[:rows], ell, arg[:rows], terms[:rows])
         if rows < self.truncation and not series.all():
-            series = self._series(k, decay, ell)
+            series = self._series(k, decay, ell, arg, terms)
         return prefactor * series
 
-    def _series(self, k, decay, ell):
+    def _series(self, k, decay, ell, sin, terms):
         signs = (-1.0) ** (k + 1) / k
-        return np.sum(signs * decay * np.sin(k * np.pi * self.x_star / ell[None, :]), axis=0)
+        np.divide(k * np.pi * self.x_star, ell[None, :], out=sin)
+        np.sin(sin, out=sin)
+        np.multiply(signs, decay, out=terms)
+        terms *= sin
+        return np.sum(terms, axis=0)
 
     def __call__(self, lam):
         return self.qoi(lam)

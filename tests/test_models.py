@@ -1,8 +1,11 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from dcinv import models
 from dcinv.core import BoxScaler
 from dcinv.io import load_pairs, load_samples, save_samples
 from dcinv.models import (
@@ -336,3 +339,78 @@ def test_heat_qoi_decay_through_subnormal_range_matches_full_series():
     assert ((decay > 0) & (decay < np.finfo(float).tiny)).any()
     assert (decay == 0).any() and (decay >= np.finfo(float).tiny).any()
     assert_bit_equal(model.qoi(lam), reference_qoi(model, lam))
+
+
+BLOCK = models._QOI_BLOCK
+BLOCK_SIZES = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+@pytest.mark.parametrize(
+    "model", [HeatRod(), HeatRod(standard_physics=True), mixture_benchmark_model()]
+)
+def test_heat_qoi_blocks_bit_equal_to_whole_array(model, n):
+    # block edges fall inside, at and just past the rows of every size
+    box = model.box
+    lam = np.random.default_rng(n).uniform(box.lower, box.upper, size=(n, 2))
+    assert_bit_equal(model.qoi(lam), reference_qoi(model, lam))
+
+
+def test_heat_qoi_zero_sum_fallback_in_one_block_only():
+    # the tiny rod sits in the second block: only that block sums the full
+    # series, and the blocks on either side keep their cut
+    model = mixture_benchmark_model()
+    box = model.box
+    lam = np.random.default_rng(43).uniform(box.lower, box.upper, size=(3 * BLOCK, 2))
+    lam[BLOCK + 3] = [1.2e-306, 1.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.warns(UserWarning, match="outside Lambda"):
+            vals = model.qoi(lam)
+        expected = reference_qoi(model, lam)
+    assert np.isnan(vals[BLOCK + 3]) and np.isfinite(np.delete(vals, BLOCK + 3)).all()
+    assert_bit_equal(vals, expected)
+
+
+def test_heat_qoi_one_block_underflows_and_its_neighbour_does_not():
+    # at t_star = 300 every term underflows for kappa >= 1.4 (exponent below
+    # -900) and none does at k = 1 for kappa <= 0.6 (above -500); the first
+    # block is all large kappa, the second all small
+    model = HeatRod(standard_physics=True, t_star=300.0)
+    rng = np.random.default_rng(47)
+    lam = np.empty((2 * BLOCK, 2))
+    lam[:, 0] = rng.uniform(1.9, 2.1, size=2 * BLOCK)
+    lam[:BLOCK, 1] = rng.uniform(1.4, 1.5, size=BLOCK)
+    lam[BLOCK:, 1] = rng.uniform(0.5, 0.6, size=BLOCK)
+    vals = model.qoi(lam)
+    assert not vals[:BLOCK].any() and vals[BLOCK:].all()
+    assert_bit_equal(vals, reference_qoi(model, lam))
+
+
+def test_heat_qoi_outside_rows_in_two_blocks_warn_once():
+    model = HeatRod()
+    box = model.box
+    lam = np.random.default_rng(53).uniform(box.lower, box.upper, size=(2 * BLOCK + 1, 2))
+    lam[2, 1] = 2.0
+    lam[BLOCK + 5, 0] = 1.8
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        vals = model.qoi(lam)
+    assert [str(w.message) for w in caught] == [
+        "2 parameter sample(s) outside Lambda; evaluating anyway"
+    ]
+    assert caught[0].category is UserWarning
+    assert_bit_equal(vals, reference_qoi(model, lam))
+
+
+def test_heat_qoi_memory_is_bounded_by_the_block():
+    # the whole-array series held several 100 x 100 000 float64 temporaries
+    # at once (about 306 MiB); three block-sized scratch buffers are 1.2 MiB
+    lam = np.random.default_rng(59).uniform([1.9, 0.5], [2.1, 1.5], size=(100_000, 2))
+    model = HeatRod()
+    tracemalloc.start()
+    try:
+        model.qoi(lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
