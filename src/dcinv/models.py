@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoxScaler, SampleSet, as_box, as_points, exp_or_zero
+from .core import BoxScaler, SampleSet, as_box, as_points
 from .targets import MixtureOfUniforms, NormalTarget
 
 DEFAULT_LAMBDA_BOX = ((1.9, 2.1), (0.5, 1.5))
@@ -38,12 +38,6 @@ HEAT_ROD_OBSERVED_SIGMA = 0.035
 # Shifting the observed mean to the upper edge of the predicted range puts
 # half of the observed mass outside the predicted support.
 HEAT_ROD_VIOLATION_MU = 2.529
-
-# Samples per column block of ``HeatRod.qoi``: at the default 100 terms each
-# of its three (truncation, block) float64 scratch buffers is 400 KiB, so a
-# block's working set stays in L2.
-_QOI_BLOCK = 512
-
 
 @dataclass(frozen=True)
 class HeatRod:
@@ -75,33 +69,23 @@ class HeatRod:
     def qoi(self, lam):
         """Evaluate the sensor temperature for each (ell, kappa) row of ``lam``.
 
-        Rows are evaluated in column blocks of ``_QOI_BLOCK`` samples, each
-        written into one preallocated output. The ``truncation x block``
-        terms (the exponent and then ``decay``, the ``sin`` argument and
-        then ``sin``, and the products) live in three scratch buffers
-        allocated once per call, so memory is O(truncation x block) instead
-        of O(truncation x n) and no block pays for fresh pages. Every value
-        is a function of its own column alone, each ufunc runs on the same
-        operands in the same order as the whole-array expressions, and the
-        sum over k adds each column's terms in k order whatever the block
-        width, so the blocking changes no bit. The one exception is a block
-        of one column, which numpy sums pairwise, so a trailing single row
-        joins the block before it (a lone row is summed pairwise without
-        blocking too).
+        With theta = pi x_star / ell, term k of the series is
+        ``(-1)^{k+1} / k * Im(w_k)`` for ``w_k = exp(a k) exp(i k theta)``
+        (printed series, a = -kappa pi t / ell^2) or
+        ``w_k = exp(a k^2) exp(i k theta)`` (standard physics,
+        a = -kappa pi^2 t / ell^2). Goertzel's (Watt's) recurrence builds
+        ``w_k = w_{k-1} * step`` from one complex ``step = exp(a) exp(i theta)``
+        per row; for standard physics ``step`` itself gains a factor
+        ``exp(2a)`` per term, since ``exp(a k^2)`` grows by ``exp(a)^{2k+1}``.
+        So each row costs one ``exp`` (two for standard physics), one ``cos``
+        and one ``sin`` plus a complex multiply per term, and its rounding
+        error grows only linearly in k (Gentleman, Comput. J. 1969). Memory
+        is a few length-n vectors.
 
-        Zero-tail cut, per block: once ``decay`` underflows to exactly 0.0
-        in every column of the block, the remaining terms are all +-0.0, so
-        the block's series stops at its last row of ``decay`` with a
-        nonzero entry and ``sin`` is never evaluated past it. The cut is
-        exact, because its argument holds column by column. Adding a signed
-        zero (or the NaN of a ``sin`` that overflowed, which only occurs
-        where every ``decay`` of the column is 0.0) can change a partial sum
-        only when that sum is itself +-0.0; if any cut sum of a block is
-        zero, that block sums the full series instead. With
-        ``standard_physics=True`` and ``t_star = 0.3`` every row from
-        k ~ 48 underflows; the printed series at the default ``t_star``
-        never does. ``decay`` comes from ``exp_or_zero``, which writes the
-        underflowed entries as +0.0 without paying for np.exp's slow lanes.
+        The multiplies are out of place: numpy's in-place complex multiply
+        rounds differently with the array length, and out of place every row
+        is a function of that row alone, whatever else is in the batch. A
+        ``step`` that underflows to 0.0 makes every later term an exact zero.
         """
         pts = as_points(lam)
         if pts.shape[1] != 2:
@@ -113,50 +97,25 @@ class HeatRod:
                 "evaluating anyway",
                 stacklevel=2,
             )
-        n = pts.shape[0]
-        edges = list(range(0, n, _QOI_BLOCK)) + [n]
-        if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-            # numpy sums a one-column block pairwise, not in k order
-            del edges[-2]
-        k = np.arange(1, self.truncation + 1)[:, None]
-        scratch = np.empty((3, k.size * min(n, _QOI_BLOCK + 1)))
-        out = np.empty(n)
-        for start, stop in zip(edges[:-1], edges[1:]):
-            out[start:stop] = self._qoi_block(pts[start:stop], k, scratch)
-        return out
-
-    def _qoi_block(self, pts, k, scratch):
         ell = pts[:, 0]
         kappa = pts[:, 1]
-        width = len(pts)
-        decay, arg, terms = (buf[: k.size * width].reshape(k.size, width) for buf in scratch)
+        theta = np.pi * self.x_star / ell
         if self.standard_physics:
-            np.divide(k * np.pi, ell[None, :], out=arg)
-            np.square(arg, out=arg)
-            np.multiply(-kappa[None, :], arg, out=arg)
-            arg *= self.t_star
+            a = -kappa * (np.pi / ell) ** 2 * self.t_star
+            growth = np.exp(2.0 * a)
             prefactor = 2.0 * ell / np.pi
         else:
-            np.multiply(-kappa[None, :], k, out=arg)
-            arg *= np.pi
-            arg *= self.t_star
-            arg /= ell[None, :] ** 2
+            a = -kappa * np.pi * self.t_star / ell**2
             prefactor = 2.0 * ell**2 / np.pi
-        exp_or_zero(arg, out=decay)
-        nonzero_rows = np.flatnonzero(decay.any(axis=1))
-        rows = nonzero_rows[-1] + 1 if nonzero_rows.size else self.truncation
-        series = self._series(k[:rows], decay[:rows], ell, arg[:rows], terms[:rows])
-        if rows < self.truncation and not series.all():
-            series = self._series(k, decay, ell, arg, terms)
+        step = np.exp(a) * np.exp(1j * theta)
+        w = np.ones(len(pts), dtype=complex)
+        series = np.zeros(len(pts))
+        for k in range(1, self.truncation + 1):
+            w = w * step
+            series = series + (-1.0) ** (k + 1) / k * w.imag
+            if self.standard_physics:
+                step = step * growth
         return prefactor * series
-
-    def _series(self, k, decay, ell, sin, terms):
-        signs = (-1.0) ** (k + 1) / k
-        np.divide(k * np.pi * self.x_star, ell[None, :], out=sin)
-        np.sin(sin, out=sin)
-        np.multiply(signs, decay, out=terms)
-        terms *= sin
-        return np.sum(terms, axis=0)
 
     def __call__(self, lam):
         return self.qoi(lam)

@@ -33,7 +33,14 @@ dimensions come from block principal pivoting; against a checkout from
 before it, the weights of ``pairs_2d_*`` differ in their last bits (max
 |diff| 3.3e-11, objectives within 5e-17), and so do their push-forwards and
 the residuals, objective and ``iterations`` (pivoting rounds) of their
-``meta.json`` solver block; all else is equal. ``solve`` once wrote its
+``meta.json`` solver block; all else is equal. The rod series is summed by
+a complex recurrence; against a checkout from before it, the 28 commands
+that evaluate the rod model differ in the last bits of their model values
+(max |diff| 8.4e-15), and so of their weights (up to 1.1e-5 at l = 6000,
+where the 1-D fit amplifies them), push-forwards, objectives (within
+4.6e-15), solver iterations and the KDE diagnostic; no fill-loop batch or
+sample count moves, and the 12 ``pairs_*`` commands are byte-identical.
+``solve`` once wrote its
 ``--threads`` value (by default the host's core count) into ``meta.json``;
 against a checkout from before that flag was removed, the ``meta.json`` of
 every command but ``convergence`` differs by that key alone.
