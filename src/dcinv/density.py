@@ -6,13 +6,14 @@ initial samples; its sample mean is the predictability diagnostic and should
 be close to one when the observed distribution is dominated by the predicted.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Normalization, SampleSet, WeightedPairs, WeightVector, as_box, as_points,
-                   exp_or_zero)
+from .core import (EXP_ZERO_AT, Normalization, SampleSet, WeightedPairs, WeightVector, as_box,
+                   as_points, exp_or_zero)
 from .models import _sample_pair
 
 DENSITY_FLOOR = 1e-300
@@ -22,8 +23,16 @@ BINNED_GRID = 4096  # grid cells of the binned 1-D evaluation
 # Query-by-sample elements per block of exact evaluation (about 13 query rows
 # at n = 10 000). Kept small so that the block (1 MiB at d = 1) stays in cache
 # through its subtract, whiten, square, exp and sum passes; large blocks made
-# each pass a round trip to memory and held several 128 MB temporaries.
+# each pass a round trip to memory and held several 128 MB temporaries. At
+# d = 1 a block whose rows' kernel windows leave out some samples computes
+# only the window span, in a second buffer of the same size.
 _EVAL_BLOCK_ELEMS = 1 << 17
+
+# Half-width of a 1-D kernel window in kernel standard deviations: a sample
+# farther than this from the query has a computed kernel argument below
+# EXP_ZERO_AT (see KdeModel.pdf). The 1e-6 slack covers the rounding of the
+# subtract, the whitening multiply and the square, a few units of 2^-53.
+_WINDOW_REACH = float(np.sqrt(-2.0 * EXP_ZERO_AT)) * (1.0 + 1e-6)
 
 
 @dataclass(frozen=True)
@@ -52,6 +61,13 @@ class KdeModel:
         object.__setattr__(self, "bandwidth_matrix", bw)
         object.__setattr__(self, "_chol", chol)
 
+    @functools.cached_property
+    def _sorted_1d(self):
+        """The stable argsort of the 1-D samples and the samples in that
+        order, sorted on the first exact evaluation (binned needs neither)."""
+        order = np.argsort(self.points.points[:, 0], kind="stable")
+        return order, self.points.points[order, 0]
+
     @property
     def dim(self):
         return self.points.dim
@@ -63,12 +79,23 @@ class KdeModel:
     def pdf(self, q, method="exact"):
         """Density values at query points.
 
-        method="exact" sums all n kernels directly: O(n m) time for m
-        queries in O(block) scratch memory, about 1 MiB whatever n and m
-        are. On a 2-vCPU Xeon it takes about 0.2 s per 1e8 kernels when no
-        kernel underflows and up to about 2 s per 1e8 when a third to two
-        thirds of them do, because np.exp is slow on arguments near its
-        underflow.
+        method="exact" sums the kernels directly, in blocks of about 1 MiB
+        whatever n and m are. At d = 1 it evaluates, for each query q, only
+        the kernels of the samples within q -+ r, where r = sqrt(-2
+        EXP_ZERO_AT) (1 + 1e-6) times the kernel standard deviation. A
+        sample outside that window has a computed kernel argument below
+        EXP_ZERO_AT = -746 (the slack covers the rounding of the subtract,
+        the multiply and the square), so its kernel is +0.0 whatever the
+        order of operations. A query with an empty window gives +0.0 and is
+        never computed. The other rows are taken in query order, a block of
+        them at a time, and their kernels are computed over the block's
+        window span only (in a second block buffer) and scattered into
+        zeroed rows of n, which are summed whole: the sum adds the same
+        values in the same order as a sum over all n kernels, so the result
+        is bit for bit the same. At d >= 2 it sums all n kernels: O(n m)
+        time, about 0.2 s per 1e8 kernels on a 2-vCPU Xeon when none
+        underflows and up to about 2 s per 1e8 when a third to two thirds
+        of them do, because np.exp is slow on arguments near its underflow.
 
         method="binned" (d = 1 only) convolves a histogram of the samples
         with the kernel on a regular grid and interpolates: O(n + grid log
@@ -87,39 +114,74 @@ class KdeModel:
         return self._pdf_exact(pts)
 
     def _pdf_exact(self, pts):
+        d = self.dim
+        log_norm = d * 0.5 * np.log(2.0 * np.pi) + np.sum(np.log(np.diag(self._chol)))
+        rows = max(1, _EVAL_BLOCK_ELEMS // (self.n * d))
+        if d == 1:
+            sums = self._kernel_sums_1d(pts[:, 0], rows)
+        else:
+            sums = self._kernel_sums(pts, rows)
+        return sums / (self.n * np.exp(log_norm))
+
+    def _kernel_sums_1d(self, q, rows):
+        x = self.points.points[:, 0]
+        n = x.size
+        # bit for bit what a triangular solve does at d = 1 (a multiply by
+        # the reciprocal); dividing by chol[0, 0] is not
+        scale = 1.0 / self._chol[0, 0]
+        reach = _WINDOW_REACH * self._chol[0, 0]
+        x_order, x_sorted = self._sorted_1d
+        lo = np.searchsorted(x_sorted, q - reach, side="left")
+        hi = np.searchsorted(x_sorted, q + reach, side="right")
+        # rows in query order, so that a block's windows overlap and their
+        # span [lo of its first row, hi of its last row) is tight
+        order = np.argsort(q, kind="stable")
+        order = order[hi[order] > lo[order]]
+        out = np.zeros(q.size)
+        quad = np.empty((min(rows, order.size), n))
+        span_buf = np.empty(quad.size)
+        for start in range(0, order.size, rows):
+            idx = order[start : start + rows]
+            block = quad[: idx.size]
+            first, stop = lo[idx[0]], hi[idx[-1]]
+            if stop - first == n:
+                np.subtract(q[idx, None], x, out=block)
+                _kernels_1d(block, scale)
+            else:
+                span = span_buf[: idx.size * (stop - first)].reshape(idx.size, -1)
+                np.subtract(q[idx, None], x_sorted[first:stop], out=span)
+                _kernels_1d(span, scale)
+                block.fill(0.0)
+                block[:, x_order[first:stop]] = span
+            # each query row is reduced whole, so the summation order is the
+            # same at any block size and with either branch
+            out[idx] = block.sum(axis=1)
+        return out
+
+    def _kernel_sums(self, pts, rows):
         from scipy.linalg import solve_triangular
 
         x = self.points.points
         n, d = x.shape
-        chol = self._chol
-        log_norm = d * 0.5 * np.log(2.0 * np.pi) + np.sum(np.log(np.diag(chol)))
         out = np.empty(pts.shape[0])
-        rows = max(1, _EVAL_BLOCK_ELEMS // (n * d))
         quad = np.empty((min(rows, pts.shape[0]), n))
-        # at d = 1 the differences land in quad itself and are whitened there
-        diff = quad[:, :, None] if d == 1 else np.empty(quad.shape + (d,))
+        diff = np.empty(quad.shape + (d,))
         for start in range(0, pts.shape[0], rows):
             stop = min(start + rows, pts.shape[0])
             block, block_diff = quad[: stop - start], diff[: stop - start]
             np.subtract(pts[start:stop, None, :], x[None, :, :], out=block_diff)
-            if d == 1:
-                # bit for bit what the triangular solve below does at d = 1
-                # (a multiply by the reciprocal); dividing by chol[0, 0] is not
-                block *= 1.0 / chol[0, 0]
-                np.square(block, out=block)
-            else:
-                white = solve_triangular(
-                    chol, block_diff.reshape(-1, d).T, lower=True,
-                    overwrite_b=True, check_finite=False,
-                )
-                np.square(white, out=white)
-                np.sum(white, axis=0, out=block.reshape(-1))
+            white = solve_triangular(
+                self._chol, block_diff.reshape(-1, d).T, lower=True,
+                overwrite_b=True, check_finite=False,
+            )
+            np.square(white, out=white)
+            np.sum(white, axis=0, out=block.reshape(-1))
             block *= -0.5
             exp_or_zero(block, out=block)
             # each query row is reduced whole, so the summation order is the
             # same at any block size
             block.sum(axis=1, out=out[start:stop])
-        return out / (self.n * np.exp(log_norm))
+        return out
 
     def _pdf_binned_1d(self, q):
         if q.size == 0:
@@ -138,6 +200,15 @@ class KdeModel:
         kernel = np.exp(-0.5 * (offs / h) ** 2) / (np.sqrt(2.0 * np.pi) * h)
         dens = np.convolve(counts, kernel, mode="same") / self.n
         return np.interp(q, centers, dens, left=0.0, right=0.0)
+
+
+def _kernels_1d(diff, scale):
+    """Overwrite the query-minus-sample differences ``diff`` with their 1-D
+    Gaussian kernels exp(-(diff * scale)^2 / 2)."""
+    diff *= scale
+    np.square(diff, out=diff)
+    diff *= -0.5
+    exp_or_zero(diff, out=diff)
 
 
 def _bandwidth_factor(rule, n, d):

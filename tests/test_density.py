@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dcinv import density
 from dcinv.core import BoxScaler, Normalization, SampleSet, WeightedEdf, WeightVector
 from dcinv.density import (
     KdeModel,
@@ -329,15 +334,91 @@ def test_pdf_exact_scratch_memory_is_bounded():
     import tracemalloc
 
     rng = np.random.default_rng(71)
-    model = kde_fit(rng.normal(size=(20_000, 1)))
-    q = rng.normal(size=(4000, 1))
-    tracemalloc.start()
-    try:
+    wide = kde_fit(rng.normal(size=(20_000, 1)))
+    # a narrow kernel: most windows leave out some samples, and some hold none
+    narrow = kde_fit(rng.uniform(0.585, 0.6, size=(20_000, 1)), rule=7e-4)
+    narrow_q = rng.uniform(0.33, 0.99, size=(4000, 1))
+    blocks = record_kernel_blocks(narrow, narrow_q)
+    assert sum(rows for rows, _ in blocks) < 4000
+    assert any(width < narrow.n for _, width in blocks)
+    for model, q in ((wide, rng.normal(size=(4000, 1))), (narrow, narrow_q)):
+        tracemalloc.start()
+        try:
+            model.pdf(q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+
+
+def record_kernel_blocks(model, q):
+    """(rows, width) of every block of 1-D kernels that ``model.pdf(q)``
+    evaluates; width n is a dense block, a smaller one a window span."""
+    shapes = []
+
+    def spy(diff, scale):
+        shapes.append(diff.shape)
+        kernels_1d(diff, scale)
+
+    kernels_1d = density._kernels_1d
+    with mock.patch.object(density, "_kernels_1d", spy):
         model.pdf(q)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8_000_000
+    return shapes
+
+
+def test_pdf_exact_windows_covering_every_sample_take_the_dense_branch():
+    rng = np.random.default_rng(73)
+    x = rng.normal(size=(2000, 1))
+    pred = kde_fit(x, rule=0.2)  # reach 38.6 h = 7.7 is wider than the samples' range
+    assert np.ptp(x) < 0.2 * np.sqrt(1492.0)
+    blocks = record_kernel_blocks(pred, x)
+    assert sum(rows for rows, _ in blocks) == 2000
+    assert all(width == 2000 for _, width in blocks)
+    assert_bit_equal(pred.pdf(x), reference_pdf_exact(pred, x))
+
+
+def test_pdf_exact_narrow_windows_evaluate_only_their_span():
+    rng = np.random.default_rng(79)
+    model = kde_fit(rng.uniform(0.0, 1.0, size=(5000, 1)), rule=1e-3)
+    q = rng.uniform(-0.5, 1.5, size=(3000, 1))  # unsorted; half lie off the samples
+    blocks = record_kernel_blocks(model, q)
+    rows = sum(r for r, _ in blocks)
+    assert 1000 < rows < 2000  # the rows with an empty window are skipped
+    # blocks of neighbouring queries: a block spans a few windows (each about
+    # 2 * 38.6e-3 * 5000 = 386 samples wide), not the whole sample range
+    assert sum(r * w for r, w in blocks) < 0.15 * rows * model.n
+    assert_bit_equal(model.pdf(q), reference_pdf_exact(model, q))
+
+
+@st.composite
+def kde_window_cases(draw):
+    """Unsorted samples with ties, a fixed bandwidth from "every kernel
+    underflows" to "none does", queries on samples, on the window edges
+    x -+ r and in between (some repeated), and a small evaluation block."""
+    pool = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12))
+    picks = draw(st.lists(st.integers(0, 11), min_size=2, max_size=40))
+    x = np.array([pool[i % len(pool)] for i in picks])
+    h = 10.0 ** draw(st.floats(-7.0, 2.0))
+    model = kde_fit(x[:, None], rule=h)
+    reach = density._WINDOW_REACH * np.sqrt(model.bandwidth_matrix[0, 0])
+    edges = np.concatenate([x, x - reach, x + reach, np.nextafter(x + reach, np.inf),
+                            np.nextafter(x - reach, -np.inf)])
+    q = draw(st.lists(st.one_of(st.sampled_from(edges.tolist()), st.floats(-2.0, 2.0)),
+                      max_size=30))
+    q = np.array(q + q[: draw(st.integers(0, len(q)))], dtype=float)
+    order = draw(st.permutations(range(q.size)))
+    return model, q[list(order)][:, None], draw(st.integers(1, 4 * x.size))
+
+
+@settings(deadline=None, max_examples=300)
+@given(kde_window_cases())
+def test_pdf_exact_windowed_bit_equal_to_reference(case):
+    model, q, block_elems = case
+    with mock.patch.object(density, "_EVAL_BLOCK_ELEMS", block_elems):
+        got = model.pdf(q)
+    assert_bit_equal(got, reference_pdf_exact(model, q))
+    for few in (q[:0], q[:1]):
+        assert_bit_equal(model.pdf(few), reference_pdf_exact(model, few))
 
 
 def test_density_pushforward_bit_equal_to_the_front_end_copy():

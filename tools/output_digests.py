@@ -3,14 +3,15 @@ and of a few small commands that cover the rest of the ``solve`` front end.
 
     python3 tools/output_digests.py --src DIR --out FILE
 
-Runs 40 CLI commands in this process against the ``dcinv`` package under
-``DIR/src``, each at input seeds 31000 and 47000: the five
+Runs 21 CLI commands in this process against the ``dcinv`` package under
+``DIR/src``, each at input seeds 31000 and 47000 (42 runs): the five
 ``perfbench/workloads.py`` workloads at smoke and at full size, built with
-``workloads.command``, and the ten ``EXTRA`` commands defined here
+``workloads.command``, and the eleven ``EXTRA`` commands defined here
 (binning-kmeans; a live binning-grid run whose fill loop draws several
 batches; a ``pairs`` model read from CSV files, with 1-D data under naive,
-binning-grid, binning-kmeans and density and with 2-D data under naive and
-binning-grid; a ``method.data_box`` override under naive and binning-grid).
+binning-grid, binning-kmeans, density and density with a narrow fixed
+bandwidth, and with 2-D data under naive and binning-grid; a
+``method.data_box`` override under naive and binning-grid).
 For each command it hashes ``weights.csv``, ``pushforward.csv``,
 ``result.json``, every ``surface_*.csv`` and ``meta.json`` without its
 ``timing`` block (the only part that holds wall time), and writes
@@ -23,7 +24,10 @@ checkouts are equal:
     python3 tools/output_digests.py --src . --out new.json
     diff old.json new.json
 
-The output contract: density outputs stay byte-identical. Fits on 1-D
+The output contract: density outputs stay byte-identical; the exact 1-D
+KDE skips only kernels that are +0.0 in any order, so ``pairs_density_narrow``,
+whose observed-KDE windows are empty at some predicted values and partial at
+the rest, is byte-identical to a checkout that sums every kernel. Fits on 1-D
 data come from the exact isotonic solver, whose weights differ from the
 dense active set's only in the last bits. Against a checkout from before
 that solver, ``weights.csv``, ``pushforward.csv``, ``result.json`` and the
@@ -39,7 +43,7 @@ that evaluate the rod model differ in the last bits of their model values
 (max |diff| 8.4e-15), and so of their weights (up to 1.1e-5 at l = 6000,
 where the 1-D fit amplifies them), push-forwards, objectives (within
 4.6e-15), solver iterations and the KDE diagnostic; no fill-loop batch or
-sample count moves, and the 12 ``pairs_*`` commands are byte-identical.
+sample count moves, and the 14 ``pairs_*`` commands are byte-identical.
 ``solve`` once wrote its
 ``--threads`` value (by default the host's core count) into ``meta.json``;
 against a checkout from before that flag was removed, the ``meta.json`` of
@@ -111,6 +115,10 @@ EXTRA = {
     "pairs_grid": ("binning-grid", {"model": PAIRS, "target": PAIRS_TARGET, "method": {"p": 20}}),
     "pairs_kmeans": ("binning-kmeans", {"model": PAIRS, "target": PAIRS_TARGET, "method": {"p": 20}}),
     "pairs_density": ("density", {"model": PAIRS, "target": PAIRS_TARGET}),
+    # kernel reach 38.6 h = 0.12: the observed KDE's windows are empty at the
+    # largest predicted values and leave out some samples at all the others
+    "pairs_density_narrow": ("density", {
+        "model": PAIRS, "target": PAIRS_TARGET, "method": {"kde_rule": 0.003}}),
     "pairs_2d_naive": ("naive", {"model": PAIRS_2D, "target": PAIRS_2D_TARGET}),
     "pairs_2d_grid": ("binning-grid", {
         "model": PAIRS_2D, "target": PAIRS_2D_TARGET, "method": {"cells_per_dim": [5, 4]}}),
