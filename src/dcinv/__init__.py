@@ -69,7 +69,6 @@ from .models import (
 )
 from .targets import (
     EmpiricalTarget,
-    ExactCdfTarget,
     MixtureOfUniforms,
     NormalTarget,
     UniformTarget,

@@ -8,8 +8,9 @@ the weights with
     b_i  = (1/l)   int over [q^i, 1] of F_targ(q) dq,
 
 so that (1/2) w^T H w - b^T w equals half the squared misfit up to a constant
-independent of w. H and the sample-target b are exact closed forms; only
-exact-CDF targets without a closed-form running integral need quadrature.
+independent of w. H and b are exact closed forms: an empirical target's b
+sums over its samples, and an exact target (one of the 1-D laws in
+:mod:`dcinv.targets`) gives b from its closed-form running integral of F_targ.
 """
 
 import functools
@@ -17,14 +18,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from . import targets as _targets
-from .core import BoxScaler, as_points, grid_points
+from .core import BoxScaler, as_points
 
 COORD_TOL = 1e-12
 JITTER = 1e-10
-DEFAULT_QUAD_POINTS = 64
 
 _B_CHUNK = 2_000_000  # elements per (l x m-chunk) block in empirical assembly
 # Elements of the reusable block that empirical assembly fills within one
@@ -201,76 +200,38 @@ def assemble_b_empirical(samples, target_samples):
     return b / (ell * m)
 
 
-def assemble_b_exact(samples, cdf, quad_points_per_dim=DEFAULT_QUAD_POINTS, integral_of_cdf=None):
-    """b for an exact-CDF target.
+def assemble_b_exact(samples, integral_of_cdf):
+    """Closed-form b for an exact 1-D target.
 
-    Parameters
-    ----------
-    samples : array-like, shape (l, d)
-        Unit-box sample points.
-    cdf : callable
-        Maps an (m, d) array of unit-box points to CDF values.
-    quad_points_per_dim : int
-        Gauss-Legendre nodes per dimension for the tensor-product quadrature
-        over [q^i, 1].
-    integral_of_cdf : callable, optional
-        For d = 1 only: running integral I(t) = int^t cdf, in which case
-        b_i = (1/l) (I(1) - I(q_i)) exactly and no quadrature is used.
+    ``samples`` is an (l, 1) array of unit-box points and ``integral_of_cdf``
+    the running integral I(t) = int^t F_targ over scaled coordinates (up to a
+    constant), so that b_i = (1/l) (I(1) - I(q_i)), clipped at 0 against
+    rounding. Raises ValueError on samples of another dimension than 1.
+    The tracer in perfbench/ wraps this function by name.
     """
     pts = _check_unit_box(as_points(samples))
     ell, d = pts.shape
-    if d == 1 and integral_of_cdf is not None:
-        upper = np.asarray(integral_of_cdf(np.ones(1)))[0]
-        b = (upper - np.asarray(integral_of_cdf(pts[:, 0]))) / ell
-        return np.maximum(b, 0.0)
-    if quad_points_per_dim < 2:
-        raise ValueError(
-            f"quad_points_per_dim must be >= 2, got {quad_points_per_dim}"
-        )
-    nodes, weights = roots_legendre(quad_points_per_dim)
-    nodes = 0.5 * (nodes + 1.0)  # map to [0, 1]
-    weights = 0.5 * weights
-    b = np.empty(ell)
-    if d == 1:
-        q = pts[:, 0]
-        width = 1.0 - q
-        t = q[:, None] + width[:, None] * nodes[None, :]
-        vals = np.asarray(cdf(t.reshape(-1, 1))).reshape(ell, -1)
-        b = width * (vals @ weights)
-        return b / ell
-    wprod = np.ones([1] * d)
-    for k in range(d):
-        shape = [1] * d
-        shape[k] = quad_points_per_dim
-        wprod = wprod * weights.reshape(shape)
-    for i in range(ell):
-        grid = grid_points([pts[i, k] + (1.0 - pts[i, k]) * nodes for k in range(d)])
-        vals = np.asarray(cdf(grid)).reshape([quad_points_per_dim] * d)
-        b[i] = np.prod(1.0 - pts[i]) * float(np.sum(vals * wprod))
-    return b / ell
+    if d != 1:
+        raise ValueError(f"exact targets are 1-D, samples have dim {d}")
+    upper = np.asarray(integral_of_cdf(np.ones(1)))[0]
+    b = (upper - np.asarray(integral_of_cdf(pts[:, 0]))) / ell
+    return np.maximum(b, 0.0)
 
 
 def scaled_cdf(target, box):
-    """Adapt a target defined on the data space to unit-box coordinates.
+    """The running integral of a 1-D exact target's CDF in unit-box coordinates.
 
-    Returns (cdf, integral_of_cdf) callables over scaled coordinates;
-    integral_of_cdf is None when the target has no closed form (or d > 1).
+    Returns t -> target.integral_of_cdf(lower + t width) / width, the input
+    :func:`assemble_b_exact` takes. The name is kept for the tracer in
+    perfbench/, which wraps this function by name.
     """
+    width = float(box.width[0])
+    lo = float(box.lower[0])
 
-    def cdf(points_scaled):
-        pts = as_points(points_scaled)
-        return np.asarray(target.cdf(box.unscale(pts)))
+    def integral(t):
+        return np.asarray(target.integral_of_cdf(lo + np.asarray(t, dtype=float) * width)) / width
 
-    integral = None
-    if box.dim == 1 and getattr(target, "integral_of_cdf", None) is not None:
-        width = float(box.width[0])
-        lo = float(box.lower[0])
-
-        def integral(t):
-            t = np.asarray(t, dtype=float)
-            return (np.asarray(target.integral_of_cdf(lo + t * width))) / width
-
-    return cdf, integral
+    return integral
 
 
 def assemble_qp(scaled_samples, target, box=None):
@@ -280,8 +241,8 @@ def assemble_qp(scaled_samples, target, box=None):
     unit box ``BoxScaler(zeros(d), ones(d))``. Duplicated samples are
     jittered by :func:`dedupe_jitter` and the problem holds the jittered
     points, so its matrix and vector are built on the same points. Empirical
-    target samples are scaled through ``box``; exact targets go through
-    :func:`scaled_cdf` and DEFAULT_QUAD_POINTS nodes per dimension.
+    target samples are scaled through ``box``; exact (1-D) targets go through
+    the closed form of :func:`assemble_b_exact` on :func:`scaled_cdf`.
     """
     pts = dedupe_jitter(_check_unit_box(as_points(scaled_samples)))
     target = _targets.as_target(target)
@@ -292,6 +253,5 @@ def assemble_qp(scaled_samples, target, box=None):
     if isinstance(target, _targets.EmpiricalTarget):
         b = assemble_b_empirical(pts, box.scale(target.samples.points))
     else:
-        cdf, integral = scaled_cdf(target, box)
-        b = assemble_b_exact(pts, cdf, integral_of_cdf=integral)
+        b = assemble_b_exact(pts, scaled_cdf(target, box))
     return QpProblem(pts, b)

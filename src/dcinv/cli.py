@@ -269,6 +269,8 @@ def _cmd_diagnose(args):
 
 
 def _cmd_convergence(args):
+    if args.threads < 1:
+        raise ConfigError("--threads", f"expected an integer >= 1, got {args.threads}")
     spec = build_convergence_spec(load_config(args.spec), base_dir=os.path.dirname(args.spec) or ".")
     t_start = time.perf_counter()
     try:

@@ -31,8 +31,9 @@ Validated ranges: ``initial.n``, ``method.p``, ``method.n_batch`` and
 ``output.pushforward_grid`` are integers >= 1; ``method.cells_per_dim`` is a
 nonempty list of integers >= 1, one per data dimension; ``method.padding``
 is a finite number >= 0; ``method.kde_rule`` is "scott", "silverman" or a
-finite number > 0 (a fixed bandwidth); ``method.partition_box`` and
-``method.data_box`` have the data's (the target's) dimension. k-means needs ``method.p`` at most the
+finite number > 0 (a fixed bandwidth); the target, ``method.partition_box``
+and ``method.data_box`` have the data's dimension (1 for the rod, the
+``data_csv`` columns for pairs). k-means needs ``method.p`` at most the
 number of initial samples, ``method.data_box`` must contain every predicted
 sample (for the density method it only bounds the push-forward grid), and
 the density method needs at least 2 observed samples. ``method.n_batch``
@@ -140,6 +141,16 @@ class ResolvedModel:
     def live(self):
         return self.kind != "pairs"
 
+    @property
+    def data_dim(self):
+        """Dimension of the model's outputs; the rod's sensor value is 1-D."""
+        return 1 if self.live else self.predicted.dim
+
+
+def _check_target_dim(target, model):
+    if target.dim != model.data_dim:
+        raise ConfigError("/target", f"a {target.dim}-D target for {model.data_dim}-D data")
+
 
 def build_model(cfg, pointer="/model", base_dir="."):
     kind = _get(cfg, "kind", pointer, str, choices={"heat_rod", "pairs"})
@@ -245,6 +256,7 @@ def build_solve_config(cfg, base_dir="."):
     seed = _get(cfg, "seed", "", int, default=0)
     model = build_model(_get(cfg, "model", "", dict), base_dir=base_dir)
     target = build_target(_get(cfg, "target", "", dict), seed, base_dir=base_dir)
+    _check_target_dim(target.target, model)
     initial_cfg = _get(cfg, "initial", "", dict, default={})
     if initial_cfg:
         _get(initial_cfg, "kind", "/initial", str, default="uniform", choices={"uniform"})
@@ -322,6 +334,7 @@ def build_convergence_spec(cfg, base_dir="."):
         target_obj = target.exact if target.exact is not None else target.target
     else:
         target_obj = heat_rod_observed()
+    _check_target_dim(target_obj, model)
     kwargs = {}
     for key, kind in (
         ("n_grid", list), ("p_grid", list), ("trials", int),

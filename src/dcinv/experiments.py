@@ -226,8 +226,11 @@ def _study_trial(args):
 
 
 def _run_tasks(fn, payloads, threads):
-    if threads and threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    """``fn`` over ``payloads`` in order, on at most one worker process per
+    payload: under ``fork`` the pool starts all its workers at once."""
+    workers = min(threads, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, payloads))
     return [fn(p) for p in payloads]
 
@@ -236,8 +239,9 @@ def run_convergence(spec, progress=None, threads=1):
     """Run the full convergence study.
 
     Raises UntrustworthyBaselineError when a baseline trial's diagnostic leaves
-    [0.8, 1.2], reporting the value. ``threads`` distributes trials over
-    processes; the reduction order is fixed by trial index either way.
+    [0.8, 1.2], reporting the value. ``threads`` (>= 1) distributes trials
+    over at most that many processes; the reduction order is fixed by trial
+    index either way.
     """
     model = spec.model
     target = as_target(spec.target)

@@ -227,7 +227,7 @@ def solve_isotonic(problem):
     """Solve the fitting QP of 1-D samples exactly.
 
     The samples are ``problem.points[:, 0]`` and b may come from any target
-    (empirical, closed form or quadrature); H is never formed except by the
+    (empirical or closed form); H is never formed except by the
     certificate. Sort the samples, q_(1) < ... < q_(l), and let
     C_k = (1/l) sum_{j <= k} w_(j) be the weighted EDF on [q_(k), q_(k+1)).
     Summation by parts turns (1/2) w^T H w - b^T w into

@@ -1,10 +1,11 @@
-"""Target distributions: exact evaluable CDFs and sample-based (empirical) targets.
+"""Target distributions: three exact 1-D laws and sample-based (empirical) targets.
 
-A target is what the weighted-EDF fit is matched against. Exact targets
-expose ``cdf`` and, in one dimension, a closed-form running integral of the
-CDF (``integral_of_cdf``), which lets the QP assembly avoid quadrature
-entirely. Empirical targets carry observed samples and are consumed by the
-closed-form empirical assembly instead.
+A target is what the weighted-EDF fit is matched against. The exact targets
+are the 1-D laws ``NormalTarget``, ``UniformTarget`` and ``MixtureOfUniforms``;
+each exposes ``cdf`` and a closed-form running integral of the CDF
+(``integral_of_cdf``), from which the QP assembly takes b exactly. Any other
+target, of any dimension, is given as observed samples (``EmpiricalTarget``)
+and is consumed by the closed-form empirical assembly instead.
 """
 
 from dataclasses import dataclass
@@ -145,34 +146,6 @@ class MixtureOfUniforms:
 
 
 @dataclass(frozen=True)
-class ExactCdfTarget:
-    """Wrap an arbitrary evaluable CDF (any dimension) as a target.
-
-    ``cdf_fn`` maps an (m, d) array to m values in [0, 1]. For d = 1 an
-    optional ``integral_fn`` provides the running integral of the CDF; when
-    it is None, reading ``integral_of_cdf`` raises AttributeError and the QP
-    assembly falls back to quadrature.
-    """
-
-    cdf_fn: object
-    dim: int = 1
-    integral_fn: object = None
-
-    def cdf(self, q):
-        q = np.asarray(q, dtype=float)
-        if self.dim == 1:
-            return np.asarray(self.cdf_fn(q.reshape(-1, 1) if q.ndim < 2 else q))
-        return np.asarray(self.cdf_fn(q))
-
-    @property
-    def integral_of_cdf(self):
-        """Running integral of the CDF, as a callable over 1-D arrays."""
-        if self.integral_fn is None:
-            raise AttributeError("no closed-form integral for this target")
-        return lambda x: np.asarray(self.integral_fn(np.asarray(x, dtype=float)))
-
-
-@dataclass(frozen=True)
 class EmpiricalTarget:
     """Observed target given as m samples; its EDF stands in for the CDF."""
 
@@ -208,9 +181,7 @@ def is_exact(target):
 
 def as_target(obj):
     """Coerce samples / arrays to EmpiricalTarget; pass targets through."""
-    if isinstance(
-        obj, (NormalTarget, UniformTarget, MixtureOfUniforms, ExactCdfTarget, EmpiricalTarget)
-    ):
+    if isinstance(obj, (NormalTarget, UniformTarget, MixtureOfUniforms, EmpiricalTarget)):
         return obj
     if isinstance(obj, SampleSet) or isinstance(obj, np.ndarray):
         return EmpiricalTarget(SampleSet(as_points(obj)))

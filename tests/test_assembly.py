@@ -2,7 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr, roots_legendre
 
 from dcinv import assembly
 from dcinv.assembly import (
@@ -13,8 +15,8 @@ from dcinv.assembly import (
     assemble_qp,
     dedupe_jitter,
 )
-from dcinv.core import BoxScaler
-from dcinv.targets import EmpiricalTarget, ExactCdfTarget, NormalTarget, UniformTarget
+from dcinv.core import BoxScaler, grid_points
+from dcinv.targets import EmpiricalTarget, MixtureOfUniforms, NormalTarget, UniformTarget
 
 
 def midpoint_h_oracle(q, n_per_dim):
@@ -93,51 +95,37 @@ def test_h_entry_range_and_cholesky():
         np.linalg.cholesky(h)  # positive definite for distinct interior points
 
 
-def test_b_exact_uniform_hand_value():
-    # F(q) = q on [0, 1]: b_i = (1/2) * (1 - q_i^2) / 2
-    target = UniformTarget(0.0, 1.0)
-    b = assemble_b_exact(
-        np.array([[0.25], [0.75]]), lambda p: target.cdf(p[:, 0]),
-        integral_of_cdf=target.integral_of_cdf,
-    )
-    assert np.allclose(b, [0.234375, 0.109375], atol=1e-15)
+def gauss_legendre_nodes(n):
+    """n Gauss-Legendre nodes and weights mapped to [0, 1]."""
+    nodes, weights = roots_legendre(n)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
-def test_b_exact_degenerate_upper_bound():
-    b = assemble_b_exact(np.array([[0.0]]), lambda p: np.ones(len(p)))
-    assert b[0] == pytest.approx(1.0, abs=1e-12)
+def reference_b_exact_1d(samples, cdf, n):
+    """b_i = (1/l) int over [q_i, 1] of ``cdf`` for 1-D unit-box samples, by
+    n-node Gauss-Legendre quadrature; ``cdf`` maps an (m, 1) array to m values.
 
-
-def test_b_exact_truncated_normal_vs_midpoint_oracle():
-    # truncated N(0.5, 0.1) on [0, 1], q_1 = 0
-    lo, hi = ndtr((0.0 - 0.5) / 0.1), ndtr((1.0 - 0.5) / 0.1)
-    cdf = lambda p: (ndtr((p[:, 0] - 0.5) / 0.1) - lo) / (hi - lo)
-    b = assemble_b_exact(np.array([[0.0]]), cdf, quad_points_per_dim=64)
-    t = (np.arange(1_000_000) + 0.5) / 1_000_000
-    oracle = np.mean((ndtr((t - 0.5) / 0.1) - lo) / (hi - lo))
-    assert b[0] == pytest.approx(oracle, abs=1e-8)
-
-
-def test_b_exact_quadrature_matches_closed_form():
-    target = NormalTarget(0.4, 0.2)
-    q = np.array([[0.1], [0.5], [0.9]])
-    b_closed = assemble_b_exact(
-        q, lambda p: target.cdf(p[:, 0]), integral_of_cdf=target.integral_of_cdf
-    )
-    b_quad = assemble_b_exact(q, lambda p: target.cdf(p[:, 0]), quad_points_per_dim=64)
-    assert np.allclose(b_closed, b_quad, atol=1e-13)
+    The package takes b of an exact target from its closed-form running
+    integral only; this quadrature is the oracle the closed forms are
+    checked against."""
+    q = np.asarray(samples, dtype=float)[:, 0]
+    nodes, weights = gauss_legendre_nodes(n)
+    width = 1.0 - q
+    t = q[:, None] + width[:, None] * nodes[None, :]
+    vals = np.asarray(cdf(t.reshape(-1, 1))).reshape(len(q), -1)
+    return width * (vals @ weights) / len(q)
 
 
 def reference_b_exact(samples, cdf, n):
-    """The d >= 2 quadrature of assemble_b_exact with its weight tensor
-    rebuilt for every sample, which the hoisted form must match bit for bit."""
-    from dcinv.core import grid_points
-    from scipy.special import roots_legendre
-
+    """The d-dimensional twin of :func:`reference_b_exact_1d`: the tensor
+    product of n Gauss-Legendre nodes per dimension over [q^i, 1], one
+    sample at a time; ``cdf`` maps an (m, d) array to m values. 1-D samples
+    go to the 1-D form."""
     pts = np.asarray(samples, dtype=float)
     ell, d = pts.shape
-    nodes, weights = roots_legendre(n)
-    nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+    if d == 1:
+        return reference_b_exact_1d(pts, cdf, n)
+    nodes, weights = gauss_legendre_nodes(n)
     b = np.empty(ell)
     for i in range(ell):
         grid = grid_points([pts[i, k] + (1.0 - pts[i, k]) * nodes for k in range(d)])
@@ -151,20 +139,43 @@ def reference_b_exact(samples, cdf, n):
     return b / ell
 
 
-@pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
-def test_b_exact_bit_equal_to_per_sample_weight_tensor(d, n):
-    target = ExactCdfTarget(lambda x: np.prod(np.clip(x, 0.0, 1.0) ** 1.5, axis=1), dim=d)
-    q = np.random.default_rng(d).uniform(size=(30, d))
-    q[0] = 0.0
-    assert_bits_equal(
-        assemble_b_exact(q, target.cdf, quad_points_per_dim=n),
-        reference_b_exact(q, target.cdf, n),
-    )
+def test_b_exact_uniform_hand_value():
+    # F(q) = q on [0, 1]: b_i = (1/2) * (1 - q_i^2) / 2
+    target = UniformTarget(0.0, 1.0)
+    b = assemble_b_exact(np.array([[0.25], [0.75]]), target.integral_of_cdf)
+    assert np.allclose(b, [0.234375, 0.109375], atol=1e-15)
 
 
-def test_b_exact_rejects_bad_quadrature():
-    with pytest.raises(ValueError):
-        assemble_b_exact(np.array([[0.5]]), lambda p: np.ones(len(p)), quad_points_per_dim=1)
+def test_b_exact_degenerate_upper_bound():
+    # F = 1 on the box, I(t) = t
+    b = assemble_b_exact(np.array([[0.0]]), lambda t: np.asarray(t, dtype=float))
+    assert b[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_b_exact_rejects_samples_of_dim_other_than_one():
+    target = UniformTarget(0.0, 1.0)
+    with pytest.raises(ValueError, match="1-D"):
+        assemble_b_exact(np.array([[0.5, 0.5]]), target.integral_of_cdf)
+
+
+def test_b_exact_truncated_normal_vs_midpoint_oracle():
+    # truncated N(0.5, 0.1) on [0, 1], q_1 = 0; its running integral is the
+    # normal's shifted by lo t and divided by hi - lo
+    normal = NormalTarget(0.5, 0.1)
+    lo, hi = ndtr((0.0 - 0.5) / 0.1), ndtr((1.0 - 0.5) / 0.1)
+    integral = lambda t: (normal.integral_of_cdf(t) - lo * np.asarray(t)) / (hi - lo)
+    b = assemble_b_exact(np.array([[0.0]]), integral)
+    t = (np.arange(1_000_000) + 0.5) / 1_000_000
+    oracle = np.mean((ndtr((t - 0.5) / 0.1) - lo) / (hi - lo))
+    assert b[0] == pytest.approx(oracle, abs=1e-8)
+
+
+def test_b_exact_quadrature_matches_closed_form():
+    target = NormalTarget(0.4, 0.2)
+    q = np.array([[0.1], [0.5], [0.9]])
+    b_closed = assemble_b_exact(q, target.integral_of_cdf)
+    b_quad = reference_b_exact_1d(q, lambda p: target.cdf(p[:, 0]), 64)
+    assert np.allclose(b_closed, b_quad, atol=1e-13)
 
 
 def test_b_empirical_hand_values():
@@ -179,10 +190,7 @@ def test_b_empirical_matches_exact_uniform_in_the_limit():
     y = rng.uniform(size=(20_000, 1))
     q = np.array([[0.2], [0.5], [0.8]])
     b_emp = assemble_b_empirical(q, y)
-    target = UniformTarget(0.0, 1.0)
-    b_exact = assemble_b_exact(
-        q, lambda p: target.cdf(p[:, 0]), integral_of_cdf=target.integral_of_cdf
-    )
+    b_exact = assemble_b_exact(q, UniformTarget(0.0, 1.0).integral_of_cdf)
     assert np.max(np.abs(b_emp - b_exact)) < 2e-2
 
 
@@ -203,15 +211,16 @@ def test_b_empirical_dimension_mismatch():
 
 
 def test_b_empirical_equals_b_exact_on_edf_random():
+    # the quadrature of a step function errs by O(1/n) per dimension
     rng = np.random.default_rng(21)
-    for _ in range(5):
-        ell = int(rng.integers(2, 6))
-        q = rng.uniform(0.0, 0.95, size=(ell, 1))
-        y = rng.uniform(size=(8, 1))
-        b_emp = assemble_b_empirical(q, y)
-        target = EmpiricalTarget(y)
-        b_quad = assemble_b_exact(q, lambda p: target.cdf(p), quad_points_per_dim=512)
-        assert np.max(np.abs(b_emp - b_quad)) < 5e-4
+    for d, n, tol in ((1, 512, 5e-4), (2, 128, 1e-3)):
+        for _ in range(5):
+            ell = int(rng.integers(2, 6))
+            q = rng.uniform(0.0, 0.95, size=(ell, d))
+            y = rng.uniform(size=(8, d))
+            b_emp = assemble_b_empirical(q, y)
+            b_quad = reference_b_exact(q, EmpiricalTarget(y).cdf, n)
+            assert np.max(np.abs(b_emp - b_quad)) < tol
 
 
 def test_assembly_vs_midpoint_oracles_random():
@@ -318,19 +327,44 @@ def test_assemble_qp_with_box_scaled_target():
     assert np.allclose(prob.b, [0.234375, 0.109375], atol=1e-14)
 
 
-@pytest.mark.parametrize("box", [None, BoxScaler([0.2], [0.9])])
-def test_assemble_qp_exact_cdf_without_integral_uses_quadrature(box):
-    # The CDF is linear over the box, so 64-point Gauss-Legendre quadrature
-    # reproduces the closed form up to rounding.
-    q = np.random.default_rng(8).uniform(size=(25, 1))
-    uniform = UniformTarget(0.0, 1.0)
-    closed = assemble_qp(q, uniform, box=box)
-    quadrature = assemble_qp(q, ExactCdfTarget(lambda x: np.clip(x[:, 0], 0.0, 1.0)), box=box)
-    assert np.allclose(quadrature.b, closed.b, rtol=1e-12, atol=0.0)
-    with_integral = ExactCdfTarget(
-        lambda x: np.clip(x[:, 0], 0.0, 1.0), integral_fn=uniform.integral_of_cdf
-    )
-    assert_bits_equal(assemble_qp(q, with_integral, box=box).b, closed.b)
+# Targets in unit-box coordinates u; each test maps them onto its data box.
+# The mixture's support leaves [0, 0.1] and [0.85, 1] of the box, with a gap
+# at [0.35, 0.55]; the uniform starts below the box and ends at 0.7.
+UNIT_MIXTURE = ((0.3, 0.1, 0.35), (0.7, 0.55, 0.85))
+UNIT_UNIFORM = (-0.4, 0.7)
+# Gauss-Legendre nodes for the oracle; the uniform and mixture CDFs have
+# kinks, where the quadrature error is about (jump in density) / n^2.
+ORACLE_NODES = 2048
+ORACLE_ATOL = 1e-6
+
+
+def exact_target_on(kind, box, rng):
+    lo, width = float(box.lower[0]), float(box.width[0])
+    at = lambda u: lo + u * width
+    if kind == "normal":
+        return NormalTarget(at(rng.uniform(0.1, 0.9)), width * rng.uniform(0.05, 0.6))
+    if kind == "uniform":
+        return UniformTarget(*map(at, UNIT_UNIFORM))
+    return MixtureOfUniforms(tuple((w, at(a), at(b)) for w, a, b in UNIT_MIXTURE))
+
+
+@pytest.mark.filterwarnings("ignore:.*duplicated sample")
+@pytest.mark.parametrize("box", [None, BoxScaler([-3.0], [5.0])])
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["normal", "uniform", "mixture"]), st.integers(0, 2**32 - 1))
+def test_assemble_qp_b_of_exact_targets_matches_the_quadrature_oracle(box, kind, seed):
+    rng = np.random.default_rng(seed)
+    q = np.concatenate([
+        rng.uniform(size=12),
+        [0.0, 1.0, 0.05, 0.4, 0.5, 0.95],  # box edges, mixture gap, beyond the supports
+        rng.choice(np.ravel(UNIT_MIXTURE)[[1, 2, 4, 5]], size=2),  # on the kinks
+    ])[:, None]
+    unit = box or BoxScaler([0.0], [1.0])
+    target = exact_target_on(kind, unit, rng)
+    problem = assemble_qp(q, target, box=box)  # repeated kinks are jittered
+    cdf = lambda u: target.cdf(unit.unscale(u)[:, 0])
+    oracle = reference_b_exact_1d(problem.points, cdf, ORACLE_NODES)
+    assert np.max(np.abs(problem.b - oracle)) * len(q) <= ORACLE_ATOL
 
 
 def reference_h(samples):

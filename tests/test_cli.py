@@ -481,6 +481,53 @@ def write_pairs_2d_config(tmp_path):
     )
 
 
+@pytest.mark.parametrize("target", [
+    {"kind": "normal", "mu": 1.5, "sigma": 0.2},
+    {"kind": "normal", "mu": 1.5, "sigma": 0.2, "m": 500},
+    {"kind": "samples", "csv": "obs1.csv"},
+])
+def test_target_of_another_dimension_than_the_data_is_a_config_error(tmp_path, capsys, target):
+    write_pairs_2d_config(tmp_path)
+    save_samples(tmp_path / "obs1.csv", np.linspace(1.0, 2.0, 50)[:, None], prefix="q")
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        model={"kind": "pairs", "param_csv": "lam2.csv", "data_csv": "q2.csv"},
+        target=target,
+    )
+    expected = {"exit_code": 2, "kind": "ConfigError",
+                "message": "/target: a 1-D target for 2-D data"}
+    for method in ("naive", "binning-grid", "binning-kmeans", "density"):
+        out = tmp_path / method
+        assert main(["solve", "--method", method, "--config", str(cfg), "--out", str(out)]) == 2
+        assert error_record(capsys) == expected
+        assert not out.exists()
+    assert main(["diagnose", "--config", str(cfg)]) == 2
+    assert error_record(capsys) == expected
+
+
+def test_convergence_target_of_another_dimension_is_a_config_error(tmp_path, capsys):
+    save_samples(tmp_path / "obs2.csv", np.full((20, 2), 2.4), prefix="q")
+    spec = write_spec(tmp_path / "spec.json", target={"kind": "samples", "csv": "obs2.csv"})
+    out = tmp_path / "o"
+    assert main(["convergence", "--spec", str(spec), "--out", str(out)]) == 2
+    assert error_record(capsys) == {
+        "exit_code": 2, "kind": "ConfigError", "message": "/target: a 2-D target for 1-D data",
+    }
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_convergence_threads_below_one_is_a_config_error(tmp_path, capsys, threads):
+    spec = write_spec(tmp_path / "spec.json")
+    out = tmp_path / "o"
+    assert main(["convergence", "--spec", str(spec), "--out", str(out), "--threads", threads]) == 2
+    assert error_record(capsys) == {
+        "exit_code": 2, "kind": "ConfigError",
+        "message": f"--threads: expected an integer >= 1, got {threads}",
+    }
+    assert not out.exists()
+
+
 def test_meta_names_the_solver_by_data_dimension(tmp_path):
     cases = [(write_config(tmp_path / "cfg.json"), "isotonic"),
              (write_pairs_2d_config(tmp_path), "active-set")]

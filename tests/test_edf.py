@@ -14,7 +14,6 @@ from dcinv.edf import (
 )
 from dcinv.targets import (
     EmpiricalTarget,
-    ExactCdfTarget,
     MixtureOfUniforms,
     NormalTarget,
     UniformTarget,
@@ -160,14 +159,21 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.int64)
 
 
+class ProductCdf2d:
+    """An exact CDF on two dimensions, F(x, y) = x y^2 on the unit square."""
+
+    dim = 2
+
+    def cdf(self, q):
+        return np.clip(q[:, 0], 0, 1) * np.clip(q[:, 1], 0, 1) ** 2
+
+
 _REF_RNG = np.random.default_rng(41)
 PINNED_TARGETS = {
     "normal": NormalTarget(0.5, 0.2),
     "uniform": UniformTarget(0.1, 0.7),
     "mixture": MixtureOfUniforms(((0.3, 0.0, 0.2), (0.7, 0.4, 0.9))),
-    "exact_2d": ExactCdfTarget(
-        lambda q: np.clip(q[:, 0], 0, 1) * np.clip(q[:, 1], 0, 1) ** 2, dim=2
-    ),
+    "exact_2d": ProductCdf2d(),
     "empirical_1d": EmpiricalTarget(_REF_RNG.uniform(size=(97, 1))),
     "empirical_2d": EmpiricalTarget(_REF_RNG.uniform(size=(61, 2))),
 }

@@ -137,6 +137,40 @@ def test_run_convergence_independent_of_thread_count():
     assert sequential == pooled
 
 
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and maps in
+    process, so that no worker starts."""
+
+    workers = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, payloads):
+        return map(fn, payloads)
+
+
+def test_run_tasks_asks_for_no_more_workers_than_tasks(monkeypatch):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(RecordingExecutor, "workers", [])
+    square = lambda x: x * x
+    assert experiments._run_tasks(square, [1, 2, 3], 64) == [1, 4, 9]
+    assert experiments._run_tasks(square, [1, 2, 3], 2) == [1, 4, 9]
+    assert experiments._run_tasks(square, [5], 64) == [25]  # one task runs in process
+    assert experiments._run_tasks(square, [], 64) == []
+    assert RecordingExecutor.workers == [3, 2]
+    spec = tiny_spec(trials=3, baseline_trials=2)
+    pooled = run_convergence(spec, threads=1000).to_json()
+    assert RecordingExecutor.workers[2:] == [2, 3]  # baseline trials, then study trials
+    assert pooled == run_convergence(spec, threads=1).to_json()
+
+
 def test_run_convergence_baseline_guard():
     # an observed target far outside the predicted range must abort
     from dcinv.targets import NormalTarget

@@ -236,15 +236,6 @@ def test_mixture_cdf_flat_across_gaps():
     assert quad == pytest.approx(closed, abs=1e-6)
 
 
-def test_exact_cdf_target_wrapper():
-    from dcinv.targets import ExactCdfTarget
-
-    target = ExactCdfTarget(lambda q: np.clip(q[:, 0], 0.0, 1.0), dim=1)
-    assert target.cdf(np.array([[0.3]]))[0] == pytest.approx(0.3)
-    with pytest.raises(AttributeError):
-        target.integral_of_cdf(np.array([0.5]))
-
-
 def reference_qoi(model, lam):
     """The series summed term by term over all ``truncation`` rows at once."""
     pts = np.atleast_2d(np.asarray(lam, dtype=float))

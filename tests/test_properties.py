@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dcinv.assembly import JITTER, assemble_qp, dedupe_jitter
+from dcinv.assembly import JITTER, QpProblem, assemble_qp, dedupe_jitter
 from dcinv.binning import distribute_cell_weights, fit_weights
 from dcinv.core import BoxScaler, WeightedEdf, as_box, fit_box
 from dcinv.edf import as_cdf_callable
 from dcinv.solver import solve_isotonic, solve_qp
-from dcinv.targets import EmpiricalTarget, ExactCdfTarget, MixtureOfUniforms, NormalTarget
+from dcinv.targets import EmpiricalTarget, MixtureOfUniforms, NormalTarget
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 widths = st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False)
@@ -66,12 +66,10 @@ def test_dedupe_jitter_moves_only_repeats_and_only_a_little(case):
 
 
 def _target(kind, d, rng):
-    """An empirical target of any dim, or an exact one: normal or mixture at
-    d = 1, a product of uniform CDFs at d = 2."""
-    if kind == "empirical":
+    """An empirical target of any dim, or at d = 1 an exact one (normal or
+    mixture). Exact targets are 1-D, so d = 2 always gets an empirical one."""
+    if kind == "empirical" or d > 1:
         return EmpiricalTarget(rng.uniform(-0.2, 1.2, size=(int(rng.integers(1, 40)), d)))
-    if d == 2:
-        return ExactCdfTarget(lambda q: np.clip(q[:, 0], 0, 1) * np.clip(q[:, 1], 0, 1), dim=2)
     if kind == "normal":
         return NormalTarget(float(rng.uniform(0.2, 0.8)), float(rng.uniform(0.05, 0.5)))
     return MixtureOfUniforms(((0.3, 0.1, 0.4), (0.7, 0.5, 0.9)))
@@ -157,7 +155,7 @@ WEIGHT_TOL = 1e-6
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 120),
-    st.sampled_from(["empirical", "normal", "mixture", "quadrature"]),
+    st.sampled_from(["empirical", "normal", "mixture", "power"]),
     st.booleans(),
     st.integers(0, 2**32 - 1),
 )
@@ -167,11 +165,10 @@ def test_isotonic_solver_matches_the_dense_active_set(ell, kind, repeats, seed):
     pool[0] = 0.0  # a sample exactly on the lower edge
     raw = (rng.choice(pool, size=ell) if repeats else pool)[:, None]
     pts = dedupe_jitter(raw)
-    if kind == "quadrature":  # an exact CDF without a running integral
-        target = ExactCdfTarget(lambda q: np.clip(q[:, 0], 0.0, 1.0) ** 2)
+    if kind == "power":  # F(q) = q^2 on the unit box, b built outside the package
+        problem = QpProblem(pts, (1.0 - pts[:, 0] ** 3) / (3.0 * ell))
     else:  # empirical targets reach outside the unit box
-        target = _target(kind, 1, rng)
-    problem = assemble_qp(pts, target)
+        problem = assemble_qp(pts, _target(kind, 1, rng))
     iso = solve_isotonic(problem)
     dense = solve_qp(problem)
     assert iso.converged and iso.kkt.passed and dense.kkt.passed
