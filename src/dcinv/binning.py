@@ -141,14 +141,7 @@ class KMeansPartition:
         c = self.centroids.points
         if pts.shape[1] != c.shape[1]:
             raise ValueError(f"points dim {pts.shape[1]}, centroids dim {c.shape[1]}")
-        out = np.empty(pts.shape[0], dtype=np.int64)
-        chunk = max(1, 4_000_000 // max(c.shape[0], 1))
-        for start in range(0, pts.shape[0], chunk):
-            block = pts[start : start + chunk]
-            d2 = ((block[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
-            # argmin breaks ties toward the lowest centroid index
-            out[start : start + block.shape[0]] = np.argmin(d2, axis=1)
-        return out
+        return _nearest(pts, c)
 
 
 def make_regular_grid(box, cells_per_dim):
@@ -193,9 +186,8 @@ def make_kmeans(samples, p, seed):
     history = []
     n_iter = 0
     for n_iter in range(1, KMEANS_MAX_ITER + 1):
-        d2 = _sq_dist(pts, centroids)
-        new_assign = np.argmin(d2, axis=1)
-        closest = d2[np.arange(pts.shape[0]), new_assign]
+        new_assign = _nearest(pts, centroids)
+        closest = ((pts - centroids[new_assign]) ** 2).sum(axis=1)
         for k in range(p):
             mask = new_assign == k
             if np.any(mask):
@@ -205,7 +197,7 @@ def make_kmeans(samples, p, seed):
                 centroids[k] = pts[far]
                 new_assign[far] = k
                 closest[far] = 0.0
-        history.append(float(_sq_dist(pts, centroids)[np.arange(pts.shape[0]), new_assign].sum()))
+        history.append(float(((pts - centroids[new_assign]) ** 2).sum(axis=1).sum()))
         if assignments is not None and np.array_equal(new_assign, assignments):
             break
         assignments = new_assign
@@ -214,14 +206,15 @@ def make_kmeans(samples, p, seed):
     )
 
 
-def _sq_dist(pts, centroids):
-    chunk = max(1, 8_000_000 // max(centroids.shape[0], 1))
-    out = np.empty((pts.shape[0], centroids.shape[0]))
+def _nearest(pts, centroids):
+    """Index of each point's nearest centroid (ties toward the lowest index),
+    from squared distances in chunks of about 4e6 point-centroid pairs."""
+    out = np.empty(pts.shape[0], dtype=np.int64)
+    chunk = max(1, 4_000_000 // max(centroids.shape[0], 1))
     for start in range(0, pts.shape[0], chunk):
         block = pts[start : start + chunk]
-        out[start : start + block.shape[0]] = (
-            (block[:, None, :] - centroids[None, :, :]) ** 2
-        ).sum(axis=2)
+        d2 = ((block[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        out[start : start + block.shape[0]] = np.argmin(d2, axis=1)
     return out
 
 

@@ -44,7 +44,13 @@ not allow, are rejected wherever they appear.
 
 The convergence spec file carries the ConvergenceSpec fields (n_grid, p_grid,
 trials, seed, region_a, optional region_b, partition_kind, model, target,
-m_observed, baseline_n, baseline_trials).
+m_observed, baseline_n, baseline_trials). Validated ranges: ``n_grid`` and
+``p_grid`` are nonempty, strictly increasing lists of integers >= 1;
+``trials`` and ``baseline_trials`` are integers >= 1; ``m_observed`` and
+``baseline_n`` are integers >= 2, as is the row count of a ``samples``
+target (the baseline KDE needs two samples); ``padding`` is a finite number
+>= 0; ``region_a`` is a box of the model's parameter dimension (2 for the
+rod) and ``region_b`` one of the data's dimension. The model must be live.
 """
 
 import json
@@ -347,5 +353,7 @@ def build_convergence_spec(cfg, base_dir="."):
             kwargs[key] = _get(cfg, key, "", kind)
     try:
         return ConvergenceSpec(seed=seed, model=model.model, target=target_obj, **kwargs)
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError("/", str(exc)) from None

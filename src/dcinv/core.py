@@ -1,5 +1,4 @@
-"""Sample containers, weight vectors, weighted EDFs, bounding-box scaling, and
-an exact ``exp`` that skips its slow underflow lanes.
+"""Sample containers, weight vectors, weighted EDFs, and bounding-box scaling.
 
 Everything downstream (QP assembly, binning, density estimation) works on the
 types defined here. All containers are immutable after construction: the
@@ -15,8 +14,6 @@ import numpy as np
 
 ZERO_WIDTH_EPS = 1e-9
 NORMALIZATION_TOL = 1e-8
-# exp(x) rounds to +0.0 at and below this argument; see exp_or_zero.
-EXP_ZERO_AT = -746.0
 
 
 class Normalization(Enum):
@@ -305,27 +302,3 @@ def fit_box(samples, padding=0.0):
         lo = lo - pad
         hi = hi + pad
     return BoxScaler(lo, hi)
-
-
-def exp_or_zero(x, out=None):
-    """``np.exp(x, out=out)``, bit for bit, at a fraction of the cost where
-    many arguments underflow.
-
-    For x <= -746 the exact exp(x) is below 2^-1075 (ln 2^-1075 = -745.13),
-    half the smallest subnormal 2^-1074, so round-to-nearest gives +0.0,
-    which is also what np.exp returns there. Those entries are written as
-    +0.0 directly and np.exp runs on the rest: on a 2-vCPU Xeon with
-    AVX-512, numpy's exp costs about 18 ns per underflowing element against
-    about 1.2 ns on ordinary ones. Arguments in (-746, -708) have subnormal
-    results (or zero, just above -746) and still go through np.exp.
-
-    When nothing underflows this is one min and one plain np.exp call,
-    because a masked exp costs about twice as much as an unmasked one. (A
-    NaN makes the min NaN and takes the masked path, which keeps it.)
-    """
-    if x.min(initial=0.0) > EXP_ZERO_AT:
-        return np.exp(x, out=out)
-    under = x <= EXP_ZERO_AT
-    out = np.exp(x, out=out, where=~under)
-    out[under] = 0.0
-    return out

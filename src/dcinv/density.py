@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EXP_ZERO_AT, Normalization, SampleSet, WeightedPairs, WeightVector, as_box,
-                   as_points, exp_or_zero)
+from .core import Normalization, SampleSet, WeightedPairs, WeightVector, as_box, as_points
 from .models import _sample_pair
 
 DENSITY_FLOOR = 1e-300
@@ -23,15 +22,20 @@ BINNED_GRID = 4096  # grid cells of the binned 1-D evaluation
 # Query-by-sample elements per block of exact evaluation (about 13 query rows
 # at n = 10 000). Kept small so that the block (1 MiB at d = 1) stays in cache
 # through its subtract, whiten, square, exp and sum passes; large blocks made
-# each pass a round trip to memory and held several 128 MB temporaries. At
-# d = 1 a block whose rows' kernel windows leave out some samples computes
-# only the window span, in a second buffer of the same size.
+# each pass a round trip to memory and held several 128 MB temporaries. A
+# block whose rows' kernel windows leave out some samples computes only the
+# window span, in a second buffer of the same size; at d >= 2 the
+# differences take a third buffer, d times that size.
 _EVAL_BLOCK_ELEMS = 1 << 17
 
-# Half-width of a 1-D kernel window in kernel standard deviations: a sample
-# farther than this from the query has a computed kernel argument below
-# EXP_ZERO_AT (see KdeModel.pdf). The 1e-6 slack covers the rounding of the
-# subtract, the whitening multiply and the square, a few units of 2^-53.
+# exp(x) rounds to +0.0 at and below this argument: the exact exp(-746) is
+# below 2^-1075 (ln 2^-1075 = -745.13), half the smallest subnormal.
+EXP_ZERO_AT = -746.0
+
+# Half-width of a kernel window on the first coordinate, in units of L_00 of
+# the bandwidth's Cholesky factor L: a sample farther than this from the
+# query there has a computed kernel argument below EXP_ZERO_AT (see
+# KdeModel.pdf). The 1e-6 slack covers a few roundings of 2^-53.
 _WINDOW_REACH = float(np.sqrt(-2.0 * EXP_ZERO_AT)) * (1.0 + 1e-6)
 
 
@@ -62,11 +66,12 @@ class KdeModel:
         object.__setattr__(self, "_chol", chol)
 
     @functools.cached_property
-    def _sorted_1d(self):
-        """The stable argsort of the 1-D samples and the samples in that
-        order, sorted on the first exact evaluation (binned needs neither)."""
+    def _sorted(self):
+        """The stable argsort of the samples by their first coordinate and
+        the sample rows in that order, sorted on the first exact evaluation
+        (binned needs neither)."""
         order = np.argsort(self.points.points[:, 0], kind="stable")
-        return order, self.points.points[order, 0]
+        return order, self.points.points[order]
 
     @property
     def dim(self):
@@ -80,22 +85,23 @@ class KdeModel:
         """Density values at query points.
 
         method="exact" sums the kernels directly, in blocks of about 1 MiB
-        whatever n and m are. At d = 1 it evaluates, for each query q, only
-        the kernels of the samples within q -+ r, where r = sqrt(-2
-        EXP_ZERO_AT) (1 + 1e-6) times the kernel standard deviation. A
-        sample outside that window has a computed kernel argument below
-        EXP_ZERO_AT = -746 (the slack covers the rounding of the subtract,
-        the multiply and the square), so its kernel is +0.0 whatever the
-        order of operations. A query with an empty window gives +0.0 and is
-        never computed. The other rows are taken in query order, a block of
-        them at a time, and their kernels are computed over the block's
-        window span only (in a second block buffer) and scattered into
-        zeroed rows of n, which are summed whole: the sum adds the same
-        values in the same order as a sum over all n kernels, so the result
-        is bit for bit the same. At d >= 2 it sums all n kernels: O(n m)
-        time, about 0.2 s per 1e8 kernels on a 2-vCPU Xeon when none
-        underflows and up to about 2 s per 1e8 when a third to two thirds
-        of them do, because np.exp is slow on arguments near its underflow.
+        whatever n and m are. At every d it evaluates, for each query q, only
+        the samples whose first coordinate lies within q_0 -+ r, for r =
+        sqrt(-2 EXP_ZERO_AT) (1 + 1e-6) L_00 and L the lower Cholesky factor
+        of the bandwidth matrix. With v = q - x the kernel argument is
+        -|L^-1 v|^2 / 2. Its first whitened component v_0 / L_00 is computed
+        within an ulp; the other squares are >= 0 and rounding is monotone,
+        so the computed sum of squares is >= the computed (v_0 / L_00)^2. A
+        sample outside the window so gets an argument below EXP_ZERO_AT =
+        -746 (the slack covers the rounding of the subtract, the whitening
+        and the square), and its kernel is +0.0 in any order of operations.
+        A query with an empty window gives +0.0 and is never computed. The
+        other rows are taken in order of q_0, a block at a time; a block
+        whose window span holds all n samples is computed whole, any other
+        over its span only and scattered into zeroed rows of n. Each row is
+        summed whole, adding the same values in the same order as a sum over
+        all n kernels, so the result is bit for bit the same. Time is O(n m)
+        at worst and proportional to the window spans in general.
 
         method="binned" (d = 1 only) convolves a histogram of the samples
         with the kernel on a regular grid and interpolates: O(n + grid log
@@ -117,70 +123,41 @@ class KdeModel:
         d = self.dim
         log_norm = d * 0.5 * np.log(2.0 * np.pi) + np.sum(np.log(np.diag(self._chol)))
         rows = max(1, _EVAL_BLOCK_ELEMS // (self.n * d))
-        if d == 1:
-            sums = self._kernel_sums_1d(pts[:, 0], rows)
-        else:
-            sums = self._kernel_sums(pts, rows)
-        return sums / (self.n * np.exp(log_norm))
+        return self._kernel_sums(pts, rows) / (self.n * np.exp(log_norm))
 
-    def _kernel_sums_1d(self, q, rows):
-        x = self.points.points[:, 0]
-        n = x.size
-        # bit for bit what a triangular solve does at d = 1 (a multiply by
-        # the reciprocal); dividing by chol[0, 0] is not
-        scale = 1.0 / self._chol[0, 0]
+    def _kernel_sums(self, q, rows):
+        x = self.points.points
+        n, d = x.shape
+        sq_norms = _sq_norms_1d if d == 1 else _sq_norms
         reach = _WINDOW_REACH * self._chol[0, 0]
-        x_order, x_sorted = self._sorted_1d
-        lo = np.searchsorted(x_sorted, q - reach, side="left")
-        hi = np.searchsorted(x_sorted, q + reach, side="right")
-        # rows in query order, so that a block's windows overlap and their
-        # span [lo of its first row, hi of its last row) is tight
-        order = np.argsort(q, kind="stable")
+        x_order, x_sorted = self._sorted
+        first_coord = x_sorted[:, 0]
+        lo = np.searchsorted(first_coord, q[:, 0] - reach, side="left")
+        hi = np.searchsorted(first_coord, q[:, 0] + reach, side="right")
+        # rows in first-coordinate order, so that a block's windows overlap
+        # and their span [lo of its first row, hi of its last row) is tight
+        order = np.argsort(q[:, 0], kind="stable")
         order = order[hi[order] > lo[order]]
-        out = np.zeros(q.size)
+        out = np.zeros(q.shape[0])
         quad = np.empty((min(rows, order.size), n))
         span_buf = np.empty(quad.size)
+        diff_buf = np.empty(quad.size * d if d > 1 else 0)
         for start in range(0, order.size, rows):
             idx = order[start : start + rows]
             block = quad[: idx.size]
             first, stop = lo[idx[0]], hi[idx[-1]]
-            if stop - first == n:
-                np.subtract(q[idx, None], x, out=block)
-                _kernels_1d(block, scale)
-            else:
-                span = span_buf[: idx.size * (stop - first)].reshape(idx.size, -1)
-                np.subtract(q[idx, None], x_sorted[first:stop], out=span)
-                _kernels_1d(span, scale)
+            width = stop - first
+            dense = width == n
+            kernels = block if dense else span_buf[: idx.size * width].reshape(idx.size, width)
+            sq_norms(q[idx], x if dense else x_sorted[first:stop], self._chol, kernels, diff_buf)
+            kernels *= -0.5
+            np.exp(kernels, out=kernels)
+            if not dense:
                 block.fill(0.0)
-                block[:, x_order[first:stop]] = span
+                block[:, x_order[first:stop]] = kernels
             # each query row is reduced whole, so the summation order is the
             # same at any block size and with either branch
             out[idx] = block.sum(axis=1)
-        return out
-
-    def _kernel_sums(self, pts, rows):
-        from scipy.linalg import solve_triangular
-
-        x = self.points.points
-        n, d = x.shape
-        out = np.empty(pts.shape[0])
-        quad = np.empty((min(rows, pts.shape[0]), n))
-        diff = np.empty(quad.shape + (d,))
-        for start in range(0, pts.shape[0], rows):
-            stop = min(start + rows, pts.shape[0])
-            block, block_diff = quad[: stop - start], diff[: stop - start]
-            np.subtract(pts[start:stop, None, :], x[None, :, :], out=block_diff)
-            white = solve_triangular(
-                self._chol, block_diff.reshape(-1, d).T, lower=True,
-                overwrite_b=True, check_finite=False,
-            )
-            np.square(white, out=white)
-            np.sum(white, axis=0, out=block.reshape(-1))
-            block *= -0.5
-            exp_or_zero(block, out=block)
-            # each query row is reduced whole, so the summation order is the
-            # same at any block size
-            block.sum(axis=1, out=out[start:stop])
         return out
 
     def _pdf_binned_1d(self, q):
@@ -202,13 +179,32 @@ class KdeModel:
         return np.interp(q, centers, dens, left=0.0, right=0.0)
 
 
-def _kernels_1d(diff, scale):
-    """Overwrite the query-minus-sample differences ``diff`` with their 1-D
-    Gaussian kernels exp(-(diff * scale)^2 / 2)."""
-    diff *= scale
-    np.square(diff, out=diff)
-    diff *= -0.5
-    exp_or_zero(diff, out=diff)
+def _sq_norms_1d(q, x, chol, out, _diff_buf):
+    """Write the squared whitened distances ((q_i - x_j) / chol[0, 0])^2 of
+    the 1-D query rows ``q`` and samples ``x`` into ``out``."""
+    np.subtract(q, x.T, out=out)
+    # bit for bit what a triangular solve does at d = 1 (a multiply by the
+    # reciprocal); dividing by chol[0, 0] is not
+    out *= 1.0 / chol[0, 0]
+    np.square(out, out=out)
+
+
+def _sq_norms(q, x, chol, out, diff_buf):
+    """Write the squared whitened distances |chol^-1 (q_i - x_j)|^2 of the
+    query rows ``q`` and samples ``x`` (d >= 2) into ``out``, through the
+    differences in ``diff_buf``."""
+    from scipy.linalg import solve_triangular
+
+    d = x.shape[1]
+    # at least two right-hand sides: a single one is solved by another BLAS
+    # path (trsv), whose last bits differ; the buffer holds n >= 2 of them
+    cols = max(out.size, 2)
+    diff = diff_buf[: cols * d].reshape(cols, d)
+    np.subtract(q[:, None, :], x[None, :, :], out=diff[: out.size].reshape(out.shape + (d,)))
+    diff[out.size :] = 0.0
+    white = solve_triangular(chol, diff.T, lower=True, overwrite_b=True, check_finite=False)
+    np.square(white, out=white)
+    np.sum(white[:, : out.size], axis=0, out=out.reshape(-1))
 
 
 def _bandwidth_factor(rule, n, d):

@@ -29,6 +29,7 @@ from .binning import (
     solve_binning,
     solve_naive,
 )
+from .config import ConfigError
 from .core import Normalization, SampleSet, WeightedEdf, as_box, fit_box, grid_points
 from .density import solve_density, update_probability
 from .edf import l2_distance, sup_distance
@@ -50,7 +51,10 @@ class ConvergenceSpec:
     """Configuration of the convergence study.
 
     region_b defaults to the numerically computed image of region_a under
-    the model (the interval hull over a fine grid of region_a).
+    the model (the interval hull over a fine grid of region_a). An
+    out-of-range field raises ``ConfigError`` (a ValueError) whose pointer
+    is the field's name, the key of the convergence spec file; the ranges
+    are listed in ``config``'s module docstring.
     """
 
     n_grid: tuple = (1000, 3000, 10000)
@@ -69,27 +73,46 @@ class ConvergenceSpec:
     padding: float = PIPELINE_PADDING
 
     def __post_init__(self):
-        n_grid = tuple(int(n) for n in self.n_grid)
-        p_grid = tuple(int(p) for p in self.p_grid)
-        if len(n_grid) == 0 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-            raise ValueError(f"n_grid must be strictly increasing, got {n_grid}")
-        if len(p_grid) == 0 or any(b <= a for a, b in zip(p_grid, p_grid[1:])):
-            raise ValueError(f"p_grid must be strictly increasing, got {p_grid}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        for key in ("n_grid", "p_grid"):
+            grid = tuple(int(v) for v in getattr(self, key))
+            if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
+                raise ConfigError(
+                    f"/{key}", f"expected strictly increasing integers >= 1, got {list(grid)}"
+                )
+            object.__setattr__(self, key, grid)
+        # the baseline KDE needs two samples; one trial of anything gives a mean
+        for key, low in (("trials", 1), ("m_observed", 2), ("baseline_n", 2),
+                         ("baseline_trials", 1)):
+            value = getattr(self, key)
+            if value < low:
+                raise ConfigError(f"/{key}", f"expected an integer >= {low}, got {value}")
+        if not (np.isfinite(self.padding) and self.padding >= 0):
+            raise ConfigError("/padding", f"expected a finite number >= 0, got {self.padding}")
         if self.partition_kind not in ("grid", "kmeans"):
-            raise ValueError(f"unknown partition kind {self.partition_kind!r}")
-        object.__setattr__(self, "n_grid", n_grid)
-        object.__setattr__(self, "p_grid", p_grid)
+            raise ConfigError("/partition_kind", f"unknown partition kind {self.partition_kind!r}")
+        target = as_target(self.target)
+        if not is_exact(target) and target.m < 2:
+            raise ConfigError("/target", f"needs at least 2 observed samples, got {target.m}")
+        _check_region("region_a", self.region_a, self.model.box.dim)
         object.__setattr__(
             self, "region_a", tuple(tuple(map(float, b)) for b in self.region_a)
         )
         if self.region_b is not None:
+            _check_region("region_b", self.region_b, target.dim)
             object.__setattr__(
                 self,
                 "region_b",
                 tuple(tuple(map(float, b)) for b in np.atleast_2d(self.region_b)),
             )
+
+
+def _check_region(key, region, dim):
+    try:
+        box = as_box(region)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"/{key}", str(exc)) from None
+    if box.dim != dim:
+        raise ConfigError(f"/{key}", f"a {box.dim}-D box in a {dim}-D space")
 
 
 def derive_image_region(model, region_a):

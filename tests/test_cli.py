@@ -516,6 +516,32 @@ def test_convergence_target_of_another_dimension_is_a_config_error(tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"padding": -1}, "/padding: expected a finite number >= 0, got -1.0"),
+    ({"m_observed": 0}, "/m_observed: expected an integer >= 2, got 0"),
+    ({"baseline_n": 1}, "/baseline_n: expected an integer >= 2, got 1"),
+    ({"baseline_trials": 0}, "/baseline_trials: expected an integer >= 1, got 0"),
+    ({"trials": 0}, "/trials: expected an integer >= 1, got 0"),
+    ({"n_grid": [0]}, "/n_grid: expected strictly increasing integers >= 1, got [0]"),
+    ({"p_grid": [0, 5]}, "/p_grid: expected strictly increasing integers >= 1, got [0, 5]"),
+    ({"region_a": [[2.01, 2.02]]}, "/region_a: a 1-D box in a 2-D space"),
+    ({"region_b": [[2.3, 2.4], [0.0, 1.0]]}, "/region_b: a 2-D box in a 1-D space"),
+])
+def test_convergence_spec_out_of_range_is_a_config_error(tmp_path, capsys, overrides, message):
+    spec = write_spec(tmp_path / "spec.json", **overrides)
+    out = tmp_path / "o"
+    assert main(["convergence", "--spec", str(spec), "--out", str(out)]) == 2
+    assert error_record(capsys) == {"exit_code": 2, "kind": "ConfigError", "message": message}
+    assert not out.exists()
+
+
+def test_convergence_samples_target_with_one_row_is_a_config_error(tmp_path, capsys):
+    save_samples(tmp_path / "obs1.csv", np.full((1, 1), 2.4), prefix="q")
+    spec = write_spec(tmp_path / "spec.json", target={"kind": "samples", "csv": "obs1.csv"})
+    assert main(["convergence", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert error_record(capsys)["message"] == "/target: needs at least 2 observed samples, got 1"
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_convergence_threads_below_one_is_a_config_error(tmp_path, capsys, threads):
     spec = write_spec(tmp_path / "spec.json")

@@ -8,7 +8,6 @@ from dcinv.core import (
     WeightedEdf,
     WeightVector,
     as_box,
-    exp_or_zero,
     fit_box,
     grid_points,
 )
@@ -121,38 +120,6 @@ def test_weighted_edf_shape_checks():
         WeightedEdf(samples, WeightVector(np.ones(3)))
     wedf = WeightedEdf.plain(samples)
     assert wedf.eval([1.0]) == 1.0
-
-
-def test_exp_or_zero_bit_equal_to_np_exp():
-    edge = -1075 * np.log(2.0)  # exp(edge) is half the smallest subnormal
-    x = np.concatenate([
-        np.linspace(-1e6, 0.0, 200_001),
-        np.linspace(-760.0, -700.0, 200_001),
-        [-746.0, np.nextafter(-746.0, 0.0), np.nextafter(-746.0, -np.inf)],
-        [edge, np.nextafter(edge, 0.0), np.nextafter(edge, -np.inf)],
-        [-745.0, -708.4, -708.0, -np.inf, np.nan],
-    ])
-    rng = np.random.default_rng(0)
-    x = x[rng.permutation(x.size)]
-    expected = np.exp(x)
-    # the rounding argument: np.exp itself gives +0.0 at and below -746
-    assert not expected[x <= -746.0].any()
-    assert not np.signbit(expected[x <= -746.0]).any()
-    assert ((expected > 0) & (expected < 2.2250738585072014e-308)).any()
-    got = exp_or_zero(x)
-    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
-    inplace = x.copy()
-    assert exp_or_zero(inplace, out=inplace) is inplace
-    np.testing.assert_array_equal(inplace.view(np.int64), expected.view(np.int64))
-    assert not np.signbit(got[~np.isnan(got)]).any()
-
-
-def test_exp_or_zero_without_underflow_and_empty():
-    x = np.linspace(-745.9, 5.0, 1001).reshape(7, 143)
-    np.testing.assert_array_equal(exp_or_zero(x).view(np.int64), np.exp(x).view(np.int64))
-    x[3, 5] = np.nan
-    np.testing.assert_array_equal(exp_or_zero(x).view(np.int64), np.exp(x).view(np.int64))
-    assert exp_or_zero(np.empty(0)).shape == (0,)
 
 
 def reference_grid_points(axes):

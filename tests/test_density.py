@@ -338,10 +338,15 @@ def test_pdf_exact_scratch_memory_is_bounded():
     # a narrow kernel: most windows leave out some samples, and some hold none
     narrow = kde_fit(rng.uniform(0.585, 0.6, size=(20_000, 1)), rule=7e-4)
     narrow_q = rng.uniform(0.33, 0.99, size=(4000, 1))
-    blocks = record_kernel_blocks(narrow, narrow_q)
-    assert sum(rows for rows, _ in blocks) < 4000
-    assert any(width < narrow.n for _, width in blocks)
-    for model, q in ((wide, rng.normal(size=(4000, 1))), (narrow, narrow_q)):
+    wide_2d = kde_fit(rng.normal(size=(20_000, 2)))
+    narrow_2d = kde_fit(rng.uniform(0.0, 1.0, size=(20_000, 2)), rule=1e-3)
+    narrow_2d_q = rng.uniform(-0.5, 1.5, size=(2000, 2))
+    for model, q in ((narrow, narrow_q), (narrow_2d, narrow_2d_q)):
+        blocks = record_kernel_blocks(model, q)
+        assert sum(rows for rows, _ in blocks) < q.shape[0]
+        assert any(width < model.n for _, width in blocks)
+    for model, q in ((wide, rng.normal(size=(4000, 1))), (narrow, narrow_q),
+                     (wide_2d, rng.normal(size=(1000, 2))), (narrow_2d, narrow_2d_q)):
         tracemalloc.start()
         try:
             model.pdf(q)
@@ -352,16 +357,18 @@ def test_pdf_exact_scratch_memory_is_bounded():
 
 
 def record_kernel_blocks(model, q):
-    """(rows, width) of every block of 1-D kernels that ``model.pdf(q)``
-    evaluates; width n is a dense block, a smaller one a window span."""
+    """(rows, width) of every block of squared whitened distances that
+    ``model.pdf(q)`` evaluates; width n is a dense block, a smaller one a
+    window span."""
     shapes = []
+    name = "_sq_norms_1d" if model.dim == 1 else "_sq_norms"
+    sq_norms = getattr(density, name)
 
-    def spy(diff, scale):
-        shapes.append(diff.shape)
-        kernels_1d(diff, scale)
+    def spy(q, x, chol, out, diff_buf):
+        shapes.append(out.shape)
+        sq_norms(q, x, chol, out, diff_buf)
 
-    kernels_1d = density._kernels_1d
-    with mock.patch.object(density, "_kernels_1d", spy):
+    with mock.patch.object(density, name, spy):
         model.pdf(q)
     return shapes
 
@@ -379,15 +386,16 @@ def test_pdf_exact_windows_covering_every_sample_take_the_dense_branch():
 
 def test_pdf_exact_narrow_windows_evaluate_only_their_span():
     rng = np.random.default_rng(79)
-    model = kde_fit(rng.uniform(0.0, 1.0, size=(5000, 1)), rule=1e-3)
-    q = rng.uniform(-0.5, 1.5, size=(3000, 1))  # unsorted; half lie off the samples
-    blocks = record_kernel_blocks(model, q)
-    rows = sum(r for r, _ in blocks)
-    assert 1000 < rows < 2000  # the rows with an empty window are skipped
-    # blocks of neighbouring queries: a block spans a few windows (each about
-    # 2 * 38.6e-3 * 5000 = 386 samples wide), not the whole sample range
-    assert sum(r * w for r, w in blocks) < 0.15 * rows * model.n
-    assert_bit_equal(model.pdf(q), reference_pdf_exact(model, q))
+    for d in (1, 2):
+        model = kde_fit(rng.uniform(0.0, 1.0, size=(5000, d)), rule=1e-3)
+        q = rng.uniform(-0.5, 1.5, size=(3000, d))  # unsorted; half lie off the samples
+        blocks = record_kernel_blocks(model, q)
+        rows = sum(r for r, _ in blocks)
+        assert 1000 < rows < 2000  # the rows with an empty window are skipped
+        # blocks of neighbouring queries: a block spans a few windows (each
+        # about 2 * 38.6e-3 * 5000 = 386 samples wide), not the whole range
+        assert sum(r * w for r, w in blocks) < 0.15 * rows * model.n
+        assert_bit_equal(model.pdf(q), reference_pdf_exact(model, q))
 
 
 @st.composite
@@ -419,6 +427,74 @@ def test_pdf_exact_windowed_bit_equal_to_reference(case):
     assert_bit_equal(got, reference_pdf_exact(model, q))
     for few in (q[:0], q[:1]):
         assert_bit_equal(model.pdf(few), reference_pdf_exact(model, few))
+
+
+@st.composite
+def kde_window_cases_nd(draw):
+    """d = 2 or 3: unsorted samples whose first coordinates tie (some whole
+    rows too), a full-covariance or narrow fixed bandwidth, queries whose
+    first coordinate is on a sample, on its window edge x_0 -+ r, one ulp
+    outside it or anywhere (some windows empty), and an evaluation block of
+    1 to 4 query rows."""
+    d = draw(st.integers(2, 3))
+    firsts = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6))
+    rest = draw(st.lists(st.floats(-1.0, 1.0), min_size=d - 1, max_size=8 * (d - 1)))
+    picks = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 7)), min_size=2,
+                          max_size=30))
+    x = np.array([[firsts[i % len(firsts)]]
+                  + [rest[(j + k) % len(rest)] for k in range(d - 1)] for i, j in picks])
+    if draw(st.booleans()):
+        model = kde_fit(x, rule=10.0 ** draw(st.floats(-5.0, 0.5)))
+    else:
+        entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=d * d, max_size=d * d))
+        factor = np.tril(np.reshape(entries, (d, d)), -1) + np.diag(
+            draw(st.lists(st.floats(0.1, 1.0), min_size=d, max_size=d)))
+        bw = 10.0 ** draw(st.floats(-5.0, 0.0)) * (factor @ factor.T)
+        model = KdeModel(SampleSet(x), (bw + bw.T) / 2, rule="test")
+    reach = density._WINDOW_REACH * np.linalg.cholesky(model.bandwidth_matrix)[0, 0]
+    edges = np.concatenate([x[:, 0], x[:, 0] - reach, x[:, 0] + reach,
+                            np.nextafter(x[:, 0] + reach, np.inf),
+                            np.nextafter(x[:, 0] - reach, -np.inf)])
+    m = draw(st.integers(0, 30))
+    q = np.empty((m, d))
+    for i in range(m):
+        q[i, 0] = draw(st.one_of(st.sampled_from(edges.tolist()), st.floats(-3.0, 3.0)))
+        q[i, 1:] = x[draw(st.integers(0, x.shape[0] - 1)), 1:] + draw(
+            st.sampled_from([0.0, 1e-3, -0.3]))
+    return model, q, draw(st.integers(1, 4)) * x.size
+
+
+@settings(deadline=None, max_examples=300)
+@given(kde_window_cases_nd())
+def test_pdf_exact_windowed_bit_equal_to_reference_nd(case):
+    model, q, block_elems = case
+    with mock.patch.object(density, "_EVAL_BLOCK_ELEMS", block_elems):
+        got = model.pdf(q)
+        for few in (q[:0], q[:1]):
+            assert_bit_equal(model.pdf(few), reference_pdf_exact(model, few))
+    assert_bit_equal(got, reference_pdf_exact(model, q))
+
+
+def test_pdf_exact_span_of_one_kernel_at_d2():
+    # one query whose window holds one sample: the triangular solve would get
+    # a single right-hand side, which BLAS rounds by another path
+    model = KdeModel(SampleSet(np.array([[0.0, 0.0], [-0.75, 0.0]])),
+                     np.diag([0.140625, 1.0]), rule="fixed")
+    q = np.array([[np.nextafter(-0.75 + density._WINDOW_REACH * 0.375, np.inf), 0.0]])
+    assert record_kernel_blocks(model, q) == [(1, 1)]
+    assert model.pdf(q)[0] > 0.0
+    assert_bit_equal(model.pdf(q), reference_pdf_exact(model, q))
+
+
+def test_exp_is_plus_zero_at_and_below_exp_zero_at():
+    # the window bound rests on this: np.exp gives +0.0, not -0.0 or a
+    # subnormal, at and below EXP_ZERO_AT, and subnormals just above it
+    edge = -1075 * np.log(2.0)  # exp(edge) is half the smallest subnormal
+    under = np.array([density.EXP_ZERO_AT, np.nextafter(density.EXP_ZERO_AT, -np.inf),
+                      np.nextafter(edge, -np.inf), -1e6, -np.inf])
+    vals = np.exp(under)
+    assert not vals.any() and not np.signbit(vals).any()
+    assert 0.0 < np.exp(-745.0) < 2.2250738585072014e-308
 
 
 def test_density_pushforward_bit_equal_to_the_front_end_copy():

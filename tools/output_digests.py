@@ -3,15 +3,16 @@ and of a few small commands that cover the rest of the ``solve`` front end.
 
     python3 tools/output_digests.py --src DIR --out FILE
 
-Runs 21 CLI commands in this process against the ``dcinv`` package under
-``DIR/src``, each at input seeds 31000 and 47000 (42 runs): the five
+Runs 23 CLI commands in this process against the ``dcinv`` package under
+``DIR/src``, each at input seeds 31000 and 47000 (46 runs): the five
 ``perfbench/workloads.py`` workloads at smoke and at full size, built with
-``workloads.command``, and the eleven ``EXTRA`` commands defined here
+``workloads.command``, and the thirteen ``EXTRA`` commands defined here
 (binning-kmeans; a live binning-grid run whose fill loop draws several
 batches; a ``pairs`` model read from CSV files, with 1-D data under naive,
 binning-grid, binning-kmeans, density and density with a narrow fixed
-bandwidth, and with 2-D data under naive and binning-grid; a
-``method.data_box`` override under naive and binning-grid).
+bandwidth, and with 2-D data under naive, binning-grid, density and density
+with a narrow fixed bandwidth; a ``method.data_box`` override under naive
+and binning-grid).
 For each command it hashes ``weights.csv``, ``pushforward.csv``,
 ``result.json``, every ``surface_*.csv`` and ``meta.json`` without its
 ``timing`` block (the only part that holds wall time), and writes
@@ -24,12 +25,14 @@ checkouts are equal:
     python3 tools/output_digests.py --src . --out new.json
     diff old.json new.json
 
-The output contract: density outputs stay byte-identical; the exact 1-D
-KDE skips only kernels that are +0.0 in any order, so ``pairs_density_narrow``,
-whose observed-KDE windows are empty at some predicted values and partial at
-the rest, is byte-identical to a checkout that sums every kernel. Fits on 1-D
-data come from the exact isotonic solver, whose weights differ from the
-dense active set's only in the last bits. Against a checkout from before
+The output contract: density outputs stay byte-identical; the exact KDE
+skips, at every dimension, only kernels that are +0.0 in any order, so
+``pairs_density_narrow``, whose observed-KDE windows are empty at some
+predicted values and partial at the rest, and ``pairs_2d_density_narrow``,
+whose windows all leave out some samples, are byte-identical to a checkout
+that sums every kernel. Fits on 1-D data come from the exact isotonic
+solver, whose weights differ from the dense active set's only in the last
+bits. Against a checkout from before
 that solver, ``weights.csv``, ``pushforward.csv``, ``result.json`` and the
 surfaces of the 1-D commands differ, and every ``meta.json`` with a solver
 block differs by its scale-aware residual keys. Fits on data of two or more
@@ -122,6 +125,14 @@ EXTRA = {
     "pairs_2d_naive": ("naive", {"model": PAIRS_2D, "target": PAIRS_2D_TARGET}),
     "pairs_2d_grid": ("binning-grid", {
         "model": PAIRS_2D, "target": PAIRS_2D_TARGET, "method": {"cells_per_dim": [5, 4]}}),
+    # the 2-D push-forward table dominates a density run: 64 cells keep it short
+    "pairs_2d_density": ("density", {
+        "model": PAIRS_2D, "target": PAIRS_2D_TARGET, "output": {"pushforward_grid": 64}}),
+    # kernel reach 38.6 h = 0.39 on the first coordinate: every window of
+    # both KDEs leaves out some samples
+    "pairs_2d_density_narrow": ("density", {
+        "model": PAIRS_2D, "target": PAIRS_2D_TARGET, "method": {"kde_rule": 0.01},
+        "output": {"pushforward_grid": 64}}),
 }
 
 
