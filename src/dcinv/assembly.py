@@ -9,7 +9,8 @@ the weights with
 
 so that (1/2) w^T H w - b^T w equals half the squared misfit up to a constant
 independent of w. H and b are exact closed forms: an empirical target's b
-sums over its samples, and an exact target (one of the 1-D laws in
+sums over its samples (on 1-D data by one sort and a prefix sum, at d >= 2
+over every sample pair), and an exact target (one of the 1-D laws in
 :mod:`dcinv.targets`) gives b from its closed-form running integral of F_targ.
 """
 
@@ -159,11 +160,25 @@ def assemble_b_empirical(samples, target_samples):
     x -> fl(1 - x) is monotone non-increasing, so fl(1 - max(q, y)) =
     min(fl(1 - q), fl(1 - y)); and since 1 - q >= 0 (q is clipped to [0, 1]),
     max(min(a, g), 0) = min(a, max(g, 0)). Under round-to-nearest 1 - x is
-    never -0.0, so no signed zero differs either. The target is taken in
-    chunks of max(1, _B_CHUNK // l) samples; within a chunk the rows are
-    filled _B_BLOCK elements at a time into one reusable buffer and summed
-    whole, so every row's chunk segment is summed by the same pairwise sum,
-    in the same order, as a full (l x chunk) array would be.
+    never -0.0, so no signed zero differs either.
+
+    At d = 1, with a_i = 1 - q_i and h the sorted max(1 - y_j, 0), the sum is
+    sum_j min(a_i, h_j) = (h_0 + ... + h_(k-1)) + a_i (m - k), where
+    k = searchsorted(h, a_i, "left") counts the h_j < a_i: those contribute
+    themselves and every other sample contributes a_i. A tie h_j = a_i gives
+    the same value from either branch; target samples above the box have
+    h_j = 0 and samples below it h_j > 1 >= a_i. One sort, one searchsorted
+    and one cumulative sum, done in place on the one length-m array, cost
+    O((l + m) log m). The prefix is summed in order rather than pairwise,
+    so its error bound grows like m ulps instead of log m; on seeded data it
+    stays within 1e-14 relative of math.fsum up to m = 1e6.
+
+    At d >= 2 the target is taken in chunks of max(1, _B_CHUNK // l)
+    samples; within a chunk the rows are filled _B_BLOCK elements at a time
+    into one reusable buffer and summed whole, so every row's chunk segment
+    is summed by the same pairwise sum, in the same order, as a full
+    (l x chunk) array would be. The tracer in perfbench/ wraps this function
+    by name and reads the arguments ``samples`` and ``target_samples``.
     """
     q = _check_unit_box(as_points(samples))
     y = as_points(target_samples)
@@ -177,6 +192,15 @@ def assemble_b_empirical(samples, target_samples):
     ell, d = q.shape
     m = y.shape[0]
     a = 1.0 - q
+    if d == 1:
+        a = a[:, 0]
+        h = np.subtract(1.0, y[:, 0])
+        np.maximum(h, 0.0, out=h)
+        h.sort()
+        k = np.searchsorted(h, a, "left")  # h[:k] < a <= h[k:]
+        np.cumsum(h, out=h)
+        below = np.where(k > 0, h[k - 1], 0.0)
+        return (below + a * (m - k)) / (ell * m)
     hy = np.ascontiguousarray(np.maximum(1.0 - y, 0.0).T)  # (d, m)
     b = np.zeros(ell)
     part = np.empty(ell)

@@ -27,7 +27,9 @@ Config schema (solve / diagnose):
       "output": {"pushforward_grid": 512}
     }
 
-Validated ranges: ``initial.n``, ``method.p``, ``method.n_batch`` and
+Validated ranges: ``seed`` and ``target.seed`` are integers >= 0 (numpy
+seeds take no negative entropy; a null ``target.seed`` means the default);
+``initial.n``, ``method.p``, ``method.n_batch`` and
 ``output.pushforward_grid`` are integers >= 1; ``method.cells_per_dim`` is a
 nonempty list of integers >= 1, one per data dimension; ``method.padding``
 is a finite number >= 0; ``method.kde_rule`` is "scott", "silverman" or a
@@ -44,7 +46,8 @@ not allow, are rejected wherever they appear.
 
 The convergence spec file carries the ConvergenceSpec fields (n_grid, p_grid,
 trials, seed, region_a, optional region_b, partition_kind, model, target,
-m_observed, baseline_n, baseline_trials). Validated ranges: ``n_grid`` and
+m_observed, baseline_n, baseline_trials). Validated ranges: ``seed`` and
+``target.seed`` are integers >= 0, as in a solve config; ``n_grid`` and
 ``p_grid`` are nonempty, strictly increasing lists of integers >= 1;
 ``trials`` and ``baseline_trials`` are integers >= 1; ``m_observed`` and
 ``baseline_n`` are integers >= 2, as is the row count of a ``samples``
@@ -230,7 +233,7 @@ def build_target(cfg, seed, pointer="/target", base_dir="."):
         return ResolvedTarget(exact, exact=exact)
     if m < 1:
         raise ConfigError(f"{pointer}/m", f"m must be positive, got {m}")
-    target_seed = _get(cfg, "seed", pointer, int, default=None)
+    target_seed = _number(cfg, "seed", pointer, int, None, 0)
     if target_seed is None:
         target_seed = (seed, 11)
     observed = exact.sample(m, np.random.default_rng(np.random.SeedSequence(target_seed)))
@@ -259,7 +262,7 @@ class SolveConfig:
 def build_solve_config(cfg, base_dir="."):
     if not isinstance(cfg, dict):
         raise ConfigError("/", "config must be a JSON object")
-    seed = _get(cfg, "seed", "", int, default=0)
+    seed = _number(cfg, "seed", "", int, 0, 0)
     model = build_model(_get(cfg, "model", "", dict), base_dir=base_dir)
     target = build_target(_get(cfg, "target", "", dict), seed, base_dir=base_dir)
     _check_target_dim(target.target, model)
@@ -330,7 +333,7 @@ def build_convergence_spec(cfg, base_dir="."):
 
     if not isinstance(cfg, dict):
         raise ConfigError("/", "spec must be a JSON object")
-    seed = _get(cfg, "seed", "", int, default=0)
+    seed = _number(cfg, "seed", "", int, 0, 0)
     model_cfg = _get(cfg, "model", "", dict, default={"kind": "heat_rod"})
     model = build_model(model_cfg, base_dir=base_dir)
     if not model.live:

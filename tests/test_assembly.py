@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -437,8 +438,11 @@ def b_case(rng, ell, m, d):
     return q, y
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("ell, m", [(1, 1), (1, 5000), (7, 1), (20, 250_001), (160, 30_000)])
+B_SHAPES = [(1, 1), (1, 5000), (7, 1), (20, 250_001), (160, 30_000)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("ell, m", B_SHAPES)
 def test_b_empirical_bit_equal_to_clipped_form(d, ell, m):
     q, y = b_case(np.random.default_rng(ell * 31 + m + d), ell, m, d)
     assert_bits_equal(assemble_b_empirical(q, y), reference_b_empirical(q, y))
@@ -451,7 +455,7 @@ def test_b_empirical_bit_equal_at_block_row_boundaries(extra_rows):
     ell = 24 * 63 + extra_rows
     chunk = assembly._B_CHUNK // ell
     assert assembly._B_BLOCK // chunk == 24  # rows per block
-    q, y = b_case(np.random.default_rng(extra_rows), ell, 2 * chunk + 17, 1)
+    q, y = b_case(np.random.default_rng(extra_rows), ell, 2 * chunk + 17, 2)
     assert_bits_equal(assemble_b_empirical(q, y), reference_b_empirical(q, y))
 
 
@@ -459,9 +463,65 @@ def test_b_empirical_bit_equal_with_chunk_of_one():
     # l > _B_CHUNK: the chunk is one target sample
     rng = np.random.default_rng(3)
     ell = assembly._B_CHUNK + 3
-    q = rng.uniform(size=(ell, 1))
-    y = np.array([[0.3], [-0.2], [1.4]])
+    q = rng.uniform(size=(ell, 2))
+    y = np.array([[0.3, 0.6], [-0.2, 0.1], [1.4, 0.5]])
     assert_bits_equal(assemble_b_empirical(q, y), reference_b_empirical(q, y))
+
+
+def fsum_b_1d(samples, target_samples):
+    """b at d = 1, each row's sum of min(1 - q_i, max(1 - y_j, 0)) by math.fsum."""
+    a = 1.0 - np.clip(samples[:, 0], 0.0, 1.0)
+    h = np.maximum(1.0 - target_samples[:, 0], 0.0)
+    sums = np.array([math.fsum(np.minimum(ai, h)) for ai in a])
+    return sums / (len(a) * len(h))
+
+
+def assert_within_fsum_oracle(q, y):
+    b, oracle = assemble_b_empirical(q, y), fsum_b_1d(q, y)
+    assert np.all((b == 0.0) == (oracle == 0.0))
+    assert np.all(np.abs(b - oracle) <= 1e-13 * oracle)
+
+
+@pytest.mark.parametrize("ell, m", B_SHAPES)
+def test_b_empirical_1d_within_fsum_oracle(ell, m):
+    q, y = b_case(np.random.default_rng(ell * 31 + m + 1), ell, m, 1)
+    assert_within_fsum_oracle(q, y)
+
+
+def test_b_empirical_1d_ties_and_samples_outside_the_box():
+    # on a dyadic grid 1 - q and 1 - y are exact, so y_j = q_i gives
+    # h_j = 1 - y_j = a_i exactly; the rest lie below and above the box or
+    # are +-0
+    rng = np.random.default_rng(9)
+    q = rng.integers(0, 65, size=(200, 1)) / 64.0
+    y = np.concatenate([
+        q[:50], rng.integers(0, 65, size=(300, 1)) / 64.0,
+        [[-0.0], [0.0], [1.0], [-2.5], [-1e-300], [1.0 + 1e-15], [7.0]],
+        rng.normal(0.5, 0.6, size=(500, 1)),
+    ])
+    assert_within_fsum_oracle(q, y)
+    # all below the box: every h_j = 1 - y_j > 1 >= a_i, so b_i = a_i / l
+    b = assemble_b_empirical(q, np.array([[-0.5], [-3.0], [-0.0]]))
+    assert_bits_equal(b, (1.0 - q[:, 0]) * 3 / (200 * 3))
+    # all above it: every h_j is 0
+    b = assemble_b_empirical(q, np.array([[1.0], [2.0]]))
+    assert np.all(b == 0.0) and not np.any(np.signbit(b))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 300), st.floats(0.0, 1.0))
+def test_b_empirical_1d_is_bit_stable_under_permutation_and_row_choice(seed, ell, m, tied):
+    # sorting makes the target order irrelevant, and each row reads only its
+    # own a_i against the shared prefix sums
+    rng = np.random.default_rng(seed)
+    q, y = b_case(rng, ell, m, 1)
+    q = np.round(q * 16) / 16  # a share `tied` of the y_j equal some q_i: h_j = a_i
+    mask = rng.random(m) < tied
+    y[mask, 0] = q[rng.integers(0, ell, size=mask.sum()), 0]
+    b = assemble_b_empirical(q, y)
+    assert_bits_equal(assemble_b_empirical(q, y[rng.permutation(m)]), b)
+    rows = rng.integers(0, ell, size=ell)  # l rows, so the same 1/(l m)
+    assert_bits_equal(assemble_b_empirical(q[rows], y), b[rows])
 
 
 def test_b_empirical_exact_endpoints():
@@ -474,13 +534,14 @@ def test_b_empirical_exact_endpoints():
 
 def test_b_empirical_memory_is_bounded():
     rng = np.random.default_rng(5)
-    q = rng.uniform(size=(2000, 1))
-    y = rng.uniform(size=(20_000, 1))
-    tracemalloc.start()
-    try:
-        assemble_b_empirical(q, y)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the clipped form builds (2000 x 1000) temporaries of 16 MB each
-    assert peak < 2_000_000
+    for d in (1, 2):  # the sorted prefix sum and the blocked pair sum
+        q = rng.uniform(size=(2000, d))
+        y = rng.uniform(size=(20_000, d))
+        tracemalloc.start()
+        try:
+            assemble_b_empirical(q, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the clipped form builds (2000 x 1000) temporaries of 16 MB each
+        assert peak < 2_000_000

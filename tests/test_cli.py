@@ -535,6 +535,26 @@ def test_convergence_spec_out_of_range_is_a_config_error(tmp_path, capsys, overr
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, overrides, message", [
+    ("solve", {"seed": -1}, "/seed: expected a finite number >= 0, got -1"),
+    ("solve", {"seed": None}, "/seed: expected a finite number >= 0, got None"),
+    ("solve", {"target": {"kind": "normal", "mu": 2.39, "sigma": 0.035, "m": 300, "seed": -3}},
+     "/target/seed: expected a finite number >= 0, got -3"),
+    ("convergence", {"seed": -1}, "/seed: expected a finite number >= 0, got -1"),
+])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, command, overrides, message):
+    # numpy's SeedSequence rejects negative entropy with a bare ValueError
+    out = tmp_path / "o"
+    if command == "solve":
+        argv = ["solve", "--method", "naive", "--config",
+                str(write_config(tmp_path / "cfg.json", **overrides))]
+    else:
+        argv = ["convergence", "--spec", str(write_spec(tmp_path / "spec.json", **overrides))]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert error_record(capsys) == {"exit_code": 2, "kind": "ConfigError", "message": message}
+    assert not out.exists()
+
+
 def test_convergence_samples_target_with_one_row_is_a_config_error(tmp_path, capsys):
     save_samples(tmp_path / "obs1.csv", np.full((1, 1), 2.4), prefix="q")
     spec = write_spec(tmp_path / "spec.json", target={"kind": "samples", "csv": "obs1.csv"})

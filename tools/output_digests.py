@@ -47,6 +47,17 @@ that evaluate the rod model differ in the last bits of their model values
 where the 1-D fit amplifies them), push-forwards, objectives (within
 4.6e-15), solver iterations and the KDE diagnostic; no fill-loop batch or
 sample count moves, and the 14 ``pairs_*`` commands are byte-identical.
+The 1-D empirical b is one sort and a prefix sum; against a checkout from
+before it, the 22 runs that fit 1-D data against an empirical target
+(``rod_naive-*``, ``convergence-*``, ``rod_kmeans``, ``rod_grid_fill``,
+``rod_grid_data_box``, ``rod_naive_data_box``, ``pairs_naive``,
+``pairs_grid`` and ``pairs_kmeans``) differ in the last bits of their
+weights (max |diff| 2.1e-7 on rod_naive at l = 1500, at most 1.9e-8
+elsewhere), push-forwards, objectives (within 4.7e-16), solver iterations
+and residuals, and convergence estimates (within 1.1e-13) and surfaces
+(within 2.5e-14); the ``density_*``, ``mixture_binning-*``,
+``rod_naive_large-*``, ``pairs_density*`` and ``pairs_2d_*`` runs, whose
+b is exact, 2-D or not needed, are byte-identical.
 ``solve`` once wrote its
 ``--threads`` value (by default the host's core count) into ``meta.json``;
 against a checkout from before that flag was removed, the ``meta.json`` of
