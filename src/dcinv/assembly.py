@@ -265,8 +265,10 @@ def assemble_qp(scaled_samples, target, box=None):
     unit box ``BoxScaler(zeros(d), ones(d))``. Duplicated samples are
     jittered by :func:`dedupe_jitter` and the problem holds the jittered
     points, so its matrix and vector are built on the same points. Empirical
-    target samples are scaled through ``box``; exact (1-D) targets go through
-    the closed form of :func:`assemble_b_exact` on :func:`scaled_cdf`.
+    target samples are scaled through ``box`` and clipped to the unit box,
+    which keeps b bit for bit (see :func:`assemble_b_empirical`) and a sample
+    whose scaled value overflows finite. Exact (1-D) targets go through the
+    closed form of :func:`assemble_b_exact` on :func:`scaled_cdf`.
     """
     pts = dedupe_jitter(_check_unit_box(as_points(scaled_samples)))
     target = _targets.as_target(target)
@@ -275,7 +277,7 @@ def assemble_qp(scaled_samples, target, box=None):
     if box is None:
         box = BoxScaler(np.zeros(pts.shape[1]), np.ones(pts.shape[1]))
     if isinstance(target, _targets.EmpiricalTarget):
-        b = assemble_b_empirical(pts, box.scale(target.samples.points))
+        b = assemble_b_empirical(pts, np.clip(box.scale(target.samples.points), 0.0, 1.0))
     else:
         b = assemble_b_exact(pts, scaled_cdf(target, box))
     return QpProblem(pts, b)

@@ -56,6 +56,10 @@ class AllWeightsFlooredError(ValueError):
     """Every cell weight is at or below the weight floor, so no cell is kept."""
 
 
+class KMeansCellsError(ValueError):
+    """Fewer distinct samples than k-means cells."""
+
+
 class DataBoxError(ValueError):
     """The given data box misses some of the predicted samples."""
 
@@ -172,14 +176,14 @@ def make_kmeans(samples, p, seed):
 
     Reproducible under ``seed``; runs at most KMEANS_MAX_ITER iterations. An
     empty cluster is re-seeded at the point farthest from its assigned
-    centroid. Requires at least p distinct points.
+    centroid. Requires at least p distinct points (KMeansCellsError).
     """
     pts = as_points(samples)
     n_distinct = np.unique(pts, axis=0).shape[0]
     if p < 1:
         raise ValueError(f"p must be positive, got {p}")
     if n_distinct < p:
-        raise ValueError(f"need at least p={p} distinct points, got {n_distinct}")
+        raise KMeansCellsError(f"need at least p={p} distinct points, got {n_distinct}")
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(pts, p, rng)
     assignments = None

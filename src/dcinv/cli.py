@@ -14,18 +14,18 @@ with the same config and seed all result files are byte-identical across
 runs (wall-clock lives only in meta.json's "timing" block).
 
 Exit codes: 0 success; 2 config error; 3 solver failure (matrix not
-positive definite, all weights collapsed to zero, all cell weights at or
-below the floor) or non-convergence; 4 unreachable cell; 5 diagnostic
+positive definite, all weights or density ratios zero, all cell weights at
+or below the floor) or non-convergence; 4 unreachable cell; 5 diagnostic
 outside [0.8, 1.2] (diagnose, or an untrustworthy convergence-study
-baseline). Each failure writes a one-line reason to stderr. When ``solve``
-or ``convergence`` exits nonzero, and on a config error in any subcommand,
-stdout also gets one JSON line
+baseline). ``FAILURES`` maps each failure to its code in one place, for
+every subcommand: a failing ``solve``, ``diagnose`` or ``convergence``
+writes a one-line reason to stderr and one JSON line to stdout
 
     {"error": {"exit_code": N, "kind": "<exception class>", "message": "..."}}
 
 where ``kind`` is ``NotConverged`` for a solve that ran out of iterations
 (its results are still written). ``diagnose`` exiting 5 prints its usual
-diagnostic record instead.
+diagnostic record instead; it is a result, not a failure.
 """
 
 import argparse
@@ -41,6 +41,7 @@ from . import __version__
 from .binning import (
     AllWeightsFlooredError,
     DataBoxError,
+    KMeansCellsError,
     PartitionBoxError,
     UnreachableCellError,
     _data_box,
@@ -63,25 +64,47 @@ EXIT_UNREACHABLE = 4
 EXIT_DIAGNOSTIC = 5
 
 METHODS = ("naive", "binning-grid", "binning-kmeans", "density")
-# Failures of the weight computation itself; all exit with EXIT_NONCONVERGED.
-SOLVER_FAILURES = (NonPositiveDefiniteError, WeightCollapseError, AllWeightsFlooredError)
 CSV_BLOCK_ROWS = 8192
+
+
+class NotConverged(RuntimeError):
+    """The solver stopped short of its certificate; the results are written
+    and flagged in meta.json."""
+
+
+# How every failure of a command ends it: (exception class, exit code, label
+# of the one-line reason on stderr). An exit-2 row of a library error names,
+# in place of the label, the solve option it is reported at as a
+# ConfigError. Any other exception is a bug and propagates.
+FAILURES = (
+    (ConfigError, EXIT_CONFIG, None),
+    (DataBoxError, EXIT_CONFIG, "/method/data_box"),
+    (PartitionBoxError, EXIT_CONFIG, "/method/partition_box"),
+    (KMeansCellsError, EXIT_CONFIG, "/method/p"),
+    *[(cls, EXIT_NONCONVERGED, "solver failure") for cls in (
+        NonPositiveDefiniteError, WeightCollapseError, AllWeightsFlooredError, NotConverged)],
+    (UnreachableCellError, EXIT_UNREACHABLE, "unreachable cell"),
+    (UntrustworthyBaselineError, EXIT_DIAGNOSTIC, "aborted"),
+)
 
 
 def _log(msg):
     print(msg, file=sys.stderr)
 
 
-def _error_record(exit_code, kind, message):
-    """Print the one-line JSON error record on stdout; returns ``exit_code``."""
-    print(json.dumps({"error": {"exit_code": exit_code, "kind": kind, "message": message}}))
-    return exit_code
-
-
-def _fail(exit_code, label, exc):
-    """Report ``exc`` as a one-line ``label: reason`` on stderr plus the error record."""
+def _fail(exc):
+    """Report the failure ``exc`` as ``FAILURES`` says: a one-line ``label:
+    reason`` on stderr and the JSON error record on stdout. Returns the exit
+    code."""
+    exit_code, label = next((code, label) for cls, code, label in FAILURES if isinstance(exc, cls))
+    if exit_code == EXIT_CONFIG:
+        if not isinstance(exc, ConfigError):
+            exc = ConfigError(label, str(exc))
+        label = f"config error at {exc.pointer}"
     _log(f"{label}: {exc}")
-    return _error_record(exit_code, type(exc).__name__, str(exc))
+    error = {"exit_code": exit_code, "kind": type(exc).__name__, "message": str(exc)}
+    print(json.dumps({"error": error}))
+    return exit_code
 
 
 def _write_json(path, payload):
@@ -150,41 +173,37 @@ def _sample_pairs(cfg, seed):
 def _solve_density(cfg):
     """The density method on the config's initial and observed samples."""
     observed = cfg.target.observed_or_fail
+    n = cfg.n_initial if cfg.model.live else cfg.model.initial.n
+    if n < 2:  # the predicted KDE needs two samples, as the observed one does
+        raise ConfigError("/initial/n" if cfg.model.live else "/model",
+                          f"needs at least 2 initial samples, got {n}")
     initial, predicted, _ = _sample_pairs(cfg, np.random.SeedSequence((cfg.seed, 10)))
     return solve_density(initial, predicted, observed, rule=cfg.kde_rule)
 
 
-def _run_solve(method, cfg, out_dir):
+def _cmd_solve(args):
+    cfg = build_solve_config(load_config(args.config), base_dir=os.path.dirname(args.config) or ".")
     t_start = time.perf_counter()
     meta = {
         "version": __version__,
-        "method": method,
+        "method": args.method,
         "config": cfg.raw,
         "seed": cfg.seed,
     }
     meta["n_initial"] = cfg.n_initial if cfg.model.live else cfg.model.initial.n
 
-    if method == "naive":
+    if args.method == "naive":
         initial, predicted, _ = _sample_pairs(cfg, np.random.SeedSequence((cfg.seed, 10)))
         sol = solve_naive(initial, predicted, cfg.target.target, padding=cfg.padding,
                           data_box=cfg.data_box)
-    elif method in ("binning-grid", "binning-kmeans"):
-        if method == "binning-grid":
+    elif args.method in ("binning-grid", "binning-kmeans"):
+        if args.method == "binning-grid":
             cells = cfg.cells_per_dim or cfg.p
-            dim = cfg.target.target.dim
-            if cfg.cells_per_dim and len(cells) != dim:
-                raise ConfigError(
-                    "/method/cells_per_dim", f"{len(cells)} cell counts for {dim}-D data"
-                )
             if cfg.partition_box is not None:
                 partition = make_regular_grid(cfg.partition_box, cells)
             else:
                 partition = ("grid", cells)
         else:
-            if cfg.p > meta["n_initial"]:
-                raise ConfigError(
-                    "/method/p", f"{cfg.p} k-means cells for {meta['n_initial']} samples"
-                )
             partition = ("kmeans", cfg.p)
         initial, predicted, draw = _sample_pairs(cfg, cfg.seed)
         sol = solve_binning(
@@ -194,13 +213,11 @@ def _run_solve(method, cfg, out_dir):
         )
         meta.update(p=sol.p, partition_kind=sol.partition.kind, n_batches=sol.n_batches,
                     n_total=sol.n, cell_counts_min=int(sol.counts.min()))
-    elif method == "density":
+    else:
         sol = _solve_density(cfg)
         _log(f"diagnostic: {sol.diagnostic:.6f}")
         meta.update(diagnostic=sol.diagnostic, violations=sol.n_violations,
                     kde_rule=str(cfg.kde_rule), m_observed=sol.observed_kde.n)
-    else:
-        raise ConfigError("/method", f"unknown method {method!r}")
 
     weights, qp = sol.weights, sol.qp_solution
     meta["weight_normalization"] = weights.normalization.value
@@ -208,24 +225,22 @@ def _run_solve(method, cfg, out_dir):
     box = sol.box
     if box is None:  # the density method fits no QP, so the tail finds its box here
         box = _data_box(sol.predicted.points, cfg.data_box, cfg.padding)
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     _write_weights_csv(
-        os.path.join(out_dir, "weights.csv"), sol.initial.points, sol.predicted.points,
+        os.path.join(args.out, "weights.csv"), sol.initial.points, sol.predicted.points,
         weights.weights,
     )
     _write_pushforward_csv(
-        os.path.join(out_dir, "pushforward.csv"),
+        os.path.join(args.out, "pushforward.csv"),
         sol.pushforward(),
         as_cdf_callable(cfg.target.target),
         box,
         cfg.pushforward_grid,
     )
     meta["timing"] = {"wall_clock_s": time.perf_counter() - t_start}
-    _write_json(os.path.join(out_dir, "meta.json"), meta)
+    _write_json(os.path.join(args.out, "meta.json"), meta)
     if qp is not None and not qp.converged:
-        reason = "solver did not converge; results flagged in meta.json"
-        _log(reason)
-        return _error_record(EXIT_NONCONVERGED, "NotConverged", reason)
+        raise NotConverged("solver did not converge; results flagged in meta.json")
     return EXIT_OK
 
 
@@ -247,20 +262,6 @@ def _solver_meta(qp_solution):
     return record
 
 
-def _cmd_solve(args):
-    cfg = build_solve_config(load_config(args.config), base_dir=os.path.dirname(args.config) or ".")
-    try:
-        return _run_solve(args.method, cfg, args.out)
-    except DataBoxError as exc:
-        raise ConfigError("/method/data_box", str(exc)) from None
-    except PartitionBoxError as exc:
-        raise ConfigError("/method/partition_box", str(exc)) from None
-    except UnreachableCellError as exc:
-        return _fail(EXIT_UNREACHABLE, "unreachable cell", exc)
-    except SOLVER_FAILURES as exc:
-        return _fail(EXIT_NONCONVERGED, "solver failure", exc)
-
-
 def _cmd_diagnose(args):
     cfg = build_solve_config(load_config(args.config), base_dir=os.path.dirname(args.config) or ".")
     sol = _solve_density(cfg)
@@ -273,12 +274,7 @@ def _cmd_convergence(args):
         raise ConfigError("--threads", f"expected an integer >= 1, got {args.threads}")
     spec = build_convergence_spec(load_config(args.spec), base_dir=os.path.dirname(args.spec) or ".")
     t_start = time.perf_counter()
-    try:
-        result = run_convergence(spec, progress=_log, threads=args.threads)
-    except UntrustworthyBaselineError as exc:
-        return _fail(EXIT_DIAGNOSTIC, "aborted", exc)
-    except SOLVER_FAILURES as exc:
-        return _fail(EXIT_NONCONVERGED, "solver failure", exc)
+    result = run_convergence(spec, progress=_log, threads=args.threads)
     paths = result.save(args.out)
     _write_json(
         os.path.join(args.out, "meta.json"),
@@ -324,8 +320,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        return _fail(EXIT_CONFIG, f"config error at {exc.pointer}", exc)
+    except tuple(cls for cls, _, _ in FAILURES) as exc:
+        return _fail(exc)
 
 
 if __name__ == "__main__":

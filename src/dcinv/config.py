@@ -27,18 +27,27 @@ Config schema (solve / diagnose):
       "output": {"pushforward_grid": 512}
     }
 
+A null stands for the default only where the default is null: at
+``target.m``, ``target.seed``, ``method.partition_box``, ``method.data_box``,
+``method.cells_per_dim``, ``method.n_batch`` and a spec's ``region_b``.
+Elsewhere it is an error, as is a number beyond the float range.
+
 Validated ranges: ``seed`` and ``target.seed`` are integers >= 0 (numpy
 seeds take no negative entropy; a null ``target.seed`` means the default);
-``initial.n``, ``method.p``, ``method.n_batch`` and
-``output.pushforward_grid`` are integers >= 1; ``method.cells_per_dim`` is a
-nonempty list of integers >= 1, one per data dimension; ``method.padding``
-is a finite number >= 0; ``method.kde_rule`` is "scott", "silverman" or a
-finite number > 0 (a fixed bandwidth); the target, ``method.partition_box``
-and ``method.data_box`` have the data's dimension (1 for the rod, the
-``data_csv`` columns for pairs). k-means needs ``method.p`` at most the
-number of initial samples, ``method.data_box`` must contain every predicted
-sample (for the density method it only bounds the push-forward grid), and
-the density method needs at least 2 observed samples. ``method.n_batch``
+``target.m``, ``initial.n``, ``method.p``, ``method.n_batch`` and
+``output.pushforward_grid`` are integers >= 1; ``model.lambda_box`` is two
+rows of (lower, upper) with lower < upper, for the rod's (ell, kappa);
+``method.cells_per_dim`` is a list of integers >= 1, one per data dimension;
+``method.padding`` and ``method.weight_floor`` are finite numbers >= 0;
+``method.kde_rule`` is "scott", "silverman" or a fixed bandwidth h > 0
+whose square, the kernel variance, neither underflows to 0 nor overflows
+(about 2.2e-162 < h < 1.3e154); the target, ``method.partition_box`` and
+``method.data_box`` have the data's dimension (1 for the rod, the
+``data_csv`` columns for pairs). Observed samples drawn from an exact target
+must be finite. k-means needs at least ``method.p`` distinct predicted
+samples, ``method.data_box`` must contain every predicted sample (for the
+density method it only bounds the push-forward grid), and the density method
+needs at least 2 initial and 2 observed samples. ``method.n_batch``
 and ``method.min_fill`` drive the binning fill loop, which draws from a
 live model only; loaded pairs are used as they are. Unknown keys are
 ignored. The literals NaN, Infinity and -Infinity, which strict JSON does
@@ -48,7 +57,8 @@ The convergence spec file carries the ConvergenceSpec fields (n_grid, p_grid,
 trials, seed, region_a, optional region_b, partition_kind, model, target,
 m_observed, baseline_n, baseline_trials). Validated ranges: ``seed`` and
 ``target.seed`` are integers >= 0, as in a solve config; ``n_grid`` and
-``p_grid`` are nonempty, strictly increasing lists of integers >= 1;
+``p_grid`` are nonempty, strictly increasing lists of integers >= 1, and
+for k-means no ``p_grid`` entry exceeds an ``n_grid`` entry;
 ``trials`` and ``baseline_trials`` are integers >= 1; ``m_observed`` and
 ``baseline_n`` are integers >= 2, as is the row count of a ``samples``
 target (the baseline KDE needs two samples); ``padding`` is a finite number
@@ -80,45 +90,39 @@ class ConfigError(ValueError):
 _REQUIRED = object()
 
 
-def _get(cfg, key, pointer, kind=None, default=_REQUIRED, choices=None):
+def _get(cfg, key, pointer, kind=None, default=_REQUIRED, choices=None, low=None):
+    """The leaf ``cfg[key]``, checked: present unless there is a ``default``,
+    null only where the default is None, of JSON type ``kind`` (int or float:
+    a finite number, >= ``low`` if given; a float is returned as a float) and
+    one of ``choices`` if given."""
+    where = f"{pointer}/{key}"
     if key not in cfg:
-        if default is not _REQUIRED:
-            return default
-        raise ConfigError(f"{pointer}/{key}", "missing required key")
+        if default is _REQUIRED:
+            raise ConfigError(where, "missing required key")
+        return default
     value = cfg[key]
-    if kind is not None and value is not None:
-        if kind is float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{pointer}/{key}", f"expected a number, got {value!r}")
-            value = float(value)
-        elif kind is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{pointer}/{key}", f"expected an integer, got {value!r}")
-        elif not isinstance(value, kind):
-            raise ConfigError(
-                f"{pointer}/{key}", f"expected {kind.__name__}, got {type(value).__name__}"
-            )
-    if choices is not None and value not in choices:
-        raise ConfigError(f"{pointer}/{key}", f"expected one of {sorted(choices)}, got {value!r}")
-    return value
-
-
-def _number(cfg, key, pointer, kind, default, low):
-    """``_get`` a finite number >= ``low``; null passes only where it is the
-    default."""
-    value = _get(cfg, key, pointer, kind, default=default)
     if value is None and default is None:
         return None
-    if value is None or not (math.isfinite(value) and value >= low):
-        raise ConfigError(f"{pointer}/{key}", f"expected a finite number >= {low}, got {value!r}")
+    if kind is int or kind is float:
+        if value is not None and (
+            isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float))
+        ):
+            expected = "an integer" if kind is int else "a number"
+            raise ConfigError(where, f"expected {expected}, got {value!r}")
+        try:
+            number = float(value)
+        except (TypeError, OverflowError):  # a null, or an integer beyond the float range
+            number = math.nan
+        if not (math.isfinite(number) and (low is None or number >= low)):
+            bound = "" if low is None else f" >= {low}"
+            raise ConfigError(where, f"expected a finite number{bound}, got {value!r}")
+        if kind is float:
+            value = number
+    elif kind is not None and not isinstance(value, kind):
+        raise ConfigError(where, f"expected {kind.__name__}, got {type(value).__name__}")
+    if choices is not None and value not in choices:
+        raise ConfigError(where, f"expected one of {sorted(choices)}, got {value!r}")
     return value
-
-
-def _is_positive_number(value):
-    return (
-        isinstance(value, (int, float)) and not isinstance(value, bool)
-        and math.isfinite(value) and value > 0
-    )
 
 
 def _reject_constant(literal):
@@ -127,13 +131,16 @@ def _reject_constant(literal):
 
 def load_config(path):
     """Parse a JSON config; the non-standard literals NaN, Infinity and
-    -Infinity, which ``json`` would accept, are a ConfigError."""
+    -Infinity, which ``json`` would accept, are a ConfigError, as is a file
+    that cannot be read or parsed."""
     try:
         with open(path) as f:
             return json.load(f, parse_constant=_reject_constant)
-    except FileNotFoundError:
-        raise ConfigError("/", f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError("/", f"cannot read the config file: {exc}") from None
+    except ConfigError:
+        raise
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer of over 4300 digits
         raise ConfigError("/", f"invalid JSON: {exc}") from None
 
 
@@ -171,15 +178,15 @@ def build_model(cfg, pointer="/model", base_dir="."):
         except (ValueError, OSError) as exc:
             raise ConfigError(pointer, str(exc)) from None
         return ResolvedModel("pairs", initial=initial, predicted=predicted)
-    lambda_box = _get(cfg, "lambda_box", pointer, list, default=[[1.9, 2.1], [0.5, 1.5]])
+    options = dict(
+        x_star=_get(cfg, "x_star", pointer, float, default=1.2),
+        t_star=_get(cfg, "t_star", pointer, float, default=0.01),
+        truncation=_get(cfg, "truncation", pointer, int, default=100),
+        lambda_box=_get(cfg, "lambda_box", pointer, list, default=[[1.9, 2.1], [0.5, 1.5]]),
+        standard_physics=_get(cfg, "standard_physics", pointer, bool, default=False),
+    )
     try:
-        model = HeatRod(
-            x_star=_get(cfg, "x_star", pointer, float, default=1.2),
-            t_star=_get(cfg, "t_star", pointer, float, default=0.01),
-            truncation=_get(cfg, "truncation", pointer, int, default=100),
-            lambda_box=tuple(tuple(b) for b in lambda_box),
-            standard_physics=_get(cfg, "standard_physics", pointer, bool, default=False),
-        )
+        model = HeatRod(**options)
     except (TypeError, ValueError) as exc:
         raise ConfigError(pointer, str(exc)) from None
     return ResolvedModel("heat_rod", model=model)
@@ -214,29 +221,22 @@ def build_target(cfg, seed, pointer="/target", base_dir="."):
         except (ValueError, OSError) as exc:
             raise ConfigError(pointer, str(exc)) from None
         return ResolvedTarget(EmpiricalTarget(samples), observed=samples)
+    if kind == "normal":
+        law, args = NormalTarget, [_get(cfg, k, pointer, float) for k in ("mu", "sigma")]
+    elif kind == "uniform":
+        law, args = UniformTarget, [_get(cfg, k, pointer, float) for k in ("low", "high")]
+    else:
+        law, args = MixtureOfUniforms, [_get(cfg, "components", pointer, list)]
+    m = _get(cfg, "m", pointer, int, default=None, low=1)
+    target_seed = _get(cfg, "seed", pointer, int, default=None, low=0)
     try:
-        if kind == "normal":
-            exact = NormalTarget(
-                _get(cfg, "mu", pointer, float), _get(cfg, "sigma", pointer, float)
-            )
-        elif kind == "uniform":
-            exact = UniformTarget(
-                _get(cfg, "low", pointer, float), _get(cfg, "high", pointer, float)
-            )
-        else:
-            comps = _get(cfg, "components", pointer, list)
-            exact = MixtureOfUniforms(tuple(tuple(c) for c in comps))
-    except (TypeError, ValueError) as exc:
+        exact = law(*args)
+        if m is None:
+            return ResolvedTarget(exact, exact=exact)
+        seeds = np.random.SeedSequence((seed, 11) if target_seed is None else target_seed)
+        observed = exact.sample(m, np.random.default_rng(seeds))
+    except (TypeError, ValueError) as exc:  # out of range, or samples that overflow
         raise ConfigError(pointer, str(exc)) from None
-    m = _get(cfg, "m", pointer, int, default=None)
-    if m is None:
-        return ResolvedTarget(exact, exact=exact)
-    if m < 1:
-        raise ConfigError(f"{pointer}/m", f"m must be positive, got {m}")
-    target_seed = _number(cfg, "seed", pointer, int, None, 0)
-    if target_seed is None:
-        target_seed = (seed, 11)
-    observed = exact.sample(m, np.random.default_rng(np.random.SeedSequence(target_seed)))
     return ResolvedTarget(EmpiricalTarget(observed), observed=observed, exact=exact)
 
 
@@ -262,20 +262,16 @@ class SolveConfig:
 def build_solve_config(cfg, base_dir="."):
     if not isinstance(cfg, dict):
         raise ConfigError("/", "config must be a JSON object")
-    seed = _number(cfg, "seed", "", int, 0, 0)
+    seed = _get(cfg, "seed", "", int, default=0, low=0)
     model = build_model(_get(cfg, "model", "", dict), base_dir=base_dir)
     target = build_target(_get(cfg, "target", "", dict), seed, base_dir=base_dir)
     _check_target_dim(target.target, model)
+    dim = target.target.dim
     initial_cfg = _get(cfg, "initial", "", dict, default={})
-    if initial_cfg:
-        _get(initial_cfg, "kind", "/initial", str, default="uniform", choices={"uniform"})
-    n_initial = _get(initial_cfg, "n", "/initial", int, default=2000)
-    if n_initial < 1:
-        raise ConfigError("/initial/n", f"n must be positive, got {n_initial}")
+    _get(initial_cfg, "kind", "/initial", str, default="uniform", choices={"uniform"})
     method = _get(cfg, "method", "", dict, default={})
-    p = _get(method, "p", "/method", int, default=40)
-    if p < 1:
-        raise ConfigError("/method/p", f"p must be positive, got {p}")
+    output = _get(cfg, "output", "", dict, default={})
+
     def _box_option(key):
         raw = _get(method, key, "/method", list, default=None)
         if raw is None:
@@ -284,45 +280,42 @@ def build_solve_config(cfg, base_dir="."):
             box = as_box(raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"/method/{key}", str(exc)) from None
-        if box.dim != target.target.dim:
-            raise ConfigError(f"/method/{key}", f"a {box.dim}-D box for {target.target.dim}-D data")
+        if box.dim != dim:
+            raise ConfigError(f"/method/{key}", f"a {box.dim}-D box for {dim}-D data")
         return box
 
-    partition_box = _box_option("partition_box")
-    data_box = _box_option("data_box")
     cells_per_dim = _get(method, "cells_per_dim", "/method", list, default=None)
-    if cells_per_dim is not None and not (cells_per_dim and all(
-        isinstance(c, int) and _is_positive_number(c) for c in cells_per_dim
+    if cells_per_dim is not None and not (len(cells_per_dim) == dim and all(
+        isinstance(c, int) and not isinstance(c, bool) and c >= 1 for c in cells_per_dim
     )):
-        raise ConfigError(
-            "/method/cells_per_dim", f"expected positive integers, got {cells_per_dim!r}"
-        )
-    output = _get(cfg, "output", "", dict, default={})
+        raise ConfigError("/method/cells_per_dim", f"expected an integer >= 1 per dimension "
+                          f"of the {dim}-D data, got {cells_per_dim!r}")
     kde_rule = _get(method, "kde_rule", "/method", default="scott")
-    if kde_rule not in ("scott", "silverman") and not _is_positive_number(kde_rule):
-        raise ConfigError(
-            "/method/kde_rule",
-            f"expected 'scott', 'silverman' or a positive bandwidth, got {kde_rule!r}",
-        )
-    min_fill = _get(
-        method, "min_fill", "/method", str, default="proportional",
-        choices={"proportional", "at_least_one", "none"},
-    )
+    if isinstance(kde_rule, str):
+        _get(method, "kde_rule", "/method", default="scott", choices={"scott", "silverman"})
+    else:  # a fixed bandwidth h; the kernel variance h * h must be a positive float
+        h = _get(method, "kde_rule", "/method", float, low=0)
+        if not 0 < h * h < math.inf:
+            raise ConfigError("/method/kde_rule",
+                              f"expected a bandwidth whose square is a positive float, got {h!r}")
     return SolveConfig(
         seed=seed,
         model=model,
         target=target,
-        n_initial=n_initial,
-        p=p,
-        partition_box=partition_box,
-        data_box=data_box,
+        n_initial=_get(initial_cfg, "n", "/initial", int, default=2000, low=1),
+        p=_get(method, "p", "/method", int, default=40, low=1),
+        partition_box=_box_option("partition_box"),
+        data_box=_box_option("data_box"),
         cells_per_dim=cells_per_dim,
-        n_batch=_number(method, "n_batch", "/method", int, None, 1),
-        min_fill=min_fill,
-        weight_floor=_get(method, "weight_floor", "/method", float, default=1e-6),
-        padding=_number(method, "padding", "/method", float, 1e-3, 0.0),
+        n_batch=_get(method, "n_batch", "/method", int, default=None, low=1),
+        min_fill=_get(
+            method, "min_fill", "/method", str, default="proportional",
+            choices={"proportional", "at_least_one", "none"},
+        ),
+        weight_floor=_get(method, "weight_floor", "/method", float, default=1e-6, low=0),
+        padding=_get(method, "padding", "/method", float, default=1e-3, low=0),
         kde_rule=kde_rule,
-        pushforward_grid=_number(output, "pushforward_grid", "/output", int, 512, 1),
+        pushforward_grid=_get(output, "pushforward_grid", "/output", int, default=512, low=1),
         raw=cfg,
     )
 
@@ -333,27 +326,23 @@ def build_convergence_spec(cfg, base_dir="."):
 
     if not isinstance(cfg, dict):
         raise ConfigError("/", "spec must be a JSON object")
-    seed = _number(cfg, "seed", "", int, 0, 0)
-    model_cfg = _get(cfg, "model", "", dict, default={"kind": "heat_rod"})
-    model = build_model(model_cfg, base_dir=base_dir)
+    seed = _get(cfg, "seed", "", int, default=0, low=0)
+    model = build_model(_get(cfg, "model", "", dict, default={"kind": "heat_rod"}), base_dir=base_dir)
     if not model.live:
         raise ConfigError("/model/kind", "the convergence study needs a live model")
     if "target" in cfg:
-        target = build_target(cfg["target"], seed, base_dir=base_dir)
+        target = build_target(_get(cfg, "target", "", dict), seed, base_dir=base_dir)
         target_obj = target.exact if target.exact is not None else target.target
     else:
         target_obj = heat_rod_observed()
     _check_target_dim(target_obj, model)
-    kwargs = {}
-    for key, kind in (
-        ("n_grid", list), ("p_grid", list), ("trials", int),
-        ("region_a", list), ("region_b", list),
-        ("partition_kind", str), ("m_observed", int),
-        ("baseline_n", int), ("baseline_trials", int),
-        ("weight_floor", float), ("padding", float),
-    ):
-        if key in cfg:
-            kwargs[key] = _get(cfg, key, "", kind)
+    kwargs = {key: _get(cfg, key, "", kind) for key, kind in (
+        ("n_grid", list), ("p_grid", list), ("trials", int), ("region_a", list),
+        ("partition_kind", str), ("m_observed", int), ("baseline_n", int),
+        ("baseline_trials", int), ("weight_floor", float), ("padding", float),
+    ) if key in cfg}
+    # a null region_b, the default, is the image of region_a
+    kwargs["region_b"] = _get(cfg, "region_b", "", list, default=None)
     try:
         return ConvergenceSpec(seed=seed, model=model.model, target=target_obj, **kwargs)
     except ConfigError:

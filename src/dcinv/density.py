@@ -14,6 +14,7 @@ import numpy as np
 
 from .core import Normalization, SampleSet, WeightedPairs, WeightVector, as_box, as_points
 from .models import _sample_pair
+from .solver import WeightCollapseError
 
 DENSITY_FLOOR = 1e-300
 COV_EPS = 1e-12
@@ -365,7 +366,7 @@ class DensitySolution(WeightedPairs):
         """Self-normalized ratios on the initial samples (sum to one)."""
         total = float(np.sum(self.r_values))
         if total <= 0:
-            raise ValueError("all density ratios are zero")
+            raise WeightCollapseError("all density ratios are zero")
         return WeightVector(self.r_values / total, Normalization.SUM_ONE)
 
 

@@ -90,6 +90,8 @@ class ConvergenceSpec:
             raise ConfigError("/padding", f"expected a finite number >= 0, got {self.padding}")
         if self.partition_kind not in ("grid", "kmeans"):
             raise ConfigError("/partition_kind", f"unknown partition kind {self.partition_kind!r}")
+        if self.partition_kind == "kmeans" and self.p_grid[-1] > self.n_grid[0]:
+            raise ConfigError("/p_grid", f"{self.p_grid[-1]} k-means cells for {self.n_grid[0]} samples")
         target = as_target(self.target)
         if not is_exact(target) and target.m < 2:
             raise ConfigError("/target", f"needs at least 2 observed samples, got {target.m}")

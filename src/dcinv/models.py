@@ -50,7 +50,10 @@ class HeatRod:
     standard_physics: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "lambda_box", tuple(tuple(map(float, b)) for b in self.lambda_box))
+        box = as_box(self.lambda_box)
+        if box.dim != 2:
+            raise ValueError(f"lambda_box needs a row for each of ell and kappa, got {box.dim}")
+        object.__setattr__(self, "lambda_box", tuple(zip(box.lower.tolist(), box.upper.tolist())))
         if self.truncation < 1:
             raise ValueError(f"truncation must be >= 1, got {self.truncation}")
         ell_min = self.lambda_box[0][0]

@@ -58,8 +58,8 @@ class NonPositiveDefiniteError(np.linalg.LinAlgError):
 
 
 class WeightCollapseError(RuntimeError):
-    """Every weight of the final iterate is zero after clipping negatives, so
-    the weights cannot be normalized."""
+    """Every weight is zero, so the weights cannot be normalized: the QP's
+    final iterate after clipping negatives, or every density ratio."""
 
 
 def _cholesky_or_pivot(mat):

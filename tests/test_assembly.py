@@ -328,6 +328,20 @@ def test_assemble_qp_with_box_scaled_target():
     assert np.allclose(prob.b, [0.234375, 0.109375], atol=1e-14)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_assemble_qp_with_target_samples_whose_scale_overflows(d):
+    # scaling +-1e308 into a box of width 0.5 overflows; such a sample counts
+    # as one just outside the box, in full below it and not at all above it
+    rng = np.random.default_rng(29)
+    box = BoxScaler([0.25] * d, [0.75] * d)
+    pts = rng.uniform(size=(40, d))
+    far = rng.uniform(0.2, 0.8, size=(30, d))
+    far[:3, 0] = [-1e308, 1e308, -1e308]
+    near = np.clip(far, 0.0, 1.0)
+    problem = assemble_qp(pts, EmpiricalTarget(far), box=box)
+    assert np.array_equal(problem.b, assemble_b_empirical(problem.points, box.scale(near)))
+
+
 # Targets in unit-box coordinates u; each test maps them onto its data box.
 # The mixture's support leaves [0, 0.1] and [0.85, 1] of the box, with a gap
 # at [0.35, 0.55]; the uniform starts below the box and ends at 0.7.

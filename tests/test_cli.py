@@ -466,6 +466,17 @@ def test_single_observed_sample_is_a_config_error(tmp_path, capsys):
         assert record["kind"] == "ConfigError" and record["message"].startswith("/target/m: ")
 
 
+def test_single_initial_sample_is_a_config_error_for_the_density_method(tmp_path, capsys):
+    # the predicted KDE would get one sample
+    cfg = write_config(tmp_path / "cfg.json", initial={"kind": "uniform", "n": 1})
+    for argv in (["solve", "--method", "density", "--out", str(tmp_path / "o")], ["diagnose"]):
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert error_record(capsys) == {
+            "exit_code": 2, "kind": "ConfigError",
+            "message": "/initial/n: needs at least 2 initial samples, got 1",
+        }
+
+
 def write_pairs_2d_config(tmp_path):
     """Config of a ``pairs`` model with 2-D data and an observed-sample target."""
     rng = np.random.default_rng(19)
@@ -526,6 +537,7 @@ def test_convergence_target_of_another_dimension_is_a_config_error(tmp_path, cap
     ({"p_grid": [0, 5]}, "/p_grid: expected strictly increasing integers >= 1, got [0, 5]"),
     ({"region_a": [[2.01, 2.02]]}, "/region_a: a 1-D box in a 2-D space"),
     ({"region_b": [[2.3, 2.4], [0.0, 1.0]]}, "/region_b: a 2-D box in a 1-D space"),
+    ({"partition_kind": "kmeans", "p_grid": [5, 300]}, "/p_grid: 300 k-means cells for 200 samples"),
 ])
 def test_convergence_spec_out_of_range_is_a_config_error(tmp_path, capsys, overrides, message):
     spec = write_spec(tmp_path / "spec.json", **overrides)
@@ -653,6 +665,22 @@ BAD_OPTIONS = [
     ("density", {"method": {"kde_rule": True}}, "/method/kde_rule"),
     ("binning-kmeans", {"initial": {"kind": "uniform", "n": 200}, "method": {"p": 500}},
      "/method/p"),
+    # a fixed bandwidth whose square, the kernel variance, underflows or overflows
+    ("density", {"method": {"kde_rule": 1e-300}}, "/method/kde_rule"),
+    ("density", {"method": {"kde_rule": 1e308}}, "/method/kde_rule"),
+    # at t_star = 1e308 every predicted value is the same, one distinct point for 20 cells
+    ("binning-kmeans", {"model": {"kind": "heat_rod", "t_star": 1e308}}, "/method/p"),
+    # a negative floor keeps cells of zero weight, and at_least_one fills them
+    ("binning-grid", {"method": {"p": 20, "weight_floor": -1}}, "/method/weight_floor"),
+    ("naive", {"model": {"kind": "heat_rod", "lambda_box": []}}, "/model"),
+    ("naive", {"model": {"kind": "heat_rod", "lambda_box": [[1.9, 2.1]]}}, "/model"),
+    # samples of N(2.39, 1e308) overflow to infinity
+    ("naive", {"target": {"kind": "normal", "mu": 2.39, "sigma": 1e308, "m": 50}}, "/target"),
+    # a null passes only where the default is null
+    ("naive", {"model": None}, "/model"),
+    ("naive", {"method": None}, "/method"),
+    ("naive", {"initial": {"kind": "uniform", "n": None}}, "/initial/n"),
+    ("naive", {"target": {"kind": "normal", "mu": None, "sigma": 0.035}}, "/target/mu"),
 ]
 
 
@@ -664,6 +692,28 @@ def test_out_of_range_option_is_a_config_error(tmp_path, capsys, method, overrid
     assert record["exit_code"] == 2 and record["kind"] == "ConfigError"
     assert record["message"].startswith(f"{pointer}: ")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("mu", [-1e308, 1e308])
+def test_target_samples_that_overflow_the_data_box_scale(tmp_path, mu):
+    # the target samples are finite but overflow when scaled into the data
+    # box; the fit counts them as below or above every predicted value
+    cfg = write_config(tmp_path / "cfg.json",
+                       target={"kind": "normal", "mu": mu, "sigma": 0.035, "m": 50})
+    for method in ("naive", "binning-grid"):
+        out = tmp_path / method
+        assert main(["solve", "--method", method, "--config", str(cfg), "--out", str(out)]) == 0
+
+
+def test_density_ratios_all_zero_exit_3(tmp_path, capsys):
+    # no predicted value comes near the target, so every observed-KDE value is zero
+    cfg = write_config(tmp_path / "cfg.json", target={"kind": "normal", "mu": -1, "sigma": 0.035, "m": 50})
+    out = tmp_path / "o"
+    assert main(["solve", "--method", "density", "--config", str(cfg), "--out", str(out)]) == 3
+    assert error_record(capsys) == {
+        "exit_code": 3, "kind": "WeightCollapseError", "message": "all density ratios are zero",
+    }
+    assert not out.exists()
 
 
 def test_ignored_max_iter_key_still_loads(tmp_path):
@@ -700,6 +750,22 @@ def test_non_finite_json_literal_is_a_config_error(tmp_path, capsys, overrides, 
         "message": f"/: {literal} is not a JSON number; use a finite value",
     }
     assert not out.exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "/: cannot read the config file: "),  # a directory
+    (b"\xff\xfe", "/: invalid JSON: 'utf-8' codec can't decode"),
+    (b'{"seed": 1' + b"0" * 5000 + b"}", "/: invalid JSON: Exceeds the limit (4300 digits)"),
+])
+def test_unreadable_config_file_is_a_config_error(tmp_path, capsys, content, message):
+    path = tmp_path / "cfg.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["solve", "--method", "naive", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    record = error_record(capsys)
+    assert record["kind"] == "ConfigError" and record["message"].startswith(message)
 
 
 def test_non_finite_json_literal_in_a_spec_is_a_config_error(tmp_path, capsys):
