@@ -11,11 +11,14 @@ Human-readable progress goes to stderr; stdout and files carry machine-
 readable data only. Every run writes meta.json with the toolkit version, the
 fully resolved config, all seeds, solver residuals, and wall-clock timing;
 with the same config and seed all result files are byte-identical across
-runs (wall-clock lives only in meta.json's "timing" block).
+runs (wall-clock lives only in meta.json's "timing" block). ``io`` writes
+the files in its formats. ``--out`` is checked before the run and created
+only once the run has succeeded, so a failed run leaves no directory.
 
-Exit codes: 0 success; 2 config error; 3 solver failure (matrix not
-positive definite, all weights or density ratios zero, all cell weights at
-or below the floor) or non-convergence; 4 unreachable cell; 5 diagnostic
+Exit codes: 0 success; 2 config error (``--out`` included); 3 solver failure
+(matrix not positive definite, all weights or density ratios zero, all cell
+weights at or below the floor, a KDE bandwidth matrix that is not finite) or
+non-convergence; 4 unreachable cell; 5 diagnostic
 outside [0.8, 1.2] (diagnose, or an untrustworthy convergence-study
 baseline). ``FAILURES`` maps each failure to its code in one place, for
 every subcommand: a failing ``solve``, ``diagnose`` or ``convergence``
@@ -51,9 +54,11 @@ from .binning import (
 )
 from .config import ConfigError, build_convergence_spec, build_solve_config, load_config
 from .core import grid_points
-from .density import solve_density
+from .density import BandwidthError, solve_density
 from .edf import as_cdf_callable, wedf_eval_many
-from .experiments import UntrustworthyBaselineError, _jsonify, run_convergence
+from .experiments import UntrustworthyBaselineError, run_convergence
+from .io import OutputDirError, check_output_dir, make_output_dir, write_csv
+from .io import write_json as _write_json  # traced by this name as a "cli" span
 from .models import UniformBoxSampler, draw_pairs
 from .solver import NonPositiveDefiniteError, WeightCollapseError
 
@@ -64,7 +69,6 @@ EXIT_UNREACHABLE = 4
 EXIT_DIAGNOSTIC = 5
 
 METHODS = ("naive", "binning-grid", "binning-kmeans", "density")
-CSV_BLOCK_ROWS = 8192
 
 
 class NotConverged(RuntimeError):
@@ -78,11 +82,13 @@ class NotConverged(RuntimeError):
 # ConfigError. Any other exception is a bug and propagates.
 FAILURES = (
     (ConfigError, EXIT_CONFIG, None),
+    (OutputDirError, EXIT_CONFIG, "--out"),
     (DataBoxError, EXIT_CONFIG, "/method/data_box"),
     (PartitionBoxError, EXIT_CONFIG, "/method/partition_box"),
     (KMeansCellsError, EXIT_CONFIG, "/method/p"),
     *[(cls, EXIT_NONCONVERGED, "solver failure") for cls in (
-        NonPositiveDefiniteError, WeightCollapseError, AllWeightsFlooredError, NotConverged)],
+        NonPositiveDefiniteError, WeightCollapseError, AllWeightsFlooredError, BandwidthError,
+        NotConverged)],
     (UnreachableCellError, EXIT_UNREACHABLE, "unreachable cell"),
     (UntrustworthyBaselineError, EXIT_DIAGNOSTIC, "aborted"),
 )
@@ -107,55 +113,20 @@ def _fail(exc):
     return exit_code
 
 
-def _write_json(path, payload):
-    with open(path, "w") as f:
-        f.write(json.dumps(_jsonify(payload), sort_keys=True, indent=1) + "\n")
-
-
-def _write_csv(path, header, columns, index=False):
-    """Write ``header`` and then one row per entry of the 1-D ``columns``.
-
-    Format: an optional leading integer row index (``%d``), then every
-    column as ``%.17g`` (enough digits for a bit-exact round trip), comma
-    separated, LF line endings. Rows are formatted CSV_BLOCK_ROWS at a time,
-    which keeps the Python floats and strings of one block in memory, not
-    those of the whole file.
-    """
-    n = len(columns[0])
-    fmt = ",".join((["%d"] if index else []) + ["%.17g"] * len(columns)) + "\n"
-    with open(path, "w", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        for start in range(0, n, CSV_BLOCK_ROWS):
-            stop = min(start + CSV_BLOCK_ROWS, n)
-            block = [c[start:stop].tolist() for c in columns]
-            if index:
-                block.insert(0, range(start, stop))
-            f.writelines(map(fmt.__mod__, zip(*block)))
-
-
 def _write_weights_csv(path, initial, predicted, weights):
-    d_in = initial.shape[1]
-    d_out = predicted.shape[1]
-    header = (
-        ["index"]
-        + [f"x{k + 1}" for k in range(d_in)]
-        + [f"q{k + 1}" for k in range(d_out)]
-        + ["weight"]
-    )
-    columns = [initial[:, k] for k in range(d_in)] + [predicted[:, k] for k in range(d_out)]
-    _write_csv(path, header, columns + [np.asarray(weights)], index=True)
+    header = ["index", *(f"x{k + 1}" for k in range(initial.shape[1])),
+              *(f"q{k + 1}" for k in range(predicted.shape[1])), "weight"]
+    write_csv(path, header, [np.arange(len(weights)), *initial.T, *predicted.T, np.asarray(weights)])
 
 
 def _write_pushforward_csv(path, pushforward, target_cdf, box, grid):
     pts = grid_points([np.linspace(box.lower[k], box.upper[k], grid) for k in range(box.dim)])
-    f_method = wedf_eval_many(pushforward, pts)
-    f_target = target_cdf(pts) if target_cdf is not None else None
     header = [f"q{k + 1}" for k in range(box.dim)] + ["f_method"]
-    columns = [pts[:, k] for k in range(box.dim)] + [f_method]
-    if f_target is not None:
+    columns = [*pts.T, wedf_eval_many(pushforward, pts)]
+    if target_cdf is not None:
         header.append("f_target")
-        columns.append(f_target)
-    _write_csv(path, header, columns)
+        columns.append(target_cdf(pts))
+    write_csv(path, header, columns)
 
 
 def _sample_pairs(cfg, seed):
@@ -182,6 +153,7 @@ def _solve_density(cfg):
 
 
 def _cmd_solve(args):
+    check_output_dir(args.out)
     cfg = build_solve_config(load_config(args.config), base_dir=os.path.dirname(args.config) or ".")
     t_start = time.perf_counter()
     meta = {
@@ -225,7 +197,7 @@ def _cmd_solve(args):
     box = sol.box
     if box is None:  # the density method fits no QP, so the tail finds its box here
         box = _data_box(sol.predicted.points, cfg.data_box, cfg.padding)
-    os.makedirs(args.out, exist_ok=True)
+    make_output_dir(args.out)
     _write_weights_csv(
         os.path.join(args.out, "weights.csv"), sol.initial.points, sol.predicted.points,
         weights.weights,
@@ -272,6 +244,7 @@ def _cmd_diagnose(args):
 def _cmd_convergence(args):
     if args.threads < 1:
         raise ConfigError("--threads", f"expected an integer >= 1, got {args.threads}")
+    check_output_dir(args.out)
     spec = build_convergence_spec(load_config(args.spec), base_dir=os.path.dirname(args.spec) or ".")
     t_start = time.perf_counter()
     result = run_convergence(spec, progress=_log, threads=args.threads)

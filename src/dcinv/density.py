@@ -40,6 +40,10 @@ EXP_ZERO_AT = -746.0
 _WINDOW_REACH = float(np.sqrt(-2.0 * EXP_ZERO_AT)) * (1.0 + 1e-6)
 
 
+class BandwidthError(ValueError):
+    """The bandwidth matrix is not finite, symmetric and positive definite."""
+
+
 @dataclass(frozen=True)
 class KdeModel:
     """Gaussian product-kernel density estimate with a full bandwidth matrix."""
@@ -55,12 +59,14 @@ class KdeModel:
         d = self.points.dim
         if bw.shape != (d, d):
             raise ValueError(f"bandwidth matrix shape {bw.shape}, expected ({d}, {d})")
+        if not np.all(np.isfinite(bw)):  # NaN passes the two tests below
+            raise BandwidthError("bandwidth matrix must be finite")
         if np.max(np.abs(bw - bw.T)) > 1e-12:
-            raise ValueError("bandwidth matrix must be symmetric")
+            raise BandwidthError("bandwidth matrix must be symmetric")
         try:
             chol = np.linalg.cholesky(bw)
         except np.linalg.LinAlgError:
-            raise ValueError("bandwidth matrix must be positive definite") from None
+            raise BandwidthError("bandwidth matrix must be positive definite") from None
         bw = bw.copy()
         bw.flags.writeable = False
         object.__setattr__(self, "bandwidth_matrix", bw)
@@ -173,7 +179,8 @@ class KdeModel:
         edges = np.linspace(lo, hi, BINNED_GRID + 1)
         counts, _ = np.histogram(x, bins=edges)
         centers = 0.5 * (edges[:-1] + edges[1:])
-        half = int(np.ceil(pad / delta))
+        # data spread far below h gives pad / delta ~ BINNED_GRID / 2: cap the kernel
+        half = min(int(np.ceil(pad / delta)), (BINNED_GRID - 1) // 2)
         offs = np.arange(-half, half + 1) * delta
         kernel = np.exp(-0.5 * (offs / h) ** 2) / (np.sqrt(2.0 * np.pi) * h)
         dens = np.convolve(counts, kernel, mode="same") / self.n

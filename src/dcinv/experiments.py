@@ -11,10 +11,9 @@ baseline trials, (seed, 2, t) study trials), so results are reproducible bit
 for bit and trials can run in any order or in parallel.
 """
 
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .config import ConfigError
 from .core import Normalization, SampleSet, WeightedEdf, as_box, fit_box, grid_points
 from .density import solve_density, update_probability
 from .edf import l2_distance, sup_distance
+from .io import json_text, make_output_dir, write_csv, write_json
 from .models import HeatRod, UniformBoxSampler, draw_pairs, eval_qoi, heat_rod_observed
 from .targets import EmpiricalTarget, as_target, is_exact
 
@@ -125,18 +125,6 @@ def derive_image_region(model, region_a):
     return tuple((float(vals[:, k].min()), float(vals[:, k].max())) for k in range(vals.shape[1]))
 
 
-def _jsonify(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    return value
-
-
 @dataclass(frozen=True)
 class ConvergenceResult:
     """Estimates, error surfaces, and reproducibility metadata of one study."""
@@ -165,43 +153,24 @@ class ConvergenceResult:
         }
 
     def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n"
+        return json_text(self.to_dict())
 
     def save(self, out_dir):
         """Write result.json and one CSV per surface (rows n, columns p)."""
-        os.makedirs(out_dir, exist_ok=True)
+        make_output_dir(out_dir)
         paths = [os.path.join(out_dir, "result.json")]
-        with open(paths[0], "w") as f:
-            f.write(self.to_json())
+        write_json(paths[0], self.to_dict())
+        header = ["n"] + [f"p={p}" for p in self.p_grid]
         for name, surface in sorted(self.surfaces.items()):
-            path = os.path.join(out_dir, f"surface_{name}.csv")
-            with open(path, "w") as f:
-                f.write("n," + ",".join(f"p={p}" for p in self.p_grid) + "\n")
-                for i, n in enumerate(self.n_grid):
-                    row = ",".join(f"{float(surface[i][j]):.17g}" for j in range(len(self.p_grid)))
-                    f.write(f"{n},{row}\n")
-            paths.append(path)
+            paths.append(os.path.join(out_dir, f"surface_{name}.csv"))
+            write_csv(paths[-1], header, [np.asarray(self.n_grid), *np.asarray(surface).T])
         return paths
 
 
 def _spec_dict(spec):
-    return _jsonify(
-        {
-            "n_grid": list(spec.n_grid),
-            "p_grid": list(spec.p_grid),
-            "trials": spec.trials,
-            "seed": spec.seed,
-            "region_a": [list(b) for b in spec.region_a],
-            "partition_kind": spec.partition_kind,
-            "model": repr(spec.model),
-            "target": repr(spec.target),
-            "m_observed": spec.m_observed,
-            "baseline_n": spec.baseline_n,
-            "baseline_trials": spec.baseline_trials,
-            "weight_floor": spec.weight_floor,
-            "padding": spec.padding,
-        }
-    )
+    """Every spec field but region_b (derived or not, it is in the result)."""
+    d = {f.name: getattr(spec, f.name) for f in fields(spec) if f.name != "region_b"}
+    return dict(d, model=repr(spec.model), target=repr(spec.target))
 
 
 def _baseline_trial(args):
@@ -271,11 +240,17 @@ def run_convergence(spec, progress=None, threads=1):
     model = spec.model
     target = as_target(spec.target)
     region_b = spec.region_b or derive_image_region(model, spec.region_a)
-    box_b = as_box(region_b)
+    try:
+        box_b = as_box(region_b)
+    except ValueError as exc:  # a derived image that is a point in some dimension
+        raise ConfigError("/region_b", f"the model image of region_a is not a box: {exc}") from None
 
     if is_exact(target):
         obs_rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 0)))
-        observed = target.sample(spec.m_observed, obs_rng)
+        try:
+            observed = target.sample(spec.m_observed, obs_rng)
+        except ValueError as exc:  # samples that overflow, as a solve config reports them
+            raise ConfigError("/target", str(exc)) from None
     else:
         observed = target.samples
     p_obs_b = float(np.mean(box_b.contains(observed.points)))
@@ -328,21 +303,19 @@ def run_convergence(spec, progress=None, threads=1):
         "abs_err_init_a": np.abs(est_init_a.mean(axis=0) - p_update_a),
         "std_init_a": _std(est_init_a),
     }
-    baselines = _jsonify(
-        {
-            "p_obs_b": p_obs_b,
-            "p_obs_b_exact": p_obs_b_exact,
-            "p_update_a": p_update_a,
-            "p_update_a_trials": p_update_trials,
-            "diagnostics": diagnostics,
-            "n": spec.baseline_n,
-            "m": observed.n,
-            "trials": spec.baseline_trials,
-            "kde_evaluation": "binned",
-            "seed_keys": [[spec.seed, 1, t] for t in range(spec.baseline_trials)],
-            "observed_seed_key": [spec.seed, 0] if is_exact(target) else None,
-        }
-    )
+    baselines = {
+        "p_obs_b": p_obs_b,
+        "p_obs_b_exact": p_obs_b_exact,
+        "p_update_a": p_update_a,
+        "p_update_a_trials": p_update_trials,
+        "diagnostics": diagnostics,
+        "n": spec.baseline_n,
+        "m": observed.n,
+        "trials": spec.baseline_trials,
+        "kde_evaluation": "binned",
+        "seed_keys": [[spec.seed, 1, t] for t in range(spec.baseline_trials)],
+        "observed_seed_key": [spec.seed, 0] if is_exact(target) else None,
+    }
     return ConvergenceResult(
         spec_dict=_spec_dict(spec),
         region_a=spec.region_a,
@@ -421,32 +394,29 @@ def compare_methods(model, target, n, m, p, seed, methods=METHOD_NAMES):
         row["weight_variance"] = float(np.var(mean_one))
         if sol is not None and sol.qp_solution is not None:
             row["solver_residual"] = sol.qp_solution.kkt.stationarity_residual
-        rows.append(_jsonify({k: row[k] for k in ROW_KEYS if k in row}))
+        rows.append({k: row[k] for k in ROW_KEYS if k in row})
     return rows
 
 
 def write_comparison(rows, out_dir):
-    """Write comparison rows as CSV and JSON; returns the file paths."""
-    os.makedirs(out_dir, exist_ok=True)
-    keys = []
-    for row in rows:
-        for k in row:
-            if k not in keys:
-                keys.append(k)
+    """Write comparison rows as CSV and JSON; returns the file paths.
+
+    The CSV columns are the keys in the order they first appear across the
+    rows. A column mixes method names, integers, floats (``%.17g``) and
+    blanks where a method has no such field, so the rows are formatted here
+    cell by cell, not by ``io.write_csv``, which types whole columns.
+    """
+    make_output_dir(out_dir)
+    keys = list(dict.fromkeys(k for row in rows for k in row))
+
+    def cell(row, key):
+        value = row.get(key, "")
+        return f"{value:.17g}" if isinstance(value, float) else str(value)
+
     csv_path = os.path.join(out_dir, "comparison.csv")
     with open(csv_path, "w") as f:
         f.write(",".join(keys) + "\n")
-        for row in rows:
-            f.write(
-                ",".join(
-                    ""
-                    if k not in row
-                    else (f"{row[k]:.17g}" if isinstance(row[k], float) else str(row[k]))
-                    for k in keys
-                )
-                + "\n"
-            )
+        f.writelines(",".join(cell(row, k) for k in keys) + "\n" for row in rows)
     json_path = os.path.join(out_dir, "comparison.json")
-    with open(json_path, "w") as f:
-        f.write(json.dumps(rows, sort_keys=True, indent=1) + "\n")
+    write_json(json_path, rows)
     return [csv_path, json_path]

@@ -1,23 +1,79 @@
-"""CSV sample files.
+"""Sample files and result files: the one module that knows their formats.
 
-Format: first row is a header ``x1,...,xd`` (any prefix is accepted when
-reading), one sample per row, decimal floats, no missing values. Floats are
-written with 17 significant digits so a save/load round trip is bit-exact.
+CSV (``write_csv``: sample files, ``weights.csv``, ``pushforward.csv``,
+``surface_*.csv``): a header row, then one row per entry of the 1-D columns,
+an integer column as ``%d`` and any other as ``%.17g`` (a bit-exact round
+trip), comma separated, LF line endings. Sample files have the header
+``x1,...,xd``; any prefix is accepted when reading. JSON (``write_json``:
+``meta.json``, ``result.json``, ``comparison.json``): keys sorted, indent 1,
+a trailing newline, numpy scalars and arrays as their ``tolist()``.
 """
 
 import csv
+import json
+import os
+
+import numpy as np
 
 from .core import SampleSet, as_points
+
+CSV_BLOCK_ROWS = 8192
+
+
+class OutputDirError(ValueError):
+    """An output directory path names an existing file or lies under one."""
+
+
+def write_csv(path, header, columns):
+    """Write ``header`` and then one row per entry of the 1-D arrays ``columns``.
+
+    Rows are formatted CSV_BLOCK_ROWS at a time, which keeps the Python
+    numbers and strings of one block in memory, not those of the whole file.
+    """
+    n = len(columns[0])
+    fmt = ",".join("%d" if np.issubdtype(c.dtype, np.integer) else "%.17g" for c in columns) + "\n"
+    with open(path, "w", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, n, CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, n)
+            f.writelines(map(fmt.__mod__, zip(*[c[start:stop].tolist() for c in columns])))
+
+
+def _tolist(value):
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def json_text(payload):
+    """The JSON text of ``payload`` as every result file holds it."""
+    return json.dumps(payload, sort_keys=True, indent=1, default=_tolist) + "\n"
+
+
+def write_json(path, payload):
+    with open(path, "w") as f:
+        f.write(json_text(payload))
+
+
+def check_output_dir(path):
+    """Raise OutputDirError unless ``path`` is a directory or can be made one."""
+    head = os.path.abspath(path)
+    while not os.path.exists(head):  # the nearest existing ancestor
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise OutputDirError(f"{head} exists and is not a directory")
+
+
+def make_output_dir(path):
+    """Create the directory ``path`` and its parents unless they exist."""
+    check_output_dir(path)
+    os.makedirs(path, exist_ok=True)
 
 
 def save_samples(path, samples, prefix="x"):
     """Write a sample set to CSV with header ``<prefix>1..<prefix>d``."""
     pts = as_points(samples)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow([f"{prefix}{k + 1}" for k in range(pts.shape[1])])
-        for row in pts:
-            writer.writerow([f"{v:.17g}" for v in row])
+    write_csv(path, [f"{prefix}{k + 1}" for k in range(pts.shape[1])], list(pts.T))
 
 
 def load_samples(path):

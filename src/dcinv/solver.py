@@ -26,7 +26,6 @@ Weights are mean-one, so feasibility needs no scale.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .core import Normalization, WeightVector
 
@@ -188,6 +187,8 @@ def solve_qp(problem):
     WeightCollapseError
         If no weight stays positive once negatives are clipped.
     """
+    from scipy.linalg import cho_solve  # imported on first use: a cold CLI start skips scipy
+
     h, b = problem.h, problem.b
     ell = problem.size
     b_scale = float(np.max(np.abs(b)))

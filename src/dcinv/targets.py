@@ -11,7 +11,6 @@ and is consumed by the closed-form empirical assembly instead.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core import SampleSet, as_points
 
@@ -36,15 +35,15 @@ class NormalTarget:
     dim = 1
 
     def cdf(self, q):
+        from scipy.special import ndtr  # imported on first use: a cold CLI start skips scipy
+
         q = np.asarray(q, dtype=float)
         return ndtr((q - self.mu) / self.sigma)
 
-    def pdf(self, q):
-        q = np.asarray(q, dtype=float)
-        return _norm_pdf((q - self.mu) / self.sigma) / self.sigma
-
     def integral_of_cdf(self, x):
         """Running integral I(x) = int_{-inf}^x cdf(t) dt (up to a constant)."""
+        from scipy.special import ndtr
+
         x = np.asarray(x, dtype=float)
         z = (x - self.mu) / self.sigma
         return self.sigma * (z * ndtr(z) + _norm_pdf(z))
@@ -119,13 +118,6 @@ class MixtureOfUniforms:
         out = np.zeros_like(q, dtype=float)
         for w, a, b in self.components:
             out += w * np.clip((q - a) / (b - a), 0.0, 1.0)
-        return out
-
-    def pdf(self, q):
-        q = np.asarray(q, dtype=float)
-        out = np.zeros_like(q, dtype=float)
-        for w, a, b in self.components:
-            out += np.where((q > a) & (q <= b), w / (b - a), 0.0)
         return out
 
     def integral_of_cdf(self, x):

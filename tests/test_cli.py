@@ -1,10 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from dcinv import cli, solver
+from dcinv import cli, io, solver
 from dcinv.cli import main
 from dcinv.core import BoxScaler, SampleSet, WeightedEdf
 from dcinv.edf import wedf_eval_many
@@ -343,7 +345,7 @@ def _edge_columns(n, dim, rng):
 @pytest.mark.parametrize("n", [0, 1, 7, 23, 100])
 @pytest.mark.parametrize("d_in", [1, 2])
 def test_weights_csv_matches_row_writer(tmp_path, monkeypatch, n, d_in):
-    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)  # n = 23 and 100 span several blocks
+    monkeypatch.setattr(io, "CSV_BLOCK_ROWS", 7)  # n = 23 and 100 span several blocks
     rng = np.random.default_rng(1000 * n + d_in)
     initial = _edge_columns(n, d_in, rng)
     predicted = _edge_columns(n, 1, rng)
@@ -354,7 +356,7 @@ def test_weights_csv_matches_row_writer(tmp_path, monkeypatch, n, d_in):
 
 
 def test_weights_csv_default_block_size(tmp_path):
-    n = cli.CSV_BLOCK_ROWS * 2 + 5
+    n = io.CSV_BLOCK_ROWS * 2 + 5
     rng = np.random.default_rng(3)
     initial = rng.uniform(size=(n, 2))
     predicted = rng.uniform(size=(n, 1))
@@ -367,7 +369,7 @@ def test_weights_csv_default_block_size(tmp_path):
 @pytest.mark.parametrize("with_target", [True, False])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_pushforward_csv_matches_row_writer(tmp_path, monkeypatch, with_target, dim):
-    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 5)
+    monkeypatch.setattr(io, "CSV_BLOCK_ROWS", 5)
     rng = np.random.default_rng(dim)
     samples = SampleSet(rng.uniform(size=(40, dim)))
     pushforward = WeightedEdf.plain(samples)
@@ -538,6 +540,13 @@ def test_convergence_target_of_another_dimension_is_a_config_error(tmp_path, cap
     ({"region_a": [[2.01, 2.02]]}, "/region_a: a 1-D box in a 2-D space"),
     ({"region_b": [[2.3, 2.4], [0.0, 1.0]]}, "/region_b: a 2-D box in a 1-D space"),
     ({"partition_kind": "kmeans", "p_grid": [5, 300]}, "/p_grid: 300 k-means cells for 200 samples"),
+    # observed samples of N(2.39, 1e308) overflow to infinity, as in a solve config
+    ({"target": {"kind": "normal", "mu": 2.39, "sigma": 1e308, "m": None}},
+     "/target: points must be finite"),
+    # at t_star = 1e308 every predicted value is 0, so the derived region_b is a point
+    ({"model": {"kind": "heat_rod", "t_star": 1e308}},
+     "/region_b: the model image of region_a is not a box: "
+     "upper must exceed lower in every component; component 0: [0.0, 0.0]"),
 ])
 def test_convergence_spec_out_of_range_is_a_config_error(tmp_path, capsys, overrides, message):
     spec = write_spec(tmp_path / "spec.json", **overrides)
@@ -714,6 +723,68 @@ def test_density_ratios_all_zero_exit_3(tmp_path, capsys):
         "exit_code": 3, "kind": "WeightCollapseError", "message": "all density ratios are zero",
     }
     assert not out.exists()
+
+
+# finite observed samples near 1e308 whose sample covariance overflows, so the
+# Scott bandwidth matrix is NaN
+OVERFLOWING_COVARIANCE_TARGET = {"kind": "normal", "mu": 1e308, "sigma": 0.035, "m": 50}
+NON_FINITE_BANDWIDTH = {
+    "exit_code": 3, "kind": "BandwidthError", "message": "bandwidth matrix must be finite",
+}
+
+
+def test_density_solve_with_a_non_finite_bandwidth_exit_3(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", target=OVERFLOWING_COVARIANCE_TARGET)
+    out = tmp_path / "o"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = main(["solve", "--method", "density", "--config", str(cfg), "--out", str(out)])
+    assert code == 3
+    assert error_record(capsys) == NON_FINITE_BANDWIDTH
+    assert not out.exists()
+
+
+def test_diagnose_with_a_non_finite_bandwidth_exit_3(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", target=OVERFLOWING_COVARIANCE_TARGET)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["diagnose", "--config", str(cfg)]) == 3
+    assert error_record(capsys) == NON_FINITE_BANDWIDTH
+
+
+def refuse_to_run(*args, **kwargs):
+    raise AssertionError("the command ran before it checked --out")
+
+
+@pytest.mark.parametrize("below", ["", "sub"])
+@pytest.mark.parametrize("command", ["solve", "convergence"])
+def test_out_that_cannot_be_a_directory_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                                          command, below):
+    monkeypatch.setattr(cli, "solve_naive", refuse_to_run)
+    monkeypatch.setattr(cli, "run_convergence", refuse_to_run)
+    blocker = tmp_path / "results"
+    blocker.write_text("not a directory\n")
+    if command == "solve":
+        argv = ["solve", "--method", "naive", "--config", str(write_config(tmp_path / "cfg.json"))]
+    else:
+        argv = ["convergence", "--spec", str(write_spec(tmp_path / "spec.json"))]
+    before = sorted(tmp_path.iterdir())
+    assert main(argv + ["--out", str(blocker / below)]) == 2
+    assert error_record(capsys) == {
+        "exit_code": 2, "kind": "ConfigError",
+        "message": f"--out: {blocker} exists and is not a directory",
+    }
+    assert sorted(tmp_path.iterdir()) == before
+    assert blocker.read_text() == "not a directory\n"
+
+
+def test_import_cli_loads_no_scipy():
+    # scipy is imported where it is used, so a cold CLI start does without it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys, dcinv.cli; "
+            "print(sorted(m for m in ('scipy.special', 'scipy.linalg') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_ignored_max_iter_key_still_loads(tmp_path):

@@ -73,6 +73,23 @@ def test_kde_binned_matches_exact():
     assert np.max(np.abs(binned - exact) / exact.max()) < 5e-4
 
 
+def test_kde_binned_on_samples_and_queries_at_one_point():
+    # the data spread is nil beside the 8h pad, so pad / delta is about
+    # BINNED_GRID / 2; the kernel must stay shorter than the grid
+    model = KdeModel(SampleSet(np.full((50, 1), 2.0)), np.array([[1e-8]]), rule="fixed")
+    q = np.full((3, 1), 2.0)
+    binned = model.pdf(q, method="binned")
+    assert binned.shape == (3,)
+    np.testing.assert_allclose(binned, model.pdf(q), rtol=1e-3)
+
+
+def test_kde_rejects_a_non_finite_bandwidth():
+    # NaN compares false, so it passes the symmetry and Cholesky tests
+    for bw in (np.nan, np.inf):
+        with pytest.raises(density.BandwidthError, match="must be finite"):
+            KdeModel(SampleSet(np.zeros((3, 1))), np.array([[bw]]), rule="scott")
+
+
 def test_density_ratio_identical_models_is_one():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(100, 1))
