@@ -129,19 +129,30 @@ def assemble_h(samples):
 
     H_ij = (1/l^2) prod_k (1 - max(q_k^i, q_k^j)); exactly symmetric by
     construction. Raises if any coordinate is outside [0, 1] beyond 1e-12.
+
+    Each factor is written in one pass as min.outer(a_k, a_k) with
+    a_k = 1 - q_k, which is bit for bit the max form: x -> fl(1 - x) is
+    monotone non-increasing, so fl(1 - max(q, y)) = min(fl(1 - q), fl(1 - y)),
+    and under round-to-nearest 1 - x is never -0.0. Since 1.0 * x == x, the
+    product started from the first factor is bit for bit the product started
+    from ones.
+
+    At d = 1, x -> fl(x / l^2) is monotone non-decreasing too, so the scaling
+    is folded into the vector and H = min.outer(a / l^2, a / l^2): one write
+    pass, and H is the only (l x l) array. At d >= 2 the division stays last,
+    because fl(f_0 f_1 / L) and fl(fl(f_0 / L) f_1) differ in general; two
+    (l x l) arrays are alive.
     """
     pts = _check_unit_box(as_points(samples))
     ell, d = pts.shape
-    # 1.0 * x == x, so starting from the first factor is bit for bit the
-    # product started from ones; at most two (l x l) arrays are alive.
-    col = pts[:, 0]
-    h = np.maximum(col[:, None], col[None, :])
-    np.subtract(1.0, h, out=h)
-    tmp = np.empty_like(h) if d > 1 else None
+    a = 1.0 - pts.T  # (d, l)
+    if d == 1:
+        s = a[0] / (ell * ell)
+        return np.minimum.outer(s, s)
+    h = np.minimum.outer(a[0], a[0])
+    tmp = np.empty_like(h)
     for k in range(1, d):
-        col = pts[:, k]
-        np.maximum(col[:, None], col[None, :], out=tmp)
-        np.subtract(1.0, tmp, out=tmp)
+        np.minimum.outer(a[k], a[k], out=tmp)
         h *= tmp
     h /= ell * ell
     return h

@@ -17,8 +17,9 @@ only once the run has succeeded, so a failed run leaves no directory.
 
 Exit codes: 0 success; 2 config error (``--out`` included); 3 solver failure
 (matrix not positive definite, all weights or density ratios zero, all cell
-weights at or below the floor, a KDE bandwidth matrix that is not finite) or
-non-convergence; 4 unreachable cell; 5 diagnostic
+weights at or below the floor, a KDE bandwidth matrix that is not finite),
+non-convergence, or a run out of memory (a fitting matrix too large to
+allocate); 4 unreachable cell; 5 diagnostic
 outside [0.8, 1.2] (diagnose, or an untrustworthy convergence-study
 baseline). ``FAILURES`` maps each failure to its code in one place, for
 every subcommand: a failing ``solve``, ``diagnose`` or ``convergence``
@@ -26,9 +27,10 @@ writes a one-line reason to stderr and one JSON line to stdout
 
     {"error": {"exit_code": N, "kind": "<exception class>", "message": "..."}}
 
-where ``kind`` is ``NotConverged`` for a solve that ran out of iterations
-(its results are still written). ``diagnose`` exiting 5 prints its usual
-diagnostic record instead; it is a result, not a failure.
+where ``kind`` is the first public class of the exception (``MemoryError``
+for numpy's failed allocation), or ``NotConverged`` for a solve that ran
+out of iterations (its results are still written). ``diagnose`` exiting 5
+prints its usual diagnostic record instead; it is a result, not a failure.
 """
 
 import argparse
@@ -89,6 +91,7 @@ FAILURES = (
     *[(cls, EXIT_NONCONVERGED, "solver failure") for cls in (
         NonPositiveDefiniteError, WeightCollapseError, AllWeightsFlooredError, BandwidthError,
         NotConverged)],
+    (MemoryError, EXIT_NONCONVERGED, "out of memory"),
     (UnreachableCellError, EXIT_UNREACHABLE, "unreachable cell"),
     (UntrustworthyBaselineError, EXIT_DIAGNOSTIC, "aborted"),
 )
@@ -108,7 +111,8 @@ def _fail(exc):
             exc = ConfigError(label, str(exc))
         label = f"config error at {exc.pointer}"
     _log(f"{label}: {exc}")
-    error = {"exit_code": exit_code, "kind": type(exc).__name__, "message": str(exc)}
+    kind = next(c.__name__ for c in type(exc).__mro__ if not c.__name__.startswith("_"))
+    error = {"exit_code": exit_code, "kind": kind, "message": str(exc)}
     print(json.dumps({"error": error}))
     return exit_code
 

@@ -404,6 +404,30 @@ def test_h_bit_equal_to_product_from_ones(d, ell):
     assert_bits_equal(assemble_h(q), reference_h(q))
 
 
+# signed zeros, both box edges, the last double below 1 and the smallest subnormal
+EDGE_COORDS = [0.0, -0.0, 1.0, 1.0 - 2.0**-53, 5e-324]
+
+
+@pytest.mark.filterwarnings("ignore:.*duplicated sample")
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    ell=st.integers(1, 150),
+    distinct=st.integers(1, 150),
+    edge_rate=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_h_bit_equal_to_product_from_ones_on_edges_and_repeats(d, ell, distinct, edge_rate, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(size=(min(distinct, ell), d))
+    edge = rng.random(size=rows.shape) < edge_rate
+    rows[edge] = rng.choice(EDGE_COORDS, size=int(edge.sum()))
+    q = rows[rng.integers(0, len(rows), size=ell)]
+    assert_bits_equal(assemble_h(q), reference_h(q))
+    q = dedupe_jitter(q)
+    assert_bits_equal(assemble_h(q), reference_h(q))
+
+
 @pytest.mark.parametrize("d, arrays", [(1, 1), (2, 2), (3, 2)])
 def test_h_memory_is_bounded(d, arrays):
     q = np.random.default_rng(7).uniform(size=(1000, d))
@@ -413,9 +437,9 @@ def test_h_memory_is_bounded(d, arrays):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one (l x l) array at d = 1 and two at d >= 2; the product-from-ones
-    # form holds three
-    assert peak < (arrays + 0.5) * h.nbytes
+    # the result alone at d = 1 and two (l x l) arrays at d >= 2; the
+    # product-from-ones form holds three
+    assert peak < (arrays + (0.1 if d == 1 else 0.5)) * h.nbytes
 
 
 def reference_b_empirical(samples, target_samples):

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from dcinv import cli, io, solver
+from dcinv import assembly, cli, io, solver
 from dcinv.cli import main
 from dcinv.core import BoxScaler, SampleSet, WeightedEdf
 from dcinv.edf import wedf_eval_many
@@ -627,6 +627,32 @@ def test_error_record_exit_3(tmp_path, monkeypatch, capsys):
     assert main(["solve", "--method", "naive", "--config", str(cfg), "--out", str(tmp_path / "o3")]) == 3
     assert error_record(capsys)["kind"] == "NotConverged"
     assert (tmp_path / "o3" / "weights.csv").exists()
+
+
+class _ArrayMemoryError(MemoryError):
+    """Stands in for numpy's private MemoryError subclass of a failed allocation."""
+
+
+def test_out_of_memory_exit_3(tmp_path, monkeypatch, capsys):
+    # the fitting matrix is read by the certificate after the solve; raising
+    # in its place allocates nothing
+    message = "Unable to allocate 298. GiB for an array with shape (200000, 200000) and data type float64"
+
+    def refuse_to_allocate(samples):
+        raise _ArrayMemoryError(message)
+
+    monkeypatch.setattr(assembly, "assemble_h", refuse_to_allocate)
+    cfg = write_config(tmp_path / "cfg.json")
+    assert main(["solve", "--method", "naive", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert error_record(capsys) == {"exit_code": 3, "kind": "MemoryError", "message": message}
+    assert not (tmp_path / "o").exists()
+    spec = write_spec(tmp_path / "spec.json")
+    code = main(["convergence", "--spec", str(spec), "--out", str(tmp_path / "o2"), "--threads", "1"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines()[-1] == f"out of memory: {message}"
+    assert json.loads(captured.out)["error"]["kind"] == "MemoryError"
+    assert not (tmp_path / "o2").exists()
 
 
 def test_error_record_exit_4(tmp_path, capsys):
