@@ -25,10 +25,10 @@ from .models import _sample_pair
 from .solver import solve_isotonic, solve_qp
 from .targets import as_target
 
-DEFAULT_WEIGHT_FLOOR = 1e-6
 DEFAULT_MAX_BATCHES = 1000
 KMEANS_MAX_ITER = 100
-PIPELINE_PADDING = 1e-3  # keeps the extreme sample off the unit-box corner
+PIPELINE_PADDING = 1e-3  # widening of a fitted data box per side; see solve_naive
+WEIGHT_FLOOR = 1e-6  # cell weights at or below it count as zero; see distribute_cell_weights
 
 
 class UnreachableCellError(RuntimeError):
@@ -237,11 +237,12 @@ def fit_weights(points, target, box):
     return solve_qp(problem)
 
 
-def _data_box(predicted, data_box, padding):
+def _data_box(predicted, data_box):
     """``data_box``, a known support of the ``predicted`` points, or if None the
-    box fitted to them; DataBoxError if ``data_box`` misses any of them."""
+    box fitted to them with ``PIPELINE_PADDING``; DataBoxError if ``data_box``
+    misses any of them."""
     if data_box is None:
-        return fit_box(predicted, padding=padding)
+        return fit_box(predicted, padding=PIPELINE_PADDING)
     inside = int(data_box.contains(predicted).sum())
     if inside < len(predicted):
         found = f"only {inside}" if inside else "none"
@@ -298,14 +299,18 @@ def pushforward_binned(solution):
     return WeightedEdf(solution.partition.reps, solution.cell_weights)
 
 
-def distribute_cell_weights(w, assignments, p, weight_floor=DEFAULT_WEIGHT_FLOOR, strict=True):
+def distribute_cell_weights(w, assignments, p, strict=True):
     """Distribute cell weights w onto samples as u_i = w_k / (p n_k).
 
-    Weights at or below ``weight_floor`` are zeroed and the rest renormalized
-    to mean one first, so the returned u sums to one exactly (samples in
-    floored cells get u_i = 0); if no weight is above the floor,
-    AllWeightsFlooredError is raised. In strict mode a kept cell with no samples
-    raises UnreachableCellError; otherwise its mass is dropped and reported.
+    Weights at or below ``WEIGHT_FLOOR`` (1e-6) are zeroed and the rest
+    renormalized to mean one first, so the returned u sums to one exactly
+    (samples in floored cells get u_i = 0). The floor is a constant, not a
+    parameter: it counts weights too small to matter as zero, so their cells
+    demand no samples, and the mean-one weights of a QP always keep a cell
+    above it. Given weights that are all at or below it,
+    AllWeightsFlooredError is raised. In strict mode a kept cell with no
+    samples raises UnreachableCellError; otherwise its mass is dropped and
+    reported.
 
     Returns (u, w_floored, counts, dropped_mass).
     """
@@ -313,11 +318,11 @@ def distribute_cell_weights(w, assignments, p, weight_floor=DEFAULT_WEIGHT_FLOOR
     assignments = np.asarray(assignments)
     if w.shape != (p,):
         raise ValueError(f"{w.shape[0] if w.ndim else 0} cell weights for p={p}")
-    w_floored = np.where(w > weight_floor, w, 0.0)
+    w_floored = np.where(w > WEIGHT_FLOOR, w, 0.0)
     total = w_floored.sum()
     if total <= 0:
         raise AllWeightsFlooredError(
-            f"all cell weights are at or below the floor {weight_floor:g}"
+            f"all cell weights are at or below the floor {WEIGHT_FLOOR:g}"
         )
     w_floored = w_floored * (p / total)
     counts = np.bincount(assignments, minlength=p)
@@ -336,22 +341,22 @@ def distribute_cell_weights(w, assignments, p, weight_floor=DEFAULT_WEIGHT_FLOOR
     return u, w_floored, counts, dropped
 
 
-def proportional_min_fill(w, p, n_target, weight_floor=DEFAULT_WEIGHT_FLOOR):
-    """n_min_k = ceil((n_target / p) w_k) for cells above the floor, else 0."""
+def proportional_min_fill(w, p, n_target):
+    """n_min_k = ceil((n_target / p) w_k) for cells above WEIGHT_FLOOR, else 0."""
     s = n_target / p
     w = np.asarray(w, dtype=float)
-    return np.where(w > weight_floor, np.ceil(s * w), 0.0).astype(np.int64)
+    return np.where(w > WEIGHT_FLOOR, np.ceil(s * w), 0.0).astype(np.int64)
 
 
-def at_least_one_min_fill(w, p, n_target, weight_floor=DEFAULT_WEIGHT_FLOOR):
-    """n_min_k = 1 for cells above the floor, else 0."""
-    return (np.asarray(w, dtype=float) > weight_floor).astype(np.int64)
+def at_least_one_min_fill(w, p, n_target):
+    """n_min_k = 1 for cells above WEIGHT_FLOOR, else 0."""
+    return (np.asarray(w, dtype=float) > WEIGHT_FLOOR).astype(np.int64)
 
 
 _MIN_FILL_POLICIES = {
     "proportional": proportional_min_fill,
     "at_least_one": at_least_one_min_fill,
-    "none": lambda w, p, n_target, weight_floor: np.zeros(len(w), dtype=np.int64),
+    "none": lambda w, p, n_target: np.zeros(len(w), dtype=np.int64),
 }
 
 
@@ -375,8 +380,6 @@ def solve_binning(
     seed=0,
     n_batch=None,
     min_fill="proportional",
-    weight_floor=DEFAULT_WEIGHT_FLOOR,
-    padding=PIPELINE_PADDING,
     data_box=None,
 ):
     """Run the full binning method on n aligned (parameter, data) sample pairs.
@@ -410,6 +413,14 @@ def solve_binning(
     -------
     BinnedSolution
 
+    Notes
+    -----
+    Two values are constants of the method, not parameters: the fitted data
+    box is padded by ``PIPELINE_PADDING`` (1e-3 of its width per side), which
+    keeps the fitting matrix positive definite on data of two or more
+    dimensions, and cell weights at or below ``WEIGHT_FLOOR`` (1e-6) count as
+    zero, in the minimum fill and in the weight distribution.
+
     Raises
     ------
     UnreachableCellError
@@ -426,7 +437,7 @@ def solve_binning(
         n_batch = initial.n
 
     target = as_target(target)
-    box = _data_box(predicted_pts, data_box, padding)
+    box = _data_box(predicted_pts, data_box)
     part = _resolve_partition(partition, predicted_pts, box, seed)
     if part.kind == "grid" and not box.contains(np.vstack([part.box.lower, part.box.upper])).all():
         raise PartitionBoxError(
@@ -437,7 +448,7 @@ def solve_binning(
     qp_sol = fit_weights(part.reps.points, target, box)
     w = qp_sol.w
     policy = _MIN_FILL_POLICIES["none" if draw is None else min_fill]
-    n_min = policy(w, p, initial.n, weight_floor)
+    n_min = policy(w, p, initial.n)
 
     assignments = part.classify_many(predicted_pts)
     counts = np.bincount(assignments, minlength=p)
@@ -459,9 +470,7 @@ def solve_binning(
         initial_pts, predicted_pts, assignments = (np.concatenate(c) for c in zip(*chunks))
     del chunks  # the batch copies would otherwise stay alive through the distribution
 
-    u, w_floored, counts, _dropped = distribute_cell_weights(
-        w, assignments, p, weight_floor=weight_floor, strict=True
-    )
+    u, w_floored, counts, _dropped = distribute_cell_weights(w, assignments, p, strict=True)
     return BinnedSolution(
         partition=part,
         cell_weights=WeightVector(w_floored, Normalization.MEAN_ONE),
@@ -489,7 +498,7 @@ class NaiveSolution(WeightedPairs):
     qp_solution: object
 
 
-def solve_naive(initial, predicted, target, padding=PIPELINE_PADDING, data_box=None):
+def solve_naive(initial, predicted, target, data_box=None):
     """Fit weights on the aligned predicted samples and apply them to the
     parameters.
 
@@ -497,10 +506,14 @@ def solve_naive(initial, predicted, target, padding=PIPELINE_PADDING, data_box=N
     weight variability inside pre-image sets, so the weights fluctuate much
     more than the binning method's. ``data_box`` (a known compact support)
     overrides the box fitted to the samples and must contain all of them.
+    The fitted box is padded by the constant ``PIPELINE_PADDING`` (1e-3 of
+    its width per side): a tight box puts each coordinate's largest sample
+    at 1, which on data of two or more dimensions zeroes its row of the
+    fitting matrix.
     """
     initial, predicted_pts = _sample_pair(initial, predicted)
     target = as_target(target)
-    box = _data_box(predicted_pts, data_box, padding)
+    box = _data_box(predicted_pts, data_box)
     qp_sol = fit_weights(predicted_pts, target, box)
     return NaiveSolution(
         weights=qp_sol.weights,

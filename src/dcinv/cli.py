@@ -16,14 +16,14 @@ the files in its formats. ``--out`` is checked before the run and created
 only once the run has succeeded, so a failed run leaves no directory.
 
 Exit codes: 0 success; 2 config error (``--out`` included); 3 solver failure
-(matrix not positive definite, all weights or density ratios zero, all cell
-weights at or below the floor, a KDE bandwidth matrix that is not finite),
-non-convergence, or a run out of memory (a fitting matrix too large to
-allocate); 4 unreachable cell; 5 diagnostic
-outside [0.8, 1.2] (diagnose, or an untrustworthy convergence-study
-baseline). ``FAILURES`` maps each failure to its code in one place, for
-every subcommand: a failing ``solve``, ``diagnose`` or ``convergence``
-writes a one-line reason to stderr and one JSON line to stdout
+(matrix not positive definite, all weights or density ratios zero, a KDE
+bandwidth matrix that is not finite), non-convergence, or a run out of
+memory (a fitting matrix too large to allocate); 4 unreachable cell; 5
+diagnostic outside [0.8, 1.2] (diagnose, or an untrustworthy
+convergence-study baseline). ``FAILURES`` maps each failure to its code in
+one place, for every subcommand: a failing ``solve``, ``diagnose`` or
+``convergence`` writes a one-line reason to stderr and one JSON line to
+stdout
 
     {"error": {"exit_code": N, "kind": "<exception class>", "message": "..."}}
 
@@ -44,7 +44,6 @@ import numpy as np
 
 from . import __version__
 from .binning import (
-    AllWeightsFlooredError,
     DataBoxError,
     KMeansCellsError,
     PartitionBoxError,
@@ -89,8 +88,7 @@ FAILURES = (
     (PartitionBoxError, EXIT_CONFIG, "/method/partition_box"),
     (KMeansCellsError, EXIT_CONFIG, "/method/p"),
     *[(cls, EXIT_NONCONVERGED, "solver failure") for cls in (
-        NonPositiveDefiniteError, WeightCollapseError, AllWeightsFlooredError, BandwidthError,
-        NotConverged)],
+        NonPositiveDefiniteError, WeightCollapseError, BandwidthError, NotConverged)],
     (MemoryError, EXIT_NONCONVERGED, "out of memory"),
     (UnreachableCellError, EXIT_UNREACHABLE, "unreachable cell"),
     (UntrustworthyBaselineError, EXIT_DIAGNOSTIC, "aborted"),
@@ -145,15 +143,15 @@ def _sample_pairs(cfg, seed):
     return (*draw(cfg.n_initial), draw)
 
 
-def _solve_density(cfg):
-    """The density method on the config's initial and observed samples."""
+def _density_samples(cfg):
+    """The (initial, predicted, observed) samples of the density method."""
     observed = cfg.target.observed_or_fail
     n = cfg.n_initial if cfg.model.live else cfg.model.initial.n
     if n < 2:  # the predicted KDE needs two samples, as the observed one does
         raise ConfigError("/initial/n" if cfg.model.live else "/model",
                           f"needs at least 2 initial samples, got {n}")
     initial, predicted, _ = _sample_pairs(cfg, np.random.SeedSequence((cfg.seed, 10)))
-    return solve_density(initial, predicted, observed, rule=cfg.kde_rule)
+    return initial, predicted, observed
 
 
 def _cmd_solve(args):
@@ -170,8 +168,8 @@ def _cmd_solve(args):
 
     if args.method == "naive":
         initial, predicted, _ = _sample_pairs(cfg, np.random.SeedSequence((cfg.seed, 10)))
-        sol = solve_naive(initial, predicted, cfg.target.target, padding=cfg.padding,
-                          data_box=cfg.data_box)
+        sol = solve_naive(initial, predicted, cfg.target.target, data_box=cfg.data_box)
+        box = sol.box
     elif args.method in ("binning-grid", "binning-kmeans"):
         if args.method == "binning-grid":
             cells = cfg.cells_per_dim or cfg.p
@@ -184,13 +182,17 @@ def _cmd_solve(args):
         initial, predicted, draw = _sample_pairs(cfg, cfg.seed)
         sol = solve_binning(
             initial, predicted, cfg.target.target, partition, draw=draw, seed=cfg.seed,
-            n_batch=cfg.n_batch, min_fill=cfg.min_fill, weight_floor=cfg.weight_floor,
-            padding=cfg.padding, data_box=cfg.data_box,
+            n_batch=cfg.n_batch, min_fill=cfg.min_fill, data_box=cfg.data_box,
         )
+        box = sol.box
         meta.update(p=sol.p, partition_kind=sol.partition.kind, n_batches=sol.n_batches,
                     n_total=sol.n, cell_counts_min=int(sol.counts.min()))
     else:
-        sol = _solve_density(cfg)
+        initial, predicted, observed = _density_samples(cfg)
+        # the density method fits no QP, so the push-forward box is found
+        # here, before the two KDE fits, which a bad data box would waste
+        box = _data_box(predicted, cfg.data_box)
+        sol = solve_density(initial, predicted, observed, rule=cfg.kde_rule)
         _log(f"diagnostic: {sol.diagnostic:.6f}")
         meta.update(diagnostic=sol.diagnostic, violations=sol.n_violations,
                     kde_rule=str(cfg.kde_rule), m_observed=sol.observed_kde.n)
@@ -198,9 +200,6 @@ def _cmd_solve(args):
     weights, qp = sol.weights, sol.qp_solution
     meta["weight_normalization"] = weights.normalization.value
     meta["solver"] = _solver_meta(qp) if qp is not None else {}
-    box = sol.box
-    if box is None:  # the density method fits no QP, so the tail finds its box here
-        box = _data_box(sol.predicted.points, cfg.data_box, cfg.padding)
     make_output_dir(args.out)
     _write_weights_csv(
         os.path.join(args.out, "weights.csv"), sol.initial.points, sol.predicted.points,
@@ -240,7 +239,7 @@ def _solver_meta(qp_solution):
 
 def _cmd_diagnose(args):
     cfg = build_solve_config(load_config(args.config), base_dir=os.path.dirname(args.config) or ".")
-    sol = _solve_density(cfg)
+    sol = solve_density(*_density_samples(cfg), rule=cfg.kde_rule)
     print(json.dumps({"diagnostic": sol.diagnostic, "violations": sol.n_violations}))
     return EXIT_OK if 0.8 <= sol.diagnostic <= 1.2 else EXIT_DIAGNOSTIC
 

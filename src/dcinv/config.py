@@ -23,7 +23,7 @@ Config schema (solve / diagnose):
                   "data_box": [[0.3, 1.0]],                  # known support override
                   "cells_per_dim": null,                     # grid cells per data dim
                   "n_batch": null, "min_fill": "proportional",  # live fill loop only
-                  "weight_floor": 1e-6, "padding": 1e-3, "kde_rule": "scott"},
+                  "kde_rule": "scott"},
       "output": {"pushforward_grid": 512}
     }
 
@@ -38,7 +38,6 @@ seeds take no negative entropy; a null ``target.seed`` means the default);
 ``output.pushforward_grid`` are integers >= 1; ``model.lambda_box`` is two
 rows of (lower, upper) with lower < upper, for the rod's (ell, kappa);
 ``method.cells_per_dim`` is a list of integers >= 1, one per data dimension;
-``method.padding`` and ``method.weight_floor`` are finite numbers >= 0;
 ``method.kde_rule`` is "scott", "silverman" or a fixed bandwidth h > 0
 whose square, the kernel variance, neither underflows to 0 nor overflows
 (about 2.2e-162 < h < 1.3e154); the target, ``method.partition_box`` and
@@ -50,20 +49,25 @@ density method it only bounds the push-forward grid), and the density method
 needs at least 2 initial and 2 observed samples. ``method.n_batch``
 and ``method.min_fill`` drive the binning fill loop, which draws from a
 live model only; loaded pairs are used as they are. Unknown keys are
-ignored. The literals NaN, Infinity and -Infinity, which strict JSON does
-not allow, are rejected wherever they appear.
+ignored, except ``method.padding`` and ``method.weight_floor``: they once
+set what are now the constants ``binning.PIPELINE_PADDING`` and
+``binning.WEIGHT_FLOOR``, and ignoring them would change a run's results
+without notice, so each is a config error. The literals NaN, Infinity and
+-Infinity, which strict JSON does not allow, are rejected wherever they
+appear.
 
 The convergence spec file carries the ConvergenceSpec fields (n_grid, p_grid,
 trials, seed, region_a, optional region_b, partition_kind, model, target,
-m_observed, baseline_n, baseline_trials). Validated ranges: ``seed`` and
-``target.seed`` are integers >= 0, as in a solve config; ``n_grid`` and
-``p_grid`` are nonempty, strictly increasing lists of integers >= 1, and
-for k-means no ``p_grid`` entry exceeds an ``n_grid`` entry;
-``trials`` and ``baseline_trials`` are integers >= 1; ``m_observed`` and
-``baseline_n`` are integers >= 2, as is the row count of a ``samples``
-target (the baseline KDE needs two samples); ``padding`` is a finite number
->= 0; ``region_a`` is a box of the model's parameter dimension (2 for the
-rod) and ``region_b`` one of the data's dimension. The model must be live.
+m_observed, baseline_n, baseline_trials); for the same reason, it must
+not set ``padding`` or ``weight_floor``. Validated ranges:
+``seed`` and ``target.seed`` are integers >= 0, as in a solve config;
+``n_grid`` and ``p_grid`` are nonempty, strictly increasing lists of
+integers >= 1, and for k-means no ``p_grid`` entry exceeds an ``n_grid``
+entry; ``trials`` and ``baseline_trials`` are integers >= 1; ``m_observed``
+and ``baseline_n`` are integers >= 2, as is the row count of a ``samples``
+target (the baseline KDE needs two samples); ``region_a`` is a box of the
+model's parameter dimension (2 for the rod) and ``region_b`` one of the
+data's dimension. The model must be live.
 """
 
 import json
@@ -73,6 +77,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .binning import PIPELINE_PADDING, WEIGHT_FLOOR
 from .core import SampleSet, as_box
 from .io import load_pairs, load_samples
 from .models import HeatRod
@@ -123,6 +128,19 @@ def _get(cfg, key, pointer, kind=None, default=_REQUIRED, choices=None, low=None
     if choices is not None and value not in choices:
         raise ConfigError(where, f"expected one of {sorted(choices)}, got {value!r}")
     return value
+
+
+# Keys that once set a binning constant, with the constant's name and value.
+_FIXED = {"padding": ("data-box padding", PIPELINE_PADDING),
+          "weight_floor": ("cell-weight floor", WEIGHT_FLOOR)}
+
+
+def _reject_fixed(cfg, pointer):
+    """A ConfigError at the first ``_FIXED`` key that ``cfg`` sets."""
+    for key, (name, value) in _FIXED.items():
+        if key in cfg:
+            raise ConfigError(f"{pointer}/{key}",
+                              f"expected a config without this key: the {name} is fixed at {value:g}")
 
 
 def _reject_constant(literal):
@@ -252,8 +270,6 @@ class SolveConfig:
     cells_per_dim: object
     n_batch: object
     min_fill: str
-    weight_floor: float
-    padding: float
     kde_rule: object
     pushforward_grid: int
     raw: dict = field(default_factory=dict)
@@ -270,6 +286,7 @@ def build_solve_config(cfg, base_dir="."):
     initial_cfg = _get(cfg, "initial", "", dict, default={})
     _get(initial_cfg, "kind", "/initial", str, default="uniform", choices={"uniform"})
     method = _get(cfg, "method", "", dict, default={})
+    _reject_fixed(method, "/method")
     output = _get(cfg, "output", "", dict, default={})
 
     def _box_option(key):
@@ -312,8 +329,6 @@ def build_solve_config(cfg, base_dir="."):
             method, "min_fill", "/method", str, default="proportional",
             choices={"proportional", "at_least_one", "none"},
         ),
-        weight_floor=_get(method, "weight_floor", "/method", float, default=1e-6, low=0),
-        padding=_get(method, "padding", "/method", float, default=1e-3, low=0),
         kde_rule=kde_rule,
         pushforward_grid=_get(output, "pushforward_grid", "/output", int, default=512, low=1),
         raw=cfg,
@@ -326,6 +341,7 @@ def build_convergence_spec(cfg, base_dir="."):
 
     if not isinstance(cfg, dict):
         raise ConfigError("/", "spec must be a JSON object")
+    _reject_fixed(cfg, "")
     seed = _get(cfg, "seed", "", int, default=0, low=0)
     model = build_model(_get(cfg, "model", "", dict, default={"kind": "heat_rod"}), base_dir=base_dir)
     if not model.live:
@@ -339,7 +355,7 @@ def build_convergence_spec(cfg, base_dir="."):
     kwargs = {key: _get(cfg, key, "", kind) for key, kind in (
         ("n_grid", list), ("p_grid", list), ("trials", int), ("region_a", list),
         ("partition_kind", str), ("m_observed", int), ("baseline_n", int),
-        ("baseline_trials", int), ("weight_floor", float), ("padding", float),
+        ("baseline_trials", int),
     ) if key in cfg}
     # a null region_b, the default, is the image of region_a
     kwargs["region_b"] = _get(cfg, "region_b", "", list, default=None)

@@ -149,11 +149,6 @@ class WeightedEdf:
     def dim(self):
         return self.samples.dim
 
-    def eval(self, point):
-        from .edf import wedf_eval
-
-        return wedf_eval(self, point)
-
     def eval_many(self, points):
         from .edf import wedf_eval_many
 
@@ -171,10 +166,6 @@ class WeightedPairs:
     ``initial`` and ``predicted`` SampleSets, one ``weights`` WeightVector on
     them (its ``normalization`` says mean-one or sum-one), the data ``box``
     and the ``qp_solution`` of the fit, both None where no QP is fitted."""
-
-    def initial_wedf(self):
-        """The solution: the weighted EDF on the parameter samples."""
-        return WeightedEdf(self.initial, self.weights)
 
     def pushforward(self):
         """The same weights on the predicted values (the data-space fit)."""

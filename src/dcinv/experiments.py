@@ -14,12 +14,14 @@ for bit and trials can run in any order or in parallel.
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .binning import (
     PIPELINE_PADDING,
+    WEIGHT_FLOOR,
     distribute_cell_weights,
     fit_weights,
     make_kmeans,
@@ -69,8 +71,6 @@ class ConvergenceSpec:
     m_observed: int = 100_000
     baseline_n: int = 100_000
     baseline_trials: int = 10
-    weight_floor: float = 1e-6
-    padding: float = PIPELINE_PADDING
 
     def __post_init__(self):
         for key in ("n_grid", "p_grid"):
@@ -86,8 +86,6 @@ class ConvergenceSpec:
             value = getattr(self, key)
             if value < low:
                 raise ConfigError(f"/{key}", f"expected an integer >= {low}, got {value}")
-        if not (np.isfinite(self.padding) and self.padding >= 0):
-            raise ConfigError("/padding", f"expected a finite number >= 0, got {self.padding}")
         if self.partition_kind not in ("grid", "kmeans"):
             raise ConfigError("/partition_kind", f"unknown partition kind {self.partition_kind!r}")
         if self.partition_kind == "kmeans" and self.p_grid[-1] > self.n_grid[0]:
@@ -168,30 +166,36 @@ class ConvergenceResult:
 
 
 def _spec_dict(spec):
-    """Every spec field but region_b (derived or not, it is in the result)."""
+    """Every spec field but region_b (derived or not, it is in the result),
+    and the two binning constants under the keys that once set them."""
     d = {f.name: getattr(spec, f.name) for f in fields(spec) if f.name != "region_b"}
-    return dict(d, model=repr(spec.model), target=repr(spec.target))
+    return dict(d, model=repr(spec.model), target=repr(spec.target),
+                weight_floor=WEIGHT_FLOOR, padding=PIPELINE_PADDING)
 
 
-def _baseline_trial(args):
-    model, observed_pts, baseline_n, region_a, seed_key = args
-    rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-    initial, predicted = draw_pairs(UniformBoxSampler(model.box), model, baseline_n, rng)
+def _baseline_trial(spec, observed_pts, t):
+    """Baseline trial ``t``: the density method at ``spec.baseline_n`` samples,
+    drawn from the stream (seed, 1, t). Returns (diagnostic, P(region_a))."""
+    model = spec.model
+    rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 1, t)))
+    initial, predicted = draw_pairs(UniformBoxSampler(model.box), model, spec.baseline_n, rng)
     sol = solve_density(initial, predicted, SampleSet(observed_pts), method="binned")
-    p_a = update_probability(region_a, initial, sol.r_values).self_normalized
+    p_a = update_probability(spec.region_a, initial, sol.r_values).self_normalized
     return float(sol.diagnostic), float(p_a)
 
 
-def _study_trial(args):
-    (model, observed_pts, n_grid, p_grid, partition_kind, region_a, region_b,
-     weight_floor, padding, seed, t) = args
+def _study_trial(spec, observed_pts, region_b, t):
+    """Study trial ``t``, drawn from the stream (seed, 2, t): the (3, n, p)
+    estimates of P(region_b) from the cell weights and from the sample
+    weights, and of P(region_a)."""
+    model, n_grid, p_grid, seed = spec.model, spec.n_grid, spec.p_grid, spec.seed
     qp_target = EmpiricalTarget(SampleSet(observed_pts))
-    box_a = as_box(region_a)
+    box_a = as_box(spec.region_a)
     box_b = as_box(region_b)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 2, t)))
     initial_full, predicted_full = draw_pairs(UniformBoxSampler(model.box), model, n_grid[-1], rng)
-    box = fit_box(predicted_full, padding=padding)
-    if partition_kind == "grid":
+    box = fit_box(predicted_full, padding=PIPELINE_PADDING)
+    if spec.partition_kind == "grid":
         # A grid, and so its QP and weights, depends only on the trial's box
         # and on p, not on n: fit each p once and reuse it for every n.
         grids = [make_regular_grid(box, p) for p in p_grid]
@@ -203,15 +207,14 @@ def _study_trial(args):
         in_a = box_a.contains(lam)
         in_b = box_b.contains(q)
         for j, p in enumerate(p_grid):
-            if partition_kind == "grid":
+            if spec.partition_kind == "grid":
                 part, w = grid_fits[j]
             else:
                 part = make_kmeans(q, p, seed=(seed * 1_000_003 + 7 * t) % 2**31)
                 w = fit_weights(part.reps.points, qp_target, box).w
             assignments = part.classify_many(q)
             u, w_floored, _counts, _dropped = distribute_cell_weights(
-                w, assignments, part.p, weight_floor=weight_floor, strict=False
-            )
+                w, assignments, part.p, strict=False)
             reps_in_b = box_b.contains(part.reps.points)
             out[0, i, j] = np.sum(w_floored[reps_in_b]) / part.p
             out[1, i, j] = np.sum(u[in_b])
@@ -261,12 +264,9 @@ def run_convergence(spec, progress=None, threads=1):
             np.asarray(target.cdf(np.array([hi])))[0] - np.asarray(target.cdf(np.array([lo])))[0]
         )
 
-    baseline_payloads = [
-        (model, observed.points, spec.baseline_n, spec.region_a, (spec.seed, 1, t))
-        for t in range(spec.baseline_trials)
-    ]
+    baseline = partial(_baseline_trial, spec, observed.points)
     diagnostics, p_update_trials = [], []
-    for t, (diag, p_a) in enumerate(_run_tasks(_baseline_trial, baseline_payloads, threads)):
+    for t, (diag, p_a) in enumerate(_run_tasks(baseline, range(spec.baseline_trials), threads)):
         if not DIAGNOSTIC_GUARD[0] <= diag <= DIAGNOSTIC_GUARD[1]:
             raise UntrustworthyBaselineError(
                 f"baseline diagnostic {diag:.4f} outside {list(DIAGNOSTIC_GUARD)}; "
@@ -278,13 +278,9 @@ def run_convergence(spec, progress=None, threads=1):
             progress(f"baseline trial {t + 1}/{spec.baseline_trials}: diagnostic={diag:.4f}")
     p_update_a = float(np.mean(p_update_trials))
 
-    study_payloads = [
-        (model, observed.points, spec.n_grid, spec.p_grid, spec.partition_kind,
-         spec.region_a, region_b, spec.weight_floor, spec.padding, spec.seed, t)
-        for t in range(spec.trials)
-    ]
+    study = partial(_study_trial, spec, observed.points, region_b)
     results = []
-    for t, res in enumerate(_run_tasks(_study_trial, study_payloads, threads)):
+    for t, res in enumerate(_run_tasks(study, range(spec.trials), threads)):
         results.append(res)
         if progress:
             progress(f"trial {t + 1}/{spec.trials} done")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dcinv.binning import (
+    AllWeightsFlooredError,
     UnreachableCellError,
     classify,
     distribute_cell_weights,
@@ -15,7 +16,7 @@ from dcinv.binning import (
 )
 from dcinv.core import BoxScaler, SampleSet
 from dcinv.density import solve_density
-from dcinv.edf import sup_distance, wedf_eval_many
+from dcinv.edf import sup_distance, wedf_eval, wedf_eval_many
 from dcinv.models import HeatRod, UniformBoxSampler, draw_pairs, heat_rod_observed
 from dcinv.targets import EmpiricalTarget, UniformTarget
 
@@ -98,11 +99,17 @@ def test_distribute_hand_case():
 
 def test_distribute_floors_tiny_weights():
     u, w_f, counts, dropped = distribute_cell_weights(
-        np.array([1e-9, 2.0 - 1e-9]), np.array([0, 0, 1, 1]), p=2, weight_floor=1e-6
+        np.array([1e-9, 2.0 - 1e-9]), np.array([0, 0, 1, 1]), p=2
     )
     assert np.all(u[:2] == 0.0)
     assert u.sum() == pytest.approx(1.0, abs=1e-12)
     assert w_f[0] == 0.0
+
+
+def test_distribute_rejects_weights_all_at_or_below_the_floor():
+    # the mean-one weights of a QP always keep a cell; given ones need not
+    with pytest.raises(AllWeightsFlooredError, match="at or below the floor 1e-06"):
+        distribute_cell_weights(np.array([1e-6, 0.0]), np.array([0, 1]), p=2)
 
 
 def test_distribute_unreachable_strict():
@@ -153,7 +160,7 @@ def test_solve_binning_p_one():
     draw = live_draw(unit_identity_model, sampler, 3)
     sol = solve_binning(*draw(50), UniformTarget(0.0, 1.0), ("grid", 1), draw=draw, seed=3)
     pf = pushforward_binned(sol)
-    assert pf.eval([2.0]) == pytest.approx(1.0)
+    assert wedf_eval(pf, [2.0]) == pytest.approx(1.0)
     assert sol.cell_weights.weights[0] == pytest.approx(1.0)
 
 

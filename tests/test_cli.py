@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from dcinv import assembly, cli, io, solver
+from dcinv import assembly, cli, density, io, solver
 from dcinv.cli import main
 from dcinv.core import BoxScaler, SampleSet, WeightedEdf
 from dcinv.edf import wedf_eval_many
@@ -247,15 +247,6 @@ def test_convergence_untrustworthy_baseline_exit_5(tmp_path, capsys):
     assert "diagnostic" in capsys.readouterr().err
 
 
-def test_solve_all_weights_floored_exit_3(tmp_path, capsys):
-    cfg = write_config(tmp_path / "cfg.json", method={"p": 20, "weight_floor": 1e9})
-    code = main(["solve", "--method", "binning-grid", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert code == 3
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["solver failure: all cell weights are at or below the floor 1e+09"]
-    assert not (tmp_path / "o").exists()  # the run failed before its first write
-
-
 def collapse_weights(monkeypatch):
     # the collapse cannot be provoked by a valid QP, so the cleanup is fed a zero iterate
     cleanup = solver._cleanup
@@ -269,13 +260,6 @@ def test_solve_weight_collapse_exit_3(tmp_path, monkeypatch, capsys):
     assert code == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["solver failure: all weights collapsed to zero during cleanup"]
-
-
-def test_convergence_floored_weights_exit_3(tmp_path, capsys):
-    # a solver failure inside the study is exit 3, not the baseline's exit 5
-    spec = write_spec(tmp_path / "spec.json", weight_floor=1e9)
-    assert main(["convergence", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 3
-    assert "solver failure: all cell weights are at or below the floor" in capsys.readouterr().err
 
 
 def test_convergence_weight_collapse_exit_3(tmp_path, monkeypatch, capsys):
@@ -418,9 +402,15 @@ def test_malformed_box_option_is_a_config_error(tmp_path, capsys, key, bounds):
         assert record["kind"] == "ConfigError" and record["message"].startswith(f"/method/{key}: ")
 
 
-@pytest.mark.parametrize("method", ["naive", "binning-grid"])
-def test_data_box_without_predicted_samples_is_a_config_error(tmp_path, capsys, method):
+def refuse_to_evaluate_a_kde(*args, **kwargs):
+    raise AssertionError("a KDE was evaluated before the data box was checked")
+
+
+@pytest.mark.parametrize("method", ["naive", "binning-grid", "density"])
+def test_data_box_without_predicted_samples_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                                              method):
     # the rod's predicted values lie in about [2.26, 2.53]
+    monkeypatch.setattr(density.KdeModel, "pdf", refuse_to_evaluate_a_kde)
     cfg = write_config(tmp_path / "cfg.json", method={"p": 20, "data_box": [[5.0, 6.0]]})
     assert main(["solve", "--method", method, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     record = error_record(capsys)
@@ -429,9 +419,11 @@ def test_data_box_without_predicted_samples_is_a_config_error(tmp_path, capsys, 
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("method", ["naive", "binning-grid"])
-def test_data_box_missing_some_predicted_samples_is_a_config_error(tmp_path, capsys, method):
+@pytest.mark.parametrize("method", ["naive", "binning-grid", "density"])
+def test_data_box_missing_some_predicted_samples_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                                                   method):
     # [2.0, 2.3] holds only the lowest of the rod's predicted values
+    monkeypatch.setattr(density.KdeModel, "pdf", refuse_to_evaluate_a_kde)
     cfg = write_config(tmp_path / "cfg.json", initial={"kind": "uniform", "n": 100},
                        method={"p": 20, "data_box": [[2.0, 2.3]]})
     assert main(["solve", "--method", method, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -530,7 +522,9 @@ def test_convergence_target_of_another_dimension_is_a_config_error(tmp_path, cap
 
 
 @pytest.mark.parametrize("overrides, message", [
-    ({"padding": -1}, "/padding: expected a finite number >= 0, got -1.0"),
+    # padding is no longer a setting, whatever its value
+    ({"padding": -1}, "/padding: expected a config without this key: "
+                      "the data-box padding is fixed at 0.001"),
     ({"m_observed": 0}, "/m_observed: expected an integer >= 2, got 0"),
     ({"baseline_n": 1}, "/baseline_n: expected an integer >= 2, got 1"),
     ({"baseline_trials": 0}, "/baseline_trials: expected an integer >= 1, got 0"),
@@ -608,25 +602,14 @@ def test_meta_names_the_solver_by_data_dimension(tmp_path):
 
 
 def test_error_record_exit_3(tmp_path, monkeypatch, capsys):
-    cfg = write_config(tmp_path / "cfg.json", method={"p": 20, "weight_floor": 1e9})
-    assert main(["solve", "--method", "binning-grid", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
-    assert error_record(capsys) == {
-        "exit_code": 3,
-        "kind": "AllWeightsFlooredError",
-        "message": "all cell weights are at or below the floor 1e+09",
-    }
-    assert not (tmp_path / "o").exists()
-    spec = write_spec(tmp_path / "spec.json", weight_floor=1e9)
-    assert main(["convergence", "--spec", str(spec), "--out", str(tmp_path / "o2")]) == 3
-    assert error_record(capsys)["kind"] == "AllWeightsFlooredError"
     # a failed certificate writes its results and still reports; only data of
     # two or more dimensions goes through solve_qp, whose first round leaves
     # negative weights here
     monkeypatch.setattr(solver, "_MAX_ROUNDS", 1)
     cfg = write_pairs_2d_config(tmp_path)
-    assert main(["solve", "--method", "naive", "--config", str(cfg), "--out", str(tmp_path / "o3")]) == 3
+    assert main(["solve", "--method", "naive", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
     assert error_record(capsys)["kind"] == "NotConverged"
-    assert (tmp_path / "o3" / "weights.csv").exists()
+    assert (tmp_path / "o" / "weights.csv").exists()
 
 
 class _ArrayMemoryError(MemoryError):
@@ -693,6 +676,7 @@ BAD_OPTIONS = [
     ("binning-grid", {"method": {"p": 20, "cells_per_dim": [3, 3]}}, "/method/cells_per_dim"),
     ("binning-grid", {"method": {"p": 20, "n_batch": -5}}, "/method/n_batch"),
     ("binning-grid", {"method": {"p": 20, "n_batch": 0}}, "/method/n_batch"),
+    # the retired keys are an error whatever their value
     ("naive", {"method": {"padding": -1}}, "/method/padding"),
     ("naive", {"output": {"pushforward_grid": -3}}, "/output/pushforward_grid"),
     ("naive", {"output": {"pushforward_grid": 0}}, "/output/pushforward_grid"),
@@ -705,8 +689,7 @@ BAD_OPTIONS = [
     ("density", {"method": {"kde_rule": 1e308}}, "/method/kde_rule"),
     # at t_star = 1e308 every predicted value is the same, one distinct point for 20 cells
     ("binning-kmeans", {"model": {"kind": "heat_rod", "t_star": 1e308}}, "/method/p"),
-    # a negative floor keeps cells of zero weight, and at_least_one fills them
-    ("binning-grid", {"method": {"p": 20, "weight_floor": -1}}, "/method/weight_floor"),
+    ("binning-grid", {"method": {"p": 20, "weight_floor": -1}}, "/method/weight_floor"),  # retired
     ("naive", {"model": {"kind": "heat_rod", "lambda_box": []}}, "/model"),
     ("naive", {"model": {"kind": "heat_rod", "lambda_box": [[1.9, 2.1]]}}, "/model"),
     # samples of N(2.39, 1e308) overflow to infinity
@@ -826,12 +809,39 @@ def test_ignored_max_iter_key_still_loads(tmp_path):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / out / name).read_bytes()
 
 
+@pytest.mark.parametrize("command, key, constant", [
+    ("solve", "padding", "the data-box padding is fixed at 0.001"),
+    ("solve", "weight_floor", "the cell-weight floor is fixed at 1e-06"),
+    ("convergence", "padding", "the data-box padding is fixed at 0.001"),
+    ("convergence", "weight_floor", "the cell-weight floor is fixed at 1e-06"),
+])
+def test_padding_and_weight_floor_keys_are_config_errors(tmp_path, capsys, command, key, constant):
+    # unlike solver.tol, these keys are not ignored: a run that silently
+    # dropped them would change its results without notice. The value is the
+    # constant's own, so only the key's presence is at fault.
+    value = {"padding": 1e-3, "weight_floor": 1e-6}[key]
+    out = tmp_path / "o"
+    if command == "solve":
+        pointer = f"/method/{key}"
+        cfg = write_config(tmp_path / "cfg.json", method={"p": 20, key: value})
+        argv = ["solve", "--method", "binning-grid", "--config", str(cfg)]
+    else:
+        pointer = f"/{key}"
+        argv = ["convergence", "--spec", str(write_spec(tmp_path / "spec.json", **{key: value}))]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert error_record(capsys) == {
+        "exit_code": 2, "kind": "ConfigError",
+        "message": f"{pointer}: expected a config without this key: {constant}",
+    }
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("overrides, literal", [
     ({"model": {"kind": "heat_rod", "t_star": float("nan")}}, "NaN"),
     ({"model": {"kind": "heat_rod", "t_star": float("inf")}}, "Infinity"),
     ({"target": {"kind": "normal", "mu": float("nan"), "sigma": 0.035}}, "NaN"),
     ({"target": {"kind": "normal", "mu": 2.39, "sigma": -float("inf")}}, "-Infinity"),
-    ({"method": {"p": 20, "weight_floor": float("nan")}}, "NaN"),
+    ({"method": {"p": 20, "kde_rule": float("nan")}}, "NaN"),
     ({"target": {"kind": "mixture", "components": [[float("nan"), 2.3, 2.4]], "m": None}}, "NaN"),
 ])
 def test_non_finite_json_literal_is_a_config_error(tmp_path, capsys, overrides, literal):
@@ -866,7 +876,7 @@ def test_unreadable_config_file_is_a_config_error(tmp_path, capsys, content, mes
 
 
 def test_non_finite_json_literal_in_a_spec_is_a_config_error(tmp_path, capsys):
-    spec = write_spec(tmp_path / "spec.json", weight_floor=float("nan"))
+    spec = write_spec(tmp_path / "spec.json", m_observed=float("nan"))
     assert main(["convergence", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
     assert error_record(capsys)["message"] == "/: NaN is not a JSON number; use a finite value"
 

@@ -35,8 +35,7 @@ SMOKE = {
               "lambda_box": [[1.9, 2.1], [0.5, 1.5]], "standard_physics": False},
     "initial": {"kind": "uniform", "n": 60},
     "target": {"kind": "normal", "mu": 2.39, "sigma": 0.035, "m": 200, "seed": 7},
-    "method": {"p": 3, "min_fill": "proportional", "weight_floor": 1e-6, "padding": 1e-3,
-               "kde_rule": "scott"},
+    "method": {"p": 3, "min_fill": "proportional", "kde_rule": "scott"},
     "output": {"pushforward_grid": 16},
 }
 SPEC_SMOKE = {
@@ -44,8 +43,7 @@ SPEC_SMOKE = {
     "region_a": [[2.01, 2.02], [0.95, 1.0]], "region_b": None, "partition_kind": "grid",
     "model": SMOKE["model"],
     "target": {"kind": "normal", "mu": 2.39, "sigma": 0.035, "m": None, "seed": 7},
-    "m_observed": 200, "baseline_n": 200, "baseline_trials": 1, "weight_floor": 1e-6,
-    "padding": 1e-3,
+    "m_observed": 200, "baseline_n": 200, "baseline_trials": 1,
 }
 OPTIONAL = [("method", key) for key in ("n_batch", "cells_per_dim", "data_box", "partition_box")]
 VALUES = [

@@ -11,6 +11,7 @@ from dcinv.core import (
     fit_box,
     grid_points,
 )
+from dcinv.edf import wedf_eval
 
 
 def test_fit_box_tight():
@@ -119,7 +120,7 @@ def test_weighted_edf_shape_checks():
     with pytest.raises(ValueError):
         WeightedEdf(samples, WeightVector(np.ones(3)))
     wedf = WeightedEdf.plain(samples)
-    assert wedf.eval([1.0]) == 1.0
+    assert wedf_eval(wedf, [1.0]) == 1.0
 
 
 def reference_grid_points(axes):

@@ -109,10 +109,8 @@ def test_run_convergence_appended_prefix_property():
     obs = spec.target.sample(
         spec.m_observed, np.random.default_rng(np.random.SeedSequence((spec.seed, 0)))
     )
-    args = (spec.model, obs.points, spec.n_grid, spec.p_grid, spec.partition_kind,
-            spec.region_a, region_b, spec.weight_floor, spec.padding, spec.seed, 0)
-    out1 = _study_trial(args)
-    out2 = _study_trial(args)
+    out1 = _study_trial(spec, obs.points, region_b, 0)
+    out2 = _study_trial(spec, obs.points, region_b, 0)
     assert np.array_equal(out1, out2)
     # prefix construction: drawing n_max samples and slicing gives the same
     # stream as the estimates imply; verified directly on the sampler
@@ -251,31 +249,29 @@ def test_compare_methods_subset_and_writer(tmp_path):
     assert payload[0]["method"] == "unweighted"
 
 
-def reference_study_trial(args):
-    """Per-(n, p) trial loop that assembles and solves every QP afresh; the
-    trial must match it bit for bit."""
-    (model, observed_pts, n_grid, p_grid, partition_kind, region_a, region_b,
-     weight_floor, padding, seed, t) = args
+def reference_study_trial(spec, observed_pts, region_b, t):
+    """Per-(n, p) trial loop that assembles and solves every QP afresh, in a
+    data box padded by 1e-3 of its width; the trial must match it bit for bit."""
+    model, n_grid, p_grid, seed = spec.model, spec.n_grid, spec.p_grid, spec.seed
     qp_target = EmpiricalTarget(SampleSet(observed_pts))
-    box_a = BoxScaler(*np.asarray(region_a).T)
+    box_a = BoxScaler(*np.asarray(spec.region_a).T)
     box_b = BoxScaler(*np.asarray(region_b).T)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 2, t)))
     initial_full = UniformBoxSampler(model.box).sample(n_grid[-1], rng).points
     predicted_full = eval_qoi(model, initial_full)
-    box = fit_box(predicted_full, padding=padding)
+    box = fit_box(predicted_full, padding=1e-3)
     out = np.empty((3, len(n_grid), len(p_grid)))
     for i, n in enumerate(n_grid):
         lam, q = initial_full[:n], predicted_full[:n]
         for j, p in enumerate(p_grid):
-            if partition_kind == "grid":
+            if spec.partition_kind == "grid":
                 part = make_regular_grid(box, p)
             else:
                 part = make_kmeans(q, p, seed=(seed * 1_000_003 + 7 * t) % 2**31)
             pts = np.clip(box.scale(part.reps.points), 0.0, 1.0)
             w = solve_isotonic(assemble_qp(pts, qp_target, box=box)).w
-            u, w_floored, _, _ = distribute_cell_weights(
-                w, part.classify_many(q), part.p, weight_floor=weight_floor, strict=False
-            )
+            u, w_floored, _, _ = distribute_cell_weights(w, part.classify_many(q), part.p,
+                                                         strict=False)
             out[0, i, j] = np.sum(w_floored[box_b.contains(part.reps.points)]) / part.p
             out[1, i, j] = np.sum(u[box_b.contains(q)])
             out[2, i, j] = np.sum(u[box_a.contains(lam)])
@@ -284,20 +280,19 @@ def reference_study_trial(args):
 
 @pytest.mark.parametrize("kind", ["grid", "kmeans"])
 def test_study_trial_matches_per_cell_reference(kind, monkeypatch):
-    model = HeatRod()
+    spec = ConvergenceSpec(n_grid=(150, 400, 900), p_grid=(4, 9), seed=9,
+                           region_a=((2.01, 2.02), (0.95, 1.0)), partition_kind=kind)
     observed = heat_rod_observed().sample(4000, np.random.default_rng(12)).points
-    n_grid, p_grid = (150, 400, 900), (4, 9)
-    region_b = derive_image_region(model, ((2.01, 2.02), (0.95, 1.0)))
+    region_b = derive_image_region(spec.model, spec.region_a)
     calls = []
     monkeypatch.setattr(
         binning, "solve_isotonic",
         lambda problem, **kw: calls.append(1) or solve_isotonic(problem, **kw),
     )
     for t in range(2):
-        args = (model, observed, n_grid, p_grid, kind, ((2.01, 2.02), (0.95, 1.0)), region_b,
-                1e-6, 1e-3, 9, t)
         calls.clear()
-        out = experiments._study_trial(args)
-        assert len(calls) == (len(p_grid) if kind == "grid" else len(n_grid) * len(p_grid))
-        expected = reference_study_trial(args)
+        out = experiments._study_trial(spec, observed, region_b, t)
+        n_fits = len(spec.p_grid) * (1 if kind == "grid" else len(spec.n_grid))
+        assert len(calls) == n_fits
+        expected = reference_study_trial(spec, observed, region_b, t)
         assert np.array_equal(out.view(np.int64), expected.view(np.int64))

@@ -25,43 +25,15 @@ checkouts are equal:
     python3 tools/output_digests.py --src . --out new.json
     diff old.json new.json
 
-The output contract: density outputs stay byte-identical; the exact KDE
-skips, at every dimension, only kernels that are +0.0 in any order, so
+The output contract is that every hashed file stays byte-identical. Two
+parts of it are easy to break unseen: the exact KDE skips, at every
+dimension, only kernels that are +0.0 in any order, so
 ``pairs_density_narrow``, whose observed-KDE windows are empty at some
 predicted values and partial at the rest, and ``pairs_2d_density_narrow``,
-whose windows all leave out some samples, are byte-identical to a checkout
-that sums every kernel. Fits on 1-D data come from the exact isotonic
-solver, whose weights differ from the dense active set's only in the last
-bits. Against a checkout from before
-that solver, ``weights.csv``, ``pushforward.csv``, ``result.json`` and the
-surfaces of the 1-D commands differ, and every ``meta.json`` with a solver
-block differs by its scale-aware residual keys. Fits on data of two or more
-dimensions come from block principal pivoting; against a checkout from
-before it, the weights of ``pairs_2d_*`` differ in their last bits (max
-|diff| 3.3e-11, objectives within 5e-17), and so do their push-forwards and
-the residuals, objective and ``iterations`` (pivoting rounds) of their
-``meta.json`` solver block; all else is equal. The rod series is summed by
-a complex recurrence; against a checkout from before it, the 28 commands
-that evaluate the rod model differ in the last bits of their model values
-(max |diff| 8.4e-15), and so of their weights (up to 1.1e-5 at l = 6000,
-where the 1-D fit amplifies them), push-forwards, objectives (within
-4.6e-15), solver iterations and the KDE diagnostic; no fill-loop batch or
-sample count moves, and the 14 ``pairs_*`` commands are byte-identical.
-The 1-D empirical b is one sort and a prefix sum; against a checkout from
-before it, the 22 runs that fit 1-D data against an empirical target
-(``rod_naive-*``, ``convergence-*``, ``rod_kmeans``, ``rod_grid_fill``,
-``rod_grid_data_box``, ``rod_naive_data_box``, ``pairs_naive``,
-``pairs_grid`` and ``pairs_kmeans``) differ in the last bits of their
-weights (max |diff| 2.1e-7 on rod_naive at l = 1500, at most 1.9e-8
-elsewhere), push-forwards, objectives (within 4.7e-16), solver iterations
-and residuals, and convergence estimates (within 1.1e-13) and surfaces
-(within 2.5e-14); the ``density_*``, ``mixture_binning-*``,
-``rod_naive_large-*``, ``pairs_density*`` and ``pairs_2d_*`` runs, whose
-b is exact, 2-D or not needed, are byte-identical.
-``solve`` once wrote its
-``--threads`` value (by default the host's core count) into ``meta.json``;
-against a checkout from before that flag was removed, the ``meta.json`` of
-every command but ``convergence`` differs by that key alone.
+whose windows all leave out some samples, equal a checkout that sums every
+kernel; and ``meta.json`` holds nothing that depends on the host, so only
+its ``timing`` block is left out. ``CHANGES.md`` names the runs and the
+bounds of each change that was allowed to move the last bits of outputs.
 
 The full-size commands take about a minute in total and up to about 1 GB
 of memory (rod_naive_large); they run one at a time.
