@@ -27,7 +27,6 @@ from .targets import as_target
 
 DEFAULT_MAX_BATCHES = 1000
 KMEANS_MAX_ITER = 100
-PIPELINE_PADDING = 1e-3  # widening of a fitted data box per side; see solve_naive
 WEIGHT_FLOOR = 1e-6  # cell weights at or below it count as zero; see distribute_cell_weights
 
 
@@ -121,10 +120,6 @@ class KMeansPartition:
     """Implicit Voronoi cells of k-means centroids; nearest-centroid classifier."""
 
     centroids: SampleSet
-    inertia: float
-    inertia_history: tuple
-    seed: int
-    n_iter: int
 
     kind = "kmeans"
 
@@ -187,9 +182,7 @@ def make_kmeans(samples, p, seed):
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(pts, p, rng)
     assignments = None
-    history = []
-    n_iter = 0
-    for n_iter in range(1, KMEANS_MAX_ITER + 1):
+    for _ in range(KMEANS_MAX_ITER):
         new_assign = _nearest(pts, centroids)
         closest = ((pts - centroids[new_assign]) ** 2).sum(axis=1)
         for k in range(p):
@@ -201,13 +194,10 @@ def make_kmeans(samples, p, seed):
                 centroids[k] = pts[far]
                 new_assign[far] = k
                 closest[far] = 0.0
-        history.append(float(((pts - centroids[new_assign]) ** 2).sum(axis=1).sum()))
         if assignments is not None and np.array_equal(new_assign, assignments):
             break
         assignments = new_assign
-    return KMeansPartition(
-        SampleSet(centroids), history[-1], tuple(history), int(seed), n_iter
-    )
+    return KMeansPartition(SampleSet(centroids))
 
 
 def _nearest(pts, centroids):
@@ -239,15 +229,16 @@ def fit_weights(points, target, box):
 
 def _data_box(predicted, data_box):
     """``data_box``, a known support of the ``predicted`` points, or if None the
-    box fitted to them with ``PIPELINE_PADDING``; DataBoxError if ``data_box``
-    misses any of them."""
+    box ``fit_box`` fits to them; DataBoxError if ``data_box`` misses any of
+    them."""
+    pts = as_points(predicted)
     if data_box is None:
-        return fit_box(predicted, padding=PIPELINE_PADDING)
-    inside = int(data_box.contains(predicted).sum())
-    if inside < len(predicted):
+        return fit_box(pts)
+    inside = int(data_box.contains(pts).sum())
+    if inside < pts.shape[0]:
         found = f"only {inside}" if inside else "none"
         raise DataBoxError(
-            f"data box {_bounds(data_box)} contains {found} of the {len(predicted)} samples"
+            f"data box {_bounds(data_box)} contains {found} of the {pts.shape[0]} samples"
         )
     return data_box
 
@@ -309,10 +300,10 @@ def distribute_cell_weights(w, assignments, p, strict=True):
     demand no samples, and the mean-one weights of a QP always keep a cell
     above it. Given weights that are all at or below it,
     AllWeightsFlooredError is raised. In strict mode a kept cell with no
-    samples raises UnreachableCellError; otherwise its mass is dropped and
-    reported.
+    samples raises UnreachableCellError; otherwise its mass is dropped, and
+    u sums to one less that mass.
 
-    Returns (u, w_floored, counts, dropped_mass).
+    Returns (u, w_floored, counts).
     """
     w = np.asarray(w, dtype=float)
     assignments = np.asarray(assignments)
@@ -328,17 +319,14 @@ def distribute_cell_weights(w, assignments, p, strict=True):
     counts = np.bincount(assignments, minlength=p)
     kept = w_floored > 0
     empty_kept = kept & (counts == 0)
-    dropped = 0.0
-    if np.any(empty_kept):
-        if strict:
-            cells = np.nonzero(empty_kept)[0]
-            raise UnreachableCellError(cells, w_floored[cells])
-        dropped = float(np.sum(w_floored[empty_kept]) / p)
+    if strict and np.any(empty_kept):
+        cells = np.nonzero(empty_kept)[0]
+        raise UnreachableCellError(cells, w_floored[cells])
     per_cell = np.zeros(p)
     usable = kept & (counts > 0)
     per_cell[usable] = w_floored[usable] / (p * counts[usable])
     u = per_cell[assignments]
-    return u, w_floored, counts, dropped
+    return u, w_floored, counts
 
 
 def proportional_min_fill(w, p, n_target):
@@ -470,7 +458,7 @@ def solve_binning(
         initial_pts, predicted_pts, assignments = (np.concatenate(c) for c in zip(*chunks))
     del chunks  # the batch copies would otherwise stay alive through the distribution
 
-    u, w_floored, counts, _dropped = distribute_cell_weights(w, assignments, p, strict=True)
+    u, w_floored, counts = distribute_cell_weights(w, assignments, p, strict=True)
     return BinnedSolution(
         partition=part,
         cell_weights=WeightVector(w_floored, Normalization.MEAN_ONE),
@@ -507,9 +495,7 @@ def solve_naive(initial, predicted, target, data_box=None):
     more than the binning method's. ``data_box`` (a known compact support)
     overrides the box fitted to the samples and must contain all of them.
     The fitted box is padded by the constant ``PIPELINE_PADDING`` (1e-3 of
-    its width per side): a tight box puts each coordinate's largest sample
-    at 1, which on data of two or more dimensions zeroes its row of the
-    fitting matrix.
+    its width per side; ``core.fit_box`` gives the reason).
     """
     initial, predicted_pts = _sample_pair(initial, predicted)
     target = as_target(target)

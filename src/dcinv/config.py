@@ -50,16 +50,20 @@ needs at least 2 initial and 2 observed samples. ``method.n_batch``
 and ``method.min_fill`` drive the binning fill loop, which draws from a
 live model only; loaded pairs are used as they are. Unknown keys are
 ignored, except ``method.padding`` and ``method.weight_floor``: they once
-set what are now the constants ``binning.PIPELINE_PADDING`` and
+set what are now the constants ``core.PIPELINE_PADDING`` and
 ``binning.WEIGHT_FLOOR``, and ignoring them would change a run's results
 without notice, so each is a config error. The literals NaN, Infinity and
 -Infinity, which strict JSON does not allow, are rejected wherever they
-appear.
+appear. The other sections of a solve config are checked before the
+target's ``m`` observed samples are drawn, so an error there costs no draw.
 
 The convergence spec file carries the ConvergenceSpec fields (n_grid, p_grid,
 trials, seed, region_a, optional region_b, partition_kind, model, target,
 m_observed, baseline_n, baseline_trials); for the same reason, it must
-not set ``padding`` or ``weight_floor``. Validated ranges:
+not set ``padding`` or ``weight_floor``. A spec's ``target.m`` and
+``target.seed`` are checked as in a solve config but draw nothing: the study
+draws its ``m_observed`` observed samples from the target's law itself.
+Validated ranges:
 ``seed`` and ``target.seed`` are integers >= 0, as in a solve config;
 ``n_grid`` and ``p_grid`` are nonempty, strictly increasing lists of
 integers >= 1, and for k-means no ``p_grid`` entry exceeds an ``n_grid``
@@ -77,8 +81,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binning import PIPELINE_PADDING, WEIGHT_FLOOR
-from .core import SampleSet, as_box
+from .binning import WEIGHT_FLOOR
+from .core import PIPELINE_PADDING, SampleSet, as_box
 from .io import load_pairs, load_samples
 from .models import HeatRod
 from .targets import EmpiricalTarget, MixtureOfUniforms, NormalTarget, UniformTarget
@@ -216,7 +220,6 @@ class ResolvedTarget:
 
     target: object
     observed: SampleSet = None  # samples backing the EDF / density estimate
-    exact: object = None  # the exact target when one exists
 
     @property
     def observed_or_fail(self):
@@ -230,7 +233,9 @@ class ResolvedTarget:
         return self.observed
 
 
-def build_target(cfg, seed, pointer="/target", base_dir="."):
+def _target_law(cfg, pointer, base_dir):
+    """The target of ``cfg``, drawing nothing: (the exact law, ``m``, ``seed``),
+    or (the EmpiricalTarget of the loaded samples, None, None)."""
     kind = _get(cfg, "kind", pointer, str, choices={"normal", "uniform", "mixture", "samples"})
     if kind == "samples":
         path = os.path.join(base_dir, _get(cfg, "csv", pointer, str))
@@ -238,7 +243,7 @@ def build_target(cfg, seed, pointer="/target", base_dir="."):
             samples = load_samples(path)
         except (ValueError, OSError) as exc:
             raise ConfigError(pointer, str(exc)) from None
-        return ResolvedTarget(EmpiricalTarget(samples), observed=samples)
+        return EmpiricalTarget(samples), None, None
     if kind == "normal":
         law, args = NormalTarget, [_get(cfg, k, pointer, float) for k in ("mu", "sigma")]
     elif kind == "uniform":
@@ -248,14 +253,26 @@ def build_target(cfg, seed, pointer="/target", base_dir="."):
     m = _get(cfg, "m", pointer, int, default=None, low=1)
     target_seed = _get(cfg, "seed", pointer, int, default=None, low=0)
     try:
-        exact = law(*args)
-        if m is None:
-            return ResolvedTarget(exact, exact=exact)
-        seeds = np.random.SeedSequence((seed, 11) if target_seed is None else target_seed)
-        observed = exact.sample(m, np.random.default_rng(seeds))
-    except (TypeError, ValueError) as exc:  # out of range, or samples that overflow
+        return law(*args), m, target_seed
+    except (TypeError, ValueError) as exc:  # out of range
         raise ConfigError(pointer, str(exc)) from None
-    return ResolvedTarget(EmpiricalTarget(observed), observed=observed, exact=exact)
+
+
+def build_target(cfg, seed, pointer="/target", base_dir="."):
+    """The target of ``cfg`` and its observed samples: the loaded samples, or
+    ``m`` draws from the exact law (none for a null ``m``), seeded by the
+    target's ``seed`` or else by (``seed``, 11)."""
+    law, m, target_seed = _target_law(cfg, pointer, base_dir)
+    if isinstance(law, EmpiricalTarget):
+        return ResolvedTarget(law, observed=law.samples)
+    if m is None:
+        return ResolvedTarget(law)
+    seeds = np.random.SeedSequence((seed, 11) if target_seed is None else target_seed)
+    try:
+        observed = law.sample(m, np.random.default_rng(seeds))
+    except ValueError as exc:  # samples that overflow
+        raise ConfigError(pointer, str(exc)) from None
+    return ResolvedTarget(EmpiricalTarget(observed), observed=observed)
 
 
 @dataclass
@@ -276,13 +293,14 @@ class SolveConfig:
 
 
 def build_solve_config(cfg, base_dir="."):
+    """Read and check the whole config against the model's data dimension,
+    then build the target last, so that no observed sample is drawn for a
+    config with an error elsewhere."""
     if not isinstance(cfg, dict):
         raise ConfigError("/", "config must be a JSON object")
     seed = _get(cfg, "seed", "", int, default=0, low=0)
     model = build_model(_get(cfg, "model", "", dict), base_dir=base_dir)
-    target = build_target(_get(cfg, "target", "", dict), seed, base_dir=base_dir)
-    _check_target_dim(target.target, model)
-    dim = target.target.dim
+    dim = model.data_dim
     initial_cfg = _get(cfg, "initial", "", dict, default={})
     _get(initial_cfg, "kind", "/initial", str, default="uniform", choices={"uniform"})
     method = _get(cfg, "method", "", dict, default={})
@@ -315,10 +333,7 @@ def build_solve_config(cfg, base_dir="."):
         if not 0 < h * h < math.inf:
             raise ConfigError("/method/kde_rule",
                               f"expected a bandwidth whose square is a positive float, got {h!r}")
-    return SolveConfig(
-        seed=seed,
-        model=model,
-        target=target,
+    options = dict(
         n_initial=_get(initial_cfg, "n", "/initial", int, default=2000, low=1),
         p=_get(method, "p", "/method", int, default=40, low=1),
         partition_box=_box_option("partition_box"),
@@ -331,8 +346,10 @@ def build_solve_config(cfg, base_dir="."):
         ),
         kde_rule=kde_rule,
         pushforward_grid=_get(output, "pushforward_grid", "/output", int, default=512, low=1),
-        raw=cfg,
     )
+    target = build_target(_get(cfg, "target", "", dict), seed, base_dir=base_dir)
+    _check_target_dim(target.target, model)
+    return SolveConfig(seed=seed, model=model, target=target, raw=cfg, **options)
 
 
 def build_convergence_spec(cfg, base_dir="."):
@@ -346,9 +363,8 @@ def build_convergence_spec(cfg, base_dir="."):
     model = build_model(_get(cfg, "model", "", dict, default={"kind": "heat_rod"}), base_dir=base_dir)
     if not model.live:
         raise ConfigError("/model/kind", "the convergence study needs a live model")
-    if "target" in cfg:
-        target = build_target(_get(cfg, "target", "", dict), seed, base_dir=base_dir)
-        target_obj = target.exact if target.exact is not None else target.target
+    if "target" in cfg:  # the study draws its own m_observed samples from the law
+        target_obj, _m, _seed = _target_law(_get(cfg, "target", "", dict), "/target", base_dir)
     else:
         target_obj = heat_rod_observed()
     _check_target_dim(target_obj, model)

@@ -14,6 +14,7 @@ import numpy as np
 
 ZERO_WIDTH_EPS = 1e-9
 NORMALIZATION_TOL = 1e-8
+PIPELINE_PADDING = 1e-3  # widening of a fitted box per side, as a fraction of its width
 
 
 class Normalization(Enum):
@@ -72,14 +73,6 @@ class SampleSet:
     def dim(self):
         return self.points.shape[1]
 
-    def __len__(self):
-        return self.n
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.points.astype(dtype)
-        return self.points
-
 
 @dataclass(frozen=True)
 class WeightVector:
@@ -115,14 +108,6 @@ class WeightVector:
     def n(self):
         return self.weights.size
 
-    def __len__(self):
-        return self.n
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.weights.astype(dtype)
-        return self.weights
-
 
 @dataclass(frozen=True)
 class WeightedEdf:
@@ -144,15 +129,6 @@ class WeightedEdf:
             raise ValueError(
                 f"{self.weights.n} weights for {self.samples.n} samples"
             )
-
-    @property
-    def dim(self):
-        return self.samples.dim
-
-    def eval_many(self, points):
-        from .edf import wedf_eval_many
-
-        return wedf_eval_many(self, points)
 
     @classmethod
     def plain(cls, samples):
@@ -250,33 +226,33 @@ def grid_points(axes):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def fit_box(samples, padding=0.0):
-    """Fit a bounding box to a sample set.
+def fit_box(samples):
+    """Fit a bounding box to a sample set, padded by ``PIPELINE_PADDING``.
 
     Parameters
     ----------
     samples : SampleSet or array-like, shape (n, d)
         Nonempty collection of points.
-    padding : float, optional
-        Each side of the box is extended by this fraction of the side's width
-        on both ends, so ``padding > 0`` puts every sample strictly in the
-        interior. Default 0 (tight component-wise min/max box).
 
     Returns
     -------
     BoxScaler
+        The component-wise min/max box with each side extended by
+        ``PIPELINE_PADDING`` (1e-3) of its width on both ends, so every sample
+        lies strictly inside. The padding is a constant of the pipeline: a
+        tight box puts each coordinate's largest sample at 1 in unit-box
+        coordinates, which on data of two or more dimensions zeroes its row of
+        the fitting matrix.
 
     Notes
     -----
     A dimension in which all samples share one coordinate has zero width; it
-    is widened symmetrically by 1e-9 and a warning is issued, so constant
-    output components do not abort a run.
+    is widened symmetrically by 1e-9 (before the padding) and a warning is
+    issued, so constant output components do not abort a run.
     """
     pts = as_points(samples)
     if pts.shape[0] == 0:
         raise ValueError("cannot fit a box to an empty sample set")
-    if padding < 0:
-        raise ValueError(f"padding must be nonnegative, got {padding}")
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     degenerate = hi - lo <= 0
@@ -288,8 +264,5 @@ def fit_box(samples, padding=0.0):
         )
         lo = np.where(degenerate, lo - 0.5 * ZERO_WIDTH_EPS, lo)
         hi = np.where(degenerate, hi + 0.5 * ZERO_WIDTH_EPS, hi)
-    if padding > 0:
-        pad = padding * (hi - lo)
-        lo = lo - pad
-        hi = hi + pad
-    return BoxScaler(lo, hi)
+    pad = PIPELINE_PADDING * (hi - lo)
+    return BoxScaler(lo - pad, hi + pad)

@@ -50,7 +50,6 @@ class KdeModel:
 
     points: SampleSet
     bandwidth_matrix: np.ndarray
-    rule: str
 
     def __post_init__(self):
         if not isinstance(self.points, SampleSet):
@@ -245,7 +244,7 @@ def kde_fit(samples, rule="scott"):
         h = float(rule)
         if h <= 0:
             raise ValueError(f"fixed bandwidth must be positive, got {h}")
-        return KdeModel(SampleSet(pts), h * h * np.eye(d), rule="fixed")
+        return KdeModel(SampleSet(pts), h * h * np.eye(d))
     cov = np.atleast_2d(np.cov(pts.T, ddof=1))
     try:
         np.linalg.cholesky(cov)
@@ -257,7 +256,7 @@ def kde_fit(samples, rule="scott"):
         )
         cov = np.diag(np.maximum(np.diag(cov), COV_EPS))
     bw = cov * _bandwidth_factor(rule, n, d)
-    return KdeModel(SampleSet(pts), bw, rule=rule)
+    return KdeModel(SampleSet(pts), bw)
 
 
 def density_ratio(observed_kde, predicted_kde, q):
@@ -322,20 +321,13 @@ def rejection_sample(initial_samples, r_values, seed):
     return SampleSet(samples.points[accept])
 
 
-@dataclass(frozen=True)
-class UpdateProbability:
-    """Raw and self-normalized estimates of an updated-distribution probability."""
-
-    raw: float
-    self_normalized: float
-
-
 def update_probability(region, initial_samples, r_values):
     """Probability of an axis-aligned parameter region under the update.
 
-    raw = (1/n) sum r_i I(lambda_i in region); the self-normalized variant
-    divides by the mean ratio instead of n, making it invariant to KDE mass
-    leaking outside the sampling box. ``region`` goes through ``core.as_box``.
+    Returns the self-normalized estimate sum_{lambda_i in region} r_i /
+    sum_i r_i (0.0 when every ratio is zero). Dividing by the summed ratios
+    rather than by n makes it invariant to KDE mass leaking outside the
+    sampling box. ``region`` goes through ``core.as_box``.
     """
     region = as_box(region)
     pts = as_points(initial_samples)
@@ -343,10 +335,8 @@ def update_probability(region, initial_samples, r_values):
     if r.shape != (pts.shape[0],):
         raise ValueError("ratios misaligned with samples")
     inside = region.contains(pts)
-    raw = float(np.sum(r[inside]) / r.size)
     total = float(np.sum(r))
-    self_norm = float(np.sum(r[inside]) / total) if total > 0 else 0.0
-    return UpdateProbability(raw, self_norm)
+    return float(np.sum(r[inside]) / total) if total > 0 else 0.0
 
 
 @dataclass(frozen=True)

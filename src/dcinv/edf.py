@@ -8,6 +8,8 @@ integration of d-dimensional step functions is combinatorial and grid
 quadrature at a documented resolution is enough for reporting and tests.
 """
 
+from functools import partial
+
 import numpy as np
 
 from .core import Normalization, SampleSet, WeightedEdf, as_box, as_points, grid_points
@@ -85,9 +87,9 @@ def as_cdf_callable(f):
     callable already mapping an (m, d) array to m values.
     """
     if isinstance(f, WeightedEdf):
-        return f.eval_many
+        return partial(wedf_eval_many, f)
     if isinstance(f, SampleSet) or isinstance(f, np.ndarray):
-        return WeightedEdf.plain(f).eval_many
+        return partial(wedf_eval_many, WeightedEdf.plain(f))
     if hasattr(f, "cdf"):
         return lambda pts: np.asarray(f.cdf(pts[:, 0] if pts.shape[1] == 1 else pts))
     if callable(f):

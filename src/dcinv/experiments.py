@@ -20,7 +20,6 @@ import numpy as np
 
 from . import __version__
 from .binning import (
-    PIPELINE_PADDING,
     WEIGHT_FLOOR,
     distribute_cell_weights,
     fit_weights,
@@ -31,10 +30,11 @@ from .binning import (
     solve_naive,
 )
 from .config import ConfigError
-from .core import Normalization, SampleSet, WeightedEdf, as_box, fit_box, grid_points
+from .core import (PIPELINE_PADDING, Normalization, SampleSet, WeightedEdf, as_box, fit_box,
+                   grid_points)
 from .density import solve_density, update_probability
 from .edf import l2_distance, sup_distance
-from .io import json_text, make_output_dir, write_csv, write_json
+from .io import make_output_dir, write_csv, write_json
 from .models import HeatRod, UniformBoxSampler, draw_pairs, eval_qoi, heat_rod_observed
 from .targets import EmpiricalTarget, as_target, is_exact
 
@@ -150,9 +150,6 @@ class ConvergenceResult:
             "surfaces": {k: np.asarray(v).tolist() for k, v in sorted(self.surfaces.items())},
         }
 
-    def to_json(self):
-        return json_text(self.to_dict())
-
     def save(self, out_dir):
         """Write result.json and one CSV per surface (rows n, columns p)."""
         make_output_dir(out_dir)
@@ -180,8 +177,7 @@ def _baseline_trial(spec, observed_pts, t):
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 1, t)))
     initial, predicted = draw_pairs(UniformBoxSampler(model.box), model, spec.baseline_n, rng)
     sol = solve_density(initial, predicted, SampleSet(observed_pts), method="binned")
-    p_a = update_probability(spec.region_a, initial, sol.r_values).self_normalized
-    return float(sol.diagnostic), float(p_a)
+    return float(sol.diagnostic), update_probability(spec.region_a, initial, sol.r_values)
 
 
 def _study_trial(spec, observed_pts, region_b, t):
@@ -194,7 +190,7 @@ def _study_trial(spec, observed_pts, region_b, t):
     box_b = as_box(region_b)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 2, t)))
     initial_full, predicted_full = draw_pairs(UniformBoxSampler(model.box), model, n_grid[-1], rng)
-    box = fit_box(predicted_full, padding=PIPELINE_PADDING)
+    box = fit_box(predicted_full)
     if spec.partition_kind == "grid":
         # A grid, and so its QP and weights, depends only on the trial's box
         # and on p, not on n: fit each p once and reuse it for every n.
@@ -213,8 +209,7 @@ def _study_trial(spec, observed_pts, region_b, t):
                 part = make_kmeans(q, p, seed=(seed * 1_000_003 + 7 * t) % 2**31)
                 w = fit_weights(part.reps.points, qp_target, box).w
             assignments = part.classify_many(q)
-            u, w_floored, _counts, _dropped = distribute_cell_weights(
-                w, assignments, part.p, strict=False)
+            u, w_floored, _counts = distribute_cell_weights(w, assignments, part.p, strict=False)
             reps_in_b = box_b.contains(part.reps.points)
             out[0, i, j] = np.sum(w_floored[reps_in_b]) / part.p
             out[1, i, j] = np.sum(u[in_b])
@@ -355,7 +350,7 @@ def compare_methods(model, target, n, m, p, seed, methods=METHOD_NAMES):
     else:
         observed = target.samples
 
-    box = fit_box(predicted, padding=PIPELINE_PADDING)
+    box = fit_box(predicted)
 
     def distances(pushforward):
         return (

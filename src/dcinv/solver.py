@@ -86,7 +86,6 @@ class KktReport:
     stationarity_residual: float
     feasibility_residual: float
     complementarity_residual: float
-    nu: float
     b_scale: float
     scale: float
 
@@ -151,7 +150,7 @@ def verify_kkt(problem, w):
     b_scale = float(np.max(np.abs(problem.b)))
     # |nu|/l keeps a scale when b = 0, as in solve_qp's multiplier margin
     scale = max(b_scale, abs(nu) / ell)
-    return KktReport(stationarity, feasibility, complementarity, nu, b_scale, scale)
+    return KktReport(stationarity, feasibility, complementarity, b_scale, scale)
 
 
 def _cleanup(w, ell):

@@ -3,7 +3,9 @@ from functools import partial
 import numpy as np
 import pytest
 
+from dcinv import binning
 from dcinv.binning import (
+    KMEANS_MAX_ITER,
     AllWeightsFlooredError,
     UnreachableCellError,
     classify,
@@ -56,15 +58,22 @@ def test_kmeans_two_cluster_optimum():
 def test_kmeans_p_equals_n():
     pts = np.array([0.1, 0.4, 0.7, 0.95])
     part = make_kmeans(pts, p=4, seed=1)
-    assert part.inertia == pytest.approx(0.0, abs=1e-30)
-    assert np.allclose(np.sort(part.centroids.points[:, 0]), pts)
+    # each point is a cluster of its own, so the centroids are the points exactly
+    assert np.array_equal(np.sort(part.centroids.points[:, 0]), pts)
 
 
-def test_kmeans_inertia_non_increasing():
-    rng = np.random.default_rng(3)
-    part = make_kmeans(rng.uniform(size=(300, 2)), p=7, seed=4)
-    hist = np.array(part.inertia_history)
-    assert np.all(np.diff(hist) <= 1e-12)
+def test_kmeans_centroids_are_the_means_of_their_cells(monkeypatch):
+    # a converged Lloyd iteration is a fixed point: each centroid is the mean of
+    # the points its own classifier assigns to it, bit for bit
+    rounds = []
+    nearest = binning._nearest
+    monkeypatch.setattr(binning, "_nearest", lambda *a: rounds.append(1) or nearest(*a))
+    pts = np.random.default_rng(3).uniform(size=(300, 2))
+    part = make_kmeans(pts, p=7, seed=4)
+    assert len(rounds) < KMEANS_MAX_ITER  # it stopped because the assignment held
+    cells = part.classify_many(pts)
+    for k, centroid in enumerate(part.centroids.points):
+        assert np.array_equal(centroid, pts[cells == k].mean(axis=0))
 
 
 def test_kmeans_tie_breaks_to_lowest_index():
@@ -89,16 +98,15 @@ def test_kmeans_reproducible():
 
 def test_distribute_hand_case():
     # p=2, w={0.5,1.5}, 4 samples with 2 per cell -> u = {0.125,0.125,0.375,0.375}
-    u, w_f, counts, dropped = distribute_cell_weights(
+    u, w_f, counts = distribute_cell_weights(
         np.array([0.5, 1.5]), np.array([0, 0, 1, 1]), p=2
     )
     assert np.allclose(u, [0.125, 0.125, 0.375, 0.375])
     assert u.sum() == pytest.approx(1.0, abs=1e-12)
-    assert dropped == 0.0
 
 
 def test_distribute_floors_tiny_weights():
-    u, w_f, counts, dropped = distribute_cell_weights(
+    u, w_f, counts = distribute_cell_weights(
         np.array([1e-9, 2.0 - 1e-9]), np.array([0, 0, 1, 1]), p=2
     )
     assert np.all(u[:2] == 0.0)
@@ -115,10 +123,11 @@ def test_distribute_rejects_weights_all_at_or_below_the_floor():
 def test_distribute_unreachable_strict():
     with pytest.raises(UnreachableCellError, match="cell 1"):
         distribute_cell_weights(np.array([1.0, 1.0]), np.array([0, 0]), p=2)
-    u, w_f, counts, dropped = distribute_cell_weights(
+    u, w_f, counts = distribute_cell_weights(
         np.array([1.0, 1.0]), np.array([0, 0]), p=2, strict=False
     )
-    assert dropped == pytest.approx(0.5)
+    # the unreachable cell's mass, half of the total, is dropped
+    assert np.array_equal(u, [0.25, 0.25])
 
 
 def unit_identity_model(pts):

@@ -6,12 +6,13 @@ import sys
 import numpy as np
 import pytest
 
-from dcinv import assembly, cli, density, io, solver
+from dcinv import assembly, cli, config, density, io, solver
 from dcinv.cli import main
 from dcinv.core import BoxScaler, SampleSet, WeightedEdf
 from dcinv.edf import wedf_eval_many
 from dcinv.io import save_samples
 from dcinv.models import HEAT_ROD_OBSERVED_MU, HEAT_ROD_OBSERVED_SIGMA, HEAT_ROD_VIOLATION_MU
+from dcinv.targets import NormalTarget
 
 
 def write_config(path, **overrides):
@@ -434,6 +435,28 @@ def test_data_box_missing_some_predicted_samples_is_a_config_error(tmp_path, mon
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("method", ["naive", "binning-grid", "density"])
+def test_data_box_of_loaded_pairs(tmp_path, capsys, method):
+    # loaded pairs reach the data-box check as a SampleSet, not an array
+    lam = np.linspace(0.0, 1.0, 300)[:, None]
+    save_samples(tmp_path / "lam.csv", lam)
+    save_samples(tmp_path / "q.csv", lam + 1.0, prefix="q")
+    model = {"kind": "pairs", "param_csv": "lam.csv", "data_csv": "q.csv"}
+    target = {"kind": "normal", "mu": 1.5, "sigma": 0.1, "m": 500}
+    cfg = write_config(tmp_path / "all.json", model=model, target=target,
+                       method={"p": 20, "min_fill": "none", "data_box": [[0.99, 2.01]]})
+    assert main(["solve", "--method", method, "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    capsys.readouterr()
+    cfg = write_config(tmp_path / "some.json", model=model, target=target,
+                       method={"p": 20, "min_fill": "none", "data_box": [[0.99, 1.5]]})
+    assert main(["solve", "--method", method, "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
+    assert error_record(capsys) == {
+        "exit_code": 2, "kind": "ConfigError",
+        "message": "/method/data_box: data box [[0.99, 1.5]] contains only 150 of the 300 samples",
+    }
+    assert not (tmp_path / "s").exists()
+
+
 @pytest.mark.parametrize("method_options", [
     {"partition_box": [[2.0, 2.6]]},  # wider than the box fitted to the samples
     {"partition_box": [[2.2, 2.7]], "data_box": [[2.2, 2.6]]},
@@ -510,6 +533,23 @@ def test_target_of_another_dimension_than_the_data_is_a_config_error(tmp_path, c
     assert error_record(capsys) == expected
 
 
+@pytest.mark.parametrize("data_box, message", [
+    # the method section is read before the target, so its error is the one reported
+    ([[1.0, 3.0]], "/method/data_box: a 1-D box for 2-D data"),
+    ([[1.0, 3.0], [0.0, 2.0]], "/target: a 1-D target for 2-D data"),
+])
+def test_target_dimension_is_checked_after_the_method(tmp_path, capsys, data_box, message):
+    write_pairs_2d_config(tmp_path)
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        model={"kind": "pairs", "param_csv": "lam2.csv", "data_csv": "q2.csv"},
+        target={"kind": "normal", "mu": 1.5, "sigma": 0.2, "m": 500},
+        method={"p": 20, "data_box": data_box},
+    )
+    assert main(["solve", "--method", "naive", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert error_record(capsys) == {"exit_code": 2, "kind": "ConfigError", "message": message}
+
+
 def test_convergence_target_of_another_dimension_is_a_config_error(tmp_path, capsys):
     save_samples(tmp_path / "obs2.csv", np.full((20, 2), 2.4), prefix="q")
     spec = write_spec(tmp_path / "spec.json", target={"kind": "samples", "csv": "obs2.csv"})
@@ -521,33 +561,74 @@ def test_convergence_target_of_another_dimension_is_a_config_error(tmp_path, cap
     assert not out.exists()
 
 
-@pytest.mark.parametrize("overrides, message", [
+# (case key, spec overrides, error message): a case's id is "<key>-<message>",
+# so that deleting a case renames no other
+SPEC_ERRORS = [
     # padding is no longer a setting, whatever its value
-    ({"padding": -1}, "/padding: expected a config without this key: "
-                      "the data-box padding is fixed at 0.001"),
-    ({"m_observed": 0}, "/m_observed: expected an integer >= 2, got 0"),
-    ({"baseline_n": 1}, "/baseline_n: expected an integer >= 2, got 1"),
-    ({"baseline_trials": 0}, "/baseline_trials: expected an integer >= 1, got 0"),
-    ({"trials": 0}, "/trials: expected an integer >= 1, got 0"),
-    ({"n_grid": [0]}, "/n_grid: expected strictly increasing integers >= 1, got [0]"),
-    ({"p_grid": [0, 5]}, "/p_grid: expected strictly increasing integers >= 1, got [0, 5]"),
-    ({"region_a": [[2.01, 2.02]]}, "/region_a: a 1-D box in a 2-D space"),
-    ({"region_b": [[2.3, 2.4], [0.0, 1.0]]}, "/region_b: a 2-D box in a 1-D space"),
-    ({"partition_kind": "kmeans", "p_grid": [5, 300]}, "/p_grid: 300 k-means cells for 200 samples"),
+    ("overrides0", {"padding": -1}, "/padding: expected a config without this key: "
+                                    "the data-box padding is fixed at 0.001"),
+    ("overrides1", {"m_observed": 0}, "/m_observed: expected an integer >= 2, got 0"),
+    ("overrides2", {"baseline_n": 1}, "/baseline_n: expected an integer >= 2, got 1"),
+    ("overrides3", {"baseline_trials": 0}, "/baseline_trials: expected an integer >= 1, got 0"),
+    ("overrides4", {"trials": 0}, "/trials: expected an integer >= 1, got 0"),
+    ("overrides5", {"n_grid": [0]}, "/n_grid: expected strictly increasing integers >= 1, got [0]"),
+    ("overrides6", {"p_grid": [0, 5]},
+     "/p_grid: expected strictly increasing integers >= 1, got [0, 5]"),
+    ("overrides7", {"region_a": [[2.01, 2.02]]}, "/region_a: a 1-D box in a 2-D space"),
+    ("overrides8", {"region_b": [[2.3, 2.4], [0.0, 1.0]]}, "/region_b: a 2-D box in a 1-D space"),
+    ("overrides9", {"partition_kind": "kmeans", "p_grid": [5, 300]},
+     "/p_grid: 300 k-means cells for 200 samples"),
     # observed samples of N(2.39, 1e308) overflow to infinity, as in a solve config
-    ({"target": {"kind": "normal", "mu": 2.39, "sigma": 1e308, "m": None}},
+    ("overrides10", {"target": {"kind": "normal", "mu": 2.39, "sigma": 1e308, "m": None}},
      "/target: points must be finite"),
     # at t_star = 1e308 every predicted value is 0, so the derived region_b is a point
-    ({"model": {"kind": "heat_rod", "t_star": 1e308}},
+    ("overrides11", {"model": {"kind": "heat_rod", "t_star": 1e308}},
      "/region_b: the model image of region_a is not a box: "
      "upper must exceed lower in every component; component 0: [0.0, 0.0]"),
-])
+]
+
+
+@pytest.mark.parametrize("overrides, message", [case[1:] for case in SPEC_ERRORS],
+                         ids=[f"{key}-{message}" for key, _, message in SPEC_ERRORS])
 def test_convergence_spec_out_of_range_is_a_config_error(tmp_path, capsys, overrides, message):
     spec = write_spec(tmp_path / "spec.json", **overrides)
     out = tmp_path / "o"
     assert main(["convergence", "--spec", str(spec), "--out", str(out)]) == 2
     assert error_record(capsys) == {"exit_code": 2, "kind": "ConfigError", "message": message}
     assert not out.exists()
+
+
+# five million observed samples take about 0.15 s to draw, so a draw that
+# should not happen is seen by the spy, not by the clock
+LARGE_TARGET = {"kind": "normal", "mu": HEAT_ROD_OBSERVED_MU, "sigma": HEAT_ROD_OBSERVED_SIGMA,
+                "m": 5_000_000}
+
+
+@pytest.fixture
+def target_draws(monkeypatch):
+    """The sizes that ``NormalTarget.sample`` is asked for."""
+    sizes = []
+    sample = NormalTarget.sample
+    monkeypatch.setattr(NormalTarget, "sample",
+                        lambda self, n, rng: sizes.append(n) or sample(self, n, rng))
+    return sizes
+
+
+def test_a_solve_config_error_draws_no_observed_sample(tmp_path, capsys, target_draws):
+    cfg = write_config(tmp_path / "cfg.json", target=LARGE_TARGET, method={"p": 0})
+    assert main(["solve", "--method", "naive", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert error_record(capsys)["message"].startswith("/method/p: ")
+    assert target_draws == []
+
+
+def test_a_convergence_spec_draws_no_observed_sample(tmp_path, capsys, target_draws):
+    # the study draws its m_observed samples from the law; target.m is checked only
+    spec = config.build_convergence_spec({"target": LARGE_TARGET})
+    assert spec.target == NormalTarget(HEAT_ROD_OBSERVED_MU, HEAT_ROD_OBSERVED_SIGMA)
+    path = write_spec(tmp_path / "spec.json", target=LARGE_TARGET, trials=0)
+    assert main(["convergence", "--spec", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert error_record(capsys)["message"].startswith("/trials: ")
+    assert target_draws == []
 
 
 @pytest.mark.parametrize("command, overrides, message", [
@@ -669,40 +750,49 @@ def test_success_prints_no_error_record(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+# (case key, method, config overrides, pointer of the offending key): a case's
+# id is "<method>-<key>-<pointer>", so that deleting a case renames no other
 BAD_OPTIONS = [
-    # (method, config overrides, pointer of the offending key)
-    ("binning-grid", {"method": {"p": 20, "cells_per_dim": [0]}}, "/method/cells_per_dim"),
-    ("binning-grid", {"method": {"p": 20, "cells_per_dim": ["a"]}}, "/method/cells_per_dim"),
-    ("binning-grid", {"method": {"p": 20, "cells_per_dim": [3, 3]}}, "/method/cells_per_dim"),
-    ("binning-grid", {"method": {"p": 20, "n_batch": -5}}, "/method/n_batch"),
-    ("binning-grid", {"method": {"p": 20, "n_batch": 0}}, "/method/n_batch"),
+    ("overrides0", "binning-grid",
+     {"method": {"p": 20, "cells_per_dim": [0]}}, "/method/cells_per_dim"),
+    ("overrides1", "binning-grid",
+     {"method": {"p": 20, "cells_per_dim": ["a"]}}, "/method/cells_per_dim"),
+    ("overrides2", "binning-grid",
+     {"method": {"p": 20, "cells_per_dim": [3, 3]}}, "/method/cells_per_dim"),
+    ("overrides3", "binning-grid", {"method": {"p": 20, "n_batch": -5}}, "/method/n_batch"),
+    ("overrides4", "binning-grid", {"method": {"p": 20, "n_batch": 0}}, "/method/n_batch"),
     # the retired keys are an error whatever their value
-    ("naive", {"method": {"padding": -1}}, "/method/padding"),
-    ("naive", {"output": {"pushforward_grid": -3}}, "/output/pushforward_grid"),
-    ("naive", {"output": {"pushforward_grid": 0}}, "/output/pushforward_grid"),
-    ("density", {"method": {"kde_rule": -0.5}}, "/method/kde_rule"),
-    ("density", {"method": {"kde_rule": True}}, "/method/kde_rule"),
-    ("binning-kmeans", {"initial": {"kind": "uniform", "n": 200}, "method": {"p": 500}},
-     "/method/p"),
+    ("overrides5", "naive", {"method": {"padding": -1}}, "/method/padding"),
+    ("overrides6", "naive", {"output": {"pushforward_grid": -3}}, "/output/pushforward_grid"),
+    ("overrides7", "naive", {"output": {"pushforward_grid": 0}}, "/output/pushforward_grid"),
+    ("overrides8", "density", {"method": {"kde_rule": -0.5}}, "/method/kde_rule"),
+    ("overrides9", "density", {"method": {"kde_rule": True}}, "/method/kde_rule"),
+    ("overrides10", "binning-kmeans",
+     {"initial": {"kind": "uniform", "n": 200}, "method": {"p": 500}}, "/method/p"),
     # a fixed bandwidth whose square, the kernel variance, underflows or overflows
-    ("density", {"method": {"kde_rule": 1e-300}}, "/method/kde_rule"),
-    ("density", {"method": {"kde_rule": 1e308}}, "/method/kde_rule"),
+    ("overrides11", "density", {"method": {"kde_rule": 1e-300}}, "/method/kde_rule"),
+    ("overrides12", "density", {"method": {"kde_rule": 1e308}}, "/method/kde_rule"),
     # at t_star = 1e308 every predicted value is the same, one distinct point for 20 cells
-    ("binning-kmeans", {"model": {"kind": "heat_rod", "t_star": 1e308}}, "/method/p"),
-    ("binning-grid", {"method": {"p": 20, "weight_floor": -1}}, "/method/weight_floor"),  # retired
-    ("naive", {"model": {"kind": "heat_rod", "lambda_box": []}}, "/model"),
-    ("naive", {"model": {"kind": "heat_rod", "lambda_box": [[1.9, 2.1]]}}, "/model"),
+    ("overrides13", "binning-kmeans",
+     {"model": {"kind": "heat_rod", "t_star": 1e308}}, "/method/p"),
+    ("overrides14", "binning-grid",
+     {"method": {"p": 20, "weight_floor": -1}}, "/method/weight_floor"),  # retired
+    ("overrides15", "naive", {"model": {"kind": "heat_rod", "lambda_box": []}}, "/model"),
+    ("overrides16", "naive", {"model": {"kind": "heat_rod", "lambda_box": [[1.9, 2.1]]}}, "/model"),
     # samples of N(2.39, 1e308) overflow to infinity
-    ("naive", {"target": {"kind": "normal", "mu": 2.39, "sigma": 1e308, "m": 50}}, "/target"),
+    ("overrides17", "naive",
+     {"target": {"kind": "normal", "mu": 2.39, "sigma": 1e308, "m": 50}}, "/target"),
     # a null passes only where the default is null
-    ("naive", {"model": None}, "/model"),
-    ("naive", {"method": None}, "/method"),
-    ("naive", {"initial": {"kind": "uniform", "n": None}}, "/initial/n"),
-    ("naive", {"target": {"kind": "normal", "mu": None, "sigma": 0.035}}, "/target/mu"),
+    ("overrides18", "naive", {"model": None}, "/model"),
+    ("overrides19", "naive", {"method": None}, "/method"),
+    ("overrides20", "naive", {"initial": {"kind": "uniform", "n": None}}, "/initial/n"),
+    ("overrides21", "naive",
+     {"target": {"kind": "normal", "mu": None, "sigma": 0.035}}, "/target/mu"),
 ]
 
 
-@pytest.mark.parametrize("method, overrides, pointer", BAD_OPTIONS)
+@pytest.mark.parametrize("method, overrides, pointer", [case[1:] for case in BAD_OPTIONS],
+                         ids=[f"{method}-{key}-{pointer}" for key, method, _, pointer in BAD_OPTIONS])
 def test_out_of_range_option_is_a_config_error(tmp_path, capsys, method, overrides, pointer):
     cfg = write_config(tmp_path / "cfg.json", **overrides)
     assert main(["solve", "--method", method, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

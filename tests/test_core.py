@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dcinv.core import (
+    PIPELINE_PADDING,
     BoxScaler,
     Normalization,
     SampleSet,
@@ -14,21 +15,18 @@ from dcinv.core import (
 from dcinv.edf import wedf_eval
 
 
-def test_fit_box_tight():
-    box = fit_box(np.array([[0.2], [0.8]]), padding=0.0)
-    assert box.lower[0] == 0.2 and box.upper[0] == 0.8
-
-
 def test_fit_box_padding():
-    # width 0.6, 10% each side
-    box = fit_box(np.array([[0.2], [0.8]]), padding=0.1)
-    assert np.allclose([box.lower[0], box.upper[0]], [0.14, 0.86])
+    # width 0.6, PIPELINE_PADDING (1e-3) of it on each side, with the same roundings
+    box = fit_box(np.array([[0.2], [0.8]]))
+    pad = PIPELINE_PADDING * (0.8 - 0.2)
+    assert box.lower[0] == 0.2 - pad and box.upper[0] == 0.8 + pad
+    assert np.allclose([box.lower[0], box.upper[0]], [0.1994, 0.8006])
 
 
 def test_fit_box_2d_componentwise():
-    box = fit_box(np.array([[0.0, 1.0], [1.0, 0.0]]), padding=0.0)
-    assert np.allclose(box.lower, [0.0, 0.0])
-    assert np.allclose(box.upper, [1.0, 1.0])
+    box = fit_box(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert np.allclose(box.lower, [-1e-3, -1e-3])
+    assert np.allclose(box.upper, [1.001, 1.001])
 
 
 def test_fit_box_empty_rejected():
@@ -39,8 +37,8 @@ def test_fit_box_empty_rejected():
 def test_fit_box_zero_width_dimension_widened():
     with pytest.warns(UserWarning, match="zero-width"):
         box = fit_box(np.array([[1.0, 0.2], [1.0, 0.8]]))
-    assert box.upper[0] - box.lower[0] == pytest.approx(1e-9)
-    assert box.upper[1] == 0.8
+    assert box.upper[0] - box.lower[0] == pytest.approx(1e-9 * (1 + 2 * PIPELINE_PADDING))
+    assert box.upper[1] == 0.8 + PIPELINE_PADDING * (0.8 - 0.2)
 
 
 def test_scale_identity_box():
@@ -73,7 +71,7 @@ def test_scale_unscale_roundtrip_random():
 
 def test_scale_to_unit_maps_inside():
     samples = SampleSet(np.array([[1.95, 0.7], [2.05, 1.3]]))
-    box = fit_box(samples, padding=0.05)
+    box = fit_box(samples)
     scaled = box.scale(samples)
     assert np.all(scaled >= 0.0) and np.all(scaled <= 1.0)
 

@@ -17,6 +17,7 @@ from dcinv.density import (
     solve_density,
     update_probability,
 )
+from dcinv.edf import wedf_eval_many
 
 
 def test_kde_fixed_bandwidth_hand_value():
@@ -76,7 +77,7 @@ def test_kde_binned_matches_exact():
 def test_kde_binned_on_samples_and_queries_at_one_point():
     # the data spread is nil beside the 8h pad, so pad / delta is about
     # BINNED_GRID / 2; the kernel must stay shorter than the grid
-    model = KdeModel(SampleSet(np.full((50, 1), 2.0)), np.array([[1e-8]]), rule="fixed")
+    model = KdeModel(SampleSet(np.full((50, 1), 2.0)), np.array([[1e-8]]))
     q = np.full((3, 1), 2.0)
     binned = model.pdf(q, method="binned")
     assert binned.shape == (3,)
@@ -87,7 +88,7 @@ def test_kde_rejects_a_non_finite_bandwidth():
     # NaN compares false, so it passes the symmetry and Cholesky tests
     for bw in (np.nan, np.inf):
         with pytest.raises(density.BandwidthError, match="must be finite"):
-            KdeModel(SampleSet(np.zeros((3, 1))), np.array([[bw]]), rule="scott")
+            KdeModel(SampleSet(np.zeros((3, 1))), np.array([[bw]]))
 
 
 def test_density_ratio_identical_models_is_one():
@@ -155,11 +156,9 @@ def test_update_probability_whole_and_empty_region():
     rng = np.random.default_rng(19)
     pts = rng.uniform(size=(500, 2))
     r = rng.uniform(0.5, 1.5, size=500)
-    whole = update_probability(BoxScaler([0.0, 0.0], [1.0, 1.0]), pts, r)
-    assert whole.raw == pytest.approx(np.mean(r))
-    assert whole.self_normalized == pytest.approx(1.0)
-    nothing = update_probability(BoxScaler([5.0, 5.0], [6.0, 6.0]), pts, r)
-    assert nothing.raw == 0.0 and nothing.self_normalized == 0.0
+    assert update_probability(BoxScaler([0.0, 0.0], [1.0, 1.0]), pts, r) == pytest.approx(1.0)
+    assert update_probability(BoxScaler([5.0, 5.0], [6.0, 6.0]), pts, r) == 0.0
+    assert update_probability(BoxScaler([0.0, 0.0], [1.0, 1.0]), pts, np.zeros(500)) == 0.0
 
 
 def test_ratio_constant_on_contours():
@@ -186,7 +185,7 @@ def test_solve_density_identical_distributions():
 
 def test_kde_model_validation():
     with pytest.raises(ValueError):
-        KdeModel(SampleSet([0.0, 1.0]), np.array([[-1.0]]), rule="fixed")
+        KdeModel(SampleSet([0.0, 1.0]), np.array([[-1.0]]))
     with pytest.raises(ValueError):
         kde_fit(np.array([[0.0], [1.0]]), rule=-0.5)
 
@@ -208,14 +207,14 @@ def test_update_probability_accepts_plain_bounds():
     pts = rng.uniform(size=(200, 1))
     r = np.ones(200)
     est = update_probability([[0.0, 0.5]], pts, r)
-    assert est.self_normalized == pytest.approx(np.mean(pts[:, 0] <= 0.5))
+    assert est == pytest.approx(np.mean(pts[:, 0] <= 0.5))
 
 
 def test_rejection_pushforward_improves_on_unweighted():
     # accepted samples pushed through the model give an EDF closer (sup-norm)
     # to the observed EDF than the raw predicted EDF
     from dcinv.core import WeightedEdf, fit_box
-    from dcinv.edf import sup_distance, wedf_eval_many
+    from dcinv.edf import sup_distance
     from dcinv.models import HeatRod, UniformBoxSampler, heat_rod_observed
 
     model = HeatRod()
@@ -227,7 +226,7 @@ def test_rejection_pushforward_improves_on_unweighted():
 
     accepted = rejection_sample(initial, sol.r_values, seed=5)
     accepted_pf = SampleSet(model.qoi(accepted.points)[:, None])
-    box = fit_box(np.vstack([predicted.points, observed.points]), padding=0.01)
+    box = fit_box(np.vstack([predicted.points, observed.points]))
     obs_edf = lambda pts: wedf_eval_many(WeightedEdf.plain(observed), pts)
     err_accepted = sup_distance(WeightedEdf.plain(accepted_pf), obs_edf, box, 2048)
     err_plain = sup_distance(WeightedEdf.plain(predicted), obs_edf, box, 2048)
@@ -467,7 +466,7 @@ def kde_window_cases_nd(draw):
         factor = np.tril(np.reshape(entries, (d, d)), -1) + np.diag(
             draw(st.lists(st.floats(0.1, 1.0), min_size=d, max_size=d)))
         bw = 10.0 ** draw(st.floats(-5.0, 0.0)) * (factor @ factor.T)
-        model = KdeModel(SampleSet(x), (bw + bw.T) / 2, rule="test")
+        model = KdeModel(SampleSet(x), (bw + bw.T) / 2)
     reach = density._WINDOW_REACH * np.linalg.cholesky(model.bandwidth_matrix)[0, 0]
     edges = np.concatenate([x[:, 0], x[:, 0] - reach, x[:, 0] + reach,
                             np.nextafter(x[:, 0] + reach, np.inf),
@@ -496,7 +495,7 @@ def test_pdf_exact_span_of_one_kernel_at_d2():
     # one query whose window holds one sample: the triangular solve would get
     # a single right-hand side, which BLAS rounds by another path
     model = KdeModel(SampleSet(np.array([[0.0, 0.0], [-0.75, 0.0]])),
-                     np.diag([0.140625, 1.0]), rule="fixed")
+                     np.diag([0.140625, 1.0]))
     q = np.array([[np.nextafter(-0.75 + density._WINDOW_REACH * 0.375, np.inf), 0.0]])
     assert record_kernel_blocks(model, q) == [(1, 1)]
     assert model.pdf(q)[0] > 0.0
@@ -529,4 +528,5 @@ def test_density_pushforward_bit_equal_to_the_front_end_copy():
     assert np.array_equal(got.samples.points.view(np.int64), ref.samples.points.view(np.int64))
     assert np.array_equal(got.weights.weights.view(np.int64), ref.weights.weights.view(np.int64))
     q = rng.uniform(0.0, 1.4, size=(200, 1))
-    assert np.array_equal(got.eval_many(q).view(np.int64), ref.eval_many(q).view(np.int64))
+    assert np.array_equal(wedf_eval_many(got, q).view(np.int64),
+                          wedf_eval_many(ref, q).view(np.int64))

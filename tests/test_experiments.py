@@ -7,7 +7,7 @@ from dcinv import binning, experiments
 from dcinv.assembly import assemble_qp
 from dcinv.binning import (distribute_cell_weights, make_kmeans, make_regular_grid, solve_binning,
                            solve_naive)
-from dcinv.core import BoxScaler, SampleSet, fit_box
+from dcinv.core import BoxScaler, SampleSet
 from dcinv.density import solve_density
 from dcinv.experiments import (
     ConvergenceSpec,
@@ -16,6 +16,7 @@ from dcinv.experiments import (
     run_convergence,
     write_comparison,
 )
+from dcinv.io import json_text
 from dcinv.models import HeatRod, UniformBoxSampler, eval_qoi, heat_rod_observed
 from dcinv.solver import solve_isotonic
 from dcinv.targets import EmpiricalTarget
@@ -94,8 +95,8 @@ def test_run_convergence_whole_space_events():
 
 def test_run_convergence_deterministic_serialization():
     spec = tiny_spec()
-    a = run_convergence(spec).to_json()
-    b = run_convergence(spec).to_json()
+    a = json_text(run_convergence(spec).to_dict())
+    b = json_text(run_convergence(spec).to_dict())
     assert a == b
 
 
@@ -130,8 +131,8 @@ def test_run_convergence_kmeans_partition():
 
 def test_run_convergence_independent_of_thread_count():
     spec = tiny_spec(trials=2)
-    sequential = run_convergence(spec, threads=1).to_json()
-    pooled = run_convergence(spec, threads=2).to_json()
+    sequential = json_text(run_convergence(spec, threads=1).to_dict())
+    pooled = json_text(run_convergence(spec, threads=2).to_dict())
     assert sequential == pooled
 
 
@@ -164,9 +165,9 @@ def test_run_tasks_asks_for_no_more_workers_than_tasks(monkeypatch):
     assert experiments._run_tasks(square, [], 64) == []
     assert RecordingExecutor.workers == [3, 2]
     spec = tiny_spec(trials=3, baseline_trials=2)
-    pooled = run_convergence(spec, threads=1000).to_json()
+    pooled = json_text(run_convergence(spec, threads=1000).to_dict())
     assert RecordingExecutor.workers[2:] == [2, 3]  # baseline trials, then study trials
-    assert pooled == run_convergence(spec, threads=1).to_json()
+    assert pooled == json_text(run_convergence(spec, threads=1).to_dict())
 
 
 def test_run_convergence_baseline_guard():
@@ -259,7 +260,9 @@ def reference_study_trial(spec, observed_pts, region_b, t):
     rng = np.random.default_rng(np.random.SeedSequence((seed, 2, t)))
     initial_full = UniformBoxSampler(model.box).sample(n_grid[-1], rng).points
     predicted_full = eval_qoi(model, initial_full)
-    box = fit_box(predicted_full, padding=1e-3)
+    lo, hi = predicted_full.min(axis=0), predicted_full.max(axis=0)
+    pad = 1e-3 * (hi - lo)
+    box = BoxScaler(lo - pad, hi + pad)
     out = np.empty((3, len(n_grid), len(p_grid)))
     for i, n in enumerate(n_grid):
         lam, q = initial_full[:n], predicted_full[:n]
@@ -270,8 +273,8 @@ def reference_study_trial(spec, observed_pts, region_b, t):
                 part = make_kmeans(q, p, seed=(seed * 1_000_003 + 7 * t) % 2**31)
             pts = np.clip(box.scale(part.reps.points), 0.0, 1.0)
             w = solve_isotonic(assemble_qp(pts, qp_target, box=box)).w
-            u, w_floored, _, _ = distribute_cell_weights(w, part.classify_many(q), part.p,
-                                                         strict=False)
+            u, w_floored, _ = distribute_cell_weights(w, part.classify_many(q), part.p,
+                                                      strict=False)
             out[0, i, j] = np.sum(w_floored[box_b.contains(part.reps.points)]) / part.p
             out[1, i, j] = np.sum(u[box_b.contains(q)])
             out[2, i, j] = np.sum(u[box_a.contains(lam)])
