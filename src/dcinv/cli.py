@@ -17,8 +17,9 @@ only once the run has succeeded, so a failed run leaves no directory.
 
 Exit codes: 0 success; 2 config error (``--out`` included); 3 solver failure
 (matrix not positive definite, all weights or density ratios zero, a KDE
-bandwidth matrix that is not finite), non-convergence, or a run out of
-memory (a fitting matrix too large to allocate); 4 unreachable cell; 5
+bandwidth matrix that is not finite), non-convergence, a run out of
+memory (a fitting matrix too large to allocate), or a worker process that
+died (killed by the out-of-memory killer, say); 4 unreachable cell; 5
 diagnostic outside [0.8, 1.2] (diagnose, or an untrustworthy
 convergence-study baseline). ``FAILURES`` maps each failure to its code in
 one place, for every subcommand: a failing ``solve``, ``diagnose`` or
@@ -38,6 +39,7 @@ import json
 import os
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 
 import numpy as np
@@ -54,7 +56,7 @@ from .binning import (
     solve_naive,
 )
 from .config import ConfigError, build_convergence_spec, build_solve_config, load_config
-from .core import grid_points
+from .core import cpu_count, grid_points
 from .density import BandwidthError, solve_density
 from .edf import as_cdf_callable, wedf_eval_many
 from .experiments import UntrustworthyBaselineError, run_convergence
@@ -90,6 +92,7 @@ FAILURES = (
     *[(cls, EXIT_NONCONVERGED, "solver failure") for cls in (
         NonPositiveDefiniteError, WeightCollapseError, BandwidthError, NotConverged)],
     (MemoryError, EXIT_NONCONVERGED, "out of memory"),
+    (BrokenProcessPool, EXIT_NONCONVERGED, "worker process died"),
     (UnreachableCellError, EXIT_UNREACHABLE, "unreachable cell"),
     (UntrustworthyBaselineError, EXIT_DIAGNOSTIC, "aborted"),
 )
@@ -287,7 +290,7 @@ def build_parser():
     p_conv = sub.add_parser("convergence", help="run the (n, p) convergence study")
     p_conv.add_argument("--spec", required=True)
     p_conv.add_argument("--out", required=True)
-    p_conv.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p_conv.add_argument("--threads", type=int, default=cpu_count())
     p_conv.set_defaults(func=_cmd_convergence)
     return parser
 

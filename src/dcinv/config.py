@@ -258,11 +258,13 @@ def _target_law(cfg, pointer, base_dir):
         raise ConfigError(pointer, str(exc)) from None
 
 
-def build_target(cfg, seed, pointer="/target", base_dir="."):
+def build_target(cfg, seed, model, pointer="/target", base_dir="."):
     """The target of ``cfg`` and its observed samples: the loaded samples, or
     ``m`` draws from the exact law (none for a null ``m``), seeded by the
-    target's ``seed`` or else by (``seed``, 11)."""
+    target's ``seed`` or else by (``seed``, 11). The target's dimension is
+    checked against ``model``'s data before anything is drawn."""
     law, m, target_seed = _target_law(cfg, pointer, base_dir)
+    _check_target_dim(law, model)
     if isinstance(law, EmpiricalTarget):
         return ResolvedTarget(law, observed=law.samples)
     if m is None:
@@ -347,8 +349,7 @@ def build_solve_config(cfg, base_dir="."):
         kde_rule=kde_rule,
         pushforward_grid=_get(output, "pushforward_grid", "/output", int, default=512, low=1),
     )
-    target = build_target(_get(cfg, "target", "", dict), seed, base_dir=base_dir)
-    _check_target_dim(target.target, model)
+    target = build_target(_get(cfg, "target", "", dict), seed, model, base_dir=base_dir)
     return SolveConfig(seed=seed, model=model, target=target, raw=cfg, **options)
 
 

@@ -1,12 +1,19 @@
-"""Sample containers, weight vectors, weighted EDFs, and bounding-box scaling.
+"""Sample containers, weight vectors, weighted EDFs, bounding-box scaling, and
+the ordered process pool.
 
 Everything downstream (QP assembly, binning, density estimation) works on the
 types defined here. All containers are immutable after construction: the
 underlying numpy arrays are marked read-only so instances can be shared freely
-across concurrent work.
+across concurrent work. ``ordered_map`` runs tasks in worker processes for the
+convergence study and the CSV writer, and yields their results in task order.
 """
 
+import multiprocessing
+import os
+import pickle
+import traceback
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from enum import Enum
 
@@ -266,3 +273,91 @@ def fit_box(samples):
         hi = np.where(degenerate, hi + 0.5 * ZERO_WIDTH_EPS, hi)
     pad = PIPELINE_PADDING * (hi - lo)
     return BoxScaler(lo - pad, hi + pad)
+
+
+def cpu_count():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _send(pipe, obj):
+    """Write ``obj`` to ``pipe`` as its pickle's length in 8 bytes, then the pickle."""
+    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    pipe.write(len(data).to_bytes(8, "little"))
+    pipe.write(data)
+    pipe.flush()
+
+
+def _receive(pipe):
+    """The next object ``_send`` wrote to ``pipe``; None at the end of the pipe."""
+    header = pipe.read(8)
+    size = int.from_bytes(header, "little")
+    data = pipe.read(size)
+    return pickle.loads(data) if len(header) == 8 and len(data) == size else None
+
+
+def _work(fn, payloads, fd):
+    """Send ``(True, fn(p))`` for each payload in turn through the pipe
+    ``fd``, or ``(False, (exc, its traceback's text))`` for the first
+    exception ``fn`` raises."""
+    with open(fd, "wb") as pipe:
+        try:
+            for p in payloads:
+                _send(pipe, (True, fn(p)))
+        except Exception as exc:
+            _send(pipe, (False, (exc, traceback.format_exc())))
+
+
+def ordered_map(fn, payloads, workers):
+    """Yield ``fn(p)`` for each of the sequence ``payloads``, in order.
+
+    With ``workers`` > 1, more than one payload and a platform that can
+    fork, ``w = min(workers, len(payloads))`` forked worker processes run
+    the tasks, so that none imports the package again or is sent its
+    payloads; elsewhere the tasks run in process. Worker k runs payloads
+    k, k + w, ... and writes each result to a pipe of its own; the calling
+    thread reads them in task order, each with one read of its exact size,
+    and no other thread starts. A write blocks until the pipe has room, so
+    a worker runs at most one result ahead of what its pipe holds. An
+    exception raised by ``fn`` reaches the caller as itself; a worker that
+    dies raises ``BrokenProcessPool``. When the generator finishes, raises
+    or is closed, every worker has been joined, and killed first unless it
+    ran to the end.
+    """
+    workers = min(workers, len(payloads))
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        yield from map(fn, payloads)
+        return
+    context = multiprocessing.get_context("fork")
+    procs, pipes = [], []
+    finished = False
+    try:
+        for k in range(workers):
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            try:
+                proc = context.Process(target=_work, args=(fn, payloads[k::workers], write_fd))
+                proc.start()
+            finally:
+                os.close(write_fd)  # so that the worker's exit ends the pipe
+            procs.append(proc)
+        for i in range(len(payloads)):
+            message = _receive(pipes[i % workers])
+            if message is None:
+                raise BrokenProcessPool(f"a worker process died before it sent result {i}")
+            ok, value = message
+            if not ok:
+                exc, trace = value
+                raise exc from RuntimeError(f"raised in a worker process:\n{trace}")
+            yield value
+        finished = True
+    finally:
+        for proc in procs:
+            if not finished:
+                proc.kill()
+            proc.join()
+        for pipe in pipes:
+            pipe.close()

@@ -12,7 +12,6 @@ for bit and trials can run in any order or in parallel.
 """
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
 
@@ -31,7 +30,7 @@ from .binning import (
 )
 from .config import ConfigError
 from .core import (PIPELINE_PADDING, Normalization, SampleSet, WeightedEdf, as_box, fit_box,
-                   grid_points)
+                   grid_points, ordered_map)
 from .density import solve_density, update_probability
 from .edf import l2_distance, sup_distance
 from .io import make_output_dir, write_csv, write_json
@@ -217,16 +216,6 @@ def _study_trial(spec, observed_pts, region_b, t):
     return out
 
 
-def _run_tasks(fn, payloads, threads):
-    """``fn`` over ``payloads`` in order, on at most one worker process per
-    payload: under ``fork`` the pool starts all its workers at once."""
-    workers = min(threads, len(payloads))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, payloads))
-    return [fn(p) for p in payloads]
-
-
 def run_convergence(spec, progress=None, threads=1):
     """Run the full convergence study.
 
@@ -261,7 +250,7 @@ def run_convergence(spec, progress=None, threads=1):
 
     baseline = partial(_baseline_trial, spec, observed.points)
     diagnostics, p_update_trials = [], []
-    for t, (diag, p_a) in enumerate(_run_tasks(baseline, range(spec.baseline_trials), threads)):
+    for t, (diag, p_a) in enumerate(ordered_map(baseline, range(spec.baseline_trials), threads)):
         if not DIAGNOSTIC_GUARD[0] <= diag <= DIAGNOSTIC_GUARD[1]:
             raise UntrustworthyBaselineError(
                 f"baseline diagnostic {diag:.4f} outside {list(DIAGNOSTIC_GUARD)}; "
@@ -275,7 +264,7 @@ def run_convergence(spec, progress=None, threads=1):
 
     study = partial(_study_trial, spec, observed.points, region_b)
     results = []
-    for t, res in enumerate(_run_tasks(study, range(spec.trials), threads)):
+    for t, res in enumerate(ordered_map(study, range(spec.trials), threads)):
         results.append(res)
         if progress:
             progress(f"trial {t + 1}/{spec.trials} done")

@@ -7,36 +7,53 @@ trip), comma separated, LF line endings. Sample files have the header
 ``x1,...,xd``; any prefix is accepted when reading. JSON (``write_json``:
 ``meta.json``, ``result.json``, ``comparison.json``): keys sorted, indent 1,
 a trailing newline, numpy scalars and arrays as their ``tolist()``.
+
+Rows are formatted CSV_BLOCK_ROWS at a time. On two or more CPUs of a
+platform that can fork, a file of at least 2 * POOL_BLOCKS_PER_WORKER
+blocks has its blocks formatted in worker processes, one per
+POOL_BLOCKS_PER_WORKER blocks and at most one per CPU this process may run
+on, and written in block order, so its bytes are the same as when it is
+formatted in process. Of the benchmark's files only a binning solve's
+``weights.csv`` on the mixture problem (~600k rows) is that large. A
+block's text is larger than a pipe holds, so a worker starts its next
+block only once the writer reads its last one (``core.ordered_map``):
+memory holds about two blocks' text per worker, never the whole file's.
 """
 
 import csv
 import json
 import os
+from functools import partial
 
 import numpy as np
 
-from .core import SampleSet, as_points
+from .core import SampleSet, as_points, cpu_count, ordered_map
 
 CSV_BLOCK_ROWS = 8192
+POOL_BLOCKS_PER_WORKER = 4  # blocks per worker process, below which a worker costs more than it saves
 
 
 class OutputDirError(ValueError):
     """An output directory path names an existing file or lies under one."""
 
 
-def write_csv(path, header, columns):
-    """Write ``header`` and then one row per entry of the 1-D arrays ``columns``.
+def _format_rows(fmt, block):
+    """The text of the rows of ``block``, a list of equal-length 1-D arrays."""
+    return "".join(map(fmt.__mod__, zip(*[c.tolist() for c in block])))
 
-    Rows are formatted CSV_BLOCK_ROWS at a time, which keeps the Python
-    numbers and strings of one block in memory, not those of the whole file.
-    """
+
+def write_csv(path, header, columns):
+    """Write ``header`` and then one row per entry of the 1-D arrays ``columns``,
+    formatted CSV_BLOCK_ROWS rows at a time, in worker processes where the
+    module docstring says."""
     n = len(columns[0])
     fmt = ",".join("%d" if np.issubdtype(c.dtype, np.integer) else "%.17g" for c in columns) + "\n"
+    blocks = [[c[start:start + CSV_BLOCK_ROWS] for c in columns]
+              for start in range(0, n, CSV_BLOCK_ROWS)]
+    workers = min(cpu_count(), len(blocks) // POOL_BLOCKS_PER_WORKER)
     with open(path, "w", newline="\n") as f:
         f.write(",".join(header) + "\n")
-        for start in range(0, n, CSV_BLOCK_ROWS):
-            stop = min(start + CSV_BLOCK_ROWS, n)
-            f.writelines(map(fmt.__mod__, zip(*[c[start:stop].tolist() for c in columns])))
+        f.writelines(ordered_map(partial(_format_rows, fmt), blocks, workers))
 
 
 def _tolist(value):

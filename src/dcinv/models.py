@@ -38,6 +38,7 @@ HEAT_ROD_OBSERVED_SIGMA = 0.035
 # Shifting the observed mean to the upper edge of the predicted range puts
 # half of the observed mass outside the predicted support.
 HEAT_ROD_VIOLATION_MU = 2.529
+QOI_BLOCK_ROWS = 16384  # rows of the rod series evaluated at once
 
 @dataclass(frozen=True)
 class HeatRod:
@@ -82,8 +83,9 @@ class HeatRod:
         ``exp(2a)`` per term, since ``exp(a k^2)`` grows by ``exp(a)^{2k+1}``.
         So each row costs one ``exp`` (two for standard physics), one ``cos``
         and one ``sin`` plus a complex multiply per term, and its rounding
-        error grows only linearly in k (Gentleman, Comput. J. 1969). Memory
-        is a few length-n vectors.
+        error grows only linearly in k (Gentleman, Comput. J. 1969). The rows
+        are evaluated QOI_BLOCK_ROWS at a time, which keeps the few vectors
+        of a block in cache; memory is those and the result.
 
         The multiplies are out of place: numpy's in-place complex multiply
         rounds differently with the array length, and out of place every row
@@ -100,6 +102,13 @@ class HeatRod:
                 "evaluating anyway",
                 stacklevel=2,
             )
+        if len(pts) <= QOI_BLOCK_ROWS:  # one block or none: no copy to concatenate
+            return self._series(pts)
+        return np.concatenate([self._series(pts[start:start + QOI_BLOCK_ROWS])
+                               for start in range(0, len(pts), QOI_BLOCK_ROWS)])
+
+    def _series(self, pts):
+        """The sensor temperature of each row of the (n, 2) array ``pts``."""
         ell = pts[:, 0]
         kappa = pts[:, 1]
         theta = np.pi * self.x_star / ell

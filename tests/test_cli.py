@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from dcinv import assembly, cli, config, density, io, solver
+from dcinv import assembly, cli, config, density, experiments, io, solver
 from dcinv.cli import main
 from dcinv.core import BoxScaler, SampleSet, WeightedEdf
 from dcinv.edf import wedf_eval_many
@@ -631,6 +632,18 @@ def test_a_convergence_spec_draws_no_observed_sample(tmp_path, capsys, target_dr
     assert target_draws == []
 
 
+def test_a_target_of_another_dimension_draws_no_observed_sample(tmp_path, capsys, target_draws):
+    write_pairs_2d_config(tmp_path)
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        model={"kind": "pairs", "param_csv": "lam2.csv", "data_csv": "q2.csv"},
+        target=dict(LARGE_TARGET, mu=1.5, sigma=0.2),
+    )
+    assert main(["solve", "--method", "naive", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert error_record(capsys)["message"] == "/target: a 1-D target for 2-D data"
+    assert target_draws == []
+
+
 @pytest.mark.parametrize("command, overrides, message", [
     ("solve", {"seed": -1}, "/seed: expected a finite number >= 0, got -1"),
     ("solve", {"seed": None}, "/seed: expected a finite number >= 0, got None"),
@@ -984,3 +997,32 @@ def test_live_binning_solve_evaluates_only_the_samples_it_keeps(tmp_path, monkey
     assert meta["n_batches"] > 0  # the fill loop ran
     assert sum(rows) == meta["n_total"]
     assert meta["n_initial"] == 400
+
+
+def exit_in_worker(*args):
+    if multiprocessing.parent_process() is None:  # never end the test process itself
+        raise AssertionError("the task ran in the parent process")
+    os._exit(1)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="worker processes are forked")
+@pytest.mark.parametrize("command", ["solve", "convergence"])
+def test_a_dead_worker_exits_3(tmp_path, monkeypatch, capsys, command):
+    # the CSV writer's pool (its blocks made small, so that the 400-row
+    # weights.csv is pooled) and the convergence study's pool
+    monkeypatch.setattr(io, "CSV_BLOCK_ROWS", 16)
+    monkeypatch.setattr(io, "cpu_count", lambda: 2)
+    monkeypatch.setattr(io, "_format_rows", exit_in_worker)
+    monkeypatch.setattr(experiments, "_study_trial", exit_in_worker)
+    out = tmp_path / "o"
+    if command == "solve":
+        argv = ["solve", "--method", "naive", "--config", str(write_config(tmp_path / "cfg.json"))]
+    else:
+        argv = ["convergence", "--spec", str(write_spec(tmp_path / "spec.json")), "--threads", "2"]
+    assert main(argv + ["--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    record = json.loads(captured.out)["error"]
+    assert record["exit_code"] == 3 and record["kind"] == "BrokenProcessPool"
+    assert captured.err.strip().splitlines()[-1] == f"worker process died: {record['message']}"
+    assert multiprocessing.active_children() == []

@@ -1,6 +1,13 @@
+import multiprocessing
+import os
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
+from dcinv import core
 from dcinv.core import (
     PIPELINE_PADDING,
     BoxScaler,
@@ -11,6 +18,7 @@ from dcinv.core import (
     as_box,
     fit_box,
     grid_points,
+    ordered_map,
 )
 from dcinv.edf import wedf_eval
 
@@ -135,3 +143,106 @@ def test_grid_points_bit_equal_to_meshgrid_stack(lengths):
     ref = reference_grid_points(axes)
     assert got.shape == (int(np.prod(lengths)), len(lengths))
     assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+# ordered_map forks its workers; where the platform cannot fork, tasks run in process
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="worker processes are forked")
+
+
+def square(x):
+    return x * x
+
+
+def worker_pid(_):
+    return os.getpid()
+
+
+@needs_fork
+def test_ordered_map_asks_for_no_more_workers_than_tasks():
+    # worker k runs tasks k, k + w, ...: the pids show how many workers ran
+    parent = os.getpid()
+    pids = list(ordered_map(worker_pid, range(3), 64))
+    assert len(set(pids)) == 3 and parent not in pids
+    pids = list(ordered_map(worker_pid, range(5), 2))
+    assert pids[0::2] == [pids[0]] * 3 and pids[1::2] == [pids[1]] * 2
+    assert len({parent, *pids}) == 3
+    assert list(ordered_map(worker_pid, [5], 64)) == [parent]  # one task runs in process
+    assert list(ordered_map(worker_pid, range(4), 1)) == [parent] * 4
+    assert list(ordered_map(square, [], 64)) == []
+    assert multiprocessing.active_children() == []
+
+
+RUNTIME_MARK = "as imported"
+
+
+def runtime_mark(_):
+    return RUNTIME_MARK
+
+
+@needs_fork
+def test_ordered_map_forks_its_workers(monkeypatch):
+    # a forked worker sees what the parent set after import; a spawned one would not
+    monkeypatch.setattr(sys.modules[__name__], "RUNTIME_MARK", "set at run time")
+    assert list(ordered_map(runtime_mark, range(4), 2)) == ["set at run time"] * 4
+
+
+def big_result(args):
+    """Mark that task ``i`` started, then return a result larger than a pipe buffers."""
+    directory, i = args
+    open(os.path.join(directory, str(i)), "w").close()
+    return str(i) * 1_000_000
+
+
+@needs_fork
+@pytest.mark.parametrize("workers", [2, 3])
+def test_ordered_map_runs_only_a_few_tasks_ahead_of_the_reader(tmp_path, workers):
+    # a worker blocks in its send until the reader takes its result, so it
+    # starts at most two tasks that the reader has not taken
+    results = ordered_map(big_result, [(str(tmp_path), i) for i in range(40)], workers)
+    assert next(results) == "0" * 1_000_000
+    time.sleep(0.5)  # time for the workers to run ahead, if they could
+    assert len(os.listdir(tmp_path)) <= 1 + 2 * workers
+    assert [r[0] for r in results] == [str(i)[0] for i in range(1, 40)]
+    assert len(os.listdir(tmp_path)) == 40
+    assert multiprocessing.active_children() == []
+
+
+def raise_on_three(x):
+    if x == 3:
+        raise ValueError(f"payload {x} refused")
+    return x
+
+
+def exit_in_worker(parent_pid):
+    if os.getpid() == parent_pid:  # never end the test process itself
+        raise AssertionError("the task ran in the parent process")
+    os._exit(1)
+
+
+def test_ordered_map_raises_a_worker_exception_as_itself():
+    with pytest.raises(ValueError, match="payload 3 refused") as info:
+        list(ordered_map(raise_on_three, range(10), 2))
+    assert type(info.value) is ValueError
+    assert "in raise_on_three" in str(info.value.__cause__)  # the worker's traceback
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_ordered_map_reports_a_dead_worker():
+    with pytest.raises(BrokenProcessPool):
+        list(ordered_map(exit_in_worker, [os.getpid()] * 4, 2))
+    assert multiprocessing.active_children() == []
+
+
+def test_ordered_map_closed_early_leaves_no_worker():
+    results = ordered_map(square, range(40), 2)
+    assert next(results) == 0
+    results.close()
+    assert multiprocessing.active_children() == []
+
+
+def test_cpu_count_is_the_affinity_set():
+    if hasattr(os, "sched_getaffinity"):
+        assert core.cpu_count() == len(os.sched_getaffinity(0))
+    assert core.cpu_count() >= 1

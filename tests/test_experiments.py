@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from dcinv import binning, experiments
 from dcinv.assembly import assemble_qp
 from dcinv.binning import (distribute_cell_weights, make_kmeans, make_regular_grid, solve_binning,
                            solve_naive)
-from dcinv.core import BoxScaler, SampleSet
+from dcinv.core import BoxScaler, SampleSet, ordered_map
 from dcinv.density import solve_density
 from dcinv.experiments import (
     ConvergenceSpec,
@@ -136,38 +137,29 @@ def test_run_convergence_independent_of_thread_count():
     assert sequential == pooled
 
 
-class RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records ``max_workers`` and maps in
-    process, so that no worker starts."""
+def test_run_convergence_runs_trials_through_the_ordered_pool(monkeypatch):
+    calls = []
 
-    workers = []
+    def recording_map(fn, payloads, workers):
+        calls.append((len(payloads), workers))
+        return ordered_map(fn, payloads, workers)
 
-    def __init__(self, max_workers):
-        self.workers.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, payloads):
-        return map(fn, payloads)
-
-
-def test_run_tasks_asks_for_no_more_workers_than_tasks(monkeypatch):
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(RecordingExecutor, "workers", [])
-    square = lambda x: x * x
-    assert experiments._run_tasks(square, [1, 2, 3], 64) == [1, 4, 9]
-    assert experiments._run_tasks(square, [1, 2, 3], 2) == [1, 4, 9]
-    assert experiments._run_tasks(square, [5], 64) == [25]  # one task runs in process
-    assert experiments._run_tasks(square, [], 64) == []
-    assert RecordingExecutor.workers == [3, 2]
+    monkeypatch.setattr(experiments, "ordered_map", recording_map)
     spec = tiny_spec(trials=3, baseline_trials=2)
     pooled = json_text(run_convergence(spec, threads=1000).to_dict())
-    assert RecordingExecutor.workers[2:] == [2, 3]  # baseline trials, then study trials
+    assert calls == [(2, 1000), (3, 1000)]  # baseline trials, then study trials
     assert pooled == json_text(run_convergence(spec, threads=1).to_dict())
+    assert multiprocessing.active_children() == []
+
+
+def test_run_convergence_baseline_guard_leaves_no_worker():
+    # the guard stops the study while baseline trials are still in the pool
+    from dcinv.targets import NormalTarget
+
+    spec = tiny_spec(target=NormalTarget(10.0, 0.01), baseline_trials=6)
+    with pytest.raises(RuntimeError, match="diagnostic"):
+        run_convergence(spec, threads=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_run_convergence_baseline_guard():

@@ -9,6 +9,7 @@ import pytest
 from dcinv.core import BoxScaler
 from dcinv.io import load_pairs, load_samples, save_samples
 from dcinv.models import (
+    QOI_BLOCK_ROWS,
     HeatRod,
     UniformBoxSampler,
     heat_rod_observed,
@@ -374,6 +375,20 @@ def test_heat_qoi_blocks_bit_equal_to_whole_array(model, n):
     assert_bit_equal(model.qoi(lam[1:]), whole[1:])
     lone = [model.qoi(lam[i : i + 1])[0] for i in range(n)]
     assert_bit_equal(lone, whole)
+
+
+@pytest.mark.parametrize("n", [QOI_BLOCK_ROWS - 1, QOI_BLOCK_ROWS, QOI_BLOCK_ROWS + 1,
+                               2 * QOI_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("model", [HeatRod(), mixture_benchmark_model()])
+def test_heat_qoi_row_blocks_bit_equal_to_one_pass(model, n):
+    # qoi evaluates QOI_BLOCK_ROWS rows at a time; the series over all rows
+    # in one pass gives the same bits
+    box = model.box
+    lam = np.random.default_rng(n).uniform(box.lower, box.upper, size=(n, 2))
+    blocked = model.qoi(lam)
+    whole = model._series(lam)
+    assert blocked.shape == (n,)
+    assert np.array_equal(blocked.view(np.int64), whole.view(np.int64))
 
 
 def test_heat_qoi_outside_rows_in_two_blocks_warn_once():
