@@ -50,6 +50,9 @@ class UnreachableCellError(RuntimeError):
             "or check that the target is reachable by the model"
         )
 
+    def __reduce__(self):  # rebuilt from the arguments, not from the message
+        return type(self), (self.cells, self.weights)
+
 
 class AllWeightsFlooredError(ValueError):
     """Every cell weight is at or below the weight floor, so no cell is kept."""

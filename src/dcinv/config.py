@@ -95,6 +95,10 @@ class ConfigError(ValueError):
         self.pointer = pointer
         super().__init__(f"{pointer}: {message}")
 
+    def __reduce__(self):
+        # rebuilt from both arguments, not from the joined message
+        return type(self), (self.pointer, str(self).removeprefix(f"{self.pointer}: "))
+
 
 _REQUIRED = object()
 

@@ -5,7 +5,8 @@ Everything downstream (QP assembly, binning, density estimation) works on the
 types defined here. All containers are immutable after construction: the
 underlying numpy arrays are marked read-only so instances can be shared freely
 across concurrent work. ``ordered_map`` runs tasks in worker processes for the
-convergence study and the CSV writer, and yields their results in task order.
+convergence study, the CSV writer and the exact KDE, and yields their results
+in task order; ``pool_size`` says how many workers the last two ask for.
 """
 
 import multiprocessing
@@ -281,6 +282,13 @@ def cpu_count():
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def pool_size(tasks, tasks_per_worker):
+    """The worker processes to ask ``ordered_map`` for ``tasks`` tasks: one
+    per ``tasks_per_worker`` of them, the fewest that repay a worker's fork,
+    and at most one per CPU. Below two, the tasks run in process."""
+    return min(cpu_count(), tasks // tasks_per_worker)
 
 
 def _send(pipe, obj):

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Normalization, SampleSet, WeightedPairs, WeightVector, as_box, as_points
+from .core import (Normalization, SampleSet, WeightedPairs, WeightVector, as_box, as_points,
+                   ordered_map, pool_size)
 from .models import _sample_pair
 from .solver import WeightCollapseError
 
@@ -28,6 +29,9 @@ BINNED_GRID = 4096  # grid cells of the binned 1-D evaluation
 # window span, in a second buffer of the same size; at d >= 2 the
 # differences take a third buffer, d times that size.
 _EVAL_BLOCK_ELEMS = 1 << 17
+# Blocks of 1-D exact evaluation per worker process, below which forking the
+# worker costs more than it saves (measured in KdeModel.pdf).
+KDE_POOL_BLOCKS_PER_WORKER = 24
 
 # exp(x) rounds to +0.0 at and below this argument: the exact exp(-746) is
 # below 2^-1075 (ln 2^-1075 = -745.13), half the smallest subnormal.
@@ -109,6 +113,20 @@ class KdeModel:
         all n kernels, so the result is bit for bit the same. Time is O(n m)
         at worst and proportional to the window spans in general.
 
+        At d = 1, on two or more CPUs of a platform that can fork, those rows
+        are cut into runs of whole blocks, one run per worker process
+        (``core.pool_size``: one per KDE_POOL_BLOCKS_PER_WORKER = 24 blocks,
+        at most one per CPU), and each worker runs the same block loop over
+        its run. The blocks are those of the loop in one process and a row's
+        sum reads only its own row of kernels, so the bits do not move.
+        Forking two workers from a 60 MiB process costs about 7 ms, the time
+        of about 22 dense blocks at n = 10 000 on a 2-vCPU host: two workers
+        broke even at 44 to 48 blocks. At d >= 2 the whitening is a
+        triangular solve that a threaded BLAS (OpenBLAS here) already spreads
+        over threads of its own, and forked workers, each with such threads,
+        ran 1.7 to 2 times slower than one process at 2 to 128 blocks; so
+        those rows are evaluated in process.
+
         method="binned" (d = 1 only) convolves a histogram of the samples
         with the kernel on a regular grid and interpolates: O(n + grid log
         grid + m) time. With BINNED_GRID = 4096 cells its relative error is
@@ -132,24 +150,36 @@ class KdeModel:
         return self._kernel_sums(pts, rows) / (self.n * np.exp(log_norm))
 
     def _kernel_sums(self, q, rows):
-        x = self.points.points
-        n, d = x.shape
-        sq_norms = _sq_norms_1d if d == 1 else _sq_norms
         reach = _WINDOW_REACH * self._chol[0, 0]
-        x_order, x_sorted = self._sorted
-        first_coord = x_sorted[:, 0]
+        first_coord = self._sorted[1][:, 0]
         lo = np.searchsorted(first_coord, q[:, 0] - reach, side="left")
         hi = np.searchsorted(first_coord, q[:, 0] + reach, side="right")
         # rows in first-coordinate order, so that a block's windows overlap
         # and their span [lo of its first row, hi of its last row) is tight
         order = np.argsort(q[:, 0], kind="stable")
         order = order[hi[order] > lo[order]]
+        blocks = -(-order.size // rows)
+        workers = max(pool_size(blocks, KDE_POOL_BLOCKS_PER_WORKER), 1) if self.dim == 1 else 1
+        # one run of whole blocks per worker: the blocks are those of one loop
+        runs = np.split(order, rows * (blocks * np.arange(1, workers) // workers))
         out = np.zeros(q.shape[0])
-        quad = np.empty((min(rows, order.size), n))
+        out[order] = np.concatenate(list(ordered_map(
+            functools.partial(self._block_sums, q, lo, hi, rows), runs, workers)))
+        return out
+
+    def _block_sums(self, q, lo, hi, rows, run):
+        """The kernel sums of the query rows ``run``, in order of their first
+        coordinate and none with an empty window, a block of ``rows`` at a time."""
+        x = self.points.points
+        n, d = x.shape
+        sq_norms = _sq_norms_1d if d == 1 else _sq_norms
+        x_order, x_sorted = self._sorted
+        sums = np.empty(run.size)
+        quad = np.empty((min(rows, run.size), n))
         span_buf = np.empty(quad.size)
         diff_buf = np.empty(quad.size * d if d > 1 else 0)
-        for start in range(0, order.size, rows):
-            idx = order[start : start + rows]
+        for start in range(0, run.size, rows):
+            idx = run[start : start + rows]
             block = quad[: idx.size]
             first, stop = lo[idx[0]], hi[idx[-1]]
             width = stop - first
@@ -163,8 +193,8 @@ class KdeModel:
                 block[:, x_order[first:stop]] = kernels
             # each query row is reduced whole, so the summation order is the
             # same at any block size and with either branch
-            out[idx] = block.sum(axis=1)
-        return out
+            sums[start : start + idx.size] = block.sum(axis=1)
+        return sums
 
     def _pdf_binned_1d(self, q):
         if q.size == 0:

@@ -27,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import SampleSet, as_points, cpu_count, ordered_map
+from .core import SampleSet, as_points, ordered_map, pool_size
 
 CSV_BLOCK_ROWS = 8192
 POOL_BLOCKS_PER_WORKER = 4  # blocks per worker process, below which a worker costs more than it saves
@@ -50,7 +50,7 @@ def write_csv(path, header, columns):
     fmt = ",".join("%d" if np.issubdtype(c.dtype, np.integer) else "%.17g" for c in columns) + "\n"
     blocks = [[c[start:start + CSV_BLOCK_ROWS] for c in columns]
               for start in range(0, n, CSV_BLOCK_ROWS)]
-    workers = min(cpu_count(), len(blocks) // POOL_BLOCKS_PER_WORKER)
+    workers = pool_size(len(blocks), POOL_BLOCKS_PER_WORKER)
     with open(path, "w", newline="\n") as f:
         f.write(",".join(header) + "\n")
         f.writelines(ordered_map(partial(_format_rows, fmt), blocks, workers))

@@ -55,6 +55,9 @@ class NonPositiveDefiniteError(np.linalg.LinAlgError):
             f"matrix is not positive definite (first bad pivot at index {pivot})"
         )
 
+    def __reduce__(self):  # rebuilt from the pivot, not from the message
+        return type(self), (self.pivot,)
+
 
 class WeightCollapseError(RuntimeError):
     """Every weight is zero, so the weights cannot be normalized: the QP's

@@ -7,9 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from dcinv import assembly, cli, config, density, experiments, io, solver
+from dcinv import assembly, binning, cli, config, core, density, experiments, io, solver
 from dcinv.cli import main
-from dcinv.core import BoxScaler, SampleSet, WeightedEdf
+from dcinv.core import BoxScaler, SampleSet, WeightedEdf, ordered_map
 from dcinv.edf import wedf_eval_many
 from dcinv.io import save_samples
 from dcinv.models import HEAT_ROD_OBSERVED_MU, HEAT_ROD_OBSERVED_SIGMA, HEAT_ROD_VIOLATION_MU
@@ -1005,19 +1005,29 @@ def exit_in_worker(*args):
     os._exit(1)
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="worker processes are forked")
-@pytest.mark.parametrize("command", ["solve", "convergence"])
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="worker processes are forked")
+# 3000 predicted samples fill 70 blocks of 43 rows of the predicted KDE: two workers
+POOLED_KDE_INITIAL = {"kind": "uniform", "n": 3000}
+
+
+@needs_fork
+@pytest.mark.parametrize("command", ["solve", "convergence", "density"])
 def test_a_dead_worker_exits_3(tmp_path, monkeypatch, capsys, command):
     # the CSV writer's pool (its blocks made small, so that the 400-row
-    # weights.csv is pooled) and the convergence study's pool
+    # weights.csv is pooled), the convergence study's pool and the exact
+    # KDE's, which runs before the CSV writer (in process, the task raises)
     monkeypatch.setattr(io, "CSV_BLOCK_ROWS", 16)
-    monkeypatch.setattr(io, "cpu_count", lambda: 2)
+    monkeypatch.setattr(core, "cpu_count", lambda: 2)
     monkeypatch.setattr(io, "_format_rows", exit_in_worker)
     monkeypatch.setattr(experiments, "_study_trial", exit_in_worker)
+    monkeypatch.setattr(density.KdeModel, "_block_sums", exit_in_worker)
     out = tmp_path / "o"
     if command == "solve":
         argv = ["solve", "--method", "naive", "--config", str(write_config(tmp_path / "cfg.json"))]
+    elif command == "density":
+        cfg = write_config(tmp_path / "cfg.json", initial=POOLED_KDE_INITIAL)
+        argv = ["solve", "--method", "density", "--config", str(cfg)]
     else:
         argv = ["convergence", "--spec", str(write_spec(tmp_path / "spec.json")), "--threads", "2"]
     assert main(argv + ["--out", str(out)]) == 3
@@ -1025,4 +1035,56 @@ def test_a_dead_worker_exits_3(tmp_path, monkeypatch, capsys, command):
     record = json.loads(captured.out)["error"]
     assert record["exit_code"] == 3 and record["kind"] == "BrokenProcessPool"
     assert captured.err.strip().splitlines()[-1] == f"worker process died: {record['message']}"
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_density_solve_files_are_the_same_with_the_kde_pool(tmp_path, monkeypatch):
+    asked = []
+    real = density.ordered_map
+    monkeypatch.setattr(density, "ordered_map", lambda fn, payloads, workers: (
+        asked.append(workers) or real(fn, payloads, workers)))
+    cfg = write_config(tmp_path / "cfg.json", initial=POOLED_KDE_INITIAL)
+    files = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(core, "cpu_count", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["solve", "--method", "density", "--config", str(cfg), "--out", str(out)]) == 0
+        files[cpus] = read_files(out)
+        meta = json.loads(files[cpus].pop("meta.json"))
+        meta.pop("timing")
+        files[cpus]["meta.json"] = json.dumps(meta, sort_keys=True)
+    assert set(files[1]) == {"weights.csv", "pushforward.csv", "meta.json"}
+    assert files[1] == files[2]
+    # the observed and the predicted KDE of each run: the predicted one pooled on 2 CPUs
+    assert asked[:2] == [1, 1] and asked[3] == 2
+    assert multiprocessing.active_children() == []
+
+
+# constructor arguments of the FAILURES classes that take other than one message
+FAILURE_ARGS = {
+    config.ConfigError: ("/initial/n", "must be >= 2"),
+    binning.UnreachableCellError: ([3, 17], [0.25, 1e-3]),
+    solver.NonPositiveDefiniteError: (3,),
+}
+
+
+def raise_failure(args):
+    cls, i = args
+    if i == 1:
+        raise cls(*FAILURE_ARGS.get(cls, (f"{cls.__name__} in a worker",)))
+    return i
+
+
+@needs_fork
+@pytest.mark.parametrize("cls", [cls for cls, _, _ in cli.FAILURES], ids=lambda c: c.__name__)
+def test_every_failure_raised_in_a_worker_reaches_the_caller_as_itself(cls):
+    expected = cls(*FAILURE_ARGS.get(cls, (f"{cls.__name__} in a worker",)))
+    with pytest.raises(cls) as info:
+        list(ordered_map(raise_failure, [(cls, 0), (cls, 1)], 2))
+    got = info.value
+    assert type(got) is cls
+    assert str(got) == str(expected) and got.args == expected.args
+    assert vars(got) == vars(expected)
+    assert "in raise_failure" in str(got.__cause__)  # it was raised in the worker
     assert multiprocessing.active_children() == []

@@ -1,3 +1,4 @@
+import multiprocessing
 from unittest import mock
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcinv import density
+from dcinv import core, density
 from dcinv.core import BoxScaler, Normalization, SampleSet, WeightedEdf, WeightVector
 from dcinv.density import (
     KdeModel,
@@ -363,19 +364,21 @@ def test_pdf_exact_scratch_memory_is_bounded():
         assert any(width < model.n for _, width in blocks)
     for model, q in ((wide, rng.normal(size=(4000, 1))), (narrow, narrow_q),
                      (wide_2d, rng.normal(size=(1000, 2))), (narrow_2d, narrow_2d_q)):
-        tracemalloc.start()
-        try:
-            model.pdf(q)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # in process: tracemalloc does not see a worker process's memory
+        with mock.patch.object(core, "cpu_count", return_value=1):
+            tracemalloc.start()
+            try:
+                model.pdf(q)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
         assert peak < 8_000_000
 
 
 def record_kernel_blocks(model, q):
     """(rows, width) of every block of squared whitened distances that
-    ``model.pdf(q)`` evaluates; width n is a dense block, a smaller one a
-    window span."""
+    ``model.pdf(q)`` evaluates in process; width n is a dense block, a
+    smaller one a window span."""
     shapes = []
     name = "_sq_norms_1d" if model.dim == 1 else "_sq_norms"
     sq_norms = getattr(density, name)
@@ -384,7 +387,9 @@ def record_kernel_blocks(model, q):
         shapes.append(out.shape)
         sq_norms(q, x, chol, out, diff_buf)
 
-    with mock.patch.object(density, name, spy):
+    # the spy cannot see a worker process, so the blocks run in this one
+    with mock.patch.object(density, name, spy), \
+            mock.patch.object(core, "cpu_count", return_value=1):
         model.pdf(q)
     return shapes
 
@@ -413,6 +418,55 @@ def test_pdf_exact_narrow_windows_evaluate_only_their_span():
         assert sum(r * w for r, w in blocks) < 0.15 * rows * model.n
         assert_bit_equal(model.pdf(q), reference_pdf_exact(model, q))
 
+
+def pooled_kde_cases():
+    """(label, model, queries, evaluation block elements): four query rows a
+    block, so that a few hundred rows fill the 72 blocks of three workers."""
+    rng = np.random.default_rng(83)
+    dense = kde_fit(rng.normal(size=(500, 1)))  # every window holds every sample
+    narrow = kde_fit(rng.uniform(0.0, 1.0, size=(500, 1)), rule=1e-3)
+    dense_2d = kde_fit(rng.normal(size=(300, 2)))
+    narrow_2d = kde_fit(rng.uniform(0.0, 1.0, size=(300, 2)), rule=1e-3)
+    return [
+        ("dense", dense, rng.normal(size=(400, 1)), 2000),
+        # partial windows, and half of the rows with an empty one
+        ("narrow", narrow, rng.uniform(-0.5, 1.5, size=(800, 1)), 2000),
+        ("all empty", narrow, rng.uniform(5.0, 6.0, size=(300, 1)), 2000),
+        # one row a block: two non-empty rows give two blocks and two runs
+        ("fewer rows than workers", narrow, np.array([[0.5], [7.0], [0.25], [-3.0]]), 500),
+        ("dense 2-D", dense_2d, rng.normal(size=(400, 2)), 2400),
+        ("narrow 2-D", narrow_2d, rng.uniform(-0.5, 1.5, size=(800, 2)), 2400),
+    ]
+
+
+@pytest.mark.parametrize("case", pooled_kde_cases(), ids=lambda case: case[0])
+def test_pdf_exact_pooled_bit_equal_to_reference(monkeypatch, case):
+    label, model, q, block_elems = case
+    monkeypatch.setattr(density, "_EVAL_BLOCK_ELEMS", block_elems)
+    if label == "fewer rows than workers":
+        monkeypatch.setattr(density, "KDE_POOL_BLOCKS_PER_WORKER", 1)
+    asked = []
+    real = density.ordered_map
+
+    def recording_map(fn, payloads, workers):
+        asked.append((workers, [len(run) for run in payloads]))
+        return real(fn, payloads, workers)
+
+    monkeypatch.setattr(density, "ordered_map", recording_map)
+    expected = reference_pdf_exact(model, q)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(core, "cpu_count", lambda: cpus)
+        assert_bit_equal(model.pdf(q), expected)
+    workers = [w for w, _ in asked]
+    if label in ("dense", "narrow"):
+        assert workers == [1, 2, 3]
+        runs = asked[-1][1]
+        assert all(r % 4 == 0 for r in runs[:-1]) and max(runs) - min(runs) <= 4
+    elif label == "fewer rows than workers":
+        assert asked[-1] == (2, [1, 1])
+    else:  # no block to share, or d >= 2: in process
+        assert workers == [1, 1, 1]
+    assert multiprocessing.active_children() == []
 
 @st.composite
 def kde_window_cases(draw):

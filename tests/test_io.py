@@ -4,7 +4,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from dcinv import io
+from dcinv import core, io
 from dcinv.io import (
     CSV_BLOCK_ROWS,
     POOL_BLOCKS_PER_WORKER,
@@ -107,7 +107,7 @@ def test_write_csv_pooled_and_serial_files_are_byte_identical(tmp_path, monkeypa
     columns = edge_columns(n)
     expected = oracle_text(header, columns).encode()
     for cpus in (1, 2):
-        monkeypatch.setattr(io, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(core, "cpu_count", lambda: cpus)
         path = tmp_path / f"cpus{cpus}.csv"
         write_csv(path, header, columns)
         assert path.read_bytes() == expected
@@ -118,7 +118,7 @@ def test_write_csv_pooled_and_serial_files_are_byte_identical(tmp_path, monkeypa
 
 def test_write_csv_pool_raises_a_worker_error_as_itself(tmp_path, monkeypatch):
     # "%.17g" of a str raises in the worker that formats the last block
-    monkeypatch.setattr(io, "cpu_count", lambda: 2)
+    monkeypatch.setattr(core, "cpu_count", lambda: 2)
     values = np.arange(POOLED_ROWS, dtype=float).astype(object)
     values[-1] = "not a number"
     with pytest.raises(TypeError, match="must be real number, not str") as info:

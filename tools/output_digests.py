@@ -35,6 +35,14 @@ kernel; and ``meta.json`` holds nothing that depends on the host, so only
 its ``timing`` block is left out. ``CHANGES.md`` names the runs and the
 bounds of each change that was allowed to move the last bits of outputs.
 
+On two or more CPUs the exact KDE of 1-D data evaluates its query rows in
+worker processes once they fill 48 blocks (``density.KdeModel.pdf``). Of
+these runs only ``density_exact``'s, smoke and full size alike (both at
+n = 10 000), are that large; the pairs commands have 300 predicted samples.
+Pooled narrow, partial and empty windows are covered by
+``tests/test_density.py::test_pdf_exact_pooled_bit_equal_to_reference``,
+not by these runs.
+
 The full-size commands take about a minute in total and up to about 1 GB
 of memory (rod_naive_large); they run one at a time.
 """
