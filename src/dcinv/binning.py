@@ -20,8 +20,7 @@ import numpy as np
 
 from .assembly import assemble_qp
 from .core import (BoxScaler, Normalization, SampleSet, WeightedEdf, WeightedPairs, WeightVector,
-                   as_box, as_points, fit_box, grid_points)
-from .models import _sample_pair
+                   as_box, as_points, fit_box, grid_points, sample_pair)
 from .solver import solve_isotonic, solve_qp
 from .targets import as_target
 
@@ -230,7 +229,7 @@ def fit_weights(points, target, box):
     return solve_qp(problem)
 
 
-def _data_box(predicted, data_box):
+def resolve_data_box(predicted, data_box):
     """``data_box``, a known support of the ``predicted`` points, or if None the
     box ``fit_box`` fits to them; DataBoxError if ``data_box`` misses any of
     them."""
@@ -422,13 +421,13 @@ def solve_binning(
     PartitionBoxError
         When a grid partition's box is not inside the data box.
     """
-    initial, predicted_pts = _sample_pair(initial, predicted)
+    initial, predicted_pts = sample_pair(initial, predicted)
     initial_pts = initial.points
     if n_batch is None:
         n_batch = initial.n
 
     target = as_target(target)
-    box = _data_box(predicted_pts, data_box)
+    box = resolve_data_box(predicted_pts, data_box)
     part = _resolve_partition(partition, predicted_pts, box, seed)
     if part.kind == "grid" and not box.contains(np.vstack([part.box.lower, part.box.upper])).all():
         raise PartitionBoxError(
@@ -500,9 +499,9 @@ def solve_naive(initial, predicted, target, data_box=None):
     The fitted box is padded by the constant ``PIPELINE_PADDING`` (1e-3 of
     its width per side; ``core.fit_box`` gives the reason).
     """
-    initial, predicted_pts = _sample_pair(initial, predicted)
+    initial, predicted_pts = sample_pair(initial, predicted)
     target = as_target(target)
-    box = _data_box(predicted_pts, data_box)
+    box = resolve_data_box(predicted_pts, data_box)
     qp_sol = fit_weights(predicted_pts, target, box)
     return NaiveSolution(
         weights=qp_sol.weights,

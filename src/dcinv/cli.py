@@ -50,13 +50,13 @@ from .binning import (
     KMeansCellsError,
     PartitionBoxError,
     UnreachableCellError,
-    _data_box,
     make_regular_grid,
+    resolve_data_box,
     solve_binning,
     solve_naive,
 )
-from .config import ConfigError, build_convergence_spec, build_solve_config, load_config
-from .core import cpu_count, grid_points
+from .config import build_convergence_spec, build_solve_config, load_config
+from .core import ConfigError, cpu_count, grid_points
 from .density import BandwidthError, solve_density
 from .edf import as_cdf_callable, wedf_eval_many
 from .experiments import UntrustworthyBaselineError, run_convergence
@@ -64,6 +64,7 @@ from .io import OutputDirError, check_output_dir, make_output_dir, write_csv
 from .io import write_json as _write_json  # traced by this name as a "cli" span
 from .models import UniformBoxSampler, draw_pairs
 from .solver import NonPositiveDefiniteError, WeightCollapseError
+from .targets import is_exact
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -148,7 +149,12 @@ def _sample_pairs(cfg, seed):
 
 def _density_samples(cfg):
     """The (initial, predicted, observed) samples of the density method."""
-    observed = cfg.target.observed_or_fail
+    if is_exact(cfg.target):
+        raise ConfigError("/target/m",
+                          "this method needs observed samples; set target.m (or use kind=samples)")
+    observed = cfg.target.samples
+    if observed.n < 2:
+        raise ConfigError("/target/m", f"needs at least 2 observed samples, got {observed.n}")
     n = cfg.n_initial if cfg.model.live else cfg.model.initial.n
     if n < 2:  # the predicted KDE needs two samples, as the observed one does
         raise ConfigError("/initial/n" if cfg.model.live else "/model",
@@ -171,7 +177,7 @@ def _cmd_solve(args):
 
     if args.method == "naive":
         initial, predicted, _ = _sample_pairs(cfg, np.random.SeedSequence((cfg.seed, 10)))
-        sol = solve_naive(initial, predicted, cfg.target.target, data_box=cfg.data_box)
+        sol = solve_naive(initial, predicted, cfg.target, data_box=cfg.data_box)
         box = sol.box
     elif args.method in ("binning-grid", "binning-kmeans"):
         if args.method == "binning-grid":
@@ -184,7 +190,7 @@ def _cmd_solve(args):
             partition = ("kmeans", cfg.p)
         initial, predicted, draw = _sample_pairs(cfg, cfg.seed)
         sol = solve_binning(
-            initial, predicted, cfg.target.target, partition, draw=draw, seed=cfg.seed,
+            initial, predicted, cfg.target, partition, draw=draw, seed=cfg.seed,
             n_batch=cfg.n_batch, min_fill=cfg.min_fill, data_box=cfg.data_box,
         )
         box = sol.box
@@ -194,7 +200,7 @@ def _cmd_solve(args):
         initial, predicted, observed = _density_samples(cfg)
         # the density method fits no QP, so the push-forward box is found
         # here, before the two KDE fits, which a bad data box would waste
-        box = _data_box(predicted, cfg.data_box)
+        box = resolve_data_box(predicted, cfg.data_box)
         sol = solve_density(initial, predicted, observed, rule=cfg.kde_rule)
         _log(f"diagnostic: {sol.diagnostic:.6f}")
         meta.update(diagnostic=sol.diagnostic, violations=sol.n_violations,
@@ -211,7 +217,7 @@ def _cmd_solve(args):
     _write_pushforward_csv(
         os.path.join(args.out, "pushforward.csv"),
         sol.pushforward(),
-        as_cdf_callable(cfg.target.target),
+        as_cdf_callable(cfg.target),
         box,
         cfg.pushforward_grid,
     )
@@ -253,7 +259,8 @@ def _cmd_convergence(args):
     check_output_dir(args.out)
     spec = build_convergence_spec(load_config(args.spec), base_dir=os.path.dirname(args.spec) or ".")
     t_start = time.perf_counter()
-    result = run_convergence(spec, progress=_log, threads=args.threads)
+    # a worker beyond the CPU count would only wait for a CPU
+    result = run_convergence(spec, progress=_log, threads=min(args.threads, cpu_count()))
     paths = result.save(args.out)
     _write_json(
         os.path.join(args.out, "meta.json"),

@@ -57,6 +57,12 @@ without notice, so each is a config error. The literals NaN, Infinity and
 appear. The other sections of a solve config are checked before the
 target's ``m`` observed samples are drawn, so an error there costs no draw.
 
+A ``SolveConfig``'s ``target`` is what ``build_target`` returns: the exact
+law when ``target.m`` is null, and otherwise the ``EmpiricalTarget`` of the
+loaded or drawn observed samples, whose ``samples`` the density method reads.
+``ConfigError`` is defined in ``core``, so ``experiments`` raises it without
+importing this module.
+
 The convergence spec file carries the ConvergenceSpec fields (n_grid, p_grid,
 trials, seed, region_a, optional region_b, partition_kind, model, target,
 m_observed, baseline_n, baseline_trials); for the same reason, it must
@@ -82,22 +88,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .binning import WEIGHT_FLOOR
-from .core import PIPELINE_PADDING, SampleSet, as_box
+from .core import PIPELINE_PADDING, ConfigError, SampleSet, as_box
+from .experiments import ConvergenceSpec
 from .io import load_pairs, load_samples
-from .models import HeatRod
+from .models import HeatRod, heat_rod_observed
 from .targets import EmpiricalTarget, MixtureOfUniforms, NormalTarget, UniformTarget
-
-
-class ConfigError(ValueError):
-    """Invalid configuration; ``pointer`` locates the offending key."""
-
-    def __init__(self, pointer, message):
-        self.pointer = pointer
-        super().__init__(f"{pointer}: {message}")
-
-    def __reduce__(self):
-        # rebuilt from both arguments, not from the joined message
-        return type(self), (self.pointer, str(self).removeprefix(f"{self.pointer}: "))
 
 
 _REQUIRED = object()
@@ -218,25 +213,6 @@ def build_model(cfg, pointer="/model", base_dir="."):
     return ResolvedModel("heat_rod", model=model)
 
 
-@dataclass
-class ResolvedTarget:
-    """Target for the QP plus (optional) observed samples for KDE methods."""
-
-    target: object
-    observed: SampleSet = None  # samples backing the EDF / density estimate
-
-    @property
-    def observed_or_fail(self):
-        if self.observed is None:
-            raise ConfigError(
-                "/target/m",
-                "this method needs observed samples; set target.m (or use kind=samples)",
-            )
-        if self.observed.n < 2:
-            raise ConfigError("/target/m", f"needs at least 2 observed samples, got {self.observed.n}")
-        return self.observed
-
-
 def _target_law(cfg, pointer, base_dir):
     """The target of ``cfg``, drawing nothing: (the exact law, ``m``, ``seed``),
     or (the EmpiricalTarget of the loaded samples, None, None)."""
@@ -263,29 +239,26 @@ def _target_law(cfg, pointer, base_dir):
 
 
 def build_target(cfg, seed, model, pointer="/target", base_dir="."):
-    """The target of ``cfg`` and its observed samples: the loaded samples, or
-    ``m`` draws from the exact law (none for a null ``m``), seeded by the
-    target's ``seed`` or else by (``seed``, 11). The target's dimension is
-    checked against ``model``'s data before anything is drawn."""
+    """The target of ``cfg``: the exact law for a null ``m``, and otherwise
+    the EmpiricalTarget of the loaded samples or of ``m`` draws from the law,
+    seeded by the target's ``seed`` or else by (``seed``, 11). The target's
+    dimension is checked against ``model``'s data before anything is drawn."""
     law, m, target_seed = _target_law(cfg, pointer, base_dir)
     _check_target_dim(law, model)
-    if isinstance(law, EmpiricalTarget):
-        return ResolvedTarget(law, observed=law.samples)
-    if m is None:
-        return ResolvedTarget(law)
+    if isinstance(law, EmpiricalTarget) or m is None:
+        return law
     seeds = np.random.SeedSequence((seed, 11) if target_seed is None else target_seed)
     try:
-        observed = law.sample(m, np.random.default_rng(seeds))
+        return EmpiricalTarget(law.sample(m, np.random.default_rng(seeds)))
     except ValueError as exc:  # samples that overflow
         raise ConfigError(pointer, str(exc)) from None
-    return ResolvedTarget(EmpiricalTarget(observed), observed=observed)
 
 
 @dataclass
 class SolveConfig:
     seed: int
     model: ResolvedModel
-    target: ResolvedTarget
+    target: object  # an exact law, or an EmpiricalTarget of observed samples
     n_initial: int
     p: int
     partition_box: object
@@ -358,9 +331,6 @@ def build_solve_config(cfg, base_dir="."):
 
 
 def build_convergence_spec(cfg, base_dir="."):
-    from .experiments import ConvergenceSpec
-    from .models import heat_rod_observed
-
     if not isinstance(cfg, dict):
         raise ConfigError("/", "spec must be a JSON object")
     _reject_fixed(cfg, "")

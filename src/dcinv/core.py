@@ -1,5 +1,5 @@
-"""Sample containers, weight vectors, weighted EDFs, bounding-box scaling, and
-the ordered process pool.
+"""Sample containers, weight vectors, weighted EDFs, bounding-box scaling, the
+ordered process pool, and two helpers that several layers share.
 
 Everything downstream (QP assembly, binning, density estimation) works on the
 types defined here. All containers are immutable after construction: the
@@ -7,6 +7,9 @@ underlying numpy arrays are marked read-only so instances can be shared freely
 across concurrent work. ``ordered_map`` runs tasks in worker processes for the
 convergence study, the CSV writer and the exact KDE, and yields their results
 in task order; ``pool_size`` says how many workers the last two ask for.
+``ConfigError`` is raised by ``config`` for a bad key and by
+``experiments.ConvergenceSpec`` for a bad field; ``sample_pair`` checks the
+aligned samples that every inversion method starts from.
 """
 
 import multiprocessing
@@ -23,6 +26,18 @@ import numpy as np
 ZERO_WIDTH_EPS = 1e-9
 NORMALIZATION_TOL = 1e-8
 PIPELINE_PADDING = 1e-3  # widening of a fitted box per side, as a fraction of its width
+
+
+class ConfigError(ValueError):
+    """Invalid configuration; ``pointer`` locates the offending key."""
+
+    def __init__(self, pointer, message):
+        self.pointer = pointer
+        super().__init__(f"{pointer}: {message}")
+
+    def __reduce__(self):
+        # rebuilt from both arguments, not from the joined message
+        return type(self), (self.pointer, str(self).removeprefix(f"{self.pointer}: "))
 
 
 class Normalization(Enum):
@@ -55,6 +70,15 @@ def as_points(samples):
     if isinstance(samples, SampleSet):
         return samples.points
     return _as_points(samples)
+
+
+def sample_pair(initial, predicted):
+    """Aligned (initial SampleSet, (n, d_out) predicted array)."""
+    initial = initial if isinstance(initial, SampleSet) else SampleSet(initial)
+    predicted_pts = as_points(predicted)
+    if predicted_pts.shape[0] != initial.n:
+        raise ValueError("initial and predicted sample counts differ")
+    return initial, predicted_pts
 
 
 @dataclass(frozen=True)

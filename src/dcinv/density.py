@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Normalization, SampleSet, WeightedPairs, WeightVector, as_box, as_points,
-                   ordered_map, pool_size)
-from .models import _sample_pair
+                   ordered_map, pool_size, sample_pair)
 from .solver import WeightCollapseError
 
 DENSITY_FLOOR = 1e-300
@@ -405,7 +404,7 @@ def solve_density(initial_samples, predicted_samples, observed_samples, rule="sc
     Infinite ratios (predicted density underflow) are excluded from the
     diagnostic mean but counted as violations.
     """
-    initial, predicted_pts = _sample_pair(initial_samples, predicted_samples)
+    initial, predicted_pts = sample_pair(initial_samples, predicted_samples)
     predicted = SampleSet(predicted_pts)
     observed_kde = kde_fit(observed_samples, rule)
     predicted_kde = kde_fit(predicted, rule)

@@ -38,7 +38,10 @@ def _indicator_weight_sums(sample_pts, weights, query_pts):
     out = np.empty(query_pts.shape[0])
     for start in range(0, query_pts.shape[0], _CHUNK):
         block = query_pts[start : start + _CHUNK]
-        below = np.all(sample_pts[None, :, :] <= block[:, None, :], axis=2)
+        # the (block, n) dominance mask, one dimension at a time: no (block, n, d) cube
+        below = sample_pts[:, 0] <= block[:, :1]
+        for k in range(1, d):
+            below &= sample_pts[:, k] <= block[:, k : k + 1]
         out[start : start + block.shape[0]] = below @ weights
     return out
 

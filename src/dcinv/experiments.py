@@ -28,9 +28,8 @@ from .binning import (
     solve_binning,
     solve_naive,
 )
-from .config import ConfigError
-from .core import (PIPELINE_PADDING, Normalization, SampleSet, WeightedEdf, as_box, fit_box,
-                   grid_points, ordered_map)
+from .core import (PIPELINE_PADDING, ConfigError, Normalization, SampleSet, WeightedEdf, as_box,
+                   fit_box, grid_points, ordered_map)
 from .density import solve_density, update_probability
 from .edf import l2_distance, sup_distance
 from .io import make_output_dir, write_csv, write_json

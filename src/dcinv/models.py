@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .binning import make_regular_grid
 from .core import BoxScaler, SampleSet, as_box, as_points
 from .targets import MixtureOfUniforms, NormalTarget
 
@@ -179,8 +180,6 @@ def mixture_benchmark_partition():
     give ~1e-4 cell width where the target CDF has kinks, which keeps the
     push-forward sup-norm error a few times 1e-3.
     """
-    from .binning import make_regular_grid
-
     lo, hi = MIXTURE_BENCHMARK_PARTITION_BOX
     return make_regular_grid(BoxScaler([lo], [hi]), MIXTURE_BENCHMARK_CELLS)
 
@@ -205,15 +204,6 @@ def draw_pairs(sampler, qoi, n, rng):
     ``qoi``: the aligned (n, d_in) initial and (n, d_out) predicted arrays."""
     initial = as_points(sampler.sample(n, rng))
     return initial, eval_qoi(qoi, initial)
-
-
-def _sample_pair(initial, predicted):
-    """Aligned (initial SampleSet, (n, d_out) predicted array)."""
-    initial = initial if isinstance(initial, SampleSet) else SampleSet(initial)
-    predicted_pts = as_points(predicted)
-    if predicted_pts.shape[0] != initial.n:
-        raise ValueError("initial and predicted sample counts differ")
-    return initial, predicted_pts
 
 
 class UniformBoxSampler:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SampleSet, as_points
+from .edf import edf_eval_many
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -158,8 +159,6 @@ class EmpiricalTarget:
         return self.samples.n
 
     def cdf(self, q):
-        from .edf import edf_eval_many
-
         q = np.asarray(q, dtype=float)
         if q.ndim < 2:
             q = q.reshape(-1, self.samples.dim)

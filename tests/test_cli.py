@@ -484,6 +484,21 @@ def test_single_observed_sample_is_a_config_error(tmp_path, capsys):
         assert record["kind"] == "ConfigError" and record["message"].startswith("/target/m: ")
 
 
+def test_exact_target_is_a_config_error_for_the_density_method(tmp_path, capsys):
+    target = {"kind": "normal", "mu": HEAT_ROD_OBSERVED_MU, "sigma": HEAT_ROD_OBSERVED_SIGMA,
+              "m": None}
+    cfg = write_config(tmp_path / "cfg.json", target=target)
+    out = tmp_path / "o"
+    for argv in (["solve", "--method", "density", "--out", str(out)], ["diagnose"]):
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert error_record(capsys) == {
+            "exit_code": 2, "kind": "ConfigError",
+            "message": "/target/m: this method needs observed samples; "
+                       "set target.m (or use kind=samples)",
+        }
+    assert not out.exists()
+
+
 def test_single_initial_sample_is_a_config_error_for_the_density_method(tmp_path, capsys):
     # the predicted KDE would get one sample
     cfg = write_config(tmp_path / "cfg.json", initial={"kind": "uniform", "n": 1})
@@ -681,6 +696,22 @@ def test_convergence_threads_below_one_is_a_config_error(tmp_path, capsys, threa
         "message": f"--threads: expected an integer >= 1, got {threads}",
     }
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cpus, threads, workers", [(1, "5000", 1), (2, "5000", 2), (2, "1", 1)])
+def test_convergence_threads_are_capped_at_the_cpu_count(tmp_path, monkeypatch, cpus, threads,
+                                                         workers):
+    asked = []
+    # the trials run in process, so no case forks, whatever it is handed
+    monkeypatch.setattr(experiments, "ordered_map", lambda fn, payloads, w: (
+        asked.append(w) or map(fn, payloads)))
+    monkeypatch.setattr(cli, "cpu_count", lambda: cpus)
+    spec = write_spec(tmp_path / "spec.json")
+    out = tmp_path / "o"
+    assert main(["convergence", "--spec", str(spec), "--out", str(out), "--threads", threads]) == 0
+    assert asked == [workers, workers]  # baseline trials, then study trials
+    assert json.loads((out / "meta.json").read_text())["threads"] == int(threads)
+    assert multiprocessing.active_children() == []
 
 
 def test_meta_names_the_solver_by_data_dimension(tmp_path):

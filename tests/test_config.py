@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from dcinv import config
-from dcinv.io import save_samples
+from dcinv.io import load_samples, save_samples
+from dcinv.targets import EmpiricalTarget, MixtureOfUniforms, NormalTarget, UniformTarget
 
 ROD_MODEL = {"kind": "heat_rod", "x_star": 1.2, "t_star": 0.01, "truncation": 20,
              "lambda_box": [[1.9, 2.1], [0.5, 1.5]], "standard_physics": False}
@@ -79,3 +80,36 @@ def test_settable_keys_of_a_convergence_spec(read_keys):
     }
     config.build_convergence_spec(spec)
     assert read_keys == SPEC_KEYS
+
+
+def solve_target(target, tmp_path=".", seed=3):
+    cfg = {"seed": seed, "model": ROD_MODEL, "target": target}
+    return config.build_solve_config(cfg, base_dir=str(tmp_path)).target
+
+
+@pytest.mark.parametrize("target, law", [
+    ({"kind": "normal", "mu": 2.39, "sigma": 0.035}, NormalTarget(2.39, 0.035)),
+    ({"kind": "uniform", "low": 2.3, "high": 2.5, "m": None, "seed": 7}, UniformTarget(2.3, 2.5)),
+    ({"kind": "mixture", "components": [[0.5, 2.3, 2.4], [0.5, 2.4, 2.5]], "m": None},
+     MixtureOfUniforms([[0.5, 2.3, 2.4], [0.5, 2.4, 2.5]])),
+], ids=["normal", "uniform", "mixture"])
+def test_a_null_m_gives_the_exact_law(target, law):
+    got = solve_target(target)
+    assert type(got) is type(law) and got == law
+
+
+@pytest.mark.parametrize("target_seed, entropy", [(None, (3, 11)), (7, 7)], ids=["default", "own"])
+def test_m_draws_give_an_empirical_target_of_the_seeded_draw(target_seed, entropy):
+    got = solve_target({"kind": "normal", "mu": 2.39, "sigma": 0.035, "m": 50, "seed": target_seed})
+    rng = np.random.default_rng(np.random.SeedSequence(entropy))
+    expected = NormalTarget(2.39, 0.035).sample(50, rng).points
+    assert type(got) is EmpiricalTarget
+    assert got.samples.points.tobytes() == expected.tobytes()
+
+
+def test_a_samples_target_is_the_loaded_csv(tmp_path):
+    save_samples(tmp_path / "obs.csv", np.random.default_rng(5).normal(2.39, 0.035, (30, 1)),
+                 prefix="q")
+    got = solve_target({"kind": "samples", "csv": "obs.csv"}, tmp_path)
+    assert type(got) is EmpiricalTarget
+    assert got.samples.points.tobytes() == load_samples(tmp_path / "obs.csv").points.tobytes()

@@ -189,3 +189,38 @@ def test_as_cdf_callable_of_a_target_is_bit_equal_to_the_front_end_copies(name):
     got = as_cdf_callable(target)(pts)
     for reference in reference_target_cdfs(target):
         assert np.array_equal(_bits(got), _bits(reference(pts)))
+
+
+def reference_indicator_sums(sample_pts, weights, query_pts):
+    """The dense dominance test that ``_indicator_weight_sums`` replaced at
+    d >= 2: one (block, n, d) comparison cube reduced by ``np.all``."""
+    out = np.empty(query_pts.shape[0])
+    for start in range(0, query_pts.shape[0], 256):
+        block = query_pts[start : start + 256]
+        below = np.all(sample_pts[None, :, :] <= block[:, None, :], axis=2)
+        out[start : start + block.shape[0]] = below @ weights
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_eval_many_bit_equal_to_dense_dominance_test(d):
+    rng = np.random.default_rng(400 + d)
+    # coordinates on a coarse lattice, so that many samples tie in some dimensions
+    samples = rng.integers(0, 6, size=(300, d)) / 5.0
+    queries = np.vstack([
+        rng.integers(-1, 7, size=(400, d)) / 5.0,  # ties, and points outside [0, 1]^d
+        samples[:100],  # queries equal to samples
+        rng.uniform(-0.5, 1.5, size=(100, d)),
+    ])
+    weights = rng.uniform(size=300)
+    wedfs = [make_wedf(samples, weights / weights.mean()),
+             make_wedf(samples, weights / weights.sum(), Normalization.SUM_ONE)]
+    for wedf in wedfs:
+        w = np.asarray(wedf.weights.weights)
+        if wedf.weights.normalization is Normalization.MEAN_ONE:
+            w = w / w.size
+        expected = reference_indicator_sums(samples, w, queries)
+        assert np.array_equal(_bits(wedf_eval_many(wedf, queries)), _bits(expected))
+    plain = reference_indicator_sums(samples, np.full(300, 1.0 / 300), queries)
+    assert np.array_equal(_bits(edf_eval_many(samples, queries)), _bits(plain))
+    assert plain.min() == 0.0 and plain.max() == pytest.approx(1.0)  # below and above every sample
