@@ -1,11 +1,15 @@
 import itertools
 import math
+import signal
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dcinv import models
 from dcinv.core import BoxScaler
 from dcinv.io import load_pairs, load_samples, save_samples
 from dcinv.models import (
@@ -274,6 +278,31 @@ def mpmath_qoi(model, lam):
     return np.array(out)
 
 
+def full_loop_qoi(model, lam):
+    """The recurrence of ``HeatRod.qoi`` run over all ``truncation`` terms,
+    with no early exit: the oracle of the exit's bit identity."""
+    pts = np.atleast_2d(np.asarray(lam, dtype=float))
+    ell = pts[:, 0]
+    kappa = pts[:, 1]
+    theta = np.pi * model.x_star / ell
+    if model.standard_physics:
+        a = -kappa * (np.pi / ell) ** 2 * model.t_star
+        growth = np.exp(2.0 * a)
+        prefactor = 2.0 * ell / np.pi
+    else:
+        a = -kappa * np.pi * model.t_star / ell**2
+        prefactor = 2.0 * ell**2 / np.pi
+    step = np.exp(a) * np.exp(1j * theta)
+    w = np.ones(len(pts), dtype=complex)
+    series = np.zeros(len(pts))
+    for k in range(1, model.truncation + 1):
+        w = w * step
+        series = series + (-1.0) ** (k + 1) / k * w.imag
+        if model.standard_physics:
+            step = step * growth
+    return prefactor * series
+
+
 def assert_bit_equal(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     assert a.shape == b.shape
@@ -319,12 +348,17 @@ def test_heat_qoi_matches_mpmath_series(model):
 
 
 def test_heat_qoi_all_rows_underflow():
-    # every decay underflows from k = 1: the result is a signed zero
+    # every decay underflows from k = 1: the result is a signed zero, -0.0
+    # under the negative prefactor of ell = -2; a zero partial sum never
+    # meets the strict exit test, so the full loop's signs are kept
     model = HeatRod(standard_physics=True, t_star=1e6)
-    lam = np.array([[1.9, 0.5], [2.0, 1.0], [2.1, 1.5]])
-    vals = model.qoi(lam)
+    lam = np.array([[1.9, 0.5], [2.0, 1.0], [2.1, 1.5], [-2.0, 1.0]])
+    with pytest.warns(UserWarning, match="outside Lambda"):
+        vals = model.qoi(lam)
     assert not vals.any()
+    assert np.signbit(vals).tolist() == [False, False, False, True]
     assert_bit_equal(vals, reference_qoi(model, lam))
+    assert_bit_equal(vals, full_loop_qoi(model, lam))
 
 
 def test_heat_qoi_outside_lambda_warns_and_matches():
@@ -420,3 +454,119 @@ def test_heat_qoi_memory_is_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+# kappa = -0.01: |step| > 1, the terms grow; kappa = 1000: the partial sums
+# of the mixture model are subnormal; ell = 1.2e-306: step is 0.0 and the sum
+# +0.0; (-2.0, 1e300): step is 0.0 and the result -0.0 (a negative prefactor)
+OUTSIDE_ROWS = [[2.0, -0.01], [2.0, 1000.0], [1.2e-306, 1.0], [-2.0, 1e300]]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        HeatRod(),
+        HeatRod(standard_physics=True),
+        mixture_benchmark_model(),
+        HeatRod(standard_physics=True, t_star=3.0),
+        HeatRod(truncation=1),
+        HeatRod(truncation=2, standard_physics=True, t_star=0.3),
+        HeatRod(truncation=7, standard_physics=True, t_star=0.3),
+        HeatRod(truncation=100_000),
+        HeatRod(truncation=100_000, standard_physics=True, t_star=0.3),
+    ],
+    ids=["printed", "standard", "mixture", "t3", "trunc1", "trunc2", "trunc7",
+         "printed-trunc100000", "mixture-trunc100000"],
+)
+def test_heat_qoi_exit_bit_equal_to_full_loop(model):
+    # the series stops early only where no later term moves a bit: the
+    # corners of Lambda and rows outside it give the full loop's bits, in
+    # one call (where the outside rows keep the block running) and alone
+    # (at 100 000 terms a lone row that never exits would cost 0.3 s)
+    corners = np.array(list(itertools.product(*model.lambda_box)))
+    lam = np.vstack([corners, OUTSIDE_ROWS])
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        oracle = full_loop_qoi(model, lam)
+        assert_bit_equal(model.qoi(lam), oracle)
+        assert_bit_equal(model.qoi(corners), oracle[:4])
+        if model.truncation <= 100:
+            for i in range(4, len(lam)):
+                assert_bit_equal(model.qoi(lam[i:i + 1]), oracle[i:i + 1])
+
+
+@pytest.mark.parametrize("n", [QOI_BLOCK_ROWS - 1, QOI_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("where", [0, -1])
+def test_heat_qoi_one_block_exits_and_its_neighbour_does_not(n, where):
+    # a kappa = -0.01 row keeps its block running to the truncation while the
+    # other block (if any) stops near term 12
+    model = mixture_benchmark_model()
+    box = model.box
+    lam = np.random.default_rng(n).uniform(box.lower, box.upper, size=(n, 2))
+    lam[where] = [2.0, -0.01]
+    with pytest.warns(UserWarning, match="1 parameter sample"):
+        vals = model.qoi(lam)
+    assert_bit_equal(vals, full_loop_qoi(model, lam))
+
+
+def test_exit_test_needs_every_guard():
+    # the exit predicate alone, on one row: |w| far below the partial sum
+    w, series = np.array([1e-30 + 1e-30j]), np.array([1.0])
+    assert models._settled(w, series, np.array([0.5 + 0.5j]))
+    assert models._settled(w, series, np.array([0.5 + 0.5j]), np.array([1.0]))
+    # a step that grows, or a growth factor above 1, lets later terms grow
+    assert not models._settled(w, series, np.array([2.0 + 0.0j]))
+    assert not models._settled(w, series, np.array([0.5 + 0.5j]), np.array([1.5]))
+    # the margin is 2^-56 of the partial sum, strictly
+    edge = np.array([2.0**-56 + 0j])
+    assert not models._settled(edge, series, np.array([0.5 + 0.5j]))
+    assert models._settled(np.nextafter(edge.real, 0) + 0j, series, np.array([0.5 + 0.5j]))
+    # a zero or NaN partial sum never settles, even against w = 0
+    for s in (0.0, -0.0, np.nan):
+        assert not models._settled(np.array([0j]), np.array([s]), np.array([0.5 + 0j]))
+    # a bound that underflows into the subnormal range keeps its meaning
+    tiny = np.array([2.0**-1000])
+    assert models._settled(np.array([2.0**-1057 + 0j]), tiny, np.array([0.5 + 0j]))
+    assert not models._settled(np.array([2.0**-1056 + 0j]), tiny, np.array([0.5 + 0j]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    t_star=st.one_of(st.floats(1e-3, 1.0), st.floats(0.0, 10.0)),
+    standard=st.booleans(),
+    truncation=st.integers(1, 5000),
+    rows=st.lists(st.tuples(st.floats(0.05, 5.0), st.floats(1e-3, 20.0)),
+                  min_size=1, max_size=8),
+    odd=st.sampled_from([None, None, None, (2.0, -0.01), (2.0, 0.0), (2.0, 1000.0),
+                         (1.2e-306, 1.0)]),
+)
+def test_heat_qoi_exit_bit_equal_to_full_loop_on_random_models(
+        t_star, standard, truncation, rows, odd):
+    # rows inside and outside Lambda, with at most one odd row (growing
+    # terms, no decay, a subnormal or a zero sum); the sensor is inside
+    # every rod
+    model = HeatRod(t_star=t_star, standard_physics=standard, truncation=truncation,
+                    x_star=0.04)
+    lam = np.array(rows + ([odd] if odd else []))
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert_bit_equal(model.qoi(lam), full_loop_qoi(model, lam))
+
+
+def test_heat_qoi_huge_truncation_stops_early():
+    # 1e9 terms would take hours; the series stops near term 12, so the
+    # result is the truncation-100 result, within a 5 s alarm
+    box = mixture_benchmark_model().box
+    lam = np.random.default_rng(67).uniform(box.lower, box.upper, size=(1000, 2))
+
+    def too_slow(signum, frame):
+        raise TimeoutError("the rod series did not stop early")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        vals = HeatRod(t_star=0.3, standard_physics=True, truncation=10**9).qoi(lam)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert_bit_equal(vals, mixture_benchmark_model().qoi(lam))

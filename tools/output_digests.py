@@ -3,12 +3,14 @@ and of a few small commands that cover the rest of the ``solve`` front end.
 
     python3 tools/output_digests.py --src DIR --out FILE
 
-Runs 23 CLI commands in this process against the ``dcinv`` package under
-``DIR/src``, each at input seeds 31000 and 47000 (46 runs): the five
+Runs 24 CLI commands in this process against the ``dcinv`` package under
+``DIR/src``, each at input seeds 31000 and 47000 (48 runs): the five
 ``perfbench/workloads.py`` workloads at smoke and at full size, built with
-``workloads.command``, and the thirteen ``EXTRA`` commands defined here
+``workloads.command``, and the fourteen ``EXTRA`` commands defined here
 (binning-kmeans; a live binning-grid run whose fill loop draws several
-batches; a ``pairs`` model read from CSV files, with 1-D data under naive,
+batches; a naive solve of the standard-physics rod series at truncation
+2000, whose series stops near term 60 as mixture_binning's stops near
+term 12 (``HeatRod.qoi``); a ``pairs`` model read from CSV files, with 1-D data under naive,
 binning-grid, binning-kmeans, density and density with a narrow fixed
 bandwidth, and with 2-D data under naive, binning-grid, density and density
 with a narrow fixed bandwidth; a ``method.data_box`` override under naive
@@ -105,6 +107,11 @@ EXTRA = {
     "rod_grid_data_box": ("binning-grid", {
         "model": ROD, "initial": {"kind": "uniform", "n": 1000}, "target": ROD_TARGET,
         "method": {"p": 30, "data_box": [[2.2, 2.6]]}}),
+    # the series stops near term 60 of 2000 here, near term 12 on mixture_binning
+    "rod_std_long_naive": ("naive", {
+        "model": {"kind": "heat_rod", "standard_physics": True, "truncation": 2000},
+        "initial": {"kind": "uniform", "n": 300},
+        "target": {"kind": "normal", "mu": 1.199997, "sigma": 4e-6, "m": 2000}}),
     "pairs_naive": ("naive", {"model": PAIRS, "target": PAIRS_TARGET}),
     "pairs_grid": ("binning-grid", {"model": PAIRS, "target": PAIRS_TARGET, "method": {"p": 20}}),
     "pairs_kmeans": ("binning-kmeans", {"model": PAIRS, "target": PAIRS_TARGET, "method": {"p": 20}}),
