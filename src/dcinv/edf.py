@@ -31,6 +31,12 @@ def _indicator_weight_sums(sample_pts, weights, query_pts):
     """sum_i w_i * I(sample_i <= q) for each query point q (component-wise)."""
     n, d = sample_pts.shape
     if d == 1:
+        # a +0.0 weight moves no partial sum (S + 0.0 == S, bit for bit, and
+        # no partial sum of nonzero weights is -0.0), so only the others are
+        # sorted; a -0.0 weight can make a partial sum -0.0, so then all are
+        zero = weights == 0
+        if zero.any() and not np.signbit(weights[zero]).any():
+            sample_pts, weights = sample_pts[~zero], weights[~zero]
         order = np.argsort(sample_pts[:, 0], kind="stable")
         cum = np.concatenate([[0.0], np.cumsum(weights[order])])
         idx = np.searchsorted(sample_pts[order, 0], query_pts[:, 0], side="right")

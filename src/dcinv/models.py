@@ -121,14 +121,18 @@ class HeatRod:
         to a multiple of 2^-1074, up by less than 2^-1075; a float part of
         ``w_k`` strictly below that multiple is still below ``|s| 2^-56``,
         and a bound that rounds to 0.0 is never met. The test is strict, so
-        a row whose partial sum is 0.0 or NaN never meets it and keeps its
-        bits. On the printed series at the default truncation no row gets
-        there; the array test is skipped until the slowest-decaying row's
-        ``exp(a k)`` (``exp(a k^2)``) is below 2^-56 and then runs every
-        other term, so such calls pay one float compare per term for it. On
-        the mixture model (``mixture_benchmark_model``) the series stops near
-        term 12 of 100; on the printed series, rows of Lambda need 5 000 to
-        11 000 terms.
+        a row whose partial sum is 0.0 or NaN never meets it. A row whose
+        ``w_k`` is exactly 0 (its decay underflowed) is settled anyway,
+        unless its partial sum is NaN: with ``|step|`` finite every later
+        ``w_j`` and term is +-0, and ``s + (+-0) = s`` for every s but -0.0,
+        which no partial sum is (the sum starts at +0.0, and ``x + y`` is
+        -0.0 only if both are). On the printed series at the default
+        truncation no row gets there; the array test is skipped until the
+        slowest-decaying row's ``exp(a k)`` (``exp(a k^2)``) is below 2^-56
+        and then runs every other term, so such calls pay one float compare
+        per term for it. On the mixture model (``mixture_benchmark_model``)
+        the series stops near term 12 of 100; on the printed series, rows of
+        Lambda need 5 000 to 11 000 terms.
         """
         pts = as_points(lam)
         if pts.shape[1] != 2:
@@ -186,10 +190,12 @@ class HeatRod:
 def _settled(w, series, step, growth=None):
     """Whether no later term of the rod series can change a bit of any row of
     ``series``: every row has ``|step| <= 1``, ``growth <= 1`` (None for the
-    printed series, whose step is fixed) and both parts of ``w`` strictly
-    below ``|series| * 2^-56``. The argument is in ``HeatRod.qoi``."""
+    printed series, whose step is fixed) and either both parts of ``w``
+    strictly below ``|series| * 2^-56`` or ``w == 0`` and a partial sum that
+    is not NaN. The argument is in ``HeatRod.qoi``."""
     bound = np.abs(series) * _EXIT_MARGIN
-    if not (np.all(np.abs(w.imag) < bound) and np.all(np.abs(w.real) < bound)):
+    small = (np.abs(w.imag) < bound) & (np.abs(w.real) < bound)
+    if not np.all(small | ((w == 0) & ~np.isnan(series))):
         return False
     if growth is not None and not np.all(growth <= 1.0):
         return False

@@ -75,6 +75,28 @@ def test_kde_binned_matches_exact():
     assert np.max(np.abs(binned - exact) / exact.max()) < 5e-4
 
 
+def test_kde_binned_interpolates_sorted_queries_with_the_bits_of_unsorted_ones():
+    # the binned density interpolates its queries in sorted order; np.interp
+    # on the queries as given, against the same grid, is the oracle
+    rng = np.random.default_rng(13)
+    model = kde_fit(rng.normal(0.5, 0.1, size=(3000, 1)), rule="scott")
+    q = np.concatenate([rng.uniform(0.0, 1.0, size=20_000), rng.uniform(0.4, 0.6, size=50),
+                        [-5.0, 5.0]])
+    q = np.concatenate([q, q[:100]])[:, None]  # ties among the queries
+    calls, interp = [], np.interp
+
+    def spy(x, xp, fp, **kwargs):
+        calls.append((x.copy(), xp, fp, kwargs))
+        return interp(x, xp, fp, **kwargs)
+
+    with mock.patch.object(np, "interp", spy):
+        binned = model.pdf(q, method="binned")
+    [(sorted_q, centers, dens, kwargs)] = calls
+    assert np.all(np.diff(sorted_q) >= 0)
+    oracle = interp(q[:, 0], centers, dens, **kwargs)
+    assert np.array_equal(binned.view(np.int64), oracle.view(np.int64))
+
+
 def test_kde_binned_on_samples_and_queries_at_one_point():
     # the data spread is nil beside the 8h pad, so pad / delta is about
     # BINNED_GRID / 2; the kernel must stay shorter than the grid

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dcinv.core import BoxScaler, Normalization, SampleSet, WeightedEdf, WeightVector
+from dcinv import edf
 from dcinv.edf import (
     as_cdf_callable,
     edf_eval,
@@ -224,3 +225,38 @@ def test_eval_many_bit_equal_to_dense_dominance_test(d):
     plain = reference_indicator_sums(samples, np.full(300, 1.0 / 300), queries)
     assert np.array_equal(_bits(edf_eval_many(samples, queries)), _bits(plain))
     assert plain.min() == 0.0 and plain.max() == pytest.approx(1.0)  # below and above every sample
+
+
+def unfiltered_sums(x, w, q):
+    """The 1-D sums over every sample, zero weights included: the oracle of
+    the sort that skips +0.0 weights."""
+    order = np.argsort(x[:, 0], kind="stable")
+    cum = np.concatenate([[0.0], np.cumsum(w[order])])
+    return cum[np.searchsorted(x[order, 0], q[:, 0], side="right")]
+
+
+def weight_cases():
+    rng = np.random.default_rng(71)
+    n = 2000
+    sparse = np.where(rng.uniform(size=n) < 0.97, 0.0, rng.uniform(-1.0, 1.0, size=n))
+    cancel = np.zeros(n)
+    cancel[[5, 9]] = [0.25, -0.25]  # their sum is +0.0
+    negzero = sparse.copy()
+    negzero[rng.integers(0, n, size=50)] = -0.0
+    yield "sparse", sparse
+    yield "cancelling", cancel
+    yield "some -0.0", negzero
+    yield "all +0.0", np.zeros(n)
+    yield "all -0.0", np.full(n, -0.0)
+    yield "dense", rng.uniform(size=n)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in weight_cases()])
+def test_1d_sums_skip_zero_weights_bit_for_bit(name):
+    weights = dict(weight_cases())[name]
+    rng = np.random.default_rng(73)
+    # few distinct sample values, so ties among samples and with queries
+    x = rng.integers(0, 300, size=(weights.size, 1)) / 300.0
+    q = np.concatenate([x[:400, 0], rng.uniform(-0.1, 1.1, size=400), [-1.0, 2.0]])[:, None]
+    got = edf._indicator_weight_sums(x, weights, q)
+    assert np.array_equal(got.view(np.int64), unfiltered_sums(x, weights, q).view(np.int64))

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import signal
@@ -521,9 +522,14 @@ def test_exit_test_needs_every_guard():
     edge = np.array([2.0**-56 + 0j])
     assert not models._settled(edge, series, np.array([0.5 + 0.5j]))
     assert models._settled(np.nextafter(edge.real, 0) + 0j, series, np.array([0.5 + 0.5j]))
-    # a zero or NaN partial sum never settles, even against w = 0
-    for s in (0.0, -0.0, np.nan):
-        assert not models._settled(np.array([0j]), np.array([s]), np.array([0.5 + 0j]))
+    # w = 0 settles a zero or subnormal partial sum (every later term is
+    # +-0), but never a NaN one; a nonzero w never settles a zero sum
+    for s in (0.0, 5e-324):
+        assert models._settled(np.array([0j]), np.array([s]), np.array([0.5 + 0j]))
+    assert not models._settled(np.array([0j]), np.array([np.nan]), np.array([0.5 + 0j]))
+    assert not models._settled(np.array([5e-324 + 0j]), np.array([0.0]), np.array([0.5 + 0j]))
+    # and not where a later step could grow
+    assert not models._settled(np.array([0j]), np.array([0.0]), np.array([2.0 + 0j]))
     # a bound that underflows into the subnormal range keeps its meaning
     tiny = np.array([2.0**-1000])
     assert models._settled(np.array([2.0**-1057 + 0j]), tiny, np.array([0.5 + 0j]))
@@ -553,20 +559,41 @@ def test_heat_qoi_exit_bit_equal_to_full_loop_on_random_models(
         assert_bit_equal(model.qoi(lam), full_loop_qoi(model, lam))
 
 
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once ``seconds`` of wall time pass."""
+    def too_slow(signum, frame):
+        raise TimeoutError("the rod series did not stop early")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_heat_qoi_huge_truncation_stops_early():
     # 1e9 terms would take hours; the series stops near term 12, so the
     # result is the truncation-100 result, within a 5 s alarm
     box = mixture_benchmark_model().box
     lam = np.random.default_rng(67).uniform(box.lower, box.upper, size=(1000, 2))
-
-    def too_slow(signum, frame):
-        raise TimeoutError("the rod series did not stop early")
-
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.setitimer(signal.ITIMER_REAL, 5.0)
-    try:
+    with time_limit(5.0):
         vals = HeatRod(t_star=0.3, standard_physics=True, truncation=10**9).qoi(lam)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     assert_bit_equal(vals, mixture_benchmark_model().qoi(lam))
+
+
+@pytest.mark.parametrize("row", [(2.0, 1000.0), (1.2e-306, 1.0)],
+                         ids=["subnormal-sum", "zero-sum"])
+def test_heat_qoi_row_whose_w_is_zero_stops_early(row):
+    # each row's w_k underflows to exactly 0 (its partial sum is subnormal
+    # or 0.0, below any strict bound); 100 000 terms took about 0.5 s, the
+    # settled row takes well under 0.25 s and keeps the full loop's bits
+    model = HeatRod(t_star=0.3, standard_physics=True, truncation=100_000)
+    lam = np.array([row])
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with time_limit(0.25):
+            vals = model.qoi(lam)
+        assert_bit_equal(vals, full_loop_qoi(model, lam))

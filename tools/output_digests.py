@@ -3,18 +3,19 @@ and of a few small commands that cover the rest of the ``solve`` front end.
 
     python3 tools/output_digests.py --src DIR --out FILE
 
-Runs 24 CLI commands in this process against the ``dcinv`` package under
-``DIR/src``, each at input seeds 31000 and 47000 (48 runs): the five
+Runs 25 CLI commands in this process against the ``dcinv`` package under
+``DIR/src``, each at input seeds 31000 and 47000 (50 runs): the five
 ``perfbench/workloads.py`` workloads at smoke and at full size, built with
-``workloads.command``, and the fourteen ``EXTRA`` commands defined here
+``workloads.command``, and the fifteen ``EXTRA`` commands defined here
 (binning-kmeans; a live binning-grid run whose fill loop draws several
 batches; a naive solve of the standard-physics rod series at truncation
 2000, whose series stops near term 60 as mixture_binning's stops near
 term 12 (``HeatRod.qoi``); a ``pairs`` model read from CSV files, with 1-D data under naive,
 binning-grid, binning-kmeans, density and density with a narrow fixed
-bandwidth, and with 2-D data under naive, binning-grid, density and density
-with a narrow fixed bandwidth; a ``method.data_box`` override under naive
-and binning-grid).
+bandwidth, with 1-D data of both signs from |q| = 1e-8 to 1e19 and
+negative parameters under naive, and with 2-D data under naive,
+binning-grid, density and density with a narrow fixed bandwidth; a
+``method.data_box`` override under naive and binning-grid).
 For each command it hashes ``weights.csv``, ``pushforward.csv``,
 ``result.json``, every ``surface_*.csv`` and ``meta.json`` without its
 ``timing`` block (the only part that holds wall time), and writes
@@ -90,7 +91,9 @@ ROD = {"kind": "heat_rod"}
 ROD_TARGET = {"kind": "normal", "mu": 2.39, "sigma": 0.035, "m": 2000}
 PAIRS = {"kind": "pairs", "param_csv": "pairs_x.csv", "data_csv": "pairs_q.csv"}
 PAIRS_2D = {"kind": "pairs", "param_csv": "pairs_x.csv", "data_csv": "pairs_q2.csv"}
+PAIRS_WIDE = {"kind": "pairs", "param_csv": "pairs_x_neg.csv", "data_csv": "pairs_q_wide.csv"}
 PAIRS_TARGET = {"kind": "normal", "mu": 0.6, "sigma": 0.15, "m": 1000}
+PAIRS_WIDE_TARGET = {"kind": "normal", "mu": 0.0, "sigma": 1e18, "m": 1000}
 PAIRS_2D_TARGET = {"kind": "samples", "csv": "observed_q2.csv"}
 # name -> (method, config without its seed)
 EXTRA = {
@@ -115,6 +118,10 @@ EXTRA = {
     "pairs_naive": ("naive", {"model": PAIRS, "target": PAIRS_TARGET}),
     "pairs_grid": ("binning-grid", {"model": PAIRS, "target": PAIRS_TARGET, "method": {"p": 20}}),
     "pairs_kmeans": ("binning-kmeans", {"model": PAIRS, "target": PAIRS_TARGET, "method": {"p": 20}}),
+    # negative parameters and data from -1e19 to 1e19 with |q| down to 1e-8:
+    # every sign, both "%.17g" forms and values outside the CSV writer's
+    # exact window (formatted by "%")
+    "pairs_wide_naive": ("naive", {"model": PAIRS_WIDE, "target": PAIRS_WIDE_TARGET}),
     "pairs_density": ("density", {"model": PAIRS, "target": PAIRS_TARGET}),
     # kernel reach 38.6 h = 0.12: the observed KDE's windows are empty at the
     # largest predicted values and leave out some samples at all the others
@@ -153,6 +160,9 @@ def _extra_commands(seed, work_dir):
     _write_samples(os.path.join(data_dir, "pairs_x.csv"), "x", lam)
     _write_samples(os.path.join(data_dir, "pairs_q.csv"), "q", q)
     _write_samples(os.path.join(data_dir, "pairs_q2.csv"), "q", q2)
+    _write_samples(os.path.join(data_dir, "pairs_x_neg.csv"), "x", -lam)
+    wide = np.where(lam[:, 1:] < 0.5, -1.0, 1.0) * 10.0 ** (27.0 * lam[:, :1] - 8.0)
+    _write_samples(os.path.join(data_dir, "pairs_q_wide.csv"), "q", wide)
     _write_samples(os.path.join(data_dir, "observed_q2.csv"), "q",
                    q2[rng.choice(300, size=200)] + rng.normal(0.0, 0.02, size=(200, 2)))
     for name, (method, config) in EXTRA.items():
