@@ -3,10 +3,10 @@ and of a few small commands that cover the rest of the ``solve`` front end.
 
     python3 tools/output_digests.py --src DIR --out FILE
 
-Runs 25 CLI commands in this process against the ``dcinv`` package under
-``DIR/src``, each at input seeds 31000 and 47000 (50 runs): the five
+Runs 26 CLI commands in this process against the ``dcinv`` package under
+``DIR/src``, each at input seeds 31000 and 47000 (52 runs): the five
 ``perfbench/workloads.py`` workloads at smoke and at full size, built with
-``workloads.command``, and the fifteen ``EXTRA`` commands defined here
+``workloads.command``, and the sixteen ``EXTRA`` commands defined here
 (binning-kmeans; a live binning-grid run whose fill loop draws several
 batches; a naive solve of the standard-physics rod series at truncation
 2000, whose series stops near term 60 as mixture_binning's stops near
@@ -15,7 +15,9 @@ binning-grid, binning-kmeans, density and density with a narrow fixed
 bandwidth, with 1-D data of both signs from |q| = 1e-8 to 1e19 and
 negative parameters under naive, and with 2-D data under naive,
 binning-grid, density and density with a narrow fixed bandwidth; a
-``method.data_box`` override under naive and binning-grid).
+``method.data_box`` override under naive and binning-grid; a convergence
+spec that sets a rod key, an exact target and k-means cells, which the
+workloads' specs, setting only sizes and the seed, leave at their defaults).
 For each command it hashes ``weights.csv``, ``pushforward.csv``,
 ``result.json``, every ``surface_*.csv`` and ``meta.json`` without its
 ``timing`` block (the only part that holds wall time), and writes
@@ -46,8 +48,8 @@ Pooled narrow, partial and empty windows are covered by
 ``tests/test_density.py::test_pdf_exact_pooled_bit_equal_to_reference``,
 not by these runs.
 
-The full-size commands take about a minute in total and up to about 1 GB
-of memory (rod_naive_large); they run one at a time.
+The commands run one at a time. All 52 take about 6.5 s on 2 CPUs and
+peak at about 350 MiB of memory (rod_naive_large).
 """
 
 import argparse
@@ -95,7 +97,7 @@ PAIRS_WIDE = {"kind": "pairs", "param_csv": "pairs_x_neg.csv", "data_csv": "pair
 PAIRS_TARGET = {"kind": "normal", "mu": 0.6, "sigma": 0.15, "m": 1000}
 PAIRS_WIDE_TARGET = {"kind": "normal", "mu": 0.0, "sigma": 1e18, "m": 1000}
 PAIRS_2D_TARGET = {"kind": "samples", "csv": "observed_q2.csv"}
-# name -> (method, config without its seed)
+# name -> (solve method or "convergence", config or spec without its seed)
 EXTRA = {
     "rod_kmeans": ("binning-kmeans", {
         "model": ROD, "initial": {"kind": "uniform", "n": 1000}, "target": ROD_TARGET,
@@ -138,6 +140,12 @@ EXTRA = {
     "pairs_2d_density_narrow": ("density", {
         "model": PAIRS_2D, "target": PAIRS_2D_TARGET, "method": {"kde_rule": 0.01},
         "output": {"pushforward_grid": 64}}),
+    # baseline diagnostics 0.96-0.97 at both input seeds, inside DIAGNOSTIC_GUARD
+    "rod_convergence_kmeans": ("convergence", {
+        "model": {"kind": "heat_rod", "truncation": 40},
+        "target": {"kind": "uniform", "low": 2.30, "high": 2.45},
+        "partition_kind": "kmeans", "n_grid": [200, 400], "p_grid": [5, 10], "trials": 2,
+        "m_observed": 2000, "baseline_n": 2000, "baseline_trials": 2}),
 }
 
 
@@ -171,7 +179,11 @@ def _extra_commands(seed, work_dir):
         with open(config_path, "w") as f:
             json.dump(dict(config, seed=seed), f)
         out_dir = os.path.join(work_dir, f"{tag}.out")
-        yield tag, ["solve", "--method", method, "--config", config_path, "--out", out_dir], out_dir
+        if method == "convergence":  # one process, as the convergence workload runs
+            argv = ["convergence", "--threads", "1", "--spec", config_path]
+        else:
+            argv = ["solve", "--method", method, "--config", config_path]
+        yield tag, argv + ["--out", out_dir], out_dir
 
 
 def _import_package(src):
