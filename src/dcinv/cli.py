@@ -20,8 +20,8 @@ Exit codes: 0 success; 2 config error (``--out`` included); 3 solver failure
 bandwidth matrix that is not finite), non-convergence, a run out of
 memory (a fitting matrix too large to allocate), or a worker process that
 died (killed by the out-of-memory killer, say); 4 unreachable cell; 5
-diagnostic outside [0.8, 1.2] (diagnose, or an untrustworthy
-convergence-study baseline). ``FAILURES`` maps each failure to its code in
+diagnostic outside ``experiments.DIAGNOSTIC_GUARD`` (diagnose, or an
+untrustworthy convergence-study baseline). ``FAILURES`` maps each failure to its code in
 one place, for every subcommand: a failing ``solve``, ``diagnose`` or
 ``convergence`` writes a one-line reason to stderr and one JSON line to
 stdout
@@ -59,7 +59,7 @@ from .config import build_convergence_spec, build_solve_config, load_config
 from .core import ConfigError, cpu_count, grid_points
 from .density import BandwidthError, solve_density
 from .edf import as_cdf_callable, wedf_eval_many
-from .experiments import UntrustworthyBaselineError, run_convergence
+from .experiments import DIAGNOSTIC_GUARD, UntrustworthyBaselineError, run_convergence
 from .io import OutputDirError, check_output_dir, make_output_dir, write_csv
 from .io import write_json as _write_json  # traced by this name as a "cli" span
 from .models import UniformBoxSampler, draw_pairs
@@ -108,11 +108,12 @@ def _fail(exc):
     reason`` on stderr and the JSON error record on stdout. Returns the exit
     code."""
     exit_code, label = next((code, label) for cls, code, label in FAILURES if isinstance(exc, cls))
+    reason = str(exc)
     if exit_code == EXIT_CONFIG:
         if not isinstance(exc, ConfigError):
-            exc = ConfigError(label, str(exc))
-        label = f"config error at {exc.pointer}"
-    _log(f"{label}: {exc}")
+            exc = ConfigError(label, reason)
+        label, reason = f"config error at {exc.pointer}", exc.message
+    _log(f"{label}: {reason}")
     kind = next(c.__name__ for c in type(exc).__mro__ if not c.__name__.startswith("_"))
     error = {"exit_code": exit_code, "kind": kind, "message": str(exc)}
     print(json.dumps({"error": error}))
@@ -127,12 +128,8 @@ def _write_weights_csv(path, initial, predicted, weights):
 
 def _write_pushforward_csv(path, pushforward, target_cdf, box, grid):
     pts = grid_points([np.linspace(box.lower[k], box.upper[k], grid) for k in range(box.dim)])
-    header = [f"q{k + 1}" for k in range(box.dim)] + ["f_method"]
-    columns = [*pts.T, wedf_eval_many(pushforward, pts)]
-    if target_cdf is not None:
-        header.append("f_target")
-        columns.append(target_cdf(pts))
-    write_csv(path, header, columns)
+    header = [*(f"q{k + 1}" for k in range(box.dim)), "f_method", "f_target"]
+    write_csv(path, header, [*pts.T, wedf_eval_many(pushforward, pts), target_cdf(pts)])
 
 
 def _sample_pairs(cfg, seed):
@@ -155,10 +152,9 @@ def _density_samples(cfg):
     observed = cfg.target.samples
     if observed.n < 2:
         raise ConfigError("/target/m", f"needs at least 2 observed samples, got {observed.n}")
-    n = cfg.n_initial if cfg.model.live else cfg.model.initial.n
-    if n < 2:  # the predicted KDE needs two samples, as the observed one does
+    if cfg.n_initial < 2:  # the predicted KDE needs two samples, as the observed one does
         raise ConfigError("/initial/n" if cfg.model.live else "/model",
-                          f"needs at least 2 initial samples, got {n}")
+                          f"needs at least 2 initial samples, got {cfg.n_initial}")
     initial, predicted, _ = _sample_pairs(cfg, np.random.SeedSequence((cfg.seed, 10)))
     return initial, predicted, observed
 
@@ -172,8 +168,8 @@ def _cmd_solve(args):
         "method": args.method,
         "config": cfg.raw,
         "seed": cfg.seed,
+        "n_initial": cfg.n_initial,
     }
-    meta["n_initial"] = cfg.n_initial if cfg.model.live else cfg.model.initial.n
 
     if args.method == "naive":
         initial, predicted, _ = _sample_pairs(cfg, np.random.SeedSequence((cfg.seed, 10)))
@@ -250,7 +246,8 @@ def _cmd_diagnose(args):
     cfg = build_solve_config(load_config(args.config), base_dir=os.path.dirname(args.config) or ".")
     sol = solve_density(*_density_samples(cfg), rule=cfg.kde_rule)
     print(json.dumps({"diagnostic": sol.diagnostic, "violations": sol.n_violations}))
-    return EXIT_OK if 0.8 <= sol.diagnostic <= 1.2 else EXIT_DIAGNOSTIC
+    low, high = DIAGNOSTIC_GUARD
+    return EXIT_OK if low <= sol.diagnostic <= high else EXIT_DIAGNOSTIC
 
 
 def _cmd_convergence(args):

@@ -9,11 +9,11 @@ Config schema (solve / diagnose):
 
     {
       "seed": 42,
-      "model": {"kind": "heat_rod", "x_star": 1.2, "t_star": 0.01,
-                 "truncation": 100, "lambda_box": [[1.9, 2.1], [0.5, 1.5]],
-                 "standard_physics": false}
+      "model": {"kind": "heat_rod", "x_star": 1.1, "t_star": 0.02,
+                 "truncation": 50, "lambda_box": [[1.95, 2.1], [0.6, 1.4]],
+                 "standard_physics": true}    # a key left out: HeatRod's default
                | {"kind": "pairs", "param_csv": "...", "data_csv": "..."},
-      "initial": {"kind": "uniform", "n": 2000},            # ignored for pairs
+      "initial": {"kind": "uniform", "n": 2000},  # pairs: ignored, n is the row count
       "target": {"kind": "normal", "mu": 2.39, "sigma": 0.035,
                   "m": 10000, "seed": 7}                     # m null = exact CDF
                | {"kind": "uniform", "low": ..., "high": ..., "m": ..., "seed": ...}
@@ -49,10 +49,10 @@ density method it only bounds the push-forward grid), and the density method
 needs at least 2 initial and 2 observed samples. ``method.n_batch``
 and ``method.min_fill`` drive the binning fill loop, which draws from a
 live model only; loaded pairs are used as they are. Unknown keys are
-ignored, except ``method.padding`` and ``method.weight_floor``: they once
-set what are now the constants ``core.PIPELINE_PADDING`` and
-``binning.WEIGHT_FLOOR``, and ignoring them would change a run's results
-without notice, so each is a config error. The literals NaN, Infinity and
+ignored, except ``method.padding`` and ``method.weight_floor``
+(``experiments.RETIRED_KEYS``): they once set what are now constants, and
+ignoring them would change a run's results without notice, so each is a
+config error. The literals NaN, Infinity and
 -Infinity, which strict JSON does not allow, are rejected wherever they
 appear. The other sections of a solve config are checked before the
 target's ``m`` observed samples are drawn, so an error there costs no draw.
@@ -65,8 +65,9 @@ importing this module.
 
 The convergence spec file carries the ConvergenceSpec fields (n_grid, p_grid,
 trials, seed, region_a, optional region_b, partition_kind, model, target,
-m_observed, baseline_n, baseline_trials); for the same reason, it must
-not set ``padding`` or ``weight_floor``. A spec's ``target.m`` and
+m_observed, baseline_n, baseline_trials), each defaulting to the field's
+own default; as a solve config, it must not set ``padding`` or
+``weight_floor``. A spec's ``target.m`` and
 ``target.seed`` are checked as in a solve config but draw nothing: the study
 draws its ``m_observed`` observed samples from the target's law itself.
 Validated ranges:
@@ -87,11 +88,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binning import WEIGHT_FLOOR
-from .core import PIPELINE_PADDING, ConfigError, SampleSet, as_box
-from .experiments import ConvergenceSpec
+from .core import ConfigError, SampleSet, as_box
+from .experiments import RETIRED_KEYS, ConvergenceSpec
 from .io import load_pairs, load_samples
-from .models import HeatRod, heat_rod_observed
+from .models import HeatRod
 from .targets import EmpiricalTarget, MixtureOfUniforms, NormalTarget, UniformTarget
 
 
@@ -133,14 +133,9 @@ def _get(cfg, key, pointer, kind=None, default=_REQUIRED, choices=None, low=None
     return value
 
 
-# Keys that once set a binning constant, with the constant's name and value.
-_FIXED = {"padding": ("data-box padding", PIPELINE_PADDING),
-          "weight_floor": ("cell-weight floor", WEIGHT_FLOOR)}
-
-
-def _reject_fixed(cfg, pointer):
-    """A ConfigError at the first ``_FIXED`` key that ``cfg`` sets."""
-    for key, (name, value) in _FIXED.items():
+def _reject_retired(cfg, pointer):
+    """A ConfigError at the first ``RETIRED_KEYS`` key that ``cfg`` sets."""
+    for key, (name, value) in RETIRED_KEYS.items():
         if key in cfg:
             raise ConfigError(f"{pointer}/{key}",
                               f"expected a config without this key: the {name} is fixed at {value:g}")
@@ -189,61 +184,58 @@ def _check_target_dim(target, model):
         raise ConfigError("/target", f"a {target.dim}-D target for {model.data_dim}-D data")
 
 
-def build_model(cfg, pointer="/model", base_dir="."):
-    kind = _get(cfg, "kind", pointer, str, choices={"heat_rod", "pairs"})
+def build_model(cfg, base_dir="."):
+    kind = _get(cfg, "kind", "/model", str, choices={"heat_rod", "pairs"})
     if kind == "pairs":
-        param_csv = os.path.join(base_dir, _get(cfg, "param_csv", pointer, str))
-        data_csv = os.path.join(base_dir, _get(cfg, "data_csv", pointer, str))
+        param_csv = os.path.join(base_dir, _get(cfg, "param_csv", "/model", str))
+        data_csv = os.path.join(base_dir, _get(cfg, "data_csv", "/model", str))
         try:
             initial, predicted = load_pairs(param_csv, data_csv)
         except (ValueError, OSError) as exc:
-            raise ConfigError(pointer, str(exc)) from None
+            raise ConfigError("/model", str(exc)) from None
         return ResolvedModel("pairs", initial=initial, predicted=predicted)
-    options = dict(
-        x_star=_get(cfg, "x_star", pointer, float, default=1.2),
-        t_star=_get(cfg, "t_star", pointer, float, default=0.01),
-        truncation=_get(cfg, "truncation", pointer, int, default=100),
-        lambda_box=_get(cfg, "lambda_box", pointer, list, default=[[1.9, 2.1], [0.5, 1.5]]),
-        standard_physics=_get(cfg, "standard_physics", pointer, bool, default=False),
-    )
+    # a key left out takes HeatRod's default
+    options = {key: _get(cfg, key, "/model", kind) for key, kind in (
+        ("x_star", float), ("t_star", float), ("truncation", int), ("lambda_box", list),
+        ("standard_physics", bool)) if key in cfg}
     try:
         model = HeatRod(**options)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(pointer, str(exc)) from None
+        raise ConfigError("/model", str(exc)) from None
     return ResolvedModel("heat_rod", model=model)
 
 
-def _target_law(cfg, pointer, base_dir):
+def _target_law(cfg, base_dir):
     """The target of ``cfg``, drawing nothing: (the exact law, ``m``, ``seed``),
     or (the EmpiricalTarget of the loaded samples, None, None)."""
-    kind = _get(cfg, "kind", pointer, str, choices={"normal", "uniform", "mixture", "samples"})
+    kind = _get(cfg, "kind", "/target", str, choices={"normal", "uniform", "mixture", "samples"})
     if kind == "samples":
-        path = os.path.join(base_dir, _get(cfg, "csv", pointer, str))
+        path = os.path.join(base_dir, _get(cfg, "csv", "/target", str))
         try:
             samples = load_samples(path)
         except (ValueError, OSError) as exc:
-            raise ConfigError(pointer, str(exc)) from None
+            raise ConfigError("/target", str(exc)) from None
         return EmpiricalTarget(samples), None, None
     if kind == "normal":
-        law, args = NormalTarget, [_get(cfg, k, pointer, float) for k in ("mu", "sigma")]
+        law, args = NormalTarget, [_get(cfg, k, "/target", float) for k in ("mu", "sigma")]
     elif kind == "uniform":
-        law, args = UniformTarget, [_get(cfg, k, pointer, float) for k in ("low", "high")]
+        law, args = UniformTarget, [_get(cfg, k, "/target", float) for k in ("low", "high")]
     else:
-        law, args = MixtureOfUniforms, [_get(cfg, "components", pointer, list)]
-    m = _get(cfg, "m", pointer, int, default=None, low=1)
-    target_seed = _get(cfg, "seed", pointer, int, default=None, low=0)
+        law, args = MixtureOfUniforms, [_get(cfg, "components", "/target", list)]
+    m = _get(cfg, "m", "/target", int, default=None, low=1)
+    target_seed = _get(cfg, "seed", "/target", int, default=None, low=0)
     try:
         return law(*args), m, target_seed
     except (TypeError, ValueError) as exc:  # out of range
-        raise ConfigError(pointer, str(exc)) from None
+        raise ConfigError("/target", str(exc)) from None
 
 
-def build_target(cfg, seed, model, pointer="/target", base_dir="."):
+def build_target(cfg, seed, model, base_dir="."):
     """The target of ``cfg``: the exact law for a null ``m``, and otherwise
     the EmpiricalTarget of the loaded samples or of ``m`` draws from the law,
     seeded by the target's ``seed`` or else by (``seed``, 11). The target's
     dimension is checked against ``model``'s data before anything is drawn."""
-    law, m, target_seed = _target_law(cfg, pointer, base_dir)
+    law, m, target_seed = _target_law(cfg, base_dir)
     _check_target_dim(law, model)
     if isinstance(law, EmpiricalTarget) or m is None:
         return law
@@ -251,7 +243,7 @@ def build_target(cfg, seed, model, pointer="/target", base_dir="."):
     try:
         return EmpiricalTarget(law.sample(m, np.random.default_rng(seeds)))
     except ValueError as exc:  # samples that overflow
-        raise ConfigError(pointer, str(exc)) from None
+        raise ConfigError("/target", str(exc)) from None
 
 
 @dataclass
@@ -259,7 +251,7 @@ class SolveConfig:
     seed: int
     model: ResolvedModel
     target: object  # an exact law, or an EmpiricalTarget of observed samples
-    n_initial: int
+    n_initial: int  # initial.n, or the row count of loaded pairs
     p: int
     partition_box: object
     data_box: object
@@ -283,7 +275,7 @@ def build_solve_config(cfg, base_dir="."):
     initial_cfg = _get(cfg, "initial", "", dict, default={})
     _get(initial_cfg, "kind", "/initial", str, default="uniform", choices={"uniform"})
     method = _get(cfg, "method", "", dict, default={})
-    _reject_fixed(method, "/method")
+    _reject_retired(method, "/method")
     output = _get(cfg, "output", "", dict, default={})
 
     def _box_option(key):
@@ -312,8 +304,9 @@ def build_solve_config(cfg, base_dir="."):
         if not 0 < h * h < math.inf:
             raise ConfigError("/method/kde_rule",
                               f"expected a bandwidth whose square is a positive float, got {h!r}")
+    n_initial = _get(initial_cfg, "n", "/initial", int, default=2000, low=1)
     options = dict(
-        n_initial=_get(initial_cfg, "n", "/initial", int, default=2000, low=1),
+        n_initial=n_initial if model.live else model.initial.n,
         p=_get(method, "p", "/method", int, default=40, low=1),
         partition_box=_box_option("partition_box"),
         data_box=_box_option("data_box"),
@@ -333,25 +326,24 @@ def build_solve_config(cfg, base_dir="."):
 def build_convergence_spec(cfg, base_dir="."):
     if not isinstance(cfg, dict):
         raise ConfigError("/", "spec must be a JSON object")
-    _reject_fixed(cfg, "")
+    _reject_retired(cfg, "")
     seed = _get(cfg, "seed", "", int, default=0, low=0)
     model = build_model(_get(cfg, "model", "", dict, default={"kind": "heat_rod"}), base_dir=base_dir)
     if not model.live:
         raise ConfigError("/model/kind", "the convergence study needs a live model")
+    kwargs = {}
     if "target" in cfg:  # the study draws its own m_observed samples from the law
-        target_obj, _m, _seed = _target_law(_get(cfg, "target", "", dict), "/target", base_dir)
-    else:
-        target_obj = heat_rod_observed()
-    _check_target_dim(target_obj, model)
-    kwargs = {key: _get(cfg, key, "", kind) for key, kind in (
+        kwargs["target"], _m, _seed = _target_law(_get(cfg, "target", "", dict), base_dir)
+        _check_target_dim(kwargs["target"], model)
+    kwargs.update({key: _get(cfg, key, "", kind) for key, kind in (
         ("n_grid", list), ("p_grid", list), ("trials", int), ("region_a", list),
         ("partition_kind", str), ("m_observed", int), ("baseline_n", int),
         ("baseline_trials", int),
-    ) if key in cfg}
+    ) if key in cfg})
     # a null region_b, the default, is the image of region_a
     kwargs["region_b"] = _get(cfg, "region_b", "", list, default=None)
     try:
-        return ConvergenceSpec(seed=seed, model=model.model, target=target_obj, **kwargs)
+        return ConvergenceSpec(seed=seed, model=model.model, **kwargs)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:

@@ -29,15 +29,16 @@ PIPELINE_PADDING = 1e-3  # widening of a fitted box per side, as a fraction of i
 
 
 class ConfigError(ValueError):
-    """Invalid configuration; ``pointer`` locates the offending key."""
+    """Invalid configuration; ``pointer`` locates the offending key and
+    ``message`` says what is wrong with it. ``str()`` joins the two."""
 
     def __init__(self, pointer, message):
         self.pointer = pointer
+        self.message = message
         super().__init__(f"{pointer}: {message}")
 
-    def __reduce__(self):
-        # rebuilt from both arguments, not from the joined message
-        return type(self), (self.pointer, str(self).removeprefix(f"{self.pointer}: "))
+    def __reduce__(self):  # rebuilt from both arguments, not from the joined message
+        return type(self), (self.pointer, self.message)
 
 
 class Normalization(Enum):

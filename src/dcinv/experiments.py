@@ -37,6 +37,10 @@ from .models import HeatRod, UniformBoxSampler, draw_pairs, eval_qoi, heat_rod_o
 from .targets import EmpiricalTarget, as_target, is_exact
 
 DIAGNOSTIC_GUARD = (0.8, 1.2)
+# Keys that once set a binning constant: key -> (the constant's name, value).
+# A config may not set them; a study's spec record holds each constant.
+RETIRED_KEYS = {"padding": ("data-box padding", PIPELINE_PADDING),
+                "weight_floor": ("cell-weight floor", WEIGHT_FLOOR)}
 COMPARISON_GRID = 2048  # grid cells per dimension of compare_methods' distances
 IMAGE_REGION_GRID = 81  # grid points per dimension of derive_image_region
 
@@ -51,10 +55,12 @@ class ConvergenceSpec:
     """Configuration of the convergence study.
 
     region_b defaults to the numerically computed image of region_a under
-    the model (the interval hull over a fine grid of region_a). An
-    out-of-range field raises ``ConfigError`` (a ValueError) whose pointer
-    is the field's name, the key of the convergence spec file; the ranges
-    are listed in ``config``'s module docstring.
+    the model (the interval hull over a fine grid of region_a). ``target``
+    is stored as ``targets.as_target`` gives it: an array or SampleSet
+    becomes an EmpiricalTarget. An out-of-range field raises
+    ``ConfigError`` (a ValueError) whose pointer is the field's name, the
+    key of the convergence spec file; the ranges are listed in ``config``'s
+    module docstring.
     """
 
     n_grid: tuple = (1000, 3000, 10000)
@@ -89,28 +95,23 @@ class ConvergenceSpec:
         if self.partition_kind == "kmeans" and self.p_grid[-1] > self.n_grid[0]:
             raise ConfigError("/p_grid", f"{self.p_grid[-1]} k-means cells for {self.n_grid[0]} samples")
         target = as_target(self.target)
+        object.__setattr__(self, "target", target)
         if not is_exact(target) and target.m < 2:
             raise ConfigError("/target", f"needs at least 2 observed samples, got {target.m}")
-        _check_region("region_a", self.region_a, self.model.box.dim)
-        object.__setattr__(
-            self, "region_a", tuple(tuple(map(float, b)) for b in self.region_a)
-        )
+        object.__setattr__(self, "region_a", _region("region_a", self.region_a, self.model.box.dim))
         if self.region_b is not None:
-            _check_region("region_b", self.region_b, target.dim)
-            object.__setattr__(
-                self,
-                "region_b",
-                tuple(tuple(map(float, b)) for b in np.atleast_2d(self.region_b)),
-            )
+            object.__setattr__(self, "region_b", _region("region_b", self.region_b, target.dim))
 
 
-def _check_region(key, region, dim):
+def _region(key, region, dim):
+    """``region``, checked to be a ``dim``-D box, as (lower, upper) float pairs."""
     try:
         box = as_box(region)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"/{key}", str(exc)) from None
     if box.dim != dim:
         raise ConfigError(f"/{key}", f"a {box.dim}-D box in a {dim}-D space")
+    return tuple(zip(box.lower.tolist(), box.upper.tolist()))
 
 
 def derive_image_region(model, region_a):
@@ -123,27 +124,35 @@ def derive_image_region(model, region_a):
 
 @dataclass(frozen=True)
 class ConvergenceResult:
-    """Estimates, error surfaces, and reproducibility metadata of one study."""
+    """Estimates, error surfaces, and reproducibility metadata of one study
+    of ``spec``, with its region_b, derived or not."""
 
-    spec_dict: dict
-    region_a: tuple
+    spec: ConvergenceSpec
     region_b: tuple
     baselines: dict
     estimates: dict  # name -> (trials, len(n_grid), len(p_grid)) array
     surfaces: dict  # name -> (len(n_grid), len(p_grid)) array
-    n_grid: tuple
-    p_grid: tuple
+
+    @property
+    def spec_dict(self):
+        """Every spec field but region_b (derived or not, it is in the
+        result), and each ``RETIRED_KEYS`` constant under its key."""
+        spec = self.spec
+        d = {f.name: getattr(spec, f.name) for f in fields(spec) if f.name != "region_b"}
+        return dict(d, model=repr(spec.model), target=repr(spec.target),
+                    **{key: value for key, (_, value) in RETIRED_KEYS.items()})
 
     def to_dict(self):
+        spec = self.spec
         return {
             "kind": "convergence_study",
             "version": __version__,
             "spec": self.spec_dict,
-            "region_a": [list(b) for b in self.region_a],
+            "region_a": [list(b) for b in spec.region_a],
             "region_b": [list(b) for b in self.region_b],
             "baselines": self.baselines,
-            "n_grid": list(self.n_grid),
-            "p_grid": list(self.p_grid),
+            "n_grid": list(spec.n_grid),
+            "p_grid": list(spec.p_grid),
             "estimates": {k: np.asarray(v).tolist() for k, v in sorted(self.estimates.items())},
             "surfaces": {k: np.asarray(v).tolist() for k, v in sorted(self.surfaces.items())},
         }
@@ -153,19 +162,11 @@ class ConvergenceResult:
         make_output_dir(out_dir)
         paths = [os.path.join(out_dir, "result.json")]
         write_json(paths[0], self.to_dict())
-        header = ["n"] + [f"p={p}" for p in self.p_grid]
+        header = ["n"] + [f"p={p}" for p in self.spec.p_grid]
         for name, surface in sorted(self.surfaces.items()):
             paths.append(os.path.join(out_dir, f"surface_{name}.csv"))
-            write_csv(paths[-1], header, [np.asarray(self.n_grid), *np.asarray(surface).T])
+            write_csv(paths[-1], header, [np.asarray(self.spec.n_grid), *np.asarray(surface).T])
         return paths
-
-
-def _spec_dict(spec):
-    """Every spec field but region_b (derived or not, it is in the result),
-    and the two binning constants under the keys that once set them."""
-    d = {f.name: getattr(spec, f.name) for f in fields(spec) if f.name != "region_b"}
-    return dict(d, model=repr(spec.model), target=repr(spec.target),
-                weight_floor=WEIGHT_FLOOR, padding=PIPELINE_PADDING)
 
 
 def _baseline_trial(spec, observed_pts, t):
@@ -223,8 +224,7 @@ def run_convergence(spec, progress=None, threads=1):
     over at most that many processes; the reduction order is fixed by trial
     index either way.
     """
-    model = spec.model
-    target = as_target(spec.target)
+    model, target = spec.model, spec.target
     region_b = spec.region_b or derive_image_region(model, spec.region_a)
     try:
         box_b = as_box(region_b)
@@ -296,8 +296,7 @@ def run_convergence(spec, progress=None, threads=1):
         "observed_seed_key": [spec.seed, 0] if is_exact(target) else None,
     }
     return ConvergenceResult(
-        spec_dict=_spec_dict(spec),
-        region_a=spec.region_a,
+        spec=spec,
         region_b=tuple(region_b),
         baselines=baselines,
         estimates={
@@ -306,8 +305,6 @@ def run_convergence(spec, progress=None, threads=1):
             "init_a": est_init_a,
         },
         surfaces=surfaces,
-        n_grid=spec.n_grid,
-        p_grid=spec.p_grid,
     )
 
 

@@ -51,6 +51,7 @@ memory holds about two blocks' text per worker, never the whole file's.
 """
 
 import csv
+import itertools
 import json
 import os
 from functools import cache, partial
@@ -287,7 +288,8 @@ def save_samples(path, samples, prefix="x"):
 
 
 def load_samples(path):
-    """Read a sample set from CSV; dimension comes from the header."""
+    """Read a sample set from CSV; dimension comes from the header. A value
+    that is not a finite float is an error naming its file and line."""
     rows = []
     with open(path, newline="") as f:
         reader = csv.reader(f)
@@ -311,7 +313,15 @@ def load_samples(path):
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no samples")
-    return SampleSet(rows)
+    points = np.array(rows)
+    bad = ~np.isfinite(points).all(axis=1)
+    if bad.any():  # float() takes nan, inf and 1e400; only then is the line looked up
+        with open(path, newline="") as f:  # the header is nonempty record 0
+            records = ((n, row) for n, row in enumerate(csv.reader(f), start=1) if row)
+            lineno, row = next(itertools.islice(records, int(bad.argmax()) + 1, None))
+        value = next(v for v in row if not np.isfinite(float(v)))
+        raise ValueError(f"{path}:{lineno}: expected a finite number, got {value!r}")
+    return SampleSet(points)
 
 
 def load_pairs(param_csv, data_csv):

@@ -299,16 +299,12 @@ def reference_write_pushforward_csv(path, pushforward, target_cdf, box, grid):
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     f_method = wedf_eval_many(pushforward, pts)
-    f_target = target_cdf(pts) if target_cdf is not None else None
-    header = [f"q{k + 1}" for k in range(box.dim)] + ["f_method"]
-    if f_target is not None:
-        header.append("f_target")
+    f_target = target_cdf(pts)
+    header = [f"q{k + 1}" for k in range(box.dim)] + ["f_method", "f_target"]
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
         for i in range(pts.shape[0]):
-            row = [f"{v:.17g}" for v in pts[i]] + [f"{f_method[i]:.17g}"]
-            if f_target is not None:
-                row.append(f"{f_target[i]:.17g}")
+            row = [f"{v:.17g}" for v in pts[i]] + [f"{f_method[i]:.17g}", f"{f_target[i]:.17g}"]
             f.write(",".join(row) + "\n")
 
 
@@ -352,14 +348,16 @@ def test_weights_csv_default_block_size(tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-@pytest.mark.parametrize("with_target", [True, False])
-@pytest.mark.parametrize("dim", [1, 2])
-def test_pushforward_csv_matches_row_writer(tmp_path, monkeypatch, with_target, dim):
+# the ids are those the cases had while the f_target column was optional
+@pytest.mark.parametrize("dim", [1, 2], ids=["1-True", "2-True"])
+def test_pushforward_csv_matches_row_writer(tmp_path, monkeypatch, dim):
     monkeypatch.setattr(io, "CSV_BLOCK_ROWS", 5)
     rng = np.random.default_rng(dim)
     samples = SampleSet(rng.uniform(size=(40, dim)))
     pushforward = WeightedEdf.plain(samples)
-    target_cdf = (lambda pts: np.prod(np.clip(pts, 0.0, 1.0), axis=1)) if with_target else None
+    def target_cdf(pts):
+        return np.prod(np.clip(pts, 0.0, 1.0), axis=1)
+
     box = BoxScaler([-0.1] * dim, [1.1] * dim)
     cli._write_pushforward_csv(tmp_path / "new.csv", pushforward, target_cdf, box, 9)
     reference_write_pushforward_csv(tmp_path / "ref.csv", pushforward, target_cdf, box, 9)
@@ -388,6 +386,48 @@ def test_error_record_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", target={"kind": "samples", "csv": "empty.csv"})
     assert main(["diagnose", "--config", str(cfg)]) == 2
     assert error_record(capsys)["kind"] == "ConfigError"
+
+
+@pytest.mark.parametrize("overrides, pointer, reason", [
+    ({"target": {"kind": "normal", "mu": 1.0, "sigma": -1.0}},
+     "/target", "sigma must be positive, got -1.0"),
+    # a library error mapped to the option it is reported at
+    ({"method": {"p": 20, "data_box": [[5.0, 6.0]]}},
+     "/method/data_box", "data box [[5.0, 6.0]] contains none"),
+], ids=["ConfigError", "DataBoxError"])
+def test_config_error_names_its_pointer_once(tmp_path, capsys, overrides, pointer, reason):
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    assert main(["solve", "--method", "naive", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    line = captured.err.strip().splitlines()[-1]
+    assert line.startswith(f"config error at {pointer}: {reason}")
+    assert line.count(pointer) == 1
+    message = json.loads(captured.out)["error"]["message"]
+    assert message == line.removeprefix("config error at ")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])
+@pytest.mark.parametrize("role", ["param_csv", "data_csv", "samples"])
+def test_non_finite_csv_value_names_its_file_and_line(tmp_path, capsys, role, value):
+    lam = np.linspace(0.0, 1.0, 30)[:, None]
+    save_samples(tmp_path / "lam.csv", lam)
+    save_samples(tmp_path / "q.csv", lam + 1.0, prefix="q")
+    bad = "q.csv" if role == "samples" else f"{role}.csv"
+    lines = (tmp_path / ("lam.csv" if role == "param_csv" else "q.csv")).read_text().splitlines()
+    lines[7] = value  # the blank line put in above moves it to line 9
+    (tmp_path / bad).write_text("\n".join(lines[:5] + [""] + lines[5:]) + "\n")
+    if role == "samples":
+        model, target, pointer = {"kind": "heat_rod"}, {"kind": "samples", "csv": bad}, "/target"
+    else:
+        names = {"param_csv": "lam.csv", "data_csv": "q.csv", role: bad}
+        model = {"kind": "pairs", **names}
+        target, pointer = {"kind": "normal", "mu": 1.5, "sigma": 0.1, "m": 50}, "/model"
+    cfg = write_config(tmp_path / "cfg.json", model=model, target=target)
+    assert main(["solve", "--method", "naive", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    record = error_record(capsys)
+    assert record["kind"] == "ConfigError"
+    assert record["message"] == (f"{pointer}: {tmp_path / bad}:9: "
+                                 f"expected a finite number, got {value!r}")
 
 
 @pytest.mark.parametrize("key, bounds", [

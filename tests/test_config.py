@@ -6,11 +6,15 @@ key lists all the settable values. A new key, or one that goes, fails the
 test until ``SOLVE_KEYS`` or ``SPEC_KEYS`` is changed with it.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
 from dcinv import config
+from dcinv.core import ConfigError
 from dcinv.io import load_samples, save_samples
+from dcinv.models import HeatRod, heat_rod_observed
 from dcinv.targets import EmpiricalTarget, MixtureOfUniforms, NormalTarget, UniformTarget
 
 ROD_MODEL = {"kind": "heat_rod", "x_star": 1.2, "t_star": 0.01, "truncation": 20,
@@ -113,3 +117,29 @@ def test_a_samples_target_is_the_loaded_csv(tmp_path):
     got = solve_target({"kind": "samples", "csv": "obs.csv"}, tmp_path)
     assert type(got) is EmpiricalTarget
     assert got.samples.points.tobytes() == load_samples(tmp_path / "obs.csv").points.tobytes()
+
+
+def test_a_rod_without_keys_and_a_spec_without_target_take_the_defaults():
+    for model, expected in (({}, HeatRod()), ({"truncation": 7}, HeatRod(truncation=7))):
+        cfg = {"model": {"kind": "heat_rod", **model}, "target": TARGETS[0]}
+        assert config.build_solve_config(cfg).model.model == expected
+    spec = config.build_convergence_spec({"n_grid": [40], "p_grid": [2]})
+    assert spec.model == HeatRod()
+    assert spec.target == heat_rod_observed()
+
+
+def test_n_initial_of_pairs_is_the_row_count(tmp_path):
+    save_samples(tmp_path / "lam.csv", np.linspace(0.0, 1.0, 23)[:, None])
+    save_samples(tmp_path / "q.csv", np.linspace(2.3, 2.5, 23)[:, None], prefix="q")
+    cfg = {"model": {"kind": "pairs", "param_csv": "lam.csv", "data_csv": "q.csv"},
+           "initial": {"kind": "uniform", "n": 60}, "target": TARGETS[0]}
+    assert config.build_solve_config(cfg, base_dir=str(tmp_path)).n_initial == 23
+    cfg["model"] = ROD_MODEL
+    assert config.build_solve_config(cfg).n_initial == 60
+
+
+def test_config_error_keeps_pointer_and_message_apart():
+    exc = ConfigError("/target", "bad: value")
+    assert str(exc) == "/target: bad: value" and exc.message == "bad: value"
+    back = pickle.loads(pickle.dumps(exc))
+    assert (back.pointer, back.message, str(back)) == (exc.pointer, exc.message, str(exc))

@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from dcinv import binning, experiments
 from dcinv.assembly import assemble_qp
 from dcinv.binning import (distribute_cell_weights, make_kmeans, make_regular_grid, solve_binning,
                            solve_naive)
-from dcinv.core import BoxScaler, SampleSet, ordered_map
+from dcinv.core import PIPELINE_PADDING, BoxScaler, SampleSet, ordered_map
 from dcinv.density import solve_density
 from dcinv.experiments import (
     ConvergenceSpec,
@@ -46,6 +47,15 @@ def test_spec_validation():
         ConvergenceSpec(trials=0)
     with pytest.raises(ValueError):
         ConvergenceSpec(partition_kind="voronoi")
+
+
+def test_spec_stores_its_target_as_a_target():
+    observed = np.random.default_rng(3).normal(2.39, 0.035, size=(50, 1))
+    spec = ConvergenceSpec(target=observed)
+    assert type(spec.target) is EmpiricalTarget
+    assert spec.target.samples.points.tobytes() == observed.tobytes()
+    law = heat_rod_observed()
+    assert ConvergenceSpec(target=law).target is law
 
 
 def test_derive_image_region_contains_map_values():
@@ -169,6 +179,18 @@ def test_run_convergence_baseline_guard():
     spec = tiny_spec(target=NormalTarget(10.0, 0.01))
     with pytest.raises(RuntimeError, match="diagnostic"):
         run_convergence(spec)
+
+
+def test_result_keeps_its_spec():
+    spec = tiny_spec(trials=2, baseline_trials=1)
+    result = run_convergence(spec)
+    assert result.spec is spec
+    assert list(result.to_dict()) == ["kind", "version", "spec", "region_a", "region_b",
+                                      "baselines", "n_grid", "p_grid", "estimates", "surfaces"]
+    spec_keys = {f.name for f in fields(ConvergenceSpec)} - {"region_b"}
+    assert set(result.spec_dict) == spec_keys | set(experiments.RETIRED_KEYS)
+    assert result.spec_dict["padding"] == PIPELINE_PADDING
+    assert result.spec_dict["weight_floor"] == binning.WEIGHT_FLOOR
 
 
 def test_result_save_files(tmp_path):
