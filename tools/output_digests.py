@@ -3,18 +3,19 @@ and of a few small commands that cover the rest of the ``solve`` front end.
 
     python3 tools/output_digests.py --src DIR --out FILE
 
-Runs 26 CLI commands in this process against the ``dcinv`` package under
-``DIR/src``, each at input seeds 31000 and 47000 (52 runs): the five
+Runs 27 CLI commands in this process against the ``dcinv`` package under
+``DIR/src``, each at input seeds 31000 and 47000 (54 runs): the five
 ``perfbench/workloads.py`` workloads at smoke and at full size, built with
-``workloads.command``, and the sixteen ``EXTRA`` commands defined here
+``workloads.command``, and the seventeen ``EXTRA`` commands defined here
 (binning-kmeans; a live binning-grid run whose fill loop draws several
 batches; a naive solve of the standard-physics rod series at truncation
 2000, whose series stops near term 60 as mixture_binning's stops near
 term 12 (``HeatRod.qoi``); a ``pairs`` model read from CSV files, with 1-D data under naive,
 binning-grid, binning-kmeans, density and density with a narrow fixed
 bandwidth, with 1-D data of both signs from |q| = 1e-8 to 1e19 and
-negative parameters under naive, and with 2-D data under naive,
-binning-grid, density and density with a narrow fixed bandwidth; a
+negative parameters under naive, with 2-D data under naive,
+binning-grid, density and density with a narrow fixed bandwidth, and with
+2-D data whose first 20 rows repeat under naive; a
 ``method.data_box`` override under naive and binning-grid; a convergence
 spec that sets a rod key, an exact target and k-means cells, which the
 workloads' specs, setting only sizes and the seed, leave at their defaults).
@@ -48,7 +49,7 @@ Pooled narrow, partial and empty windows are covered by
 ``tests/test_density.py::test_pdf_exact_pooled_bit_equal_to_reference``,
 not by these runs.
 
-The commands run one at a time. All 52 take about 6.5 s on 2 CPUs and
+The commands run one at a time. All 54 take about 6.5 s on 2 CPUs and
 peak at about 350 MiB of memory (rod_naive_large).
 """
 
@@ -93,6 +94,7 @@ ROD = {"kind": "heat_rod"}
 ROD_TARGET = {"kind": "normal", "mu": 2.39, "sigma": 0.035, "m": 2000}
 PAIRS = {"kind": "pairs", "param_csv": "pairs_x.csv", "data_csv": "pairs_q.csv"}
 PAIRS_2D = {"kind": "pairs", "param_csv": "pairs_x.csv", "data_csv": "pairs_q2.csv"}
+PAIRS_2D_REPEATS = {"kind": "pairs", "param_csv": "pairs_x_rep.csv", "data_csv": "pairs_q2_rep.csv"}
 PAIRS_WIDE = {"kind": "pairs", "param_csv": "pairs_x_neg.csv", "data_csv": "pairs_q_wide.csv"}
 PAIRS_TARGET = {"kind": "normal", "mu": 0.6, "sigma": 0.15, "m": 1000}
 PAIRS_WIDE_TARGET = {"kind": "normal", "mu": 0.0, "sigma": 1e18, "m": 1000}
@@ -130,6 +132,8 @@ EXTRA = {
     "pairs_density_narrow": ("density", {
         "model": PAIRS, "target": PAIRS_TARGET, "method": {"kde_rule": 0.003}}),
     "pairs_2d_naive": ("naive", {"model": PAIRS_2D, "target": PAIRS_2D_TARGET}),
+    # the first 20 pairs appear twice: 20 repeated rows in a d = 2 fit
+    "pairs_2d_repeats_naive": ("naive", {"model": PAIRS_2D_REPEATS, "target": PAIRS_2D_TARGET}),
     "pairs_2d_grid": ("binning-grid", {
         "model": PAIRS_2D, "target": PAIRS_2D_TARGET, "method": {"cells_per_dim": [5, 4]}}),
     # the 2-D push-forward table dominates a density run: 64 cells keep it short
@@ -168,6 +172,8 @@ def _extra_commands(seed, work_dir):
     _write_samples(os.path.join(data_dir, "pairs_x.csv"), "x", lam)
     _write_samples(os.path.join(data_dir, "pairs_q.csv"), "q", q)
     _write_samples(os.path.join(data_dir, "pairs_q2.csv"), "q", q2)
+    _write_samples(os.path.join(data_dir, "pairs_x_rep.csv"), "x", np.concatenate([lam, lam[:20]]))
+    _write_samples(os.path.join(data_dir, "pairs_q2_rep.csv"), "q", np.concatenate([q2, q2[:20]]))
     _write_samples(os.path.join(data_dir, "pairs_x_neg.csv"), "x", -lam)
     wide = np.where(lam[:, 1:] < 0.5, -1.0, 1.0) * 10.0 ** (27.0 * lam[:, :1] - 8.0)
     _write_samples(os.path.join(data_dir, "pairs_q_wide.csv"), "q", wide)
