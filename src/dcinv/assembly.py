@@ -15,7 +15,6 @@ over every sample pair), and an exact target (one of the 1-D laws in
 """
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,6 @@ from . import targets as _targets
 from .core import BoxScaler, as_points
 
 COORD_TOL = 1e-12
-JITTER = 1e-10
 
 _B_CHUNK = 2_000_000  # elements per (l x m-chunk) block in empirical assembly
 # Elements of the reusable block that empirical assembly fills within one
@@ -43,7 +41,7 @@ class QpProblem:
     [0, 1] within 1e-12 (then clipped to it); ``b`` is a finite vector of
     length l. Both are stored read-only. ``h`` is :func:`assemble_h` of the
     points, built on its first read and kept, read-only; it is symmetric by
-    construction.
+    construction. Repeated rows are allowed and make it singular.
     """
 
     points: np.ndarray
@@ -88,40 +86,26 @@ def _check_unit_box(pts):
     return np.clip(pts, 0.0, 1.0)
 
 
-def dedupe_jitter(points):
-    """Perturb duplicated rows by ~1e-10 toward the box interior.
-
-    Duplicate samples make the fitting matrix singular; the jitter restores
-    strict positive-definiteness while moving each point by a step in
-    (JITTER / 2, JITTER] per coordinate. First occurrences are left
-    untouched. The r-th of n repeats of one row steps inside the middle half
-    of the r-th of n equal slices of that band, so repeats stay at least
-    JITTER / (4 n) apart and come out distinct wherever that exceeds two
-    units in the last place. The offsets within the slices are drawn from a
-    generator seeded with 0, so equal inputs give equal outputs. A warning
-    reports how many rows were perturbed.
-    """
+def group_repeats(points):
+    """Group the equal rows of ``points`` (by ``==``, so -0.0 equals 0.0).
+    Returns ``(keep, group, counts)``: ``keep`` indexes the first occurrence
+    of each distinct row in input order, row i equals row ``keep[group[i]]``,
+    and ``counts[g]`` rows equal row ``keep[g]``."""
     pts = as_points(points)
+    ell = pts.shape[0]
     order = np.lexsort(pts.T[::-1])  # stable: each run of equal rows is in index order
     same = np.all(pts[order[:-1]] == pts[order[1:]], axis=1)
     if not np.any(same):
-        return pts
+        return np.arange(ell), np.arange(ell), np.ones(ell, dtype=np.int64)
     new_run = np.append(True, ~same)
-    run = np.cumsum(new_run) - 1
-    rank = np.arange(len(pts)) - np.flatnonzero(new_run)[run]  # 0 at first occurrences
-    repeats = np.bincount(run)[run] - 1
-    dup = rank > 0
-    rows, rank, repeats = order[dup], rank[dup], repeats[dup]
-    warnings.warn(
-        f"{rows.size} duplicated sample row(s) jittered by {JITTER} to keep "
-        "the fitting matrix positive definite",
-        stacklevel=2,
-    )
-    offset = np.random.default_rng(0).uniform(0.25, 0.75, size=(rows.size, pts.shape[1]))
-    step = 0.5 * JITTER * (1.0 + (rank[:, None] - 1 + offset) / repeats[:, None])
-    out = pts.copy()
-    out[rows] += np.where(out[rows] > 0.5, -1.0, 1.0) * step
-    return out
+    firsts = order[new_run]  # each run's first occurrence, in sorted order
+    keep = np.sort(firsts)
+    group = np.empty(ell, dtype=np.int64)
+    group[order] = np.searchsorted(keep, firsts)[np.cumsum(new_run) - 1]
+    return keep, group, np.bincount(group)
+
+
+dedupe_jitter = group_repeats  # the tracer in perfbench/ wraps it by this name
 
 
 def assemble_h(samples):
@@ -273,15 +257,15 @@ def assemble_qp(scaled_samples, target, box=None):
     """Build the full QpProblem for unit-box samples against a target.
 
     ``box`` maps the target's data space onto the unit box; None means the
-    unit box ``BoxScaler(zeros(d), ones(d))``. Duplicated samples are
-    jittered by :func:`dedupe_jitter` and the problem holds the jittered
-    points, so its matrix and vector are built on the same points. Empirical
-    target samples are scaled through ``box`` and clipped to the unit box,
-    which keeps b bit for bit (see :func:`assemble_b_empirical`) and a sample
-    whose scaled value overflows finite. Exact (1-D) targets go through the
-    closed form of :func:`assemble_b_exact` on :func:`scaled_cdf`.
+    unit box ``BoxScaler(zeros(d), ones(d))``. Repeated samples stay, and
+    make the matrix singular (:func:`~dcinv.binning.fit_weights` merges them
+    first). Empirical target samples are scaled through ``box`` and clipped
+    to the unit box, which keeps b bit for bit (see
+    :func:`assemble_b_empirical`) and a sample whose scaled value overflows
+    finite. Exact (1-D) targets go through the closed form of
+    :func:`assemble_b_exact` on :func:`scaled_cdf`.
     """
-    pts = dedupe_jitter(_check_unit_box(as_points(scaled_samples)))
+    pts = _check_unit_box(as_points(scaled_samples))
     target = _targets.as_target(target)
     if target.dim != pts.shape[1]:
         raise ValueError(f"target has dim {target.dim}, samples have dim {pts.shape[1]}")

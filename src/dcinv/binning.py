@@ -14,11 +14,11 @@ Cell geometry is never materialized: a partition is its representative
 points plus a total classifier.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .assembly import assemble_qp
+from .assembly import assemble_qp, group_repeats
 from .core import (BoxScaler, Normalization, SampleSet, WeightedEdf, WeightedPairs, WeightVector,
                    as_box, as_points, fit_box, grid_points, sample_pair)
 from .solver import solve_isotonic, solve_qp
@@ -219,14 +219,22 @@ def fit_weights(points, target, box):
     it, and solve their fitting QP against ``target``. Returns the QpSolution,
     whose mean-one weights align with ``points``.
 
-    Repeated points are jittered by :func:`assemble_qp`. 1-D data is solved
-    exactly by isotonic regression (method "isotonic"); higher dimensions by
-    block principal pivoting (method "active-set"). Either way ``converged``
-    is the relative KKT certificate of :func:`~dcinv.solver.verify_kkt`."""
-    problem = assemble_qp(np.clip(box.scale(points), 0.0, 1.0), target, box=box)
-    if problem.points.shape[1] == 1:
-        return solve_isotonic(problem)
-    return solve_qp(problem)
+    Equal points enter the objective only through their summed weight, so
+    the QP is solved over the L' distinct points (:func:`group_repeats`), and
+    each of the c repeats of a point of weight W' gets W' (l / L') / c: an
+    optimum of the full problem with the same objective. The certificate and
+    iterations are the distinct problem's. 1-D data is solved exactly by
+    isotonic regression (method "isotonic"); higher dimensions by block
+    principal pivoting (method "active-set"). Either way ``converged`` is the
+    relative KKT certificate of :func:`~dcinv.solver.verify_kkt`."""
+    pts = np.clip(box.scale(points), 0.0, 1.0)
+    keep, group, counts = group_repeats(pts)
+    merged = keep.size < group.size
+    problem = assemble_qp(pts[keep] if merged else pts, target, box=box)
+    sol = (solve_isotonic if pts.shape[1] == 1 else solve_qp)(problem)
+    if not merged:
+        return sol
+    return replace(sol, w=sol.w[group] * (group.size / keep.size) / counts[group])
 
 
 def resolve_data_box(predicted, data_box):

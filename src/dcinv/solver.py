@@ -45,7 +45,8 @@ _MAX_ROUNDS = 1000
 class NonPositiveDefiniteError(np.linalg.LinAlgError):
     """The fitting matrix is not positive definite.
 
-    Carries the index of the first non-positive pivot; duplicated or
+    Carries the index of the first non-positive pivot; repeated samples,
+    which :func:`~dcinv.binning.fit_weights` merges before it solves, and
     boundary-corner samples are the usual culprits.
     """
 
@@ -257,6 +258,7 @@ def solve_isotonic(problem):
         If two samples coincide (a zero gap leaves the split of weight
         between them undefined), reporting the same pivot as the dense
         factorization: the first sample that repeats an earlier one.
+        :func:`~dcinv.binning.fit_weights` merges repeats before it solves.
     WeightCollapseError
         If no weight stays positive once negatives are clipped.
     """

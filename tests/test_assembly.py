@@ -14,7 +14,7 @@ from dcinv.assembly import (
     assemble_b_exact,
     assemble_h,
     assemble_qp,
-    dedupe_jitter,
+    group_repeats,
 )
 from dcinv.core import BoxScaler, grid_points
 from dcinv.targets import EmpiricalTarget, MixtureOfUniforms, NormalTarget, UniformTarget
@@ -236,26 +236,39 @@ def test_assembly_vs_midpoint_oracles_random():
         )
 
 
-def test_dedupe_jitter_perturbs_duplicates():
-    pts = np.array([[0.5, 0.5], [0.5, 0.5], [0.2, 0.9]])
-    with pytest.warns(UserWarning, match="jitter"):
-        out = dedupe_jitter(pts)
-    assert np.array_equal(out[0], pts[0])  # first occurrence untouched
-    assert not np.array_equal(out[1], pts[1])
-    assert np.max(np.abs(out[1] - pts[1])) <= 1e-10
-    np.linalg.cholesky(assemble_h(out))
+def test_group_repeats_keeps_first_occurrences_in_input_order():
+    pts = np.array([[0.5, 0.5], [0.2, 0.9], [0.5, 0.5], [0.1, 0.1], [0.2, 0.9], [0.5, 0.5]])
+    keep, group, counts = group_repeats(pts)
+    assert keep.tolist() == [0, 1, 3]
+    assert group.tolist() == [0, 1, 0, 2, 1, 0]
+    assert counts.tolist() == [3, 2, 1]
+    assert np.array_equal(pts[keep][group], pts)
+
+
+def test_group_repeats_compares_by_value():
+    pts = np.array([[0.0, 0.3], [0.0, 1.0], [-0.0, 0.3], [0.3, 0.0]])  # -0.0 == 0.0
+    keep, group, counts = group_repeats(pts)
+    assert keep.tolist() == [0, 1, 3]
+    assert group.tolist() == [0, 1, 0, 2]
+    assert counts.tolist() == [2, 1, 1]
 
 
 @pytest.mark.parametrize("value, copies", [(0.9, 2000), (3e-4, 40_000)])
-def test_dedupe_jitter_leaves_no_exact_duplicates(value, copies):
-    # independent steps in a 5e-11 band collide by the birthday bound; the
-    # steps of one row's repeats must be distinct by construction
-    with pytest.warns(UserWarning, match="jitter"):
-        out = dedupe_jitter(np.full((copies, 1), value))
-    assert np.unique(out).size == copies
-    assert out[0, 0] == value
-    step = np.abs(out[1:, 0] - value)
-    assert step.min() > 0.5e-10 and step.max() <= 1e-10
+def test_group_repeats_of_one_row(value, copies):
+    pts = np.full((copies, 1), value)
+    pts[-1] = 0.5  # one row that repeats nothing, after all the copies
+    keep, group, counts = group_repeats(pts)
+    assert keep.tolist() == [0, copies - 1]
+    assert np.array_equal(group, np.append(np.zeros(copies - 1, dtype=int), 1))
+    assert counts.tolist() == [copies - 1, 1]
+
+
+def test_group_repeats_without_repeats_is_the_identity():
+    pts = np.random.default_rng(3).uniform(size=(50, 2))
+    pts[1] = [pts[0, 0], 0.5]  # equal in one coordinate only
+    keep, group, counts = group_repeats(pts)
+    assert keep.tolist() == group.tolist() == list(range(50))
+    assert counts.tolist() == [1] * 50
 
 
 def test_qp_problem_validation():
@@ -363,7 +376,6 @@ def exact_target_on(kind, box, rng):
     return MixtureOfUniforms(tuple((w, at(a), at(b)) for w, a, b in UNIT_MIXTURE))
 
 
-@pytest.mark.filterwarnings("ignore:.*duplicated sample")
 @pytest.mark.parametrize("box", [None, BoxScaler([-3.0], [5.0])])
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(["normal", "uniform", "mixture"]), st.integers(0, 2**32 - 1))
@@ -376,7 +388,7 @@ def test_assemble_qp_b_of_exact_targets_matches_the_quadrature_oracle(box, kind,
     ])[:, None]
     unit = box or BoxScaler([0.0], [1.0])
     target = exact_target_on(kind, unit, rng)
-    problem = assemble_qp(q, target, box=box)  # repeated kinks are jittered
+    problem = assemble_qp(q, target, box=box)  # repeated kinks stay repeated
     cdf = lambda u: target.cdf(unit.unscale(u)[:, 0])
     oracle = reference_b_exact_1d(problem.points, cdf, ORACLE_NODES)
     assert np.max(np.abs(problem.b - oracle)) * len(q) <= ORACLE_ATOL
@@ -408,7 +420,6 @@ def test_h_bit_equal_to_product_from_ones(d, ell):
 EDGE_COORDS = [0.0, -0.0, 1.0, 1.0 - 2.0**-53, 5e-324]
 
 
-@pytest.mark.filterwarnings("ignore:.*duplicated sample")
 @settings(max_examples=150, deadline=None)
 @given(
     d=st.integers(1, 3),
@@ -423,8 +434,6 @@ def test_h_bit_equal_to_product_from_ones_on_edges_and_repeats(d, ell, distinct,
     edge = rng.random(size=rows.shape) < edge_rate
     rows[edge] = rng.choice(EDGE_COORDS, size=int(edge.sum()))
     q = rows[rng.integers(0, len(rows), size=ell)]
-    assert_bits_equal(assemble_h(q), reference_h(q))
-    q = dedupe_jitter(q)
     assert_bits_equal(assemble_h(q), reference_h(q))
 
 

@@ -195,6 +195,36 @@ def test_solve_pairs_ingestion(tmp_path):
     assert header == "index,x1,x2,q1,weight"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["naive", "binning-grid"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_solve_pairs_with_repeated_rows(tmp_path, method, d):
+    # 40 pairs appear twice and 10 of them three times, each an exact copy:
+    # the solve warns of nothing and splits each one's weight equally
+    rng = np.random.default_rng(37)
+    lam = rng.uniform(size=(120, 2))
+    # componentwise monotone maps: every grid cell of the 2-D data is reachable
+    q2 = np.column_stack([np.exp(lam[:, 0]), lam[:, 1] + 0.5 * lam[:, 1] ** 2])
+    q = lam[:, :1] + 0.5 * lam[:, 1:] ** 2 if d == 1 else q2
+    rows = np.concatenate([np.arange(120), np.arange(40), np.arange(10)])
+    save_samples(tmp_path / "lam.csv", lam[rows])
+    save_samples(tmp_path / "q.csv", q[rows], prefix="q")
+    save_samples(tmp_path / "obs.csv", q[:80] + rng.normal(0.0, 0.02, size=(80, d)), prefix="q")
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        model={"kind": "pairs", "param_csv": "lam.csv", "data_csv": "q.csv"},
+        target={"kind": "samples", "csv": "obs.csv"},
+        method={"cells_per_dim": [4] * d, "min_fill": "none"},
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--method", method, "--config", str(cfg), "--out", str(out)]) == 0
+    table = np.loadtxt(out / "weights.csv", delimiter=",", skiprows=1)
+    assert table.shape == (170, 4 + d)
+    w = table[:, -1]
+    assert np.array_equal(w, w[rows])  # every copy weighs as its first occurrence
+    assert np.unique(w[:120]).size > 1
+
+
 def write_spec(path, **overrides):
     spec = {
         "seed": 5,

@@ -1,7 +1,7 @@
-"""Property tests of the box coercion, the duplicate jitter, the QP assembly
-and fit (mean-one weights, invariance under affine maps of the data box), the
-1-D isotonic solver against the dense block-pivoting solver, and the
-distribution of cell weights onto samples."""
+"""Property tests of the box coercion, the grouping of repeated rows, the QP
+assembly and fit (mean-one weights, invariance under affine maps of the data
+box), the 1-D isotonic solver against the dense block-pivoting solver, and
+the distribution of cell weights onto samples."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dcinv.assembly import JITTER, QpProblem, assemble_qp, dedupe_jitter
+from dcinv.assembly import QpProblem, assemble_qp, group_repeats
 from dcinv.binning import distribute_cell_weights, fit_weights
 from dcinv.core import BoxScaler, WeightedEdf, as_box, fit_box
 from dcinv.edf import as_cdf_callable, wedf_eval_many
@@ -45,24 +45,19 @@ def test_as_box_forms_agree(bounds):
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
 
-@pytest.mark.filterwarnings("ignore:.*duplicated sample")
 @settings(deadline=None)
 @given(st.integers(1, 3).flatmap(lambda d: st.tuples(
     st.lists(arrays(float, d, elements=unit), min_size=1, max_size=5),
     st.lists(st.integers(0, 4), min_size=1, max_size=30))))
-def test_dedupe_jitter_moves_only_repeats_and_only_a_little(case):
+def test_group_repeats_partitions_rows_into_equal_ones(case):
     pool, picks = case
     pts = np.array([pool[i % len(pool)] for i in picks])  # rows repeat often
-    out = dedupe_jitter(pts)
-    assert_bits_equal(dedupe_jitter(pts), out)
+    keep, group, counts = group_repeats(pts)
     first = sorted({tuple(row): i for i, row in reversed(list(enumerate(pts.tolist())))}.values())
-    repeats = np.setdiff1d(np.arange(len(pts)), first)
-    assert_bits_equal(out[first], pts[first])
-    step = out[repeats] - pts[repeats]
-    toward_half = np.where(pts[repeats] > 0.5, -1.0, 1.0)  # up at 0.5 itself
-    assert np.all(step * toward_half > 0)
-    assert np.all(np.abs(step) <= JITTER * (1 + 1e-6))  # 1e-10 plus rounding
-    assert np.unique(out, axis=0).shape[0] == len(out)
+    assert keep.tolist() == first
+    assert np.array_equal(pts[keep][group], pts)
+    assert np.array_equal(counts, np.bincount(group)) and counts.sum() == len(pts)
+    assert np.unique(pts[keep], axis=0).shape[0] == keep.size
 
 
 def _target(kind, d, rng):
@@ -75,7 +70,6 @@ def _target(kind, d, rng):
     return MixtureOfUniforms(((0.3, 0.1, 0.4), (0.7, 0.5, 0.9)))
 
 
-@pytest.mark.filterwarnings("ignore:.*duplicated sample")
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(1, 2).flatmap(lambda d: arrays(float, st.tuples(st.integers(1, 12), st.just(d)),
@@ -92,7 +86,6 @@ def test_assemble_qp_without_box_is_the_unit_box(pts, kind, seed):
     assert_bits_equal(plain.b, unit_box.b)
 
 
-@pytest.mark.filterwarnings("ignore:.*duplicated sample")
 @settings(max_examples=25, deadline=None)
 @given(
     st.integers(2, 60),
@@ -110,7 +103,6 @@ def test_fit_weights_are_mean_one(ell, d, kind, seed):
     assert abs(sol.w.mean() - 1.0) <= 1e-8
 
 
-@pytest.mark.filterwarnings("ignore:.*duplicated sample")
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(2, 60),
@@ -151,7 +143,6 @@ OBJECTIVE_SLACK = 1e-12
 WEIGHT_TOL = 1e-6
 
 
-@pytest.mark.filterwarnings("ignore:.*duplicated sample")
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 120),
@@ -163,8 +154,12 @@ def test_isotonic_solver_matches_the_dense_active_set(ell, kind, repeats, seed):
     rng = np.random.default_rng(seed)
     pool = rng.uniform(0.0, 0.99, size=max(1, ell // 2) if repeats else ell)
     pool[0] = 0.0  # a sample exactly on the lower edge
-    raw = (rng.choice(pool, size=ell) if repeats else pool)[:, None]
-    pts = dedupe_jitter(raw)
+    raw = rng.choice(pool, size=ell) if repeats else pool
+    # near duplicates make H nearly singular (cond ~1e10 to 1e13): the r-th
+    # of the n repeats of a sample moves up by 1e-10 r / n
+    _, label, copies = np.unique(raw, return_inverse=True, return_counts=True)
+    rank = np.array([np.count_nonzero(label[:k] == g) for k, g in enumerate(label)])
+    pts = (raw + 1e-10 * rank / np.maximum(copies[label] - 1, 1))[:, None]
     if kind == "power":  # F(q) = q^2 on the unit box, b built outside the package
         problem = QpProblem(pts, (1.0 - pts[:, 0] ** 3) / (3.0 * ell))
     else:  # empirical targets reach outside the unit box
@@ -173,10 +168,9 @@ def test_isotonic_solver_matches_the_dense_active_set(ell, kind, repeats, seed):
     dense = solve_qp(problem)
     assert iso.converged and iso.kkt.passed and dense.kkt.passed
     assert iso.objective <= dense.objective + OBJECTIVE_SLACK * ell * iso.kkt.b_scale
-    # the split of weight between jittered repeats barely moves the objective,
-    # so weights are compared per distinct sample
-    _, distinct = np.unique(raw[:, 0], return_inverse=True)
-    gap = np.bincount(distinct, iso.w) - np.bincount(distinct, dense.w)
+    # the split of weight between near duplicates barely moves the
+    # objective, so weights are compared per distinct sample
+    gap = np.bincount(label, iso.w) - np.bincount(label, dense.w)
     assert np.max(np.abs(gap)) <= WEIGHT_TOL
     if not repeats:
         assert np.max(np.abs(iso.w - dense.w)) <= WEIGHT_TOL

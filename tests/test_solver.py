@@ -2,9 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcinv import solver
 from dcinv.assembly import QpProblem, assemble_b_empirical, assemble_qp
+from dcinv.binning import fit_weights
 from dcinv.core import BoxScaler, SampleSet, WeightedEdf
 from dcinv.edf import l2_distance
 from dcinv.solver import KKT_RTOL, NonPositiveDefiniteError, solve_isotonic, solve_qp, verify_kkt
@@ -148,17 +151,29 @@ def test_matches_grid_oracle_l3(solver):
         assert np.max(np.abs(sol.w - oracle)) < 2e-3
 
 
-@pytest.mark.filterwarnings("ignore:.*duplicated sample")
+def near_duplicates(pts, step=1e-10):
+    """``pts`` with the r-th of the n repeats of each row (r = 1..n) moved by
+    step r / n toward the middle of the unit box in every coordinate: rows
+    at most ``step`` apart, which make H nearly singular."""
+    seen, rank = {}, []
+    for row in map(tuple, pts.tolist()):
+        rank.append(seen.get(row, 0))
+        seen[row] = rank[-1] + 1
+    repeats = np.array([seen[row] for row in map(tuple, pts.tolist())]) - 1
+    move = (step * np.array(rank) / np.maximum(repeats, 1))[:, None]
+    return pts + np.where(pts > 0.5, -move, move)
+
+
 def test_matches_enumeration_oracle_objective_d3():
-    # half the instances repeat a row, which the jitter turns into a near
-    # duplicate: H then has cond ~1e10, so the weights of any two solvers
-    # differ by ~1e-6 while their objectives agree to rounding
+    # half the instances hold a near duplicate, 1e-10 from another row: H
+    # then has cond ~1e10, so the weights of any two solvers differ by ~1e-6
+    # while their objectives agree to rounding
     rng = np.random.default_rng(5)
     for _ in range(20):
         ell = int(rng.integers(2, 9))
         pts = rng.uniform(0.0, 0.98, size=(ell, 3))
         if rng.random() < 0.5:
-            pts[rng.integers(ell)] = pts[rng.integers(ell)]
+            pts[rng.integers(ell)] = pts[rng.integers(ell)] + 1e-10
         problem = assemble_qp(pts, EmpiricalTarget(rng.uniform(size=(int(rng.integers(3, 40)), 3))))
         sol = solve_qp(problem)
         assert sol.converged
@@ -176,15 +191,15 @@ def test_stationarity_is_scale_aware_at_l_400():
     assert max(sol.kkt.relative().values()) <= 1e-12
 
 
-@pytest.mark.filterwarnings("ignore:.*duplicated sample")
 @pytest.mark.parametrize("d", [1, 2])
 def test_target_outside_the_box_converges(d):
     # every target sample lies above the box, so b = 0 and a multiplier
-    # margin relative to |b|_inf alone is 0: on these jittered repeats
-    # (cond(H) ~ 1e13) rounding-level signs then pivot until the round cap
+    # margin relative to |b|_inf alone is 0: on these near duplicates
+    # (cond(H) ~ 5e12) rounding-level signs then pivot until the round cap
     rng = np.random.default_rng(0)
     pool = rng.uniform(size=(25, d))
-    problem = assemble_qp(pool[rng.integers(0, 25, size=80)], EmpiricalTarget(np.full((1, d), 1.5)))
+    pts = near_duplicates(pool[rng.integers(0, 25, size=80)])
+    problem = assemble_qp(pts, EmpiricalTarget(np.full((1, d), 1.5)))
     assert not problem.b.any()
     sol = solve_qp(problem)
     assert sol.converged and sol.iterations < 20
@@ -394,32 +409,60 @@ def test_certificate_is_scale_aware(ell):
         assert verify_kkt(problem, perturbed).passed is passes
 
 
-@pytest.mark.filterwarnings("ignore:.*duplicated sample")
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_fit_weights_jitters_repeats_before_assembly(d):
-    # assemble_qp jitters repeats before it assembles anything, and the
-    # problem holds the jittered points: jittering them beforehand gives bit
-    # for bit the same QP, and fit_weights returns that QP's solution
-    from dcinv.assembly import dedupe_jitter
-    from dcinv.binning import fit_weights
-
+def test_fit_weights_merges_repeats(d):
+    # the problem of the points keeps their repeats, so no solver takes it;
+    # fit_weights solves the problem of the distinct points instead and
+    # splits each one's weight equally among its repeats
     rng = np.random.default_rng(d)
     points = rng.normal(3.0, 1.0, size=(30, d))
     points[10:15] = points[:5]  # five repeated rows
+    points[20] = points[0]  # and a third copy of row 0
     box = BoxScaler(points.min(axis=0) - 0.01, points.max(axis=0) + 0.01)
     target = EmpiricalTarget(rng.normal(3.0, 1.0, size=(40, d)))
     clipped = np.clip(box.scale(points), 0.0, 1.0)
-    inside = assemble_qp(clipped, target, box=box)
-    jittered = dedupe_jitter(clipped)
-    before = assemble_qp(jittered, target, box=box)
-    assert np.array_equal(before.h.view(np.int64), inside.h.view(np.int64))
-    assert np.array_equal(before.b.view(np.int64), inside.b.view(np.int64))
-    assert np.array_equal(inside.points.view(np.int64), jittered.view(np.int64))
+    full = assemble_qp(clipped, target, box=box)
+    assert np.array_equal(full.points.view(np.int64), clipped.view(np.int64))
+    solve = solve_isotonic if d == 1 else solve_qp
+    with pytest.raises(NonPositiveDefiniteError):
+        solve(full)
     sol = fit_weights(points, target, box)
-    assert sol.converged
-    if d == 1:
-        expected = solve_isotonic(inside)
-    else:
-        expected = solve_qp(inside)
+    first = np.arange(30)  # the first occurrence of each row
+    first[10:15], first[20] = first[:5], 0
+    distinct = np.unique(first)
+    expected = solve(assemble_qp(clipped[distinct], target, box=box))
     assert sol.method == expected.method == ("isotonic" if d == 1 else "active-set")
-    assert np.array_equal(sol.w.view(np.int64), expected.w.view(np.int64))
+    assert sol.converged and sol.kkt == expected.kkt and sol.objective == expected.objective
+    copies = np.bincount(first)[first]
+    w = expected.w[np.searchsorted(distinct, first)] * (30 / distinct.size) / copies
+    assert np.array_equal(sol.w.view(np.int64), w.view(np.int64))
+    assert verify_kkt(full, sol.w).passed
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 7), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_fit_weights_of_repeated_points(d, pool_size, ell, seed):
+    rng = np.random.default_rng(seed)
+    pool = rng.uniform(0.0, 0.98, size=(pool_size, d))
+    points = pool[rng.integers(pool_size, size=ell)]  # rows repeat often
+    target = EmpiricalTarget(rng.uniform(-0.2, 1.2, size=(int(rng.integers(1, 40)), d)))
+    box = BoxScaler(np.zeros(d), np.ones(d))
+    sol = fit_weights(points, target, box)
+    _, first, group = np.unique(points, axis=0, return_index=True, return_inverse=True)
+    group = group.ravel()
+    assert sol.converged
+    assert np.array_equal(sol.w, sol.w[first][group])  # repeats weigh exactly the same
+    assert abs(sol.w.mean() - 1.0) <= 1e-12
+    perm = rng.permutation(ell)
+    shuffled = fit_weights(points[perm], target, box)
+    assert np.max(np.abs(shuffled.w - sol.w[perm])) <= 1e-12 * sol.w.max()
+    oracle = enumeration_oracle(assemble_qp(points[first], target, box=box))
+    assert np.max(np.abs(np.bincount(group, sol.w) - oracle * ell / first.size)) < 1e-8
+    # the certificate of the full problem, whose H is singular, agrees with
+    # the reported one up to rounding; feasibility needs no scale (weights
+    # are mean-one), and the full problem's scale is L'/l of the distinct one's
+    full = verify_kkt(assemble_qp(points, target, box=box), sol.w)
+    assert full.passed
+    assert abs(full.feasibility_residual - sol.kkt.feasibility_residual) <= 1e-13
+    for name in ("stationarity", "complementarity"):
+        assert abs(full.relative()[name] - sol.kkt.relative()[name]) <= 1e-12, name
