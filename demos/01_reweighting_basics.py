@@ -27,7 +27,7 @@ target = UniformTarget(0.0, 1.0)
 problem = assemble_qp(samples, target)
 
 print("fitting matrix H:")
-print(problem.h)          # [[0.1875, 0.0625], [0.0625, 0.0625]]
+print(np.asarray(problem.h))  # [[0.1875, 0.0625], [0.0625, 0.0625]]
 print("fitting vector b:", problem.b)  # [0.234375, 0.109375]
 
 solution = solve_qp(problem)

@@ -8,7 +8,10 @@ the weights with
     b_i  = (1/l)   int over [q^i, 1] of F_targ(q) dq,
 
 so that (1/2) w^T H w - b^T w equals half the squared misfit up to a constant
-independent of w. H and b are exact closed forms: an empirical target's b
+independent of w. H and b are exact closed forms. At d >= 2 H is a dense
+(l x l) array; at d = 1 it is min.outer(s, s) with s = (1 - q) / l^2, which
+:class:`MinOuter` keeps as s and multiplies in O(l) after one sort, so no
+(l x l) array is formed unless a caller asks for one. An empirical target's b
 sums over its samples (on 1-D data by one sort and a prefix sum, at d >= 2
 over every sample pair), and an exact target (one of the 1-D laws in
 :mod:`dcinv.targets`) gives b from its closed-form running integral of F_targ.
@@ -41,7 +44,9 @@ class QpProblem:
     [0, 1] within 1e-12 (then clipped to it); ``b`` is a finite vector of
     length l. Both are stored read-only. ``h`` is :func:`assemble_h` of the
     points, built on its first read and kept, read-only; it is symmetric by
-    construction. Repeated rows are allowed and make it singular.
+    construction. At d = 1 it is a :class:`MinOuter`, so ``gradient`` and
+    ``objective`` cost O(l) and ``np.asarray(problem.h)`` gives the dense
+    matrix. Repeated rows are allowed and make it singular.
     """
 
     points: np.ndarray
@@ -61,9 +66,7 @@ class QpProblem:
 
     @functools.cached_property
     def h(self):
-        h = assemble_h(self.points)
-        h.flags.writeable = False
-        return h
+        return assemble_h(self.points)
 
     @property
     def size(self):
@@ -108,11 +111,60 @@ def group_repeats(points):
 dedupe_jitter = group_repeats  # the tracer in perfbench/ wraps it by this name
 
 
+class MinOuter:
+    """The symmetric matrix H_ij = min(s_i, s_j) of a vector s, kept as s.
+
+    With s sorted ascending, s_(1) <= ... <= s_(l),
+
+        (H w)_(k) = sum_{j <= k} s_(j) w_(j) + s_(k) sum_{j > k} w_(j),
+
+    whatever the order among ties, so ``H @ w`` and ``w @ H`` cost one
+    gather, two cumulative sums and one scatter. The suffix sums come from a
+    reversed cumulative sum rather than as the total minus a prefix, which
+    would cancel. ``np.asarray(H)`` is ``np.minimum.outer(s, s)``.
+    ``__array_ufunc__ = None`` makes numpy defer ``w @ H`` to
+    ``__rmatmul__`` instead of densifying H. ``size`` counts the stored
+    values, l, as in scipy.sparse.
+    """
+
+    __array_ufunc__ = None
+
+    def __init__(self, s):
+        s = np.array(s, dtype=float)
+        s.flags.writeable = False
+        self.s = s
+        self._order = np.argsort(s)
+
+    @property
+    def size(self):
+        return self.s.size
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("MinOuter has no dense array to share; it must be built")
+        return np.minimum.outer(self.s, self.s).astype(dtype, copy=False)
+
+    def __matmul__(self, w):
+        w = np.asarray(w, dtype=float)
+        if w.shape != (self.s.size,):
+            raise ValueError(f"w has shape {w.shape}, expected ({self.s.size},)")
+        ss, ws = self.s[self._order], w[self._order]
+        hw = np.cumsum(ss * ws)
+        hw[:-1] += ss[:-1] * np.cumsum(ws[:0:-1])[::-1]
+        out = np.empty_like(hw)
+        out[self._order] = hw
+        return out
+
+    __rmatmul__ = __matmul__  # H is symmetric
+
+
 def assemble_h(samples):
-    """Closed-form fitting matrix on unit-box samples.
+    """Closed-form fitting matrix on unit-box samples, read-only.
 
     H_ij = (1/l^2) prod_k (1 - max(q_k^i, q_k^j)); exactly symmetric by
     construction. Raises if any coordinate is outside [0, 1] beyond 1e-12.
+    At d >= 2 it is a dense (l x l) array; at d = 1 a :class:`MinOuter`,
+    whose ``np.asarray`` is the dense matrix, bit for bit.
 
     Each factor is written in one pass as min.outer(a_k, a_k) with
     a_k = 1 - q_k, which is bit for bit the max form: x -> fl(1 - x) is
@@ -122,23 +174,23 @@ def assemble_h(samples):
     from ones.
 
     At d = 1, x -> fl(x / l^2) is monotone non-decreasing too, so the scaling
-    is folded into the vector and H = min.outer(a / l^2, a / l^2): one write
-    pass, and H is the only (l x l) array. At d >= 2 the division stays last,
-    because fl(f_0 f_1 / L) and fl(fl(f_0 / L) f_1) differ in general; two
-    (l x l) arrays are alive.
+    is folded into the vector and H = min.outer(a / l^2, a / l^2), which is
+    returned as that vector alone (O(l) memory). At d >= 2 the division
+    stays last, because fl(f_0 f_1 / L) and fl(fl(f_0 / L) f_1) differ in
+    general; two (l x l) arrays are alive.
     """
     pts = _check_unit_box(as_points(samples))
     ell, d = pts.shape
     a = 1.0 - pts.T  # (d, l)
     if d == 1:
-        s = a[0] / (ell * ell)
-        return np.minimum.outer(s, s)
+        return MinOuter(a[0] / (ell * ell))
     h = np.minimum.outer(a[0], a[0])
     tmp = np.empty_like(h)
     for k in range(1, d):
         np.minimum.outer(a[k], a[k], out=tmp)
         h *= tmp
     h /= ell * ell
+    h.flags.writeable = False
     return h
 
 

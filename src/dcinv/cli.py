@@ -225,8 +225,10 @@ def _cmd_solve(args):
 
 
 def _solver_meta(qp_solution):
-    """The solver block of meta.json: every KKT residual both absolute and
-    divided by the certificate's scale, max(|b|_inf, |nu|/l)."""
+    """The solver block of meta.json: every KKT residual absolute and as the
+    pass rule reads it (``KktReport.relative``): stationarity and
+    complementarity divided by the certificate's scale, max(|b|_inf, |nu|/l),
+    and feasibility as it is."""
     kkt = qp_solution.kkt
     record = {
         "converged": qp_solution.converged,

@@ -103,13 +103,14 @@ class KktReport:
         )
 
     def relative(self):
-        """The three residuals divided by ``scale``."""
-        residuals = {
-            "stationarity": self.stationarity_residual,
+        """The three residuals as ``passed`` reads them: stationarity and
+        complementarity divided by ``scale``, feasibility as it is (the
+        weights are mean-one)."""
+        return {
+            "stationarity": self.stationarity_residual / self.scale,
             "feasibility": self.feasibility_residual,
-            "complementarity": self.complementarity_residual,
+            "complementarity": self.complementarity_residual / self.scale,
         }
-        return {k: v / self.scale for k, v in residuals.items()}
 
 
 @dataclass(frozen=True)
@@ -178,6 +179,10 @@ def solve_qp(problem):
     rounds in a row without fewer such variables, only the largest index
     changes sides (Murty's rule), which terminates.
 
+    It factors H, so it reads ``problem.h`` as a dense array: at d = 1,
+    where H is a :class:`~dcinv.assembly.MinOuter`, that builds the (l x l)
+    matrix, which :func:`solve_isotonic` never does.
+
     Returns a QpSolution with method "active-set"; ``iterations`` counts
     rounds, and ``converged`` is the verdict of :func:`verify_kkt` once
     negative weights are clipped to zero, or False after _MAX_ROUNDS rounds.
@@ -192,7 +197,7 @@ def solve_qp(problem):
     """
     from scipy.linalg import cho_solve  # imported on first use: a cold CLI start skips scipy
 
-    h, b = problem.h, problem.b
+    h, b = np.asarray(problem.h), problem.b  # dense at d = 1 too (see QpProblem)
     ell = problem.size
     b_scale = float(np.max(np.abs(b)))
     free = np.ones(ell, dtype=bool)
@@ -231,9 +236,10 @@ def solve_isotonic(problem):
     """Solve the fitting QP of 1-D samples exactly.
 
     The samples are ``problem.points[:, 0]`` and b may come from any target
-    (empirical or closed form); H is never formed except by the
-    certificate. Sort the samples, q_(1) < ... < q_(l), and let
-    C_k = (1/l) sum_{j <= k} w_(j) be the weighted EDF on [q_(k), q_(k+1)).
+    (empirical or closed form); H is never formed, and the certificate and
+    the objective multiply by it in O(l) (:class:`~dcinv.assembly.MinOuter`).
+    Sort the samples, q_(1) < ... < q_(l), and let C_k = (1/l) sum_{j <= k}
+    w_(j) be the weighted EDF on [q_(k), q_(k+1)).
     Summation by parts turns (1/2) w^T H w - b^T w into
 
         (1/2) sum_{k < l} gap_k (C_k - m_k)^2 + const,
@@ -248,7 +254,7 @@ def solve_isotonic(problem):
 
     Returns a QpSolution with method "isotonic"; ``iterations`` counts pool
     merges, and ``converged`` is the verdict of :func:`verify_kkt` on the
-    dense problem.
+    problem.
 
     Raises
     ------

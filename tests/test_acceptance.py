@@ -51,7 +51,7 @@ def live_draw(model, sampler, seed):
 
 
 def _enumeration_oracle(problem):
-    h, b = problem.h, problem.b
+    h, b = np.asarray(problem.h), problem.b
     ell = problem.size
     best, best_obj = None, np.inf
     for r in range(ell):
@@ -86,7 +86,7 @@ def _simplex_grid_oracle(problem):
     The objective is strictly convex, so refining a window several parent
     steps wide around each stage's incumbent retains the global optimum.
     """
-    h, b = problem.h, problem.b
+    h, b = np.asarray(problem.h), problem.b
     ell = problem.size
 
     def best_on(axes):
@@ -211,7 +211,7 @@ def test_criterion_2_assembly_vs_quadrature():
         q = rng.uniform(0.0, 0.98, size=(ell, d))
         y = rng.uniform(size=(m, d))
         n_per_dim = 100_000 if d == 1 else 1000
-        dev_h = float(np.max(np.abs(assemble_h(q) - _oracle_h(q, n_per_dim))))
+        dev_h = float(np.max(np.abs(np.asarray(assemble_h(q)) - _oracle_h(q, n_per_dim))))
         dev_b = float(
             np.max(np.abs(assemble_b_empirical(q, y) - _oracle_b_empirical(q, y, n_per_dim)))
         )

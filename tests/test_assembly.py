@@ -9,6 +9,7 @@ from scipy.special import ndtr, roots_legendre
 
 from dcinv import assembly
 from dcinv.assembly import (
+    MinOuter,
     QpProblem,
     assemble_b_empirical,
     assemble_b_exact,
@@ -91,7 +92,7 @@ def test_h_entry_range_and_cholesky():
         ell = int(rng.integers(2, 40))
         d = int(rng.integers(1, 3))
         pts = rng.uniform(0.0, 0.999, size=(ell, d))
-        h = assemble_h(pts)
+        h = np.asarray(assemble_h(pts))
         assert h.min() >= 0.0 and h.max() <= 1.0 / ell**2 + 1e-15
         np.linalg.cholesky(h)  # positive definite for distinct interior points
 
@@ -413,7 +414,7 @@ def test_h_bit_equal_to_product_from_ones(d, ell):
     q = rng.uniform(size=(ell, d))
     q[rng.random(size=q.shape) < 0.15] = 0.0
     q[rng.random(size=q.shape) < 0.15] = 1.0
-    assert_bits_equal(assemble_h(q), reference_h(q))
+    assert_bits_equal(np.asarray(assemble_h(q)), reference_h(q))
 
 
 # signed zeros, both box edges, the last double below 1 and the smallest subnormal
@@ -434,21 +435,79 @@ def test_h_bit_equal_to_product_from_ones_on_edges_and_repeats(d, ell, distinct,
     edge = rng.random(size=rows.shape) < edge_rate
     rows[edge] = rng.choice(EDGE_COORDS, size=int(edge.sum()))
     q = rows[rng.integers(0, len(rows), size=ell)]
-    assert_bits_equal(assemble_h(q), reference_h(q))
+    assert_bits_equal(np.asarray(assemble_h(q)), reference_h(q))
 
 
-@pytest.mark.parametrize("d, arrays", [(1, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("d, arrays", [(1, 0), (2, 2), (3, 2)])
 def test_h_memory_is_bounded(d, arrays):
-    q = np.random.default_rng(7).uniform(size=(1000, d))
+    ell = 1000
+    q = np.random.default_rng(7).uniform(size=(ell, d))
     tracemalloc.start()
     try:
-        h = assemble_h(q)
+        assemble_h(q)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the result alone at d = 1 and two (l x l) arrays at d >= 2; the
-    # product-from-ones form holds three
-    assert peak < (arrays + (0.1 if d == 1 else 0.5)) * h.nbytes
+    # no (l x l) array at d = 1 and two at d >= 2; the product-from-ones
+    # form holds three
+    assert peak < (arrays + (0.1 if d == 1 else 0.5)) * ell * ell * 8
+
+
+def check_min_outer(q, w):
+    """The 1-D H of ``q`` against its dense form: ``np.asarray`` bit for bit,
+    and both products within the worst-case rounding error of the dense
+    product, elementwise."""
+    h = assemble_h(q)
+    assert isinstance(h, MinOuter) and not h.s.flags.writeable
+    ell = q.shape[0]
+    assert h.size == ell
+    dense = np.minimum.outer(h.s, h.s)
+    assert_bits_equal(np.asarray(h), dense)
+    bound = 2 * (ell + 2) * np.finfo(float).eps * (np.abs(dense) @ np.abs(w))
+    for product in (h @ w, w @ h):
+        assert product.shape == (ell,)
+        assert np.all(np.abs(product - dense @ w) <= bound)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 97, 2000])
+def test_min_outer_products_match_the_dense_matrix(ell):
+    rng = np.random.default_rng(ell)
+    q = rng.uniform(size=(ell, 1))
+    q[rng.random(ell) < 0.1] = 0.0
+    q[rng.random(ell) < 0.1] = 1.0
+    q[rng.random(ell) < 0.2] = q[0]  # ties with the first point
+    check_min_outer(q, rng.normal(size=ell))
+    check_min_outer(q, rng.exponential(size=ell))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ell=st.integers(1, 150),
+    distinct=st.integers(1, 150),
+    edge_rate=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_min_outer_products_match_on_edges_and_repeats(ell, distinct, edge_rate, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(size=(min(distinct, ell), 1))
+    edge = rng.random(size=rows.shape) < edge_rate
+    rows[edge] = rng.choice(EDGE_COORDS, size=int(edge.sum()))
+    q = rows[rng.integers(0, len(rows), size=ell)]
+    check_min_outer(q, rng.normal(size=ell) * rng.choice([1e-8, 1.0, 1e8], size=ell))
+
+
+def test_min_outer_products_allocate_no_l_by_l_array():
+    ell = 3000  # a dense H would take 72 MB
+    rng = np.random.default_rng(9)
+    prob = QpProblem(rng.uniform(size=(ell, 1)), rng.uniform(size=ell) / ell)
+    h, w = prob.h, rng.uniform(size=ell)
+    tracemalloc.start()
+    try:
+        h @ w, w @ h, prob.gradient(w), prob.objective(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.01 * ell * ell * 8
 
 
 def reference_b_empirical(samples, target_samples):

@@ -82,7 +82,7 @@ def test_assemble_qp_without_box_is_the_unit_box(pts, kind, seed):
     d = pts.shape[1]
     plain = assemble_qp(pts, target)
     unit_box = assemble_qp(pts, target, box=BoxScaler(np.zeros(d), np.ones(d)))
-    assert_bits_equal(plain.h, unit_box.h)
+    assert_bits_equal(np.asarray(plain.h), np.asarray(unit_box.h))
     assert_bits_equal(plain.b, unit_box.b)
 
 

@@ -22,7 +22,7 @@ def enumeration_oracle(problem):
     nonnegative bound multipliers, and returns the best. Independent of the
     active-set path: plain dense solves over all 2^l - 1 patterns.
     """
-    h, b = problem.h, problem.b
+    h, b = np.asarray(problem.h), problem.b
     ell = problem.size
     best, best_obj = None, np.inf
     for r in range(ell):
@@ -54,7 +54,7 @@ def enumeration_oracle(problem):
 
 def grid_oracle(problem, resolution=1e-3):
     """Dense simplex grid search (two-stage refinement for l = 4)."""
-    h, b = problem.h, problem.b
+    h, b = np.asarray(problem.h), problem.b
     ell = problem.size
 
     def eval_chunk(w):
@@ -466,3 +466,25 @@ def test_fit_weights_of_repeated_points(d, pool_size, ell, seed):
     assert abs(full.feasibility_residual - sol.kkt.feasibility_residual) <= 1e-13
     for name in ("stationarity", "complementarity"):
         assert abs(full.relative()[name] - sol.kkt.relative()[name]) <= 1e-12, name
+
+
+def test_relative_feasibility_is_unscaled_and_the_same_with_repeats():
+    # 12 points with repeats and their 8 distinct ones: |b| and so the scale
+    # differ by 8/12, but both weightings are 1 + 2**-36 times mean-one, with
+    # every sum exact, so their feasibility residuals are equal and must be
+    # read equal
+    rng = np.random.default_rng(5)
+    distinct = rng.uniform(0.0, 0.98, size=(8, 1))
+    group = np.array([0, 0, 1, 2, 2, 2, 3, 4, 5, 6, 7, 7])
+    counts = np.bincount(group)[group]
+    target = NormalTarget(0.5, 0.2)
+    w_distinct = np.full(8, 1.0 + 2.0**-36)
+    merged = verify_kkt(assemble_qp(distinct, target), w_distinct)
+    full = verify_kkt(assemble_qp(distinct[group], target), w_distinct[group] * 1.5 / counts)
+    assert merged.feasibility_residual == full.feasibility_residual == 2.0**-36
+    assert full.scale != merged.scale
+    for report in (merged, full):
+        rel = report.relative()
+        assert rel["feasibility"] == report.feasibility_residual
+        assert rel["stationarity"] == report.stationarity_residual / report.scale
+        assert rel["complementarity"] == report.complementarity_residual / report.scale

@@ -49,8 +49,8 @@ Pooled narrow, partial and empty windows are covered by
 ``tests/test_density.py::test_pdf_exact_pooled_bit_equal_to_reference``,
 not by these runs.
 
-The commands run one at a time. All 54 take about 6.5 s on 2 CPUs and
-peak at about 350 MiB of memory (rod_naive_large).
+The commands run one at a time. All 54 take about 6 s on 2 CPUs and
+peak at about 115 MiB of memory (mixture_binning, then density_exact).
 """
 
 import argparse
